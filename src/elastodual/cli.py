@@ -168,8 +168,6 @@ def cmd_ktensor(args: argparse.Namespace) -> int:
         samples = []
         for frac in (0.25, 0.5, 0.75, 0.9, 1.1, 2.0):
             K = k_max * frac
-            if K <= 0:
-                continue
             _, eig = tensor3d.m_tensor_check(lame, K, mode)
             samples.append({"K": K, "min_eig_sym": eig})
         doc["modes"][mode] = {"K_max": k_max, "samples": samples}

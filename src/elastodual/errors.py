@@ -25,10 +25,6 @@ class SingularSystem(ElastodualError):
     """The 3D tangent stiffness could not be factorized."""
 
 
-class SingularHooke(ElastodualError):
-    """The 6x6 Mandel form of the stiffness tensor is not invertible."""
-
-
 class PositivityViolated(ElastodualError):
     """The scalar/tensor denominator of the perturbed conjugate lost positivity.
 

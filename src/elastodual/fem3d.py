@@ -60,18 +60,23 @@ _GP1 = 1.0 / np.sqrt(3.0)
 
 
 def _shape_values(xi: np.ndarray) -> np.ndarray:
-    """Trilinear shape values at one reference point; (8,)."""
-    return np.prod(1.0 + _CORNERS * xi, axis=1) / 8.0
+    """Trilinear shape values at reference points (q, 3); (q, 8)."""
+    return np.prod(1.0 + _CORNERS * xi[:, None, :], axis=-1) / 8.0
 
 
 def _shape_grads(xi: np.ndarray) -> np.ndarray:
-    """Reference gradients at one point; (8, 3)."""
-    g = np.empty((8, 3))
+    """Reference gradients at points (q, 3); (q, 8, 3)."""
+    g = np.empty((xi.shape[0], 8, 3))
     for d in range(3):
-        terms = 1.0 + _CORNERS * xi
-        terms[:, d] = _CORNERS[:, d]
-        g[:, d] = np.prod(terms, axis=1) / 8.0
+        terms = 1.0 + _CORNERS * xi[:, None, :]
+        terms[..., d] = _CORNERS[:, d]
+        g[..., d] = np.prod(terms, axis=-1) / 8.0
     return g
+
+
+def _grid_points(*axes) -> np.ndarray:
+    """Tensor-product points, last axis fastest; (q, 3)."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 class BoxMesh:
@@ -108,11 +113,11 @@ class BoxMesh:
         self.n_elem = self.conn.shape[0]
 
         # 2x2x2 Gauss points; uniform box makes the Jacobian constant diagonal
-        pts = [np.array([a, b, c]) for a in (-_GP1, _GP1)
-               for b in (-_GP1, _GP1) for c in (-_GP1, _GP1)]
-        self.N = np.array([_shape_values(x) for x in pts])  # (8q, 8n)
+        gp = (-_GP1, _GP1)
+        pts = _grid_points(gp, gp, gp)
+        self.N = _shape_values(pts)  # (8q, 8n)
         scale = np.array([2.0 / self.hx, 2.0 / self.hy, 2.0 / self.hz])
-        self.dN = np.array([_shape_grads(x) * scale for x in pts])  # (8q, 8n, 3)
+        self.dN = _shape_grads(pts) * scale  # (8q, 8n, 3)
         self.detJ = self.hx * self.hy * self.hz / 8.0
 
         # traction face x = lx: elements with i = nx - 1, local face xi_1 = +1
@@ -121,8 +126,7 @@ class BoxMesh:
             for i in [nx - 1] for j in range(ny) for k in range(nz)
         ]
         self.face_elems = np.array(face_elems)
-        fpts = [np.array([1.0, b, c]) for b in (-_GP1, _GP1) for c in (-_GP1, _GP1)]
-        self.face_N = np.array([_shape_values(x) for x in fpts])  # (4q, 8n)
+        self.face_N = _shape_values(_grid_points((1.0,), gp, gp))  # (4q, 8n)
         self.face_detJ = self.hy * self.hz / 4.0
 
         self.clamped_nodes = np.flatnonzero(self.coords[:, 0] == 0.0)
@@ -142,18 +146,10 @@ def displacement_gradients(mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
     return np.einsum("enI,qnJ->eqIJ", ue, mesh.dN)
 
 
-def _strain_stress(lame: LameParams, g: np.ndarray):
-    E = 0.5 * (g + np.swapaxes(g, -1, -2) + np.einsum("...mI,...mJ->...IJ", g, g))
-    trE = np.trace(E, axis1=-2, axis2=-1)
-    sigma = lame.lam * trE[..., None, None] * I3 + 2.0 * lame.mu * E
-    return E, sigma
-
-
 def energy_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> float:
     """Stored energy minus body and traction work, 2x2x2 Gauss quadrature."""
-    g = displacement_gradients(mesh, u)
-    E, sigma = _strain_stress(m.lame, g)
-    elastic = 0.5 * np.sum(sigma * E) * mesh.detJ
+    E = tensor3d.green_strain(displacement_gradients(mesh, u))
+    elastic = 0.5 * np.sum(tensor3d.hooke_apply(m.lame, E) * E) * mesh.detJ
     ue = u[mesh.conn]
     uq = np.einsum("enI,qn->eqI", ue, mesh.N)
     body = np.einsum("eqI,I->", uq, m.body_force) * mesh.detJ
@@ -166,11 +162,9 @@ def energy_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> float:
 def _load_vector(m: SolidModel, mesh: BoxMesh) -> np.ndarray:
     L = np.zeros((mesh.n_nodes, 3))
     body_el = mesh.detJ * np.einsum("qn,I->nI", mesh.N, m.body_force)
-    for e in range(mesh.n_elem):
-        L[mesh.conn[e]] += body_el
+    np.add.at(L, mesh.conn, body_el)
     surf_el = mesh.face_detJ * np.einsum("qn,I->nI", mesh.face_N, m.traction)
-    for e in mesh.face_elems:
-        L[mesh.conn[e]] += surf_el
+    np.add.at(L, mesh.conn[mesh.face_elems], surf_el)
     return L
 
 
@@ -185,7 +179,7 @@ def _internal_forces(mesh: BoxMesh, flux: np.ndarray) -> np.ndarray:
 def residual_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
     """Weak-form residual; clamped rows zeroed.  Returns (n_nodes, 3)."""
     g = displacement_gradients(mesh, u)
-    _, sigma = _strain_stress(m.lame, g)
+    sigma = tensor3d.stress(m.lame, g)
     piola = np.einsum("eqIm,eqmJ->eqIJ", np.broadcast_to(I3, g.shape) + g, sigma)
     R = _internal_forces(mesh, piola) - _load_vector(m, mesh)
     R[mesh.clamped_nodes] = 0.0
@@ -196,19 +190,11 @@ def hessian_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
     """Dense tangent stiffness (material + geometric), no boundary treatment."""
     lame = m.lame
     g = displacement_gradients(mesh, u)
-    _, sigma = _strain_stress(lame, g)
+    sigma = tensor3d.stress(lame, g)
     F = np.broadcast_to(I3, g.shape) + g
-    # S[e,q,n,i,:,:] = sym(F^T (e_i x dN_n)); Mandel rows give B
+    # Mandel rows of sym(F^T (e_i x dN_n)) give B: (ne, 8q, 8n, 3, 6)
     T1 = np.einsum("eqIa,qnb->eqnIab", F, mesh.dN)
-    S = 0.5 * (T1 + np.swapaxes(T1, -1, -2))
-    r2 = np.sqrt(2.0)
-    B = np.stack(
-        [
-            S[..., 0, 0], S[..., 1, 1], S[..., 2, 2],
-            r2 * S[..., 1, 2], r2 * S[..., 0, 2], r2 * S[..., 0, 1],
-        ],
-        axis=-1,
-    )  # (ne, 8q, 8n, 3, 6)
+    B = tensor3d.sym_to_mandel(tensor3d.sym(T1))
     Hm = tensor3d.hooke(lame).mandel
     Kmat = mesh.detJ * np.einsum("eqniA,AB,eqmjB->enimj", B, Hm, B)
     G = mesh.detJ * np.einsum("qna,eqab,qmb->enm", mesh.dN, sigma, mesh.dN)
@@ -334,19 +320,16 @@ def certify_3d(
 
     report.K_max = tensor3d.admissible_k_max(lame, mode)
     if K is None:
-        if report.K_max <= 0:
-            report.errors.append("no admissible K: M tensor never positive definite")
-            return report
         K = report.K_max * (1.0 - 1e-3)
     report.K_used = K
     _, report.m_min_eig = tensor3d.m_tensor_check(lame, K, mode)
 
-    g_all = displacement_gradients(mesh, u0)
-    flat = g_all.reshape(-1, 3, 3)
-    duals = [tensor3d.construct_duals_pointwise(lame, K, gq) for gq in flat]
-    sigmas = [v2 + z for (_, v2, z) in duals]
+    # dual fields at every quadrature point, (n_elem, 8, 3, 3) each
+    v1, v2, z = tensor3d.construct_duals_pointwise(
+        lame, K, displacement_gradients(mesh, u0)
+    )
 
-    report.min_pd_margin = min(tensor3d.pd_margin(s, K) for s in sigmas)
+    report.min_pd_margin = float(np.min(tensor3d.pd_margin(v2 + z, K)))
     report.k_feasible = report.m_min_eig > 0 and report.min_pd_margin >= 0
     if not report.k_feasible:
         report.errors.append(
@@ -355,19 +338,17 @@ def certify_3d(
         )
         return report
 
-    j_star = 0.0
-    min_hz = np.inf
-    for v1, v2, z in duals:
-        j_star += tensor3d.f_star_3d_density(z, K)
-        j_star -= tensor3d.g_star_k_density(v1, v2, z, lame, K)
-        hz = tensor3d.dstar_hessian_z_3d(v1, v2, z, lame, K)
-        min_hz = min(min_hz, tensor3d.min_eig_on_sym(hz))
+    j_star = np.sum(
+        tensor3d.f_star_3d_density(z, K)
+        - tensor3d.g_star_k_density(v1, v2, z, lame, K)
+    )
     report.J_dual = float(j_star * mesh.detJ)
     report.gap = report.J_primal - report.J_dual
-    report.min_hessian_z_eig = float(min_hz)
+    report.min_hessian_z_eig = float(np.min(tensor3d.min_eig_on_sym(
+        tensor3d.dstar_hessian_z_3d(v1, v2, z, lame, K)
+    )))
 
-    flux = np.array([v1 + v2 for (v1, v2, _) in duals]).reshape(g_all.shape)
-    Rdual = _internal_forces(mesh, flux) - _load_vector(m, mesh)
+    Rdual = _internal_forces(mesh, v1 + v2) - _load_vector(m, mesh)
     Rdual[mesh.clamped_nodes] = 0.0
     report.constraint_residual_norm = float(
         np.max(np.abs(Rdual.ravel()[mesh.free_dofs]))
@@ -387,25 +368,23 @@ def certify_3d(
     report.local_min_passed = passed
     report.local_min_total = n_local
 
-    # z-convexity sampling: symmetric perturbations of z at every point
+    # z-convexity sampling: symmetric perturbations of z at every point,
+    # each scaled to sup-norm radius.  One draw per sample keeps the
+    # temporaries at the size of z.
     radius = min(1e-3, 0.25 * report.min_pd_margin + 1e-12)
     center = report.J_dual
     z_passed = 0
     for _ in range(n_z_samples):
-        val = 0.0
-        ok = True
-        for v1, v2, z in duals:
-            dz = tensor3d.sym(rng.uniform(-1.0, 1.0, size=(3, 3)))
-            mx = np.max(np.abs(dz))
-            if mx > 0:
-                dz *= radius / mx
-            try:
-                val += tensor3d.f_star_3d_density(z + dz, K)
-                val -= tensor3d.g_star_k_density(v1, v2, z + dz, lame, K)
-            except NotPositiveDefinite:
-                ok = False
-                break
-        if ok and val * mesh.detJ >= center - 1e-10:
+        dz = tensor3d.sym(rng.uniform(-1.0, 1.0, size=z.shape))
+        dz *= radius / np.max(np.abs(dz), axis=(-2, -1), keepdims=True)
+        try:
+            val = np.sum(
+                tensor3d.f_star_3d_density(z + dz, K)
+                - tensor3d.g_star_k_density(v1, v2, z + dz, lame, K)
+            )
+        except NotPositiveDefinite:
+            continue
+        if val * mesh.detJ >= center - 1e-10:
             z_passed += 1
     report.z_convex_passed = z_passed
     report.z_convex_total = n_z_samples

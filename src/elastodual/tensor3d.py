@@ -1,7 +1,11 @@
-"""Pointwise 3D tensor algebra: isotropic stiffness tensor and its inverse,
-Green strain and stress, the closed-form conjugate densities, the pointwise
-dual-field construction, and the positive-definiteness checks that gate the
-3D duality certificate.
+"""Batched 3D tensor algebra: isotropic stiffness tensor and its inverse,
+Green strain and stress, the closed-form conjugate densities, the dual-field
+construction, and the positive-definiteness checks that gate the 3D duality
+certificate.
+
+Every pointwise function takes one 3x3 matrix or a stack of shape
+(..., 3, 3) and returns one value per point, so the FEM and the certifier
+evaluate all quadrature points in one call.
 
 Fourth-order tensors carry a 6x6 Mandel representation (orthonormal on
 symmetric arguments, sqrt(2) scaling on shear slots) alongside a full
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, SingularHooke
+from .errors import NotPositiveDefinite
 
 I3 = np.eye(3)
 
@@ -29,48 +33,41 @@ I3 = np.eye(3)
 M_TENSOR_MODES = ("identity", "spherical")
 
 _MANDEL_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
-_SQRT2 = np.sqrt(2.0)
+_MANDEL_I, _MANDEL_J = np.array(_MANDEL_PAIRS).T
+_MANDEL_SCALE = np.where(_MANDEL_I == _MANDEL_J, 1.0, np.sqrt(2.0))
+
+
+def _t(M: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes."""
+    return np.swapaxes(M, -1, -2)
+
+
+def _tr(M: np.ndarray) -> np.ndarray:
+    """Trace over the last two axes, shaped to broadcast against (..., 3, 3)."""
+    return np.trace(M, axis1=-2, axis2=-1)[..., None, None]
 
 
 def sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
-
-
-def skew(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M - M.T)
+    return 0.5 * (M + _t(M))
 
 
 def sym_to_mandel(S: np.ndarray) -> np.ndarray:
-    """6-vector Mandel representation of a symmetric 3x3 tensor."""
-    return np.array(
-        [S[0, 0], S[1, 1], S[2, 2],
-         _SQRT2 * S[1, 2], _SQRT2 * S[0, 2], _SQRT2 * S[0, 1]]
-    )
+    """Mandel 6-vectors of symmetric tensors; (..., 3, 3) -> (..., 6)."""
+    return S[..., _MANDEL_I, _MANDEL_J] * _MANDEL_SCALE
 
 
 def mandel_to_sym(v: np.ndarray) -> np.ndarray:
-    S = np.diag(v[:3]).astype(float)
-    S[1, 2] = S[2, 1] = v[3] / _SQRT2
-    S[0, 2] = S[2, 0] = v[4] / _SQRT2
-    S[0, 1] = S[1, 0] = v[5] / _SQRT2
+    """Symmetric tensors from Mandel 6-vectors; (..., 6) -> (..., 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    S = np.zeros(v.shape[:-1] + (3, 3))
+    S[..., _MANDEL_I, _MANDEL_J] = v / _MANDEL_SCALE
+    S[..., _MANDEL_J, _MANDEL_I] = v / _MANDEL_SCALE
     return S
 
 
-def _mandel_basis_9() -> np.ndarray:
-    """9x6 matrix whose columns are the orthonormal symmetric basis tensors,
-    flattened row-major."""
-    cols = []
-    for a, b in _MANDEL_PAIRS:
-        T = np.zeros((3, 3))
-        if a == b:
-            T[a, b] = 1.0
-        else:
-            T[a, b] = T[b, a] = 1.0 / _SQRT2
-        cols.append(T.reshape(9))
-    return np.array(cols).T
-
-
-MANDEL_BASIS_9 = _mandel_basis_9()
+#: 9x6 matrix whose columns are the orthonormal symmetric basis tensors,
+#: flattened row-major
+MANDEL_BASIS_9 = mandel_to_sym(np.eye(6)).reshape(6, 9).T
 
 
 @dataclass(frozen=True)
@@ -104,19 +101,12 @@ class Tensor4Sym:
     def as_matrix9(self) -> np.ndarray:
         return self.full.reshape(9, 9)
 
-    def min_eig_sym(self) -> float:
-        """Smallest eigenvalue of the action restricted to symmetric tensors."""
-        return float(np.linalg.eigvalsh(0.5 * (self.mandel + self.mandel.T))[0])
 
-
-def sym9(M9: np.ndarray) -> np.ndarray:
-    return 0.5 * (M9 + M9.T)
-
-
-def min_eig_on_sym(M9: np.ndarray) -> float:
-    """Smallest eigenvalue of a 9x9 operator restricted to symmetric arguments."""
+def min_eig_on_sym(M9: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of 9x9 operators restricted to symmetric
+    arguments; (..., 9, 9) -> (...)."""
     B = MANDEL_BASIS_9
-    return float(np.linalg.eigvalsh(sym9(B.T @ M9 @ B))[0])
+    return np.linalg.eigvalsh(sym(B.T @ M9 @ B)).min(axis=-1)
 
 
 def hooke(p: LameParams) -> Tensor4Sym:
@@ -130,12 +120,12 @@ def hooke(p: LameParams) -> Tensor4Sym:
 
 
 def hooke_inverse(p: LameParams) -> Tensor4Sym:
-    """Inverse of the stiffness on symmetric tensors, from the 6x6 Mandel form."""
-    H = hooke(p)
-    try:
-        Minv = np.linalg.inv(H.mandel)
-    except np.linalg.LinAlgError as exc:
-        raise SingularHooke(str(exc)) from exc
+    """Inverse of the stiffness on symmetric tensors, from the 6x6 Mandel form.
+
+    The Mandel form has eigenvalues 2*mu and 3*lam + 2*mu, both positive for
+    valid LameParams, so it is always invertible.
+    """
+    Minv = np.linalg.inv(hooke(p).mandel)
     # rebuild the full form with minor symmetries from the Mandel inverse
     B = MANDEL_BASIS_9
     full = (B @ Minv @ B.T).reshape(3, 3, 3, 3)
@@ -144,19 +134,19 @@ def hooke_inverse(p: LameParams) -> Tensor4Sym:
 
 def hooke_apply(p: LameParams, M: np.ndarray) -> np.ndarray:
     """H : M = lam*tr(M)*I + 2*mu*sym(M), in closed form."""
-    return p.lam * np.trace(M) * I3 + 2.0 * p.mu * sym(M)
+    return p.lam * _tr(M) * I3 + 2.0 * p.mu * sym(M)
 
 
 def hooke_inverse_apply(p: LameParams, S: np.ndarray) -> np.ndarray:
     """Closed-form inverse action on a symmetric tensor."""
-    return sym(S) / (2.0 * p.mu) - p.lam * np.trace(S) * I3 / (
+    return sym(S) / (2.0 * p.mu) - p.lam * _tr(S) * I3 / (
         2.0 * p.mu * (3.0 * p.lam + 2.0 * p.mu)
     )
 
 
 def green_strain(g: np.ndarray) -> np.ndarray:
     """E = (g + g^T + g^T g) / 2 for a displacement gradient g."""
-    return 0.5 * (g + g.T + g.T @ g)
+    return 0.5 * (g + _t(g) + _t(g) @ g)
 
 
 def stress(p: LameParams, g: np.ndarray) -> np.ndarray:
@@ -167,7 +157,7 @@ def stress(p: LameParams, g: np.ndarray) -> np.ndarray:
 def construct_duals_pointwise(
     p: LameParams, K: float, g0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pointwise dual triple (v1, v2, z) at a displacement gradient g0.
+    """Dual triple (v1, v2, z) at each displacement gradient g0.
 
     z = K*g0, v2 = sigma - z, v1 = g0 @ (sigma + K*I).  The identities
     z + v2 = sigma and v1 + v2 = (I + g0) sigma hold to rounding.
@@ -186,55 +176,62 @@ def _denominator(v2: np.ndarray, z: np.ndarray, K: float) -> np.ndarray:
 
 
 def _require_pd(A: np.ndarray) -> np.ndarray:
-    """PD check of the symmetric part; returns the inverse of A."""
-    margin = float(np.linalg.eigvalsh(sym(A))[0])
+    """PD check of the symmetric part at every point; returns the inverse of A.
+
+    The error carries the flat index of the worst point and its margin.
+    """
+    margins = np.ravel(np.linalg.eigvalsh(sym(A))[..., 0])
+    k = int(np.argmin(margins))
+    margin = float(margins[k])
     if margin <= 0.0:
         raise NotPositiveDefinite(
-            f"v2 + z + K*I has smallest symmetric eigenvalue {margin:.6e}",
+            f"v2 + z + K*I has smallest symmetric eigenvalue {margin:.6e}"
+            f" at point {k}",
+            location=k,
             margin=margin,
         )
     return np.linalg.inv(A)
 
 
-def pd_margin(S: np.ndarray, K: float) -> float:
+def pd_margin(S: np.ndarray, K: float) -> np.ndarray:
     """Margin of the hypothesis S + K*I >= (K/2)*I, i.e. eigmin(S + K/2*I)."""
-    return float(np.linalg.eigvalsh(sym(S) + 0.5 * K * I3)[0])
+    return np.linalg.eigvalsh(sym(S) + 0.5 * K * I3).min(axis=-1)
 
 
-def f_star_3d_density(z: np.ndarray, K: float) -> float:
+def f_star_3d_density(z: np.ndarray, K: float) -> np.ndarray:
     """Conjugate density z:z / (2K)."""
     if not K > 0:
         raise ValueError("K must be positive")
-    return float(np.sum(z * z) / (2.0 * K))
+    return np.sum(z * z, axis=(-2, -1)) / (2.0 * K)
 
 
 def g_star_k_density(
     v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, K: float
-) -> float:
+) -> np.ndarray:
     """Closed-form density of the perturbed conjugate:
     1/2 tr(A^-1 v1^T v1) + 1/2 (v2+z) : Hbar : (v2+z), A = v2 + z + K*I."""
     A = _denominator(v2, z, K)
     Ainv = _require_pd(A)
     S = v2 + z
-    return float(
-        0.5 * np.trace(Ainv @ v1.T @ v1)
-        + 0.5 * np.sum(S * hooke_inverse_apply(p, S))
+    return 0.5 * np.trace(Ainv @ _t(v1) @ v1, axis1=-2, axis2=-1) + 0.5 * np.sum(
+        S * hooke_inverse_apply(p, S), axis=(-2, -1)
     )
 
 
 def dstar_hessian_z_3d(
     v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, K: float
 ) -> np.ndarray:
-    """9x9 second derivative of the dual density in z:
+    """9x9 second derivative of the dual density in z, (..., 9, 9):
     D/K - (inverse-cubed weighted v1 outer product, symmetrized) - Hbar."""
     A = _denominator(v2, z, K)
-    if np.max(np.abs(A - A.T)) > 1e-9:
+    if np.max(np.abs(A - _t(A))) > 1e-9:
         raise ValueError("Hessian assembly expects a symmetric denominator")
     Ainv = _require_pd(A)
-    Y = Ainv @ v1.T @ v1 @ Ainv
+    Y = Ainv @ _t(v1) @ v1 @ Ainv
     T = 0.5 * (
-        np.einsum("jk,li->ijkl", Ainv, Y) + np.einsum("jk,li->ijkl", Y, Ainv)
-    ).reshape(9, 9)
+        np.einsum("...jk,...li->...ijkl", Ainv, Y)
+        + np.einsum("...jk,...li->...ijkl", Y, Ainv)
+    ).reshape(A.shape[:-2] + (9, 9))
     Hbar9 = hooke_inverse(p).as_matrix9()
     return np.eye(9) / K - T - Hbar9
 
@@ -264,29 +261,21 @@ def m_tensor_check(
 ) -> tuple[np.ndarray, float]:
     """Assembled M tensor and its smallest eigenvalue on symmetric arguments."""
     M9 = m_tensor(p, K, mode)
-    return M9, min_eig_on_sym(M9)
+    return M9, float(min_eig_on_sym(M9))
 
 
-def admissible_k_max(
-    p: LameParams, mode: str = "identity", tol: float = 1e-10
-) -> float:
-    """Largest K for which the M tensor stays positive definite (bisection).
+def admissible_k_max(p: LameParams, mode: str = "identity") -> float:
+    """Largest K for which the M tensor stays positive definite, in closed form.
 
-    The symmetric-subspace margin is strictly decreasing in K, so the
-    feasible set is an interval (0, K_max).
+    On symmetric tensors Hbar has eigenvalue 1/(2 mu) on deviators and
+    1/(3 lam + 2 mu) on the spherical part.  The delta term is (3/32)/K on
+    both in "identity" mode; in "spherical" mode it is (9/32)/K on the
+    spherical part and zero on deviators.  The M tensor is positive
+    definite exactly for K below the smaller of the resulting bounds.
     """
-    lo = 1e-8
-    if m_tensor_check(p, lo, mode)[1] <= 0:
-        return 0.0
-    hi = 1.0
-    while m_tensor_check(p, hi, mode)[1] > 0:
-        hi *= 2.0
-        if hi > 1e12:
-            return np.inf
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if m_tensor_check(p, mid, mode)[1] > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if mode not in M_TENSOR_MODES:
+        raise ValueError(f"mode must be one of {M_TENSOR_MODES}")
+    dev, bulk = 2.0 * p.mu, 3.0 * p.lam + 2.0 * p.mu
+    if mode == "identity":
+        return (29.0 / 32.0) * min(dev, bulk)
+    return min(dev, (23.0 / 32.0) * bulk)

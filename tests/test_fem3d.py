@@ -139,7 +139,7 @@ class TestEnergy3D:
         exact = 0.5 * float(np.sum(sig * E))  # unit volume
         val = fem3d.energy_3d(m, mesh, u)
         assert val == pytest.approx(exact, rel=1e-13)
-        _, sigma_q = fem3d._strain_stress(m.lame, fem3d.displacement_gradients(mesh, u))
+        sigma_q = tensor3d.stress(m.lame, fem3d.displacement_gradients(mesh, u))
         assert np.max(np.abs(sigma_q - sig)) <= 1e-12
 
     def test_refined_quadrature_oracle(self):

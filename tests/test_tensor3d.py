@@ -1,4 +1,4 @@
-"""Unit tests for the pointwise 3D tensor algebra and conjugate densities."""
+"""Unit tests for the batched 3D tensor algebra and conjugate densities."""
 
 import numpy as np
 import pytest
@@ -116,10 +116,15 @@ class TestGreenStrain:
 
     def test_rigid_rotations_annihilated(self):
         rng = np.random.default_rng(6)
-        for _ in range(50):
-            R = random_rotation(rng)
+        Rs = np.array([random_rotation(rng) for _ in range(50)])
+        for R in Rs:
             E = tensor3d.green_strain(R - I3)
             assert np.max(np.abs(E)) <= 1e-12
+        # the same rotations as a (5, 10, 3, 3) stack, checked point by point
+        E = tensor3d.green_strain(Rs.reshape(5, 10, 3, 3) - I3)
+        assert E.shape == (5, 10, 3, 3)
+        for Ek in E.reshape(-1, 3, 3):
+            assert np.max(np.abs(Ek)) <= 1e-12
 
     def test_uniaxial(self):
         E = tensor3d.green_strain(np.diag([0.1, 0.0, 0.0]))
@@ -158,12 +163,18 @@ class TestConstructDualsPointwise:
 
     def test_identities(self):
         rng = np.random.default_rng(9)
-        for _ in range(20):
-            g = 0.1 * rng.uniform(-1, 1, (3, 3))
+        gs = 0.1 * rng.uniform(-1, 1, (20, 3, 3))
+        for g in gs:
             v1, v2, z = tensor3d.construct_duals_pointwise(P11, 0.8, g)
             sigma = tensor3d.stress(P11, g)
             assert np.max(np.abs(z + v2 - sigma)) <= 1e-14
             assert np.max(np.abs(v1 + v2 - (I3 + g) @ sigma)) <= 1e-13
+        # one stacked call, each point against its own stress
+        v1, v2, z = tensor3d.construct_duals_pointwise(P11, 0.8, gs)
+        for k, g in enumerate(gs):
+            sigma = tensor3d.stress(P11, g)
+            assert np.max(np.abs(z[k] + v2[k] - sigma)) <= 1e-14
+            assert np.max(np.abs(v1[k] + v2[k] - (I3 + g) @ sigma)) <= 1e-13
 
     def test_1d_embedding(self):
         # lam = 0, 2 mu = E makes the (1,1) component match the 1D bar
@@ -194,13 +205,16 @@ class TestPdMargin:
 
     def test_characteristic_polynomial_oracle(self):
         rng = np.random.default_rng(10)
-        for _ in range(20):
-            S = _random_sym(rng)
-            K = 0.7
+        K = 0.7
+        Ss = np.array([_random_sym(rng) for _ in range(20)])
+        margins = tensor3d.pd_margin(Ss, K)
+        assert margins.shape == (20,)
+        for S, stacked in zip(Ss, margins):
             M = tensor3d.sym(S) + 0.5 * K * I3
             coeffs = np.poly(M)
             roots = np.sort(np.roots(coeffs).real)
             assert abs(tensor3d.pd_margin(S, K) - roots[0]) <= 1e-12
+            assert abs(stacked - roots[0]) <= 1e-12
 
 
 class TestConjugateDensities:
@@ -227,6 +241,15 @@ class TestConjugateDensities:
         Z = np.zeros((3, 3))
         with pytest.raises(NotPositiveDefinite):
             tensor3d.g_star_k_density(Z, -2.0 * I3, Z, P11, 1.0)
+        # a stack in which only point k is indefinite reports that point
+        k = 3
+        Zs = np.zeros((6, 3, 3))
+        v2 = np.zeros((6, 3, 3))
+        v2[k] = -2.0 * I3
+        with pytest.raises(NotPositiveDefinite) as info:
+            tensor3d.g_star_k_density(Zs, v2, Zs, P11, 1.0)
+        assert info.value.location == k
+        assert info.value.margin < 0.0
 
     def test_coordinate_ascent_does_not_exceed(self):
         rng = np.random.default_rng(12)
@@ -359,6 +382,18 @@ class TestMTensor:
             k_grid = k0 - e0 * (k1 - k0) / (e1 - e0)
             assert abs(k_bis - k_grid) <= 1e-4
 
+    def test_k_max_is_the_sign_change(self):
+        # (lam, mu) pairs where the deviatoric bound 2 mu or the spherical
+        # bound 3 lam + 2 mu binds, in each mode
+        for lam, mu in ((1, 1), (0.5, 2), (3, 0.5), (-0.5, 1), (0, 0.5), (2.7, 1.9)):
+            p = LameParams(lam, mu)
+            for mode in tensor3d.M_TENSOR_MODES:
+                k_max = tensor3d.admissible_k_max(p, mode)
+                assert tensor3d.m_tensor_check(p, k_max * (1 - 1e-6), mode)[1] > 0
+                assert tensor3d.m_tensor_check(p, k_max * (1 + 1e-6), mode)[1] < 0
+
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             tensor3d.m_tensor(P11, 1.0, "bogus")
+        with pytest.raises(ValueError):
+            tensor3d.admissible_k_max(P11, "bogus")
