@@ -297,82 +297,58 @@ def kkt_solve(
     Unknowns are (z, v1, v2) per element plus the multiplier u at interior
     nodes; the converged multiplier is the primal critical point.  Returns the
     dual state, the full nodal multiplier, and the iteration count.
+
+    Element e's unknowns couple to u only through b = (0, 1, 1): w_e enters
+    r_v1 and r_v2, and v1 + v2 enters r_u.  Each step eliminates the
+    symmetric 3x3 block A_e of every element and solves the tridiagonal
+    Schur complement in u, so it costs O(n) time and memory.
     """
-    g = m.grid
-    n = g.n_elem
+    h, EA, K = m.grid.h, m.EA, cfg.K
+    n = m.grid.n_elem
     d0, u_full = init
-    z = d0.z.copy()
-    v1 = d0.v1.copy()
-    v2 = d0.v2.copy()
-    ui = u_full[1:-1].copy()
-    h = g.h
-    EA = m.EA
-    K = cfg.K
-
-    def full_u(ui_):
-        u = np.zeros(n + 1)
-        u[1:-1] = ui_
-        return u
-
-    def residual_vec(z, v1, v2, ui):
+    x = np.stack([d0.z, d0.v1, d0.v2])
+    u = np.zeros(n + 1)
+    u[1:-1] = u_full[1:-1]
+    rhs = np.zeros((n, 3, 2))
+    rhs[:, 1:, 1] = 1.0  # second column: b
+    for it in range(max_iter + 1):
+        z, v1, v2 = x
         d = DualState1D(v1, v2, z)
         den = _require_positivity(d, cfg)
-        w = derivative(full_u(ui), g)
+        w = derivative(u, m.grid)
         s = v2 + z
-        r_z = z / K + 0.5 * v1**2 / den**2 - s / EA
-        r_v1 = -v1 / den + w
-        r_v2 = 0.5 * v1**2 / den**2 - s / EA + w
-        r_u = equilibrium_residual(d, m)[1:-1]
-        return np.concatenate([r_z, r_v1, r_v2, r_u]), den
-
-    for it in range(max_iter + 1):
-        r, den = residual_vec(z, v1, v2, ui)
+        r = np.concatenate([
+            z / K + 0.5 * v1**2 / den**2 - s / EA,  # r_z
+            -v1 / den + w,  # r_v1
+            0.5 * v1**2 / den**2 - s / EA + w,  # r_v2
+            equilibrium_residual(d, m)[1:-1],  # r_u
+        ])
         if norm_V(r) <= tol:
-            return DualState1D(v1, v2, z), full_u(ui), it
+            return d, u, it
         if it == max_iter:
             raise NonConvergence(
                 f"KKT Newton: residual {norm_V(r):.3e} after {max_iter} iterations"
             )
-        # dense Jacobian; desk scale keeps this cheap
-        N = 3 * n + (n - 1)
-        Jm = np.zeros((N, N))
-        iz, iv1, iv2 = np.arange(n), n + np.arange(n), 2 * n + np.arange(n)
-        iu = 3 * n + np.arange(n - 1)
         c3 = v1**2 / den**3
-        # d(r_z)
-        Jm[iz, iz] = 1.0 / K - c3 - 1.0 / EA
-        Jm[iz, iv1] = v1 / den**2
-        Jm[iz, iv2] = -c3 - 1.0 / EA
-        # d(r_v1); w_e depends on u_e and u_{e+1} (interior only)
-        Jm[iv1, iz] = v1 / den**2
-        Jm[iv1, iv1] = -1.0 / den
-        Jm[iv1, iv2] = v1 / den**2
-        # d(r_v2)
-        Jm[iv2, iz] = -c3 - 1.0 / EA
-        Jm[iv2, iv1] = v1 / den**2
-        Jm[iv2, iv2] = -c3 - 1.0 / EA
-        # dw_e/du_i: +1/h for i = e+1, -1/h for i = e (interior nodes 1..n-1)
-        for e in range(n):
-            if e + 1 <= n - 1:
-                Jm[iv1[e], iu[e]] += 1.0 / h
-                Jm[iv2[e], iu[e]] += 1.0 / h
-            if e >= 1:
-                Jm[iv1[e], iu[e - 1]] -= 1.0 / h
-                Jm[iv2[e], iu[e - 1]] -= 1.0 / h
-        # d(r_u)_i = (v1+v2)_{i-1} - (v1+v2)_i - load
-        for i in range(1, n):
-            Jm[iu[i - 1], iv1[i - 1]] += 1.0
-            Jm[iu[i - 1], iv2[i - 1]] += 1.0
-            Jm[iu[i - 1], iv1[i]] -= 1.0
-            Jm[iu[i - 1], iv2[i]] -= 1.0
+        c = -c3 - 1.0 / EA
+        a = v1 / den**2
+        A = np.empty((n, 3, 3))  # d(r_z, r_v1, r_v2)/d(z, v1, v2) per element
+        A[:, 0, 0] = 1.0 / K - c3 - 1.0 / EA
+        A[:, 1, 1] = -1.0 / den
+        A[:, 0, 2] = A[:, 2, 0] = A[:, 2, 2] = c
+        A[:, 0, 1] = A[:, 1, 0] = A[:, 1, 2] = A[:, 2, 1] = a
+        rhs[:, :, 0] = r[: 3 * n].reshape(3, n).T
         try:
-            step = np.linalg.solve(Jm, -r)
-        except np.linalg.LinAlgError as exc:
+            sol = np.linalg.solve(A, rhs)  # A_e^-1 r_x(e), A_e^-1 b
+            bAr, bAb = (sol[:, 1] + sol[:, 2]).T
+            du = np.zeros(n + 1)
+            du[1:-1] = primal1d.solve_tridiagonal(
+                bAb[:-1] + bAb[1:], -bAb[1:-1], h * (r[3 * n:] - (bAr[:-1] - bAr[1:]))
+            )
+        except (np.linalg.LinAlgError, SingularHessian) as exc:
             raise SingularKKTMatrix(str(exc)) from exc
-        z = z + step[iz]
-        v1 = v1 + step[iv1]
-        v2 = v2 + step[iv2]
-        ui = ui + step[iu]
+        x = x - (sol[:, :, 0] + (np.diff(du) / h)[:, None] * sol[:, :, 1]).T
+        u = u + du
     raise NonConvergence("unreachable")
 
 

@@ -321,6 +321,9 @@ def certify_3d(
     report.K_max = tensor3d.admissible_k_max(lame, mode)
     if K is None:
         K = report.K_max * (1.0 - 1e-3)
+    if not K > 0:
+        report.errors.append("K hypotheses infeasible: K must be positive")
+        return report
     report.K_used = K
     _, report.m_min_eig = tensor3d.m_tensor_check(lame, K, mode)
 
@@ -389,14 +392,23 @@ def certify_3d(
     report.z_convex_passed = z_passed
     report.z_convex_total = n_z_samples
 
-    report.passed = (
-        abs(report.gap) <= gap_tol * (1.0 + abs(report.J_primal))
-        and report.constraint_residual_norm <= constraint_tol
-        and report.condition_ok
-        and report.k_feasible
-        and report.min_hessian_z_eig >= report.m_min_eig - 1e-10
-        and report.local_min_passed == n_local
-        and report.z_convex_passed == n_z_samples
-        and not report.errors
+    # every earlier failure returned with its own message, so the report
+    # passes exactly when all of these hold
+    gap_bound = gap_tol * (1.0 + abs(report.J_primal))
+    checks = (
+        (abs(report.gap) <= gap_bound,
+         f"gap: |gap| {abs(report.gap):.3e} > {gap_bound:.3e}"),
+        (report.constraint_residual_norm <= constraint_tol,
+         f"constraint: residual {report.constraint_residual_norm:.3e}"
+         f" > {constraint_tol:.3e}"),
+        (report.min_hessian_z_eig >= report.m_min_eig - 1e-10,
+         f"hessian: min z-Hessian eig {report.min_hessian_z_eig:.3e}"
+         f" < M min eig {report.m_min_eig:.3e}"),
+        (report.local_min_passed == n_local,
+         f"local_min: {report.local_min_passed} of {n_local} samples passed"),
+        (report.z_convex_passed == n_z_samples,
+         f"z_convex: {report.z_convex_passed} of {n_z_samples} samples passed"),
     )
+    report.errors = [msg for ok, msg in checks if not ok]
+    report.passed = not report.errors
     return report

@@ -40,6 +40,16 @@ class TestCertify1D:
         doc = json.loads(captured.out)
         assert doc["primal"]["condition_ok"] is False
 
+    @pytest.mark.parametrize("n", ["2048", "4096"])
+    def test_far_branch_exit_code(self, n, capsys):
+        # The continuation Newton needs 41 (n = 2048) and 49 (n = 4096) of
+        # its 50 iterations in one stage here; a tridiagonal solve that
+        # rounds differently tips it into the descent fallback and exit 1.
+        code = run_cli(["certify1d", "--amp", "1.5", "--n", n])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_HYPOTHESIS_VIOLATED
+        assert doc["primal"]["condition_ok"] is False
+
     def test_mesh_cap(self):
         with pytest.raises(SystemExit):
             run_cli(["certify1d", "--n", "5000"])
@@ -105,6 +115,24 @@ class TestCertify3D:
         code = run_cli(["certify3d", "--K", "100"])
         capsys.readouterr()
         assert code == cli.EXIT_NO_ADMISSIBLE_K
+
+    @pytest.mark.parametrize("K", ["-1", "0"])
+    def test_nonpositive_k_exit_code(self, K, capsys):
+        code = run_cli(["certify3d", "--mesh", "2,2,2", f"--K={K}"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_NO_ADMISSIBLE_K
+        assert doc["k_feasible"] is False
+        assert doc["errors"] == ["K hypotheses infeasible: K must be positive"]
+
+    def test_failed_check_is_named(self, capsys):
+        # the default K (0.999 K_max) fails the Hessian-versus-M check here
+        code = run_cli(["certify3d", "--mesh", "2,2,2", "--mode", "spherical"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert doc["passed"] is False
+        assert len(doc["errors"]) == 1
+        assert doc["errors"][0].startswith("hessian: min z-Hessian eig ")
+        assert f"< M min eig {doc['m_min_eig']:.3e}" in doc["errors"][0]
 
     def test_hypothesis_exit_code(self, capsys):
         code = run_cli(["certify3d", "--traction", "2,0,0"])

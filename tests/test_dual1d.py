@@ -6,7 +6,12 @@ import pytest
 
 from elastodual import dual1d, primal1d
 from elastodual.dual1d import DualConfig, DualState1D
-from elastodual.errors import ConditionViolated, PositivityViolated
+from elastodual.errors import (
+    ConditionViolated,
+    PositivityViolated,
+    SingularHessian,
+    SingularKKTMatrix,
+)
 from elastodual.mesh1d import Grid1D, derivative, norm_U, norm_V
 from elastodual.primal1d import BarModel, PrimalState
 
@@ -244,6 +249,92 @@ class TestSaddleVerify:
         )
 
 
+def _kkt_residual(d, u, m, cfg):
+    """Stationarity residual stacked as (r_z, r_v1, r_v2, interior r_u)."""
+    den = d.v2 + d.z + cfg.K
+    w = derivative(u, m.grid)
+    s = d.v2 + d.z
+    r_z = d.z / cfg.K + 0.5 * d.v1**2 / den**2 - s / m.EA
+    r_v1 = -d.v1 / den + w
+    r_v2 = 0.5 * d.v1**2 / den**2 - s / m.EA + w
+    r_u = dual1d.equilibrium_residual(d, m)[1:-1]
+    return np.concatenate([r_z, r_v1, r_v2, r_u])
+
+
+def _dense_kkt_jacobian(d, m, cfg):
+    """Full (4n-1)^2 Jacobian of ``_kkt_residual`` in (z, v1, v2, u) order."""
+    n = m.grid.n_elem
+    h, EA, K = m.grid.h, m.EA, cfg.K
+    v1 = d.v1
+    den = d.v2 + d.z + K
+    N = 3 * n + (n - 1)
+    Jm = np.zeros((N, N))
+    iz, iv1, iv2 = np.arange(n), n + np.arange(n), 2 * n + np.arange(n)
+    iu = 3 * n + np.arange(n - 1)
+    c3 = v1**2 / den**3
+    Jm[iz, iz] = 1.0 / K - c3 - 1.0 / EA
+    Jm[iz, iv1] = v1 / den**2
+    Jm[iz, iv2] = -c3 - 1.0 / EA
+    Jm[iv1, iz] = v1 / den**2
+    Jm[iv1, iv1] = -1.0 / den
+    Jm[iv1, iv2] = v1 / den**2
+    Jm[iv2, iz] = -c3 - 1.0 / EA
+    Jm[iv2, iv1] = v1 / den**2
+    Jm[iv2, iv2] = -c3 - 1.0 / EA
+    # dw_e/du_i: +1/h for i = e+1, -1/h for i = e (interior nodes 1..n-1)
+    for e in range(n):
+        if e + 1 <= n - 1:
+            Jm[iv1[e], iu[e]] += 1.0 / h
+            Jm[iv2[e], iu[e]] += 1.0 / h
+        if e >= 1:
+            Jm[iv1[e], iu[e - 1]] -= 1.0 / h
+            Jm[iv2[e], iu[e - 1]] -= 1.0 / h
+    # d(r_u)_i = (v1+v2)_{i-1} - (v1+v2)_i - load
+    for i in range(1, n):
+        Jm[iu[i - 1], iv1[i - 1]] += 1.0
+        Jm[iu[i - 1], iv2[i - 1]] += 1.0
+        Jm[iu[i - 1], iv1[i]] -= 1.0
+        Jm[iu[i - 1], iv2[i]] -= 1.0
+    return Jm
+
+
+def _dense_kkt_newton(m, cfg, init, tol, max_iter=50):
+    """Reference Newton loop on the dense Jacobian; returns every iterate
+    (dual state, nodal u) and the residual norm at each."""
+    n = m.grid.n_elem
+    d, u = init
+    states, norms = [], []
+    for _ in range(max_iter + 1):
+        r = _kkt_residual(d, u, m, cfg)
+        states.append((d, u))
+        norms.append(norm_V(r))
+        if norms[-1] <= tol:
+            return states, norms
+        step = np.linalg.solve(_dense_kkt_jacobian(d, m, cfg), -r)
+        d = DualState1D(
+            d.v1 + step[n : 2 * n], d.v2 + step[2 * n : 3 * n], d.z + step[:n]
+        )
+        u = u.copy()
+        u[1:-1] += step[3 * n :]
+    raise AssertionError("dense KKT Newton did not converge")
+
+
+def _perturbed_kkt_start(m, seed, eps=1e-3):
+    """Constructed duals and primal solution, and a start perturbed by up to
+    ``eps`` in every field."""
+    cfg = DualConfig(K=m.EA / 2.0)
+    u0 = primal1d.solve_newton(m)
+    d = dual1d.construct_duals(m, u0, cfg)
+    rng = np.random.default_rng(seed)
+    n = m.grid.n_elem
+    zp = d.z + eps * rng.uniform(-1, 1, n)
+    v1p = d.v1 + eps * rng.uniform(-1, 1, n)
+    v2p = d.v2 + eps * rng.uniform(-1, 1, n)
+    up = u0.u.copy()
+    up[1:-1] += eps * rng.uniform(-1, 1, n - 1)
+    return cfg, (d, u0.u), (DualState1D(v1p, v2p, zp), up)
+
+
 class TestKKTSolve:
     def test_unloaded_zero_start(self):
         m = _model(n=8)
@@ -279,6 +370,40 @@ class TestKKTSolve:
         assert norm_V(d2.v2 - d.v2) <= 1e-8
         assert norm_V(d2.z - d.z) <= 1e-8
         assert norm_U(u2 - bar_solution.u, bar_model.grid) <= 1e-8
+
+    @pytest.mark.parametrize("n", [8, 33])
+    def test_iterates_match_dense_newton(self, n):
+        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.2, n)
+        cfg, _, start = _perturbed_kkt_start(m, seed=n)
+        states, norms = _dense_kkt_newton(m, cfg, start, tol=1e-12)
+        assert len(states) >= 3
+        _, _, iters = dual1d.kkt_solve(m, cfg, start, tol=1e-12)
+        assert iters == len(states) - 1
+        # a tolerance of half the previous residual stops kkt_solve at iterate k
+        for k in range(1, len(states)):
+            d2, u2, iters = dual1d.kkt_solve(m, cfg, start, tol=0.5 * norms[k - 1])
+            assert iters == k
+            dk, uk = states[k]
+            for got, want in ((d2.z, dk.z), (d2.v1, dk.v1), (d2.v2, dk.v2), (u2, uk)):
+                assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_reconvergence_at_cli_mesh_cap(self):
+        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.1, 4096)
+        cfg, (d, u), start = _perturbed_kkt_start(m, seed=11)
+        d2, u2, iters = dual1d.kkt_solve(m, cfg, start, tol=1e-12)
+        assert iters <= 10
+        for got, want in ((d2.z, d.z), (d2.v1, d.v1), (d2.v2, d.v2), (u2, u)):
+            assert np.max(np.abs(got - want)) <= 1e-8
+
+    def test_singular_schur_complement(self, monkeypatch):
+        def singular(diag, off, rhs):
+            raise SingularHessian("pivot 0.000e+00 at row 0")
+
+        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.1, 8)
+        cfg, _, start = _perturbed_kkt_start(m, seed=1)
+        monkeypatch.setattr(primal1d, "solve_tridiagonal", singular)
+        with pytest.raises(SingularKKTMatrix):
+            dual1d.kkt_solve(m, cfg, start)
 
 
 class TestCertify:

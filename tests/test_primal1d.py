@@ -151,6 +151,33 @@ class TestSolveTridiagonal:
             )
 
 
+def _thomas_numpy_scalars(diag, off, rhs):
+    """The Thomas loop on numpy float64 scalars, in solve_tridiagonal's
+    operation order."""
+    n = diag.size
+    d, b = diag.copy(), rhs.copy()
+    for i in range(1, n):
+        w = off[i - 1] / d[i - 1]
+        d[i] -= w * off[i - 1]
+        b[i] -= w * b[i - 1]
+    x = np.empty(n)
+    x[n - 1] = b[n - 1] / d[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (b[i] - off[i] * x[i + 1]) / d[i]
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 4095])
+def test_solve_tridiagonal_bit_identical_to_numpy_loop(n):
+    rng = np.random.default_rng(n)
+    diag = 2.0 + rng.uniform(0, 1, n)
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    rhs = rng.standard_normal(n)
+    x = primal1d.solve_tridiagonal(diag, off, rhs)
+    assert x.dtype == np.float64 and x.shape == (n,)
+    assert x.tobytes() == _thomas_numpy_scalars(diag, off, rhs).tobytes()
+
+
 class TestSolveNewton:
     def test_unloaded_bar(self):
         m = _model()
