@@ -94,23 +94,18 @@ class BoxMesh:
         self.n_nodes = self.coords.shape[0]
         self.n_dof = 3 * self.n_nodes
 
-        def nid(i, j, k):
-            return (i * (ny + 1) + j) * (nz + 1) + k
-
-        conn = []
-        for i in range(nx):
-            for j in range(ny):
-                for k in range(nz):
-                    conn.append(
-                        [
-                            nid(i, j, k), nid(i + 1, j, k),
-                            nid(i + 1, j + 1, k), nid(i, j + 1, k),
-                            nid(i, j, k + 1), nid(i + 1, j, k + 1),
-                            nid(i + 1, j + 1, k + 1), nid(i, j + 1, k + 1),
-                        ]
-                    )
-        self.conn = np.array(conn)
+        # elements and nodes are numbered x-major, z fastest; corner c of
+        # element (i, j, k) is node (i, j, k) + (_CORNERS[c] + 1) / 2
+        i, j, k = np.indices((nx, ny, nz)).reshape(3, -1, 1)
+        ci, cj, ck = (_CORNERS > 0).astype(int).T
+        self.conn = ((i + ci) * (ny + 1) + j + cj) * (nz + 1) + k + ck
         self.n_elem = self.conn.shape[0]
+        # flat (row, col) index of every element tangent entry, from the
+        # (n_elem, 24) element DOF map
+        dofs = (3 * self.conn[:, :, None] + np.arange(3)).reshape(-1, 24)
+        self.tangent_index = (
+            dofs[:, :, None] * self.n_dof + dofs[:, None, :]
+        ).ravel()
 
         # 2x2x2 Gauss points; uniform box makes the Jacobian constant diagonal
         gp = (-_GP1, _GP1)
@@ -120,12 +115,9 @@ class BoxMesh:
         self.dN = _shape_grads(pts) * scale  # (8q, 8n, 3)
         self.detJ = self.hx * self.hy * self.hz / 8.0
 
-        # traction face x = lx: elements with i = nx - 1, local face xi_1 = +1
-        face_elems = [
-            (i * ny + j) * nz + k
-            for i in [nx - 1] for j in range(ny) for k in range(nz)
-        ]
-        self.face_elems = np.array(face_elems)
+        # traction face x = lx: the last ny * nz elements (i = nx - 1), local
+        # face xi_1 = +1
+        self.face_elems = np.arange((nx - 1) * ny * nz, self.n_elem)
         self.face_N = _shape_values(_grid_points((1.0,), gp, gp))  # (4q, 8n)
         self.face_detJ = self.hy * self.hz / 4.0
 
@@ -134,6 +126,7 @@ class BoxMesh:
         mask = np.ones(self.n_dof, dtype=bool)
         mask[clamped_dofs] = False
         self.free_dofs = np.flatnonzero(mask)
+        self.load = _load_vector(m, self)  # (n_nodes, 3), loads of `model`
 
 
 def zero_displacement(mesh: BoxMesh) -> np.ndarray:
@@ -147,19 +140,15 @@ def displacement_gradients(mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
 
 
 def energy_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> float:
-    """Stored energy minus body and traction work, 2x2x2 Gauss quadrature."""
+    """Stored energy (2x2x2 Gauss quadrature) minus the work L.u of the
+    mesh's load vector."""
     E = tensor3d.green_strain(displacement_gradients(mesh, u))
     elastic = 0.5 * np.sum(tensor3d.hooke_apply(m.lame, E) * E) * mesh.detJ
-    ue = u[mesh.conn]
-    uq = np.einsum("enI,qn->eqI", ue, mesh.N)
-    body = np.einsum("eqI,I->", uq, m.body_force) * mesh.detJ
-    uf = u[mesh.conn[mesh.face_elems]]
-    ufq = np.einsum("enI,qn->eqI", uf, mesh.face_N)
-    surf = np.einsum("eqI,I->", ufq, m.traction) * mesh.face_detJ
-    return float(elastic - body - surf)
+    return float(elastic - np.sum(mesh.load * u))
 
 
 def _load_vector(m: SolidModel, mesh: BoxMesh) -> np.ndarray:
+    """Consistent nodal loads of the body force and the x = lx traction."""
     L = np.zeros((mesh.n_nodes, 3))
     body_el = mesh.detJ * np.einsum("qn,I->nI", mesh.N, m.body_force)
     np.add.at(L, mesh.conn, body_el)
@@ -176,35 +165,37 @@ def _internal_forces(mesh: BoxMesh, flux: np.ndarray) -> np.ndarray:
     return R
 
 
-def residual_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
-    """Weak-form residual; clamped rows zeroed.  Returns (n_nodes, 3)."""
+def residual_3d(
+    m: SolidModel, mesh: BoxMesh, u: np.ndarray, load_factor: float = 1.0
+) -> np.ndarray:
+    """Weak-form residual under load_factor times the mesh's load vector;
+    clamped rows zeroed.  Returns (n_nodes, 3)."""
     g = displacement_gradients(mesh, u)
     sigma = tensor3d.stress(m.lame, g)
     piola = np.einsum("eqIm,eqmJ->eqIJ", np.broadcast_to(I3, g.shape) + g, sigma)
-    R = _internal_forces(mesh, piola) - _load_vector(m, mesh)
+    R = _internal_forces(mesh, piola) - load_factor * mesh.load
     R[mesh.clamped_nodes] = 0.0
     return R
 
 
 def hessian_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
     """Dense tangent stiffness (material + geometric), no boundary treatment."""
-    lame = m.lame
+    ne, n_dof, dN = mesh.n_elem, mesh.n_dof, mesh.dN
     g = displacement_gradients(mesh, u)
-    sigma = tensor3d.stress(lame, g)
+    sigma = tensor3d.stress(m.lame, g)
     F = np.broadcast_to(I3, g.shape) + g
-    # Mandel rows of sym(F^T (e_i x dN_n)) give B: (ne, 8q, 8n, 3, 6)
-    T1 = np.einsum("eqIa,qnb->eqnIab", F, mesh.dN)
-    B = tensor3d.sym_to_mandel(tensor3d.sym(T1))
-    Hm = tensor3d.hooke(lame).mandel
-    Kmat = mesh.detJ * np.einsum("eqniA,AB,eqmjB->enimj", B, Hm, B)
-    G = mesh.detJ * np.einsum("qna,eqab,qmb->enm", mesh.dN, sigma, mesh.dN)
-    Kgeo = np.einsum("enm,ij->enimj", G, I3)
-    Ke = (Kmat + Kgeo).reshape(mesh.n_elem, 24, 24)
-    Kg = np.zeros((mesh.n_dof, mesh.n_dof))
-    for e in range(mesh.n_elem):
-        idx = (3 * mesh.conn[e][:, None] + np.arange(3)).ravel()
-        Kg[np.ix_(idx, idx)] += Ke[e]
-    return Kg
+    # Mandel rows of sym(F^T (e_i x dN_n)) give B, element DOF (n, i) first
+    # and the quadrature point last: (ne, 24, 8q, 6)
+    T1 = np.einsum("eqIa,qnb->enIqab", F, dN)
+    B = tensor3d.sym_to_mandel(tensor3d.sym(T1)).reshape(ne, 24, 8, 6)
+    BH = (B @ tensor3d.hooke(m.lame).mandel).reshape(ne, 24, 48)
+    Ke = mesh.detJ * (BH @ B.reshape(ne, 24, 48).transpose(0, 2, 1))
+    G = mesh.detJ * (dN @ sigma @ dN.swapaxes(1, 2)).sum(axis=1)  # (ne, 8n, 8n)
+    Ke += np.kron(G, I3)
+    # bincount sums each entry in element order, a fixed order, so the
+    # tangent is the same from run to run
+    Kg = np.bincount(mesh.tangent_index, Ke.ravel(), n_dof * n_dof)
+    return Kg.reshape(n_dof, n_dof)
 
 
 def solve_newton_3d(
@@ -218,13 +209,8 @@ def solve_newton_3d(
     u = zero_displacement(mesh)
     free = mesh.free_dofs
     for k in range(1, steps + 1):
-        mk = SolidModel(
-            m.lx, m.ly, m.lz, m.nx, m.ny, m.nz, m.lame,
-            (k / steps) * np.asarray(m.body_force, dtype=float),
-            (k / steps) * np.asarray(m.traction, dtype=float),
-        )
         for it in range(max_iter + 1):
-            R = residual_3d(mk, mesh, u).ravel()
+            R = residual_3d(m, mesh, u, k / steps).ravel()
             if np.max(np.abs(R[free])) <= tol:
                 break
             if it == max_iter:
@@ -232,7 +218,7 @@ def solve_newton_3d(
                     f"3D Newton stage {k}/{steps}: residual "
                     f"{np.max(np.abs(R[free])):.3e} after {max_iter} iterations"
                 )
-            Kg = hessian_3d(mk, mesh, u)
+            Kg = hessian_3d(m, mesh, u)
             try:
                 du = np.linalg.solve(Kg[np.ix_(free, free)], -R[free])
             except np.linalg.LinAlgError as exc:
@@ -351,7 +337,7 @@ def certify_3d(
         tensor3d.dstar_hessian_z_3d(v1, v2, z, lame, K)
     )))
 
-    Rdual = _internal_forces(mesh, v1 + v2) - _load_vector(m, mesh)
+    Rdual = _internal_forces(mesh, v1 + v2) - mesh.load
     Rdual[mesh.clamped_nodes] = 0.0
     report.constraint_residual_norm = float(
         np.max(np.abs(Rdual.ravel()[mesh.free_dofs]))

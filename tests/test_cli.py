@@ -171,9 +171,15 @@ class TestDeterminism:
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_certify3d_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("mesh", ["2,2,2", "8,2,2"])
+    @pytest.mark.parametrize(
+        "mode", [["--mode", "identity"], ["--mode", "spherical", "--K", "0.5"]],
+        ids=["identity", "spherical"],
+    )
+    def test_certify3d_byte_identical(self, tmp_path, mesh, mode):
+        # spherical mode at about 0.25 K_max: the default K fails there
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["certify3d", "--mesh", "2,2,2", "--seed", "5"]
-        run_cli(args + ["--out", str(a)])
+        args = ["certify3d", "--mesh", mesh, "--seed", "5"] + mode
+        assert run_cli(args + ["--out", str(a)]) == cli.EXIT_PASS
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()

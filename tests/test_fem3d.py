@@ -84,6 +84,50 @@ def energy_oracle_refined(m, mesh, u, order=4):
     return total
 
 
+def loop_connectivity(nx, ny, nz):
+    """Element connectivity and x = lx face elements built element by element."""
+
+    def nid(i, j, k):
+        return (i * (ny + 1) + j) * (nz + 1) + k
+
+    conn = []
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                conn.append(
+                    [
+                        nid(i, j, k), nid(i + 1, j, k),
+                        nid(i + 1, j + 1, k), nid(i, j + 1, k),
+                        nid(i, j, k + 1), nid(i + 1, j, k + 1),
+                        nid(i + 1, j + 1, k + 1), nid(i, j + 1, k + 1),
+                    ]
+                )
+    face = [
+        (i * ny + j) * nz + k
+        for i in [nx - 1] for j in range(ny) for k in range(nz)
+    ]
+    return np.array(conn), np.array(face)
+
+
+def hessian_oracle(m, mesh, u):
+    """Dense tangent from one 6-index einsum and a per-element scatter,
+    written independently of the batched contraction and the DOF map."""
+    g = fem3d.displacement_gradients(mesh, u)
+    sigma = tensor3d.stress(m.lame, g)
+    T1 = np.einsum("eqIa,qnb->eqnIab", I3 + g, mesh.dN)
+    B = tensor3d.sym_to_mandel(tensor3d.sym(T1))
+    Hm = tensor3d.hooke(m.lame).mandel
+    Kmat = mesh.detJ * np.einsum("eqniA,AB,eqmjB->enimj", B, Hm, B)
+    G = mesh.detJ * np.einsum("qna,eqab,qmb->enm", mesh.dN, sigma, mesh.dN)
+    Kgeo = np.einsum("enm,ij->enimj", G, I3)
+    Ke = (Kmat + Kgeo).reshape(mesh.n_elem, 24, 24)
+    Kg = np.zeros((mesh.n_dof, mesh.n_dof))
+    for e in range(mesh.n_elem):
+        idx = (3 * mesh.conn[e][:, None] + np.arange(3)).ravel()
+        Kg[np.ix_(idx, idx)] += Ke[e]
+    return Kg
+
+
 class TestSolidModel:
     def test_invalid_mesh_sizes(self):
         with pytest.raises(ValueError):
@@ -107,6 +151,17 @@ class TestBoxMesh:
         assert np.all(mesh.coords[mesh.clamped_nodes, 0] == 0.0)
         assert mesh.clamped_nodes.size == 9
         assert mesh.free_dofs.size == mesh.n_dof - 27
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 4), (8, 2, 2), (2, 5, 3)])
+    def test_connectivity_matches_element_loop(self, dims):
+        mesh = BoxMesh(_model(*dims))
+        conn, face = loop_connectivity(*dims)
+        for got, want in ((mesh.conn, conn), (mesh.face_elems, face)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        # corners 1, 2, 5, 6 span the local xi_1 = +1 face
+        face_nodes = np.unique(mesh.conn[face][:, [1, 2, 5, 6]])
+        assert np.all(mesh.coords[face_nodes, 0] == 1.0)
 
     def test_shape_function_partition_of_unity(self):
         mesh = BoxMesh(_model())
@@ -193,6 +248,14 @@ class TestResidual3D:
         L[mesh.clamped_nodes] = 0.0
         assert np.allclose(R, -L, atol=1e-14)
 
+    def test_load_factor_scales_the_loads(self):
+        m = _model(body=(0.3, -0.1, 0.2), traction=(0.0, 0.1, 0.05))
+        half = _model(body=(0.15, -0.05, 0.1), traction=(0.0, 0.05, 0.025))
+        mesh = BoxMesh(m)
+        u = _random_clamped_state(mesh, np.random.default_rng(5))
+        R = fem3d.residual_3d(m, mesh, u, 0.5)
+        assert np.max(np.abs(R - fem3d.residual_3d(half, BoxMesh(half), u))) <= 1e-15
+
     def test_finite_difference_consistency(self):
         m = _model(body=(0.05, 0.0, -0.02))
         mesh = BoxMesh(m)
@@ -235,6 +298,23 @@ class TestHessian3D:
                 + fem3d.energy_3d(m, mesh, (-eps * phi).reshape(-1, 3))
             ) / eps**2
             assert abs(quad - fd) <= 1e-4 * (1.0 + abs(quad))
+
+    @pytest.mark.parametrize(
+        "dims, box", [((3, 2, 4), (1.3, 0.7, 2.1)), ((8, 2, 2), (2.0, 0.5, 0.8))]
+    )
+    def test_matches_loop_oracle(self, dims, box):
+        m = SolidModel(
+            *box, *dims, lame=LameParams(1.7, 0.6),
+            body_force=np.zeros(3), traction=np.zeros(3),
+        )
+        mesh = BoxMesh(m)
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            u = _random_clamped_state(mesh, rng, scale=0.05)
+            Kg = fem3d.hessian_3d(m, mesh, u)
+            oracle = hessian_oracle(m, mesh, u)
+            assert Kg.shape == (mesh.n_dof, mesh.n_dof)
+            assert np.max(np.abs(Kg - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     def test_finite_difference_of_residual(self):
         m = _model()
