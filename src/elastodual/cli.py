@@ -23,6 +23,7 @@ EXIT_PASS = 0
 EXIT_SOLVER_ERROR = 1
 EXIT_HYPOTHESIS_VIOLATED = 2
 EXIT_NO_ADMISSIBLE_K = 3
+SWEEP_STATUS = {EXIT_PASS: "OK", EXIT_HYPOTHESIS_VIOLATED: "HYPOTHESIS"}
 
 MAX_ELEMS_1D = 4096
 
@@ -73,8 +74,6 @@ def _report_exit_code(report: dual1d.GapReport) -> int:
         return EXIT_SOLVER_ERROR
     if not report.condition_ok:
         return EXIT_HYPOTHESIS_VIOLATED
-    if report.errors:
-        return EXIT_SOLVER_ERROR
     return EXIT_PASS if report.passed else EXIT_SOLVER_ERROR
 
 
@@ -104,12 +103,8 @@ def cmd_sweep1d(args: argparse.Namespace) -> int:
     for amp in amps:
         model = dual1d.sine_load_model(args.E, args.A, args.L, amp, args.n)
         report = dual1d.certify(model, seed=args.seed)
-        if report.errors and not report.condition_ok:
-            status = "HYPOTHESIS"
-        elif report.errors:
-            status = "FAILED"
-        else:
-            status = "OK" if report.passed else "FAILED"
+        code = _report_exit_code(report)
+        status = SWEEP_STATUS.get(code, "FAILED")
         total = 2 * report.saddle_samples_total
         frac = (
             sum(report.saddle_samples_passed) / total if total else 0.0
@@ -125,7 +120,7 @@ def cmd_sweep1d(args: argparse.Namespace) -> int:
                 ]
             )
         )
-        worst = max(worst, _report_exit_code(report))
+        worst = max(worst, code)
     _emit("\n".join(rows) + "\n", args.out)
     return worst
 

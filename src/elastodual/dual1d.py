@@ -457,14 +457,9 @@ def certify(
         u0 = primal1d.solve_newton(
             m, continuation_steps, residual_tol, iteration_log=iters
         )
-    except (NonConvergence, SingularHessian):
-        # beyond the limit point of the small-strain branch; fall back to a
-        # globally convergent descent solver so the hypothesis check can run
-        try:
-            u0 = primal1d.solve_descent(m, residual_tol, iteration_log=iters)
-        except (NonConvergence, SingularHessian) as exc:
-            report.errors.append(f"newton: {exc}")
-            return report
+    except NonConvergence as exc:
+        report.errors.append(f"newton: {exc}")
+        return report
     report.newton_iters = sum(iters)
 
     report.residual_norm = norm_V(residual_interior(m, u0))
@@ -526,17 +521,26 @@ def certify(
     report.local_min_passed = passed_local
     report.local_min_total = n_local
 
-    report.passed = (
-        abs(report.gap) <= gap_tol * (1.0 + abs(report.J_primal))
-        and report.condition_ok
-        and report.min_positivity_margin > (7.0 / 32.0) * m.EA - 1e-12
-        and report.min_hessian_z > 5.0 / (7.0 * m.EA) - 1e-12
-        and report.min_eig >= -eig_tol
-        and report.saddle_samples_passed == (n_saddle, n_saddle)
-        and report.local_min_passed == n_local
-        and report.kkt_converged
-        and not report.errors
+    # the slope condition and every solver failure were recorded above
+    gap_bound = gap_tol * (1.0 + abs(report.J_primal))
+    margin, hess_z = report.min_positivity_margin, report.min_hessian_z
+    pz, pv = report.saddle_samples_passed
+    checks = (
+        (abs(report.gap) <= gap_bound,
+         f"gap: |gap| {abs(report.gap):.3e} > {gap_bound:.3e}"),
+        (margin > (7.0 / 32.0) * m.EA - 1e-12,
+         f"positivity: min v2 + z + K {margin:.3e} <= 7 EA/32 = {7 * m.EA / 32:.3e}"),
+        (hess_z > 5.0 / (7.0 * m.EA) - 1e-12,
+         f"hessian: min z-Hessian {hess_z:.3e} <= 5/(7 EA) = {5 / (7 * m.EA):.3e}"),
+        (report.min_eig >= -eig_tol,
+         f"min_eig: second variation {report.min_eig:.3e} < {-eig_tol:.3e}"),
+        ((pz, pv) == (n_saddle, n_saddle),
+         f"saddle: {pz} z and {pv} v of {n_saddle} samples passed"),
+        (report.local_min_passed == n_local,
+         f"local_min: {report.local_min_passed} of {n_local} samples passed"),
     )
+    report.errors += [msg for ok, msg in checks if not ok]
+    report.passed = not report.errors
     return report
 
 

@@ -14,7 +14,7 @@ class NonConvergence(ElastodualError):
 
 
 class SingularHessian(ElastodualError):
-    """Tridiagonal factorization met a pivot below the singularity threshold."""
+    """A tridiagonal system is exactly singular (LAPACK ``gtsv`` met a zero pivot)."""
 
 
 class SingularKKTMatrix(ElastodualError):

@@ -1,6 +1,7 @@
 """Primal 1D bar problem: total potential energy with quadratic-in-Green-strain
-stored energy, its first and second variations, a continuation Newton solver
-for critical points, and the second-order (smallest eigenvalue) check.
+stored energy, its first and second variations, a continuation line-search
+Newton solver for critical points, and the second-order (smallest eigenvalue)
+check.
 
 The displacement is a piecewise-linear nodal field clamped at both ends.  With
 one-point quadrature every integrand below is elementwise constant, so all
@@ -12,15 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import (
+    LinAlgError, cho_solve_banded, cholesky_banded, eigh_tridiagonal, solve_banded,
+)
 
 from .errors import NonConvergence, SingularHessian
 from .mesh1d import Grid1D, average_to_midpoints, derivative, norm_V
 
 #: strict upper bound on ||u_x||_inf for the local duality construction
 SLOPE_LIMIT = 0.25
-
-PIVOT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -95,11 +96,12 @@ def hessian(m: BarModel, s: PrimalState) -> tuple[np.ndarray, np.ndarray]:
     Entry (i, j) is the second variation evaluated on the interior hat
     functions phi_i, phi_j.
     """
-    c = hessian_coefficients(m, s)
-    h = m.grid.h
-    diag = (c[:-1] + c[1:]) / h
-    off = -c[1:-1] / h
-    return diag, off
+    return _spring_chain(hessian_coefficients(m, s), m.grid.h)
+
+
+def _spring_chain(c: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Tridiagonal stiffness of a chain of element springs c with clamped ends."""
+    return (c[:-1] + c[1:]) / h, -c[1:-1] / h
 
 
 def hessian_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -110,31 +112,33 @@ def hessian_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarr
 
 
 def solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Thomas algorithm with a pivot-size guard.
+    """Solve a symmetric tridiagonal system by LAPACK's pivoted ``gtsv``."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = ab[2, :-1] = off
+    ab[1] = diag
+    try:
+        return solve_banded((1, 1), ab, rhs)
+    except LinAlgError as exc:
+        raise SingularHessian(str(exc)) from exc
 
-    The loop runs on Python floats, which round exactly as numpy float64
-    scalars do at a fraction of the indexing cost.  It stays unpivoted: a
-    pivoted banded LAPACK solve rounds differently, and that alone pushes the
-    far-branch Newton of ``certify1d --amp 1.5`` at n = 2048 and 4096 past
-    its iteration cap.
-    """
-    n = diag.size
-    d = diag.astype(float).tolist()
-    b = rhs.astype(float).tolist()
-    off = off.astype(float).tolist()
-    for i in range(1, n):
-        if abs(d[i - 1]) < PIVOT_TOL:
-            raise SingularHessian(f"pivot {d[i - 1]:.3e} at row {i - 1}")
-        w = off[i - 1] / d[i - 1]
-        d[i] -= w * off[i - 1]
-        b[i] -= w * b[i - 1]
-    if abs(d[n - 1]) < PIVOT_TOL:
-        raise SingularHessian(f"pivot {d[n - 1]:.3e} at row {n - 1}")
-    x = [0.0] * n
-    x[n - 1] = b[n - 1] / d[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (b[i] - off[i] * x[i + 1]) / d[i]
-    return np.array(x)
+
+def _cholesky_solve(c: np.ndarray, h: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the spring chain of c by banded Cholesky (LinAlgError if not SPD)."""
+    ab = np.empty((2, c.size - 1))
+    ab[1], ab[0, 1:] = _spring_chain(c, h)
+    return cho_solve_banded((cholesky_banded(ab), False), rhs)
+
+
+def energy_change(m: BarModel, s: PrimalState, du: np.ndarray) -> float:
+    """J(u + du) - J(u) for a clamped nodal increment du, summed from
+    per-element increments: a plain difference of two energies loses the
+    O(|du|^2) decrease of a Newton step near convergence to rounding."""
+    g = m.grid
+    ux = derivative(s.u, g)
+    d = derivative(du, g)
+    d_strain = d * (1.0 + ux + 0.5 * d)
+    d_stored = 0.5 * m.EA * d_strain * (2.0 * (ux + 0.5 * ux**2) + d_strain)
+    return float(np.sum(d_stored - m.P * average_to_midpoints(du, g)) * g.h)
 
 
 def solve_newton(
@@ -144,10 +148,13 @@ def solve_newton(
     max_iter: int = 50,
     iteration_log: list | None = None,
 ) -> PrimalState:
-    """Newton solve for a critical point, warm-started over equal load steps.
+    """Line-search Newton minimization of the energy over equal load steps
+    (Nocedal & Wright, Numerical Optimization, section 3.4).
 
-    Load continuation keeps iterates on the small-strain branch where the
-    slope condition holds.  ``iteration_log``, if given, receives the Newton
+    The step uses the exact Hessian if its Cholesky factorization succeeds,
+    else curvatures raised to 1e-2 max|c|, a positive definite spring chain;
+    Armijo backtracking (c1 = 1e-4) halves it.  On the small-strain branch
+    every unit step is accepted.  ``iteration_log``, if given, receives the
     iteration count of each stage.
     """
     if continuation_steps < 1:
@@ -156,76 +163,35 @@ def solve_newton(
         raise ValueError("tol must be positive")
     g = m.grid
     u = np.zeros(g.n_elem + 1)
+    du = np.zeros(g.n_elem + 1)
     for k in range(1, continuation_steps + 1):
         mk = BarModel(m.E, m.A, g, (k / continuation_steps) * m.P)
+        stage = f"Newton stage {k}/{continuation_steps}"
         for it in range(max_iter + 1):
-            r = residual(mk, PrimalState(u))
-            if norm_V(r[1:-1]) <= tol:
+            s = PrimalState(u)
+            r = residual(mk, s)[1:-1]
+            res = norm_V(r)
+            if res <= tol:
                 if iteration_log is not None:
                     iteration_log.append(it)
                 break
-            if it == max_iter:
+            if it == max_iter or not np.isfinite(res):
                 raise NonConvergence(
-                    f"Newton stage {k}/{continuation_steps}: "
-                    f"residual {norm_V(r[1:-1]):.3e} after {max_iter} iterations"
+                    f"{stage}: residual {res:.3e} after {it} iterations"
                 )
-            diag, off = hessian(mk, PrimalState(u))
-            du = solve_tridiagonal(diag, off, -r[1:-1])
-            u = u.copy()
-            u[1:-1] += du
+            c = hessian_coefficients(mk, s)
+            try:
+                du[1:-1] = _cholesky_solve(c, g.h, -r)
+            except LinAlgError:
+                c = np.maximum(c, 1e-2 * np.max(np.abs(c)))
+                du[1:-1] = _cholesky_solve(c, g.h, -r)
+            slope, t = float(r @ du[1:-1]), 1.0
+            while not energy_change(mk, s, t * du) <= 1e-4 * t * slope:
+                t *= 0.5
+                if t < 1e-15:
+                    raise NonConvergence(f"{stage}: no descent at residual {res:.3e}")
+            u = u + t * du
     return PrimalState(u)
-
-
-def solve_descent(
-    m: BarModel,
-    tol: float = 1e-12,
-    max_iter: int = 200_000,
-    iteration_log: list | None = None,
-) -> PrimalState:
-    """Fallback solver: Barzilai-Borwein gradient iteration on the energy,
-    polished by undamped Newton once the residual is small.
-
-    The energy is coercive, so critical points exist even beyond the limit
-    point of the small-strain continuation branch; this reaches them when
-    ``solve_newton`` cannot.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    g = m.grid
-    u = np.zeros(g.n_elem + 1)
-    r_prev = s_prev = None
-    for it in range(max_iter):
-        r = residual(m, PrimalState(u))[1:-1]
-        if norm_V(r) < 1e-9:
-            break
-        if r_prev is None:
-            step = 1e-3
-        else:
-            dg = r - r_prev
-            d2 = float(dg @ dg)
-            step = min(abs(float(s_prev @ dg)) / d2, 1.0) if d2 > 0 else 1e-3
-        s_prev = -step * r
-        r_prev = r
-        u = u.copy()
-        u[1:-1] += s_prev
-    else:
-        raise NonConvergence(
-            f"descent solver: residual {norm_V(r):.3e} after {max_iter} iterations"
-        )
-    if iteration_log is not None:
-        iteration_log.append(it)
-    for it in range(51):
-        s = PrimalState(u)
-        r = residual(m, s)[1:-1]
-        if norm_V(r) <= tol:
-            if iteration_log is not None:
-                iteration_log.append(it)
-            return s
-        diag, off = hessian(m, s)
-        du = solve_tridiagonal(diag, off, -r)
-        u = u.copy()
-        u[1:-1] += du
-    raise NonConvergence("descent solver: Newton polish did not converge")
 
 
 def condition_check(s: PrimalState, g: Grid1D) -> tuple[float, bool]:

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from elastodual import cli
+from elastodual import cli, primal1d
+from elastodual.errors import NonConvergence
 
 
 def run_cli(args):
@@ -42,13 +43,22 @@ class TestCertify1D:
 
     @pytest.mark.parametrize("n", ["2048", "4096"])
     def test_far_branch_exit_code(self, n, capsys):
-        # The continuation Newton needs 41 (n = 2048) and 49 (n = 4096) of
-        # its 50 iterations in one stage here; a tridiagonal solve that
-        # rounds differently tips it into the descent fallback and exit 1.
+        # The third load stage crosses the limit point; the line search
+        # needs 14-15 of its 50 Newton iterations there.
         code = run_cli(["certify1d", "--amp", "1.5", "--n", n])
         doc = json.loads(capsys.readouterr().out)
         assert code == cli.EXIT_HYPOTHESIS_VIOLATED
         assert doc["primal"]["condition_ok"] is False
+
+    @pytest.mark.parametrize(
+        "amp,n", [("10", "1024"), ("1.5", "4"), ("2", "4"), ("3", "4")]
+    )
+    def test_past_limit_point_exit_code(self, amp, n, capsys):
+        code = run_cli(["certify1d", "--amp", amp, "--n", n])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_HYPOTHESIS_VIOLATED
+        assert doc["primal"]["condition_ok"] is False
+        assert doc["primal"]["residual_norm"] <= 1e-12
 
     def test_mesh_cap(self):
         with pytest.raises(SystemExit):
@@ -93,6 +103,16 @@ class TestSweep1D:
         assert len(lines) == 4
         assert lines[2].endswith("HYPOTHESIS")
         assert lines[1].endswith("OK") and lines[3].endswith("OK")
+
+    def test_solver_failure_row(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NonConvergence("stalled")
+
+        monkeypatch.setattr(primal1d, "solve_newton", fail)
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep1d", "--amps", "0.1", "--out", str(out)])
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert out.read_text().strip().split("\n")[1].endswith(",FAILED")
 
 
 class TestCertify3D:

@@ -419,6 +419,13 @@ class TestCertify:
         assert abs(report.gap) <= 1e-10 * (1.0 + abs(report.J_primal))
         assert report.gap == report.J_primal - report.J_dual
 
+    def test_failed_check_is_named(self, bar_model):
+        report = dual1d.certify(bar_model, gap_tol=0.0)
+        assert report.gap != 0.0
+        assert not report.passed
+        assert len(report.errors) == 1
+        assert report.errors[0].startswith("gap: ")
+
     def test_condition_violation_path(self):
         m = dual1d.sine_load_model(1.0, 1.0, 1.0, 10.0, 16)
         report = dual1d.certify(m)

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from elastodual import primal1d
-from elastodual.errors import SingularHessian
+from elastodual.errors import NonConvergence, SingularHessian
 from elastodual.mesh1d import Grid1D, norm_U, norm_V
 from elastodual.primal1d import BarModel, PrimalState
 
@@ -147,7 +147,7 @@ class TestSolveTridiagonal:
     def test_singular_pivot(self):
         with pytest.raises(SingularHessian):
             primal1d.solve_tridiagonal(
-                np.array([0.0, 1.0]), np.array([1.0]), np.array([1.0, 1.0])
+                np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0, 1.0])
             )
 
 
@@ -198,12 +198,115 @@ class TestSolveNewton:
         s = primal1d.solve_newton(m)
         assert abs(s.u[32]) <= 1e-10
 
+    def test_non_finite_load(self):
+        with pytest.raises(NonConvergence, match="residual nan after 0"):
+            primal1d.solve_newton(_model(P=np.full(16, np.nan)))
+
+    def test_line_search_gives_up(self, monkeypatch):
+        monkeypatch.setattr(primal1d, "energy_change", lambda m, s, du: 1.0)
+        with pytest.raises(NonConvergence, match="no descent"):
+            primal1d.solve_newton(_model(P=np.ones(16)))
+
     def test_invalid_arguments(self):
         m = _model()
         with pytest.raises(ValueError):
             primal1d.solve_newton(m, continuation_steps=0)
         with pytest.raises(ValueError):
             primal1d.solve_newton(m, tol=-1.0)
+
+
+def _sine_model(amp, n):
+    g = Grid1D(1.0, n)
+    return BarModel(1.0, 1.0, g, amp * np.sin(np.pi * g.midpoints))
+
+
+def _dense_hessian(m, s):
+    diag, off = primal1d.hessian(m, s)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _undamped_newton(m, steps=4, tol=1e-12, max_iter=50):
+    """Continuation Newton with unit steps, each solved densely; returns the
+    state and the per-stage iteration counts."""
+    u = np.zeros(m.grid.n_elem + 1)
+    log = []
+    for k in range(1, steps + 1):
+        mk = BarModel(m.E, m.A, m.grid, (k / steps) * m.P)
+        for it in range(max_iter + 1):
+            r = primal1d.residual(mk, PrimalState(u))[1:-1]
+            if norm_V(r) <= tol:
+                log.append(it)
+                break
+            assert it < max_iter, "undamped Newton oracle did not converge"
+            u = u.copy()
+            u[1:-1] += np.linalg.solve(_dense_hessian(mk, PrimalState(u)), -r)
+    return PrimalState(u), log
+
+
+class TestLineSearchNewton:
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    @pytest.mark.parametrize("amp", [0.05, 0.2, 0.5])
+    def test_unit_steps_inside_hypothesis(self, amp, n):
+        m = _sine_model(amp, n)
+        log = []
+        s = primal1d.solve_newton(m, iteration_log=log)
+        oracle, oracle_log = _undamped_newton(m)
+        assert primal1d.condition_check(s, m.grid)[1]
+        assert log == oracle_log
+        assert np.max(np.abs(s.u - oracle.u)) <= 1e-13
+
+    @pytest.mark.parametrize("amp,n", [(2.0, 64), (5.0, 16), (10.0, 128)])
+    def test_every_step_decreases_the_stage_energy(self, amp, n, monkeypatch):
+        iterates = []
+        residual = primal1d.residual
+
+        def record(mk, s):
+            iterates.append((mk, s))
+            return residual(mk, s)
+
+        monkeypatch.setattr(primal1d, "residual", record)
+        primal1d.solve_newton(_sine_model(amp, n))
+        steps = 0
+        for (m0, s0), (m1, s1) in zip(iterates, iterates[1:]):
+            if m1 is m0:
+                steps += 1
+                assert primal1d.energy_change(m0, s0, s1.u - s0.u) < 0.0
+        assert steps == len(iterates) - 4
+
+    @pytest.mark.parametrize("amp,n", [(10.0, 64), (2.0, 128), (3.0, 256)])
+    def test_past_limit_point_is_local_minimum(self, amp, n):
+        m = _sine_model(amp, n)
+        s = primal1d.solve_newton(m)
+        assert norm_V(primal1d.residual(m, s)[1:-1]) <= 1e-12
+        assert not primal1d.condition_check(s, m.grid)[1]
+        assert primal1d.second_variation_min_eig(m, s) > 0.0
+
+
+class TestEnergyChange:
+    def test_matches_energy_difference(self):
+        rng = np.random.default_rng(6)
+        n = 32
+        m = _model(n=n, P=rng.standard_normal(n))
+        for _ in range(20):
+            s = _random_state(rng, n)
+            du = _random_state(rng, n, scale=1e-2).u
+            plain = primal1d.energy(m, PrimalState(s.u + du)) - primal1d.energy(m, s)
+            change = primal1d.energy_change(m, s, du)
+            assert abs(change - plain) <= 1e-12 * abs(plain)
+
+    def test_newton_step_near_convergence(self):
+        # ½ r·du is the decrease a Newton step makes to second order; at a
+        # residual near 1e-8 the energies themselves differ only in rounding.
+        m = _sine_model(10.0, 16)
+        u = primal1d.solve_newton(m).u.copy()
+        u[1:-1] += 1e-10 * np.random.default_rng(8).uniform(-1.0, 1.0, 15)
+        s = PrimalState(u)
+        r = primal1d.residual(m, s)[1:-1]
+        assert 1e-9 <= norm_V(r) <= 1e-7
+        du = np.zeros(17)
+        du[1:-1] = np.linalg.solve(_dense_hessian(m, s), -r)
+        expected = 0.5 * float(r @ du[1:-1])
+        assert abs(primal1d.energy_change(m, s, du) - expected) <= 1e-6 * abs(expected)
 
 
 class TestConditionCheck:
