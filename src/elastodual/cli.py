@@ -2,8 +2,8 @@
 and the K-feasibility exploration, emitting machine-readable JSON/CSV.
 
 Exit codes: 0 all checks pass, 1 solver error, 2 hypothesis violated,
-3 no admissible K.  stdout carries data only; the DUALITY_LOG environment
-variable (quiet | info | debug) controls stderr verbosity.
+3 no admissible K, 4 invalid input.  stdout carries data only; DUALITY_LOG
+(quiet | info | debug) controls stderr verbosity.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -23,6 +24,7 @@ EXIT_PASS = 0
 EXIT_SOLVER_ERROR = 1
 EXIT_HYPOTHESIS_VIOLATED = 2
 EXIT_NO_ADMISSIBLE_K = 3
+EXIT_INVALID_INPUT = 4
 SWEEP_STATUS = {EXIT_PASS: "OK", EXIT_HYPOTHESIS_VIOLATED: "HYPOTHESIS"}
 
 MAX_ELEMS_1D = 4096
@@ -55,8 +57,19 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_floats(text: str) -> list[float]:
+    return [_finite(v) for v in text.split(",")] if text else []
+
+
 def _parse_vec3(text: str) -> np.ndarray:
-    parts = [float(v) for v in text.split(",")]
+    parts = _parse_floats(text)
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated values")
     return np.array(parts)
@@ -69,19 +82,24 @@ def _parse_int3(text: str) -> tuple[int, int, int]:
     return tuple(parts)  # type: ignore[return-value]
 
 
-def _report_exit_code(report: dual1d.GapReport) -> int:
+def _report_exit_code(report: dual1d.GapReport | fem3d.Gap3DReport) -> int:
     if any(e.startswith("newton:") for e in report.errors):
         return EXIT_SOLVER_ERROR
     if not report.condition_ok:
         return EXIT_HYPOTHESIS_VIOLATED
+    if not getattr(report, "k_feasible", True):  # 1D: K = EA/2 is admissible
+        return EXIT_NO_ADMISSIBLE_K
     return EXIT_PASS if report.passed else EXIT_SOLVER_ERROR
 
 
-def cmd_certify1d(args: argparse.Namespace) -> int:
+def _bar_models(args: argparse.Namespace, amps: list[float]) -> list:
     if args.n > MAX_ELEMS_1D:
-        raise SystemExit(f"1D mesh capped at {MAX_ELEMS_1D} elements")
-    model = dual1d.sine_load_model(args.E, args.A, args.L, args.amp, args.n)
-    report = dual1d.certify(model, seed=args.seed)
+        raise ValueError(f"1D mesh capped at {MAX_ELEMS_1D} elements")
+    return [dual1d.sine_load_model(args.E, args.A, args.L, a, args.n) for a in amps]
+
+
+def cmd_certify1d(args: argparse.Namespace, models: list) -> int:
+    report = dual1d.certify(models[0], seed=args.seed)
     echo = {
         "subcommand": "certify1d",
         "E": args.E, "A": args.A, "L": args.L,
@@ -92,16 +110,14 @@ def cmd_certify1d(args: argparse.Namespace) -> int:
     return _report_exit_code(report)
 
 
-def cmd_sweep1d(args: argparse.Namespace) -> int:
-    amps = [float(a) for a in args.amps.split(",")] if args.amps else []
+def cmd_sweep1d(args: argparse.Namespace, models: list) -> int:
     header = (
         "amp,J_primal,J_dual,gap,ux_sup_norm,min_positivity_margin,"
         "min_hessian_z,saddle_pass_fraction,newton_iters,status"
     )
     rows = [header]
     worst = EXIT_PASS
-    for amp in amps:
-        model = dual1d.sine_load_model(args.E, args.A, args.L, amp, args.n)
+    for amp, model in zip(args.amps, models):
         report = dual1d.certify(model, seed=args.seed)
         code = _report_exit_code(report)
         status = SWEEP_STATUS.get(code, "FAILED")
@@ -125,38 +141,27 @@ def cmd_sweep1d(args: argparse.Namespace) -> int:
     return worst
 
 
-def cmd_certify3d(args: argparse.Namespace) -> int:
-    nx, ny, nz = args.mesh
-    box = args.box
-    model = fem3d.SolidModel(
-        lx=box[0], ly=box[1], lz=box[2], nx=nx, ny=ny, nz=nz,
-        lame=LameParams(args.lam, args.mu),
-        body_force=args.body, traction=args.traction,
-    )
+def _solid_model(args: argparse.Namespace) -> fem3d.SolidModel:
+    lame = LameParams(args.lam, args.mu)
+    return fem3d.SolidModel(*args.box, *args.mesh, lame, args.body, args.traction)
+
+
+def cmd_certify3d(args: argparse.Namespace, model: fem3d.SolidModel) -> int:
     report = fem3d.certify_3d(model, K=args.K, seed=args.seed, mode=args.mode)
     echo = {
         "subcommand": "certify3d",
         "lam": args.lam, "mu": args.mu,
-        "box": list(map(float, box)), "mesh": [nx, ny, nz],
+        "box": list(map(float, args.box)), "mesh": list(args.mesh),
         "body": list(map(float, args.body)),
         "traction": list(map(float, args.traction)),
         "K": args.K, "mode": args.mode, "seed": args.seed,
     }
     _emit(report.to_json(config_echo=echo), args.out)
     log.info("certify3d gap=%.3e passed=%s", report.gap, report.passed)
-    if any(e.startswith("newton:") for e in report.errors):
-        return EXIT_SOLVER_ERROR
-    if not report.condition_ok:
-        return EXIT_HYPOTHESIS_VIOLATED
-    if not report.k_feasible:
-        return EXIT_NO_ADMISSIBLE_K
-    if report.errors or not report.passed:
-        return EXIT_SOLVER_ERROR
-    return EXIT_PASS
+    return _report_exit_code(report)
 
 
-def cmd_ktensor(args: argparse.Namespace) -> int:
-    lame = LameParams(args.lam, args.mu)
+def cmd_ktensor(args: argparse.Namespace, lame: LameParams) -> int:
     doc: dict = {"lam": args.lam, "mu": args.mu, "modes": {}}
     for mode in tensor3d.M_TENSOR_MODES:
         k_max = tensor3d.admissible_k_max(lame, mode)
@@ -166,40 +171,46 @@ def cmd_ktensor(args: argparse.Namespace) -> int:
             _, eig = tensor3d.m_tensor_check(lame, K, mode)
             samples.append({"K": K, "min_eig_sym": eig})
         doc["modes"][mode] = {"K_max": k_max, "samples": samples}
-    _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
+    _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), args.out)
     return EXIT_PASS
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # argparse's own exit code 2 is taken
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="elastodual",
         description="Duality-gap certification for 1D and 3D nonlinear elasticity",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p1 = sub.add_parser("certify1d", help="certify the 1D bar duality principle")
-    p1.add_argument("--E", type=float, default=1.0)
-    p1.add_argument("--A", type=float, default=1.0)
-    p1.add_argument("--L", type=float, default=1.0)
-    p1.add_argument("--amp", type=float, default=0.1, help="sine load amplitude")
+    p1.add_argument("--E", type=_finite, default=1.0)
+    p1.add_argument("--A", type=_finite, default=1.0)
+    p1.add_argument("--L", type=_finite, default=1.0)
+    p1.add_argument("--amp", type=_finite, default=0.1, help="sine load amplitude")
     p1.add_argument("--n", type=int, default=64, help="number of elements")
     p1.add_argument("--seed", type=int, default=0)
     p1.add_argument("--out", default=None, help="report file (default stdout)")
-    p1.set_defaults(func=cmd_certify1d)
+    p1.set_defaults(func=cmd_certify1d, build=lambda a: _bar_models(a, [a.amp]))
 
     ps = sub.add_parser("sweep1d", help="certification sweep over amplitudes")
-    ps.add_argument("--E", type=float, default=1.0)
-    ps.add_argument("--A", type=float, default=1.0)
-    ps.add_argument("--L", type=float, default=1.0)
-    ps.add_argument("--amps", default="", help="comma-separated amplitudes")
+    ps.add_argument("--E", type=_finite, default=1.0)
+    ps.add_argument("--A", type=_finite, default=1.0)
+    ps.add_argument("--L", type=_finite, default=1.0)
+    ps.add_argument("--amps", type=_parse_floats, default=[], help="e.g. 0,0.05,0.1")
     ps.add_argument("--n", type=int, default=64)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", default=None)
-    ps.set_defaults(func=cmd_sweep1d)
+    ps.set_defaults(func=cmd_sweep1d, build=lambda a: _bar_models(a, a.amps))
 
     p3 = sub.add_parser("certify3d", help="certify the 3D solid duality principle")
-    p3.add_argument("--lam", type=float, default=1.0)
-    p3.add_argument("--mu", type=float, default=1.0)
+    p3.add_argument("--lam", type=_finite, default=1.0)
+    p3.add_argument("--mu", type=_finite, default=1.0)
     p3.add_argument("--box", type=_parse_vec3, default=np.array([1.0, 1.0, 1.0]))
     p3.add_argument("--mesh", type=_parse_int3, default=(4, 4, 4))
     p3.add_argument("--body", type=_parse_vec3, default=np.zeros(3))
@@ -207,25 +218,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--traction", type=_parse_vec3, default=np.array([0.02, 0.0, 0.0]),
         help="traction vector on the x = lx face",
     )
-    p3.add_argument("--K", type=float, default=None)
+    p3.add_argument("--K", type=_finite, default=None)
     p3.add_argument("--mode", choices=tensor3d.M_TENSOR_MODES, default="identity")
     p3.add_argument("--seed", type=int, default=0)
     p3.add_argument("--out", default=None)
-    p3.set_defaults(func=cmd_certify3d)
+    p3.set_defaults(func=cmd_certify3d, build=_solid_model)
 
     pk = sub.add_parser("ktensor", help="explore the admissible K interval")
-    pk.add_argument("--lam", type=float, default=1.0)
-    pk.add_argument("--mu", type=float, default=1.0)
+    pk.add_argument("--lam", type=_finite, default=1.0)
+    pk.add_argument("--mu", type=_finite, default=1.0)
     pk.add_argument("--out", default=None)
-    pk.set_defaults(func=cmd_ktensor)
+    pk.set_defaults(func=cmd_ktensor, build=lambda a: LameParams(a.lam, a.mu))
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:  # the models check the parsed values; the solve runs outside
+        model = args.build(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return args.func(args, model)
 
 
 if __name__ == "__main__":

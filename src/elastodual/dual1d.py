@@ -11,7 +11,7 @@ product of the displacement with the converged equilibrium residual.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,11 @@ from .mesh1d import Grid1D, derivative, integrate, norm_U, norm_V
 from .primal1d import BarModel, PrimalState
 
 SCHEMA_VERSION = "1.0"
+
+#: bounds of ``certify``: |gap| <= GAP_TOL (1 + |J|), second variation >= -EIG_TOL
+GAP_TOL = 1e-10
+EIG_TOL = 1e-10
+N_LOCAL = 200
 
 
 @dataclass(frozen=True)
@@ -121,16 +126,18 @@ def equilibrium_residual(d: DualState1D, m: BarModel) -> np.ndarray:
     return r
 
 
+def _z_derivatives(d: DualState1D, m: BarModel, cfg: DualConfig) -> tuple:
+    """Checked den = v2 + z + K and the elementwise z-derivatives of the dual
+    density, z/K + v1^2/(2 den^2) - (v2+z)/EA and 1/K - v1^2/den^3 - 1/EA."""
+    den = _require_positivity(d, cfg)
+    grad = d.z / cfg.K + 0.5 * d.v1**2 / den**2 - (d.v2 + d.z) / m.EA
+    curv = 1.0 / cfg.K - d.v1**2 / den**3 - 1.0 / m.EA
+    return den, grad, curv
+
+
 def dstar_hessian_z(d: DualState1D, m: BarModel, cfg: DualConfig) -> np.ndarray:
-    """Elementwise second z-derivative of the dual density,
-    1/K - v1^2/(v2+z+K)^3 - 1/(EA)."""
-    den = _require_positivity(d, cfg)
-    return 1.0 / cfg.K - d.v1**2 / den**3 - 1.0 / m.EA
-
-
-def _dual_density_z_grad(d: DualState1D, m: BarModel, cfg: DualConfig) -> np.ndarray:
-    den = _require_positivity(d, cfg)
-    return d.z / cfg.K + 0.5 * d.v1**2 / den**2 - (d.v2 + d.z) / m.EA
+    """Elementwise second z-derivative of the dual density."""
+    return _z_derivatives(d, m, cfg)[2]
 
 
 def minimize_in_z_ball(
@@ -153,9 +160,7 @@ def minimize_in_z_ball(
     lo, hi = z_center - r1, z_center + r1
     z = np.clip(d.z, lo, hi)
     for _ in range(max_iter):
-        state = DualState1D(d.v1, d.v2, z)
-        grad = _dual_density_z_grad(state, m, cfg)
-        curv = dstar_hessian_z(state, m, cfg)
+        _, grad, curv = _z_derivatives(DualState1D(d.v1, d.v2, z), m, cfg)
         if np.any(curv <= 0.0):
             raise NonConvergence("z-problem lost convexity inside the ball")
         step = -grad / curv
@@ -167,7 +172,7 @@ def minimize_in_z_ball(
     at_boundary = int(np.sum((z <= lo + 1e-13) | (z >= hi - 1e-13)))
     result = DualState1D(d.v1, d.v2, z)
     # KKT check: interior elements must have zero gradient
-    grad = _dual_density_z_grad(result, m, cfg)
+    grad = _z_derivatives(result, m, cfg)[1]
     interior = (z > lo + 1e-13) & (z < hi - 1e-13)
     if np.any(np.abs(grad[interior]) > 1e-9):
         raise NonConvergence("projected Newton did not reach stationarity")
@@ -266,23 +271,23 @@ def saddle_verify(
     )
 
 
+def _stationarity(d: DualState1D, u: np.ndarray, m: BarModel, cfg: DualConfig):
+    """Residuals (r_z, r_v1, r_v2, r_u at interior nodes) of the Lagrangian's
+    stationarity equations, and den and the z-curvature of _z_derivatives."""
+    den, r_z, curv = _z_derivatives(d, m, cfg)
+    w = derivative(u, m.grid)
+    r_v1 = -d.v1 / den + w
+    r_v2 = 0.5 * d.v1**2 / den**2 - (d.v2 + d.z) / m.EA + w
+    r_u = equilibrium_residual(d, m)[1:-1]
+    return (r_z, r_v1, r_v2, r_u), den, curv
+
+
 def stationarity_residuals(
     d: DualState1D, u: np.ndarray, m: BarModel, cfg: DualConfig
 ) -> dict[str, float]:
     """Max norms of the four stationarity equations of the Lagrangian."""
-    den = _require_positivity(d, cfg)
-    w = derivative(u, m.grid)
-    s = d.v2 + d.z
-    r_z = d.z / cfg.K + 0.5 * d.v1**2 / den**2 - s / m.EA
-    r_v1 = -d.v1 / den + w
-    r_v2 = 0.5 * d.v1**2 / den**2 - s / m.EA + w
-    r_u = equilibrium_residual(d, m)
-    return {
-        "z": norm_V(r_z),
-        "v1": norm_V(r_v1),
-        "v2": norm_V(r_v2),
-        "u": norm_V(r_u[1:-1]),
-    }
+    parts, _, _ = _stationarity(d, u, m, cfg)
+    return {k: norm_V(r) for k, r in zip(("z", "v1", "v2", "u"), parts)}
 
 
 def kkt_solve(
@@ -303,7 +308,7 @@ def kkt_solve(
     symmetric 3x3 block A_e of every element and solves the tridiagonal
     Schur complement in u, so it costs O(n) time and memory.
     """
-    h, EA, K = m.grid.h, m.EA, cfg.K
+    h, K = m.grid.h, cfg.K
     n = m.grid.n_elem
     d0, u_full = init
     x = np.stack([d0.z, d0.v1, d0.v2])
@@ -314,26 +319,18 @@ def kkt_solve(
     for it in range(max_iter + 1):
         z, v1, v2 = x
         d = DualState1D(v1, v2, z)
-        den = _require_positivity(d, cfg)
-        w = derivative(u, m.grid)
-        s = v2 + z
-        r = np.concatenate([
-            z / K + 0.5 * v1**2 / den**2 - s / EA,  # r_z
-            -v1 / den + w,  # r_v1
-            0.5 * v1**2 / den**2 - s / EA + w,  # r_v2
-            equilibrium_residual(d, m)[1:-1],  # r_u
-        ])
+        parts, den, curv = _stationarity(d, u, m, cfg)
+        r = np.concatenate(parts)
         if norm_V(r) <= tol:
             return d, u, it
         if it == max_iter:
             raise NonConvergence(
                 f"KKT Newton: residual {norm_V(r):.3e} after {max_iter} iterations"
             )
-        c3 = v1**2 / den**3
-        c = -c3 - 1.0 / EA
+        c = curv - 1.0 / K  # d(r_z)/d(v2): the z-curvature less 1/K
         a = v1 / den**2
         A = np.empty((n, 3, 3))  # d(r_z, r_v1, r_v2)/d(z, v1, v2) per element
-        A[:, 0, 0] = 1.0 / K - c3 - 1.0 / EA
+        A[:, 0, 0] = curv
         A[:, 1, 1] = -1.0 / den
         A[:, 0, 2] = A[:, 2, 0] = A[:, 2, 2] = c
         A[:, 0, 1] = A[:, 1, 0] = A[:, 1, 2] = A[:, 2, 1] = a
@@ -381,11 +378,6 @@ class GapReport:
     passed: bool = False
     errors: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["saddle_samples_passed"] = list(self.saddle_samples_passed)
-        return d
-
     def to_json(self, config_echo: dict | None = None) -> str:
         doc = {
             "version": SCHEMA_VERSION,
@@ -422,7 +414,7 @@ class GapReport:
             "passed": self.passed,
             "errors": self.errors,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def sine_load_model(
@@ -434,17 +426,7 @@ def sine_load_model(
     return BarModel(E, A, g, P)
 
 
-def certify(
-    m: BarModel,
-    seed: int = 0,
-    gap_tol: float = 1e-10,
-    residual_tol: float = 1e-12,
-    eig_tol: float = 1e-10,
-    saddle_tol: float = 1e-10,
-    n_saddle: int = 100,
-    n_local: int = 200,
-    continuation_steps: int = 4,
-) -> GapReport:
+def certify(m: BarModel, seed: int = 0) -> GapReport:
     """Full Theorem-1-style certification pipeline for one bar model.
 
     Solver or hypothesis failures are recorded in the report instead of
@@ -454,15 +436,13 @@ def certify(
     cfg = DualConfig(K=m.EA / 2.0)
     iters: list[int] = []
     try:
-        u0 = primal1d.solve_newton(
-            m, continuation_steps, residual_tol, iteration_log=iters
-        )
+        u0 = primal1d.solve_newton(m, iteration_log=iters)
     except NonConvergence as exc:
         report.errors.append(f"newton: {exc}")
         return report
     report.newton_iters = sum(iters)
 
-    report.residual_norm = norm_V(residual_interior(m, u0))
+    report.residual_norm = norm_V(primal1d.residual(m, u0)[1:-1])
     value, ok = primal1d.condition_check(u0, m.grid)
     report.condition_norm = value
     report.condition_ok = ok
@@ -489,10 +469,7 @@ def certify(
     report.r = r1 / cfg.K
 
     try:
-        saddle = saddle_verify(
-            m, u0, d_hat, cfg, r1, r2, n_samples=n_saddle, seed=seed,
-            tol=saddle_tol,
-        )
+        saddle = saddle_verify(m, u0, d_hat, cfg, r1, r2, seed=seed)
         report.r1, report.r2 = saddle.r1, saddle.r2
         report.saddle_samples_passed = (saddle.passed_z, saddle.passed_v)
         report.saddle_samples_total = saddle.n_samples
@@ -510,7 +487,7 @@ def certify(
     rng = np.random.default_rng(seed + 1)
     J0 = report.J_primal
     passed_local = 0
-    for _ in range(n_local):
+    for _ in range(N_LOCAL):
         delta = np.zeros(m.grid.n_elem + 1)
         delta[1:-1] = rng.uniform(-1.0, 1.0, m.grid.n_elem - 1)
         scale = norm_U(delta, m.grid)
@@ -519,12 +496,12 @@ def certify(
         if primal1d.energy(m, PrimalState(u0.u + delta)) >= J0 - 1e-12:
             passed_local += 1
     report.local_min_passed = passed_local
-    report.local_min_total = n_local
+    report.local_min_total = N_LOCAL
 
     # the slope condition and every solver failure were recorded above
-    gap_bound = gap_tol * (1.0 + abs(report.J_primal))
+    gap_bound = GAP_TOL * (1.0 + abs(report.J_primal))
     margin, hess_z = report.min_positivity_margin, report.min_hessian_z
-    pz, pv = report.saddle_samples_passed
+    (pz, pv), n_saddle = report.saddle_samples_passed, report.saddle_samples_total
     checks = (
         (abs(report.gap) <= gap_bound,
          f"gap: |gap| {abs(report.gap):.3e} > {gap_bound:.3e}"),
@@ -532,17 +509,13 @@ def certify(
          f"positivity: min v2 + z + K {margin:.3e} <= 7 EA/32 = {7 * m.EA / 32:.3e}"),
         (hess_z > 5.0 / (7.0 * m.EA) - 1e-12,
          f"hessian: min z-Hessian {hess_z:.3e} <= 5/(7 EA) = {5 / (7 * m.EA):.3e}"),
-        (report.min_eig >= -eig_tol,
-         f"min_eig: second variation {report.min_eig:.3e} < {-eig_tol:.3e}"),
-        ((pz, pv) == (n_saddle, n_saddle),
+        (report.min_eig >= -EIG_TOL,
+         f"min_eig: second variation {report.min_eig:.3e} < {-EIG_TOL:.3e}"),
+        (pz == pv == n_saddle,
          f"saddle: {pz} z and {pv} v of {n_saddle} samples passed"),
-        (report.local_min_passed == n_local,
-         f"local_min: {report.local_min_passed} of {n_local} samples passed"),
+        (report.local_min_passed == N_LOCAL,
+         f"local_min: {report.local_min_passed} of {N_LOCAL} samples passed"),
     )
     report.errors += [msg for ok, msg in checks if not ok]
     report.passed = not report.errors
     return report
-
-
-def residual_interior(m: BarModel, s: PrimalState) -> np.ndarray:
-    return primal1d.residual(m, s)[1:-1]

@@ -21,6 +21,14 @@ from .tensor3d import I3, LameParams
 
 MAX_ELEMS_PER_AXIS = 8
 
+#: strict bound on max |u_i,j|, the 3D analogue of ``primal1d.SLOPE_LIMIT``
+GRADIENT_LIMIT = 0.125
+#: bounds of ``certify_3d``: |gap| <= GAP_TOL (1 + |J|); N_* are sample counts
+GAP_TOL = 1e-8
+CONSTRAINT_TOL = 1e-9
+N_LOCAL = 50
+N_Z_SAMPLES = 50
+
 
 @dataclass(frozen=True)
 class SolidModel:
@@ -259,13 +267,10 @@ class Gap3DReport:
     passed: bool = False
     errors: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self, config_echo: dict | None = None) -> str:
         doc = {"version": "1.0", "config_echo": config_echo or {}}
-        doc.update(self.to_dict())
-        return json.dumps(doc, indent=2, sort_keys=True)
+        doc.update(asdict(self))
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def certify_3d(
@@ -273,12 +278,6 @@ def certify_3d(
     K: float | None = None,
     seed: int = 0,
     mode: str = "identity",
-    gap_tol: float = 1e-8,
-    constraint_tol: float = 1e-9,
-    residual_tol: float = 1e-11,
-    n_local: int = 50,
-    n_z_samples: int = 50,
-    steps: int = 3,
 ) -> Gap3DReport:
     """End-to-end 3D certification: solve, construct duals at quadrature
     points, and check the gap, the weak constraints, and all pointwise bounds.
@@ -288,7 +287,7 @@ def certify_3d(
     report = Gap3DReport(seed=seed, mode=mode)
     lame = m.lame
     try:
-        mesh, u0 = solve_newton_3d(m, steps=steps, tol=residual_tol)
+        mesh, u0 = solve_newton_3d(m)
     except (NonConvergence, SingularSystem) as exc:
         report.errors.append(f"newton: {exc}")
         return report
@@ -297,7 +296,7 @@ def certify_3d(
     report.residual_norm = float(np.max(np.abs(R0[mesh.free_dofs])))
     report.J_primal = energy_3d(m, mesh, u0)
     report.condition_max = gradient_sup_norm(mesh, u0)
-    report.condition_ok = report.condition_max < 0.125
+    report.condition_ok = report.condition_max < GRADIENT_LIMIT
     if not report.condition_ok:
         report.errors.append(
             f"hypothesis: max |u_i,j| = {report.condition_max:.6f} >= 1/8"
@@ -345,7 +344,7 @@ def certify_3d(
 
     rng = np.random.default_rng(seed)
     passed = 0
-    for _ in range(n_local):
+    for _ in range(N_LOCAL):
         delta = np.zeros((mesh.n_nodes, 3))
         dv = rng.uniform(-1.0, 1.0, size=mesh.free_dofs.size)
         delta.reshape(-1)[mesh.free_dofs] = dv
@@ -355,7 +354,7 @@ def certify_3d(
         if energy_3d(m, mesh, u0 + delta) >= report.J_primal - 1e-12:
             passed += 1
     report.local_min_passed = passed
-    report.local_min_total = n_local
+    report.local_min_total = N_LOCAL
 
     # z-convexity sampling: symmetric perturbations of z at every point,
     # each scaled to sup-norm radius.  One draw per sample keeps the
@@ -363,7 +362,7 @@ def certify_3d(
     radius = min(1e-3, 0.25 * report.min_pd_margin + 1e-12)
     center = report.J_dual
     z_passed = 0
-    for _ in range(n_z_samples):
+    for _ in range(N_Z_SAMPLES):
         dz = tensor3d.sym(rng.uniform(-1.0, 1.0, size=z.shape))
         dz *= radius / np.max(np.abs(dz), axis=(-2, -1), keepdims=True)
         try:
@@ -376,24 +375,24 @@ def certify_3d(
         if val * mesh.detJ >= center - 1e-10:
             z_passed += 1
     report.z_convex_passed = z_passed
-    report.z_convex_total = n_z_samples
+    report.z_convex_total = N_Z_SAMPLES
 
     # every earlier failure returned with its own message, so the report
     # passes exactly when all of these hold
-    gap_bound = gap_tol * (1.0 + abs(report.J_primal))
+    gap_bound = GAP_TOL * (1.0 + abs(report.J_primal))
     checks = (
         (abs(report.gap) <= gap_bound,
          f"gap: |gap| {abs(report.gap):.3e} > {gap_bound:.3e}"),
-        (report.constraint_residual_norm <= constraint_tol,
+        (report.constraint_residual_norm <= CONSTRAINT_TOL,
          f"constraint: residual {report.constraint_residual_norm:.3e}"
-         f" > {constraint_tol:.3e}"),
+         f" > {CONSTRAINT_TOL:.3e}"),
         (report.min_hessian_z_eig >= report.m_min_eig - 1e-10,
          f"hessian: min z-Hessian eig {report.min_hessian_z_eig:.3e}"
          f" < M min eig {report.m_min_eig:.3e}"),
-        (report.local_min_passed == n_local,
-         f"local_min: {report.local_min_passed} of {n_local} samples passed"),
-        (report.z_convex_passed == n_z_samples,
-         f"z_convex: {report.z_convex_passed} of {n_z_samples} samples passed"),
+        (report.local_min_passed == N_LOCAL,
+         f"local_min: {report.local_min_passed} of {N_LOCAL} samples passed"),
+        (report.z_convex_passed == N_Z_SAMPLES,
+         f"z_convex: {report.z_convex_passed} of {N_Z_SAMPLES} samples passed"),
     )
     report.errors = [msg for ok, msg in checks if not ok]
     report.passed = not report.errors

@@ -119,17 +119,20 @@ def hooke(p: LameParams) -> Tensor4Sym:
     return Tensor4Sym(full=full)
 
 
-def hooke_inverse(p: LameParams) -> Tensor4Sym:
-    """Inverse of the stiffness on symmetric tensors, from the 6x6 Mandel form.
+def compliance_params(p: LameParams) -> LameParams:
+    """Lame parameters of the (isotropic) inverse stiffness: it scales
+    deviators by 1/(2 mu) = 2 mu' and the spherical part by 1/(3 lam + 2 mu)
+    = 3 lam' + 2 mu', so mu' = 1/(4 mu), lam' = -lam/(2 mu (3 lam + 2 mu)).
+    Past lam/mu ~ 2e15 the rounding of lam' swallows 3 lam' + 2 mu' > 0, so
+    lam' stays at least the next double above -2 mu'/3."""
+    mu = 0.25 / p.mu
+    lam = -p.lam / (2.0 * p.mu * (3.0 * p.lam + 2.0 * p.mu))
+    return LameParams(max(lam, float(np.nextafter(-2.0 * mu / 3.0, 0.0))), mu)
 
-    The Mandel form has eigenvalues 2*mu and 3*lam + 2*mu, both positive for
-    valid LameParams, so it is always invertible.
-    """
-    Minv = np.linalg.inv(hooke(p).mandel)
-    # rebuild the full form with minor symmetries from the Mandel inverse
-    B = MANDEL_BASIS_9
-    full = (B @ Minv @ B.T).reshape(3, 3, 3, 3)
-    return Tensor4Sym(full=full)
+
+def hooke_inverse(p: LameParams) -> Tensor4Sym:
+    """Inverse of the stiffness on symmetric tensors (the compliance)."""
+    return hooke(compliance_params(p))
 
 
 def hooke_apply(p: LameParams, M: np.ndarray) -> np.ndarray:
@@ -138,10 +141,8 @@ def hooke_apply(p: LameParams, M: np.ndarray) -> np.ndarray:
 
 
 def hooke_inverse_apply(p: LameParams, S: np.ndarray) -> np.ndarray:
-    """Closed-form inverse action on a symmetric tensor."""
-    return sym(S) / (2.0 * p.mu) - p.lam * _tr(S) * I3 / (
-        2.0 * p.mu * (3.0 * p.lam + 2.0 * p.mu)
-    )
+    """Compliance action on a symmetric tensor."""
+    return hooke_apply(compliance_params(p), S)
 
 
 def green_strain(g: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from elastodual import cli, primal1d
+from elastodual import cli, fem3d, primal1d
 from elastodual.errors import NonConvergence
 
 
@@ -159,6 +159,23 @@ class TestCertify3D:
         capsys.readouterr()
         assert code == cli.EXIT_HYPOTHESIS_VIOLATED
 
+    @pytest.mark.parametrize("lam", ["1e16", "1e17"])
+    def test_nearly_incompressible_material(self, lam, capsys):
+        code = run_cli(["certify3d", "--mesh", "2,2,2", "--lam", lam])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_PASS
+        assert doc["errors"] == []
+
+    def test_solver_failure_exit_code(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NonConvergence("stalled")
+
+        monkeypatch.setattr(fem3d, "solve_newton_3d", fail)
+        code = run_cli(["certify3d", "--mesh", "2,2,2"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert doc["errors"] == ["newton: stalled"]
+
 
 class TestKTensor:
     def test_both_modes_reported(self, tmp_path):
@@ -203,3 +220,30 @@ class TestDeterminism:
         assert run_cli(args + ["--out", str(a)]) == cli.EXIT_PASS
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "certify1d --n 1",
+        "certify1d --n 5000",
+        "certify1d --E -1",
+        "certify1d --amp nan",
+        "certify1d --bogus",
+        "sweep1d --amps 0.1,x",
+        "sweep1d --amps 0.1 --n 1",
+        "certify3d --mesh 9,9,9",
+        "certify3d --K nan --mesh 2,2,2",
+        "certify3d --lam inf --mesh 2,2,2",
+        "certify3d --box 1,0,1 --mesh 2,2,2",
+        "ktensor --mu 0",
+    ],
+)
+def test_invalid_input_exit_code(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args.split())
+    captured = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_INVALID_INPUT
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+    assert "Traceback" not in captured.err
+    assert "error:" in captured.err

@@ -419,8 +419,9 @@ class TestCertify:
         assert abs(report.gap) <= 1e-10 * (1.0 + abs(report.J_primal))
         assert report.gap == report.J_primal - report.J_dual
 
-    def test_failed_check_is_named(self, bar_model):
-        report = dual1d.certify(bar_model, gap_tol=0.0)
+    def test_failed_check_is_named(self, bar_model, monkeypatch):
+        monkeypatch.setattr(dual1d, "GAP_TOL", 0.0)
+        report = dual1d.certify(bar_model)
         assert report.gap != 0.0
         assert not report.passed
         assert len(report.errors) == 1

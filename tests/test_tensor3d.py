@@ -101,6 +101,22 @@ class TestHookeInverse:
         )
         assert np.max(np.abs(tensor3d.hooke_inverse(p).full - expected)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "lam,mu", [(1.0, 1.0), (3.0, 0.7), (-0.6, 1.0), (50.0, 0.1)]
+    )
+    def test_matches_numerical_inverse(self, lam, mu):
+        p = LameParams(lam, mu)
+        Minv = np.linalg.inv(tensor3d.hooke(p).mandel)
+        err = np.max(np.abs(tensor3d.hooke_inverse(p).mandel - Minv))
+        assert err <= 1e-12 * np.max(np.abs(Minv))
+
+    @pytest.mark.parametrize("lam", [1e15, 1e16, 1e17, 1e300])
+    def test_nearly_incompressible_compliance(self, lam):
+        # 3 lam' + 2 mu' = 1/(3 lam + 2 mu) is below the rounding of lam'
+        c = tensor3d.compliance_params(LameParams(lam, 1.0))
+        assert c.mu == 0.25
+        assert 0.0 < 3.0 * c.lam + 2.0 * c.mu <= 1e-14
+
     def test_closed_form_apply_agrees(self):
         rng = np.random.default_rng(5)
         p = LameParams(0.4, 1.1)
