@@ -4,7 +4,7 @@ elasticity: a 1D bar and a 3D solid with quadratic-in-Green-strain energy."""
 from .mesh1d import Grid1D
 from .primal1d import BarModel, PrimalState
 from .dual1d import DualConfig, DualState1D, GapReport
-from .tensor3d import LameParams, Tensor4Sym
+from .tensor3d import LameParams
 from .fem3d import SolidModel, Gap3DReport
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "DualState1D",
     "GapReport",
     "LameParams",
-    "Tensor4Sym",
     "SolidModel",
     "Gap3DReport",
 ]

@@ -64,6 +64,15 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def _parse_floats(text: str) -> list[float]:
     return [_finite(v) for v in text.split(",")] if text else []
 
@@ -168,7 +177,7 @@ def cmd_ktensor(args: argparse.Namespace, lame: LameParams) -> int:
         samples = []
         for frac in (0.25, 0.5, 0.75, 0.9, 1.1, 2.0):
             K = k_max * frac
-            _, eig = tensor3d.m_tensor_check(lame, K, mode)
+            eig = min(tensor3d.m_tensor_eigs(lame, K, mode))
             samples.append({"K": K, "min_eig_sym": eig})
         doc["modes"][mode] = {"K_max": k_max, "samples": samples}
     _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), args.out)
@@ -194,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p1.add_argument("--L", type=_finite, default=1.0)
     p1.add_argument("--amp", type=_finite, default=0.1, help="sine load amplitude")
     p1.add_argument("--n", type=int, default=64, help="number of elements")
-    p1.add_argument("--seed", type=int, default=0)
+    p1.add_argument("--seed", type=_seed, default=0)
     p1.add_argument("--out", default=None, help="report file (default stdout)")
     p1.set_defaults(func=cmd_certify1d, build=lambda a: _bar_models(a, [a.amp]))
 
@@ -204,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--L", type=_finite, default=1.0)
     ps.add_argument("--amps", type=_parse_floats, default=[], help="e.g. 0,0.05,0.1")
     ps.add_argument("--n", type=int, default=64)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_sweep1d, build=lambda a: _bar_models(a, a.amps))
 
@@ -220,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p3.add_argument("--K", type=_finite, default=None)
     p3.add_argument("--mode", choices=tensor3d.M_TENSOR_MODES, default="identity")
-    p3.add_argument("--seed", type=int, default=0)
+    p3.add_argument("--seed", type=_seed, default=0)
     p3.add_argument("--out", default=None)
     p3.set_defaults(func=cmd_certify3d, build=_solid_model)
 
@@ -241,6 +250,11 @@ def main(argv: list[str] | None = None) -> int:
         model = args.build(args)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.out:
+        try:  # refuse an unwritable report path before the solve, not after
+            open(args.out, "a").close()
+        except OSError as exc:
+            parser.error(f"cannot write --out: {exc}")
     return args.func(args, model)
 
 

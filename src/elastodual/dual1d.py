@@ -72,11 +72,6 @@ def _require_positivity(d: DualState1D, cfg: DualConfig) -> np.ndarray:
     return den
 
 
-def F_density(v: np.ndarray, cfg: DualConfig) -> np.ndarray:
-    """Quadratic perturbation density K v^2 / 2."""
-    return 0.5 * cfg.K * v**2
-
-
 def F_star_density(z: np.ndarray, cfg: DualConfig) -> np.ndarray:
     """Conjugate density z^2 / (2K)."""
     return z**2 / (2.0 * cfg.K)
@@ -115,15 +110,9 @@ def construct_duals(m: BarModel, u0: PrimalState, cfg: DualConfig) -> DualState1
 
 def equilibrium_residual(d: DualState1D, m: BarModel) -> np.ndarray:
     """Weak form of (v1 + v2)_x + P = 0 against interior hat functions."""
-    g = m.grid
-    g.check_elem(d.v1)
-    g.check_elem(d.v2)
-    t = d.v1 + d.v2
-    r = np.zeros(g.n_elem + 1)
-    r[1:-1] = t[:-1] - t[1:]
-    load = m.P * g.h
-    r[1:-1] -= 0.5 * (load[:-1] + load[1:])
-    return r
+    m.grid.check_elem(d.v1)
+    m.grid.check_elem(d.v2)
+    return primal1d.weak_residual(m, d.v1 + d.v2)
 
 
 def _z_derivatives(d: DualState1D, m: BarModel, cfg: DualConfig) -> tuple:

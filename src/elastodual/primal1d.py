@@ -71,17 +71,22 @@ def energy(m: BarModel, s: PrimalState) -> float:
     return float(np.sum(0.5 * m.EA * strain**2 - m.P * ubar) * g.h)
 
 
-def residual(m: BarModel, s: PrimalState) -> np.ndarray:
-    """First variation against the interior nodal basis; boundary entries 0."""
+def weak_residual(m: BarModel, force: np.ndarray) -> np.ndarray:
+    """Weak form of force_x + P = 0 for an element force, against the
+    interior nodal basis; boundary entries 0."""
     g = m.grid
-    ux = derivative(s.u, g)
-    n = _axial_force(m, ux) * (1.0 + ux)  # elementwise dJ/d(u_x)
     r = np.zeros(g.n_elem + 1)
     # phi_i has slope +1/h on element i-1 and -1/h on element i
-    r[1:-1] = n[:-1] - n[1:]
+    r[1:-1] = force[:-1] - force[1:]
     load = m.P * g.h
     r[1:-1] -= 0.5 * (load[:-1] + load[1:])
     return r
+
+
+def residual(m: BarModel, s: PrimalState) -> np.ndarray:
+    """First variation against the interior nodal basis; boundary entries 0."""
+    ux = derivative(s.u, m.grid)
+    return weak_residual(m, _axial_force(m, ux) * (1.0 + ux))  # elementwise dJ/d(u_x)
 
 
 def hessian_coefficients(m: BarModel, s: PrimalState) -> np.ndarray:
@@ -102,13 +107,6 @@ def hessian(m: BarModel, s: PrimalState) -> tuple[np.ndarray, np.ndarray]:
 def _spring_chain(c: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal stiffness of a chain of element springs c with clamped ends."""
     return (c[:-1] + c[1:]) / h, -c[1:-1] / h
-
-
-def hessian_matvec(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
-    y = diag * x
-    y[:-1] += off * x[1:]
-    y[1:] += off * x[:-1]
-    return y
 
 
 def solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:

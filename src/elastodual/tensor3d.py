@@ -7,9 +7,12 @@ Every pointwise function takes one 3x3 matrix or a stack of shape
 (..., 3, 3) and returns one value per point, so the FEM and the certifier
 evaluate all quadrature points in one call.
 
-Fourth-order tensors carry a 6x6 Mandel representation (orthonormal on
-symmetric arguments, sqrt(2) scaling on shear slots) alongside a full
-3x3x3x3 array for contractions with non-symmetric arguments.
+Each isotropic fourth-order tensor is stated once, in closed form: Hooke's
+law as its action on a stack (``hooke_apply``) and as a 6x6 Mandel matrix
+(``hooke_mandel``; orthonormal on symmetric arguments, sqrt(2) scaling on
+shear slots), the compliance as Hooke's law with ``compliance_params``, and
+the K-feasibility tensor M by its two eigenvalues (``m_tensor_eigs``).
+There is no 3x3x3x3 array.
 
 Convention note: the conjugate term in v1 is tr(A^-1 v1^T v1) with
 A = v2 + z + K*I, the dual construction right-multiplies the displacement
@@ -21,7 +24,7 @@ chain all close exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +32,10 @@ from .errors import NotPositiveDefinite
 
 I3 = np.eye(3)
 
-#: interpretation modes for the delta term of the M tensor
-M_TENSOR_MODES = ("identity", "spherical")
+#: readings of the M tensor's delta term, (3/(32K)) D or (3/(32K)) d_ij d_kl,
+#: each with the share of 1/K left in M's eigenvalue on deviators and on the
+#: spherical part
+M_TENSOR_MODES = {"identity": (29 / 32, 29 / 32), "spherical": (1.0, 23 / 32)}
 
 _MANDEL_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 _MANDEL_I, _MANDEL_J = np.array(_MANDEL_PAIRS).T
@@ -68,6 +73,7 @@ def mandel_to_sym(v: np.ndarray) -> np.ndarray:
 #: 9x6 matrix whose columns are the orthonormal symmetric basis tensors,
 #: flattened row-major
 MANDEL_BASIS_9 = mandel_to_sym(np.eye(6)).reshape(6, 9).T
+_MANDEL_I3 = sym_to_mandel(I3)
 
 
 @dataclass(frozen=True)
@@ -82,41 +88,10 @@ class LameParams:
             raise ValueError("3*lam + 2*mu must be positive")
 
 
-@dataclass(frozen=True)
-class Tensor4Sym:
-    """Fourth-order tensor with minor symmetries, stored in both forms."""
-
-    full: np.ndarray  # (3,3,3,3)
-    mandel: np.ndarray = field(init=False, repr=False)  # (6,6)
-
-    def __post_init__(self):
-        B = MANDEL_BASIS_9
-        M9 = self.full.reshape(9, 9)
-        object.__setattr__(self, "mandel", B.T @ M9 @ B)
-
-    def apply(self, M: np.ndarray) -> np.ndarray:
-        """Contraction T_ijkl M_kl (full representation)."""
-        return np.einsum("ijkl,kl->ij", self.full, M)
-
-    def as_matrix9(self) -> np.ndarray:
-        return self.full.reshape(9, 9)
-
-
-def min_eig_on_sym(M9: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of 9x9 operators restricted to symmetric
-    arguments; (..., 9, 9) -> (...)."""
-    B = MANDEL_BASIS_9
-    return np.linalg.eigvalsh(sym(B.T @ M9 @ B)).min(axis=-1)
-
-
-def hooke(p: LameParams) -> Tensor4Sym:
-    """Isotropic stiffness lam*d_ij*d_kl + mu*(d_ik*d_jl + d_il*d_jk)."""
-    d = I3
-    full = (
-        p.lam * np.einsum("ij,kl->ijkl", d, d)
-        + p.mu * (np.einsum("ik,jl->ijkl", d, d) + np.einsum("il,jk->ijkl", d, d))
-    )
-    return Tensor4Sym(full=full)
+def hooke_mandel(p: LameParams) -> np.ndarray:
+    """6x6 Mandel matrix of the isotropic stiffness, lam e e^T + 2 mu I6 with
+    e the Mandel vector of I."""
+    return p.lam * np.outer(_MANDEL_I3, _MANDEL_I3) + 2.0 * p.mu * np.eye(6)
 
 
 def compliance_params(p: LameParams) -> LameParams:
@@ -130,19 +105,9 @@ def compliance_params(p: LameParams) -> LameParams:
     return LameParams(max(lam, float(np.nextafter(-2.0 * mu / 3.0, 0.0))), mu)
 
 
-def hooke_inverse(p: LameParams) -> Tensor4Sym:
-    """Inverse of the stiffness on symmetric tensors (the compliance)."""
-    return hooke(compliance_params(p))
-
-
 def hooke_apply(p: LameParams, M: np.ndarray) -> np.ndarray:
     """H : M = lam*tr(M)*I + 2*mu*sym(M), in closed form."""
     return p.lam * _tr(M) * I3 + 2.0 * p.mu * sym(M)
-
-
-def hooke_inverse_apply(p: LameParams, S: np.ndarray) -> np.ndarray:
-    """Compliance action on a symmetric tensor."""
-    return hooke_apply(compliance_params(p), S)
 
 
 def green_strain(g: np.ndarray) -> np.ndarray:
@@ -215,68 +180,48 @@ def g_star_k_density(
     Ainv = _require_pd(A)
     S = v2 + z
     return 0.5 * np.trace(Ainv @ _t(v1) @ v1, axis1=-2, axis2=-1) + 0.5 * np.sum(
-        S * hooke_inverse_apply(p, S), axis=(-2, -1)
+        S * hooke_apply(compliance_params(p), S), axis=(-2, -1)
     )
 
 
 def dstar_hessian_z_3d(
     v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, K: float
 ) -> np.ndarray:
-    """9x9 second derivative of the dual density in z, (..., 9, 9):
-    D/K - (inverse-cubed weighted v1 outer product, symmetrized) - Hbar."""
+    """6x6 Mandel second derivative of the dual density in z on symmetric
+    arguments, (..., 6, 6): I6/K - sym(T) - Hbar, T_ijkl = A^-1_jk Y_li with
+    Y = A^-1 v1^T v1 A^-1."""
     A = _denominator(v2, z, K)
     if np.max(np.abs(A - _t(A))) > 1e-9:
         raise ValueError("Hessian assembly expects a symmetric denominator")
     Ainv = _require_pd(A)
     Y = Ainv @ _t(v1) @ v1 @ Ainv
-    T = 0.5 * (
-        np.einsum("...jk,...li->...ijkl", Ainv, Y)
-        + np.einsum("...jk,...li->...ijkl", Y, Ainv)
-    ).reshape(A.shape[:-2] + (9, 9))
-    Hbar9 = hooke_inverse(p).as_matrix9()
-    return np.eye(9) / K - T - Hbar9
+    T = np.einsum("...jk,...li->...ijkl", Ainv, Y).reshape(A.shape[:-2] + (9, 9))
+    T = MANDEL_BASIS_9.T @ T @ MANDEL_BASIS_9
+    return np.eye(6) / K - sym(T) - hooke_mandel(compliance_params(p))
 
 
-def m_tensor(p: LameParams, K: float, mode: str = "identity") -> np.ndarray:
-    """9x9 form of the K-feasibility tensor D/K - (3/(32K))*delta-term - Hbar.
-
-    ``mode`` picks the reading of the delta term: "identity" uses the
-    fourth-order identity D, "spherical" uses the trace projector
-    delta_ij*delta_kl.
-    """
+def _mode_shares(mode: str) -> tuple[float, float]:
     if mode not in M_TENSOR_MODES:
-        raise ValueError(f"mode must be one of {M_TENSOR_MODES}")
+        raise ValueError(f"mode must be one of {tuple(M_TENSOR_MODES)}")
+    return M_TENSOR_MODES[mode]
+
+
+def m_tensor_eigs(
+    p: LameParams, K: float, mode: str = "identity"
+) -> tuple[float, float]:
+    """Eigenvalues on deviators and on the spherical part of the K-feasibility
+    tensor D/K - (3/(32K)) delta-term - Hbar, its whole spectrum on symmetric
+    arguments; Hbar has eigenvalues 1/(2 mu) and 1/(3 lam + 2 mu) there, and
+    ``mode`` picks the delta term (``M_TENSOR_MODES``)."""
+    dev, bulk = _mode_shares(mode)
     if not K > 0:
         raise ValueError("K must be positive")
-    D9 = np.eye(9)
-    if mode == "identity":
-        mid = (3.0 / (32.0 * K)) * D9
-    else:
-        i9 = I3.reshape(9)
-        mid = (3.0 / (32.0 * K)) * np.outer(i9, i9)
-    return D9 / K - mid - hooke_inverse(p).as_matrix9()
-
-
-def m_tensor_check(
-    p: LameParams, K: float, mode: str = "identity"
-) -> tuple[np.ndarray, float]:
-    """Assembled M tensor and its smallest eigenvalue on symmetric arguments."""
-    M9 = m_tensor(p, K, mode)
-    return M9, float(min_eig_on_sym(M9))
+    return dev / K - 0.5 / p.mu, bulk / K - 1.0 / (3.0 * p.lam + 2.0 * p.mu)
 
 
 def admissible_k_max(p: LameParams, mode: str = "identity") -> float:
-    """Largest K for which the M tensor stays positive definite, in closed form.
-
-    On symmetric tensors Hbar has eigenvalue 1/(2 mu) on deviators and
-    1/(3 lam + 2 mu) on the spherical part.  The delta term is (3/32)/K on
-    both in "identity" mode; in "spherical" mode it is (9/32)/K on the
-    spherical part and zero on deviators.  The M tensor is positive
-    definite exactly for K below the smaller of the resulting bounds.
-    """
-    if mode not in M_TENSOR_MODES:
-        raise ValueError(f"mode must be one of {M_TENSOR_MODES}")
-    dev, bulk = 2.0 * p.mu, 3.0 * p.lam + 2.0 * p.mu
-    if mode == "identity":
-        return (29.0 / 32.0) * min(dev, bulk)
-    return min(dev, (23.0 / 32.0) * bulk)
+    """Largest K for which the M tensor stays positive definite, in closed
+    form: both eigenvalues of ``m_tensor_eigs`` are positive exactly for K
+    below dev * 2 mu and bulk * (3 lam + 2 mu)."""
+    dev, bulk = _mode_shares(mode)
+    return min(dev * (2.0 * p.mu), bulk * (3.0 * p.lam + 2.0 * p.mu))

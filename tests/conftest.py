@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the code paths they are meant to check:
 high-resolution quadrature instead of the package's midpoint rule, dense
 eigensolvers instead of the tridiagonal path, Barzilai-Borwein descent
-instead of Newton, and brute-force grid search instead of closed-form
-conjugates.
+instead of Newton, brute-force grid search instead of closed-form
+conjugates, and einsum-built 3x3x3x3 tensors, taken on a symmetric basis
+built here, instead of the closed-form isotropic tensors.
 """
 
 import math
@@ -131,3 +132,38 @@ def random_rotation(rng):
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
     return Q
+
+
+def isotropic_tensor(lam, mu):
+    """lam d_ij d_kl + mu (d_ik d_jl + d_il d_jk) as a 3x3x3x3 array."""
+    d = np.eye(3)
+    return lam * np.einsum("ij,kl->ijkl", d, d) + mu * (
+        np.einsum("ik,jl->ijkl", d, d) + np.einsum("il,jk->ijkl", d, d)
+    )
+
+
+def sym_basis():
+    """Orthonormal basis of the symmetric 3x3 tensors, (6, 3, 3): the three
+    diagonal units, then the (1,2), (0,2), (0,1) shears scaled by 1/sqrt(2)."""
+    E = np.zeros((6, 3, 3))
+    for a, (i, j) in enumerate(((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))):
+        E[a, i, j] = E[a, j, i] = 1.0 if i == j else 1.0 / math.sqrt(2.0)
+    return E
+
+
+def on_sym(T):
+    """6x6 matrix of a fourth-order tensor (3x3x3x3 or 9x9) on sym_basis()."""
+    E = sym_basis()
+    return np.einsum("aij,ijkl,bkl->ab", E, np.reshape(T, (3, 3, 3, 3)), E)
+
+
+def m_tensor_oracle(lam, mu, K, mode):
+    """The K-feasibility tensor (D - (3/32) delta-term)/K - Hbar on
+    sym_basis(), (..., 6, 6) for K of shape (...): the delta term is
+    assembled as a 9x9 array and projected, Hbar is the numerical inverse of
+    the projected stiffness."""
+    i9 = np.eye(3).reshape(9)
+    delta = np.eye(9) if mode == "identity" else np.outer(i9, i9)
+    Hbar = np.linalg.inv(on_sym(isotropic_tensor(lam, mu)))
+    K = np.asarray(K, dtype=float)[..., None, None]
+    return on_sym(np.eye(9) - (3.0 / 32.0) * delta) / K - Hbar

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from elastodual import cli, fem3d, primal1d
+from elastodual import cli, dual1d, fem3d, primal1d
 from elastodual.errors import NonConvergence
 
 
@@ -237,6 +237,10 @@ class TestDeterminism:
         "certify3d --lam inf --mesh 2,2,2",
         "certify3d --box 1,0,1 --mesh 2,2,2",
         "ktensor --mu 0",
+        "certify1d --seed -2",
+        "certify1d --seed -1",
+        "certify3d --mesh 2,2,2 --seed -1",
+        "sweep1d --amps 0.1 --seed -1",
     ],
 )
 def test_invalid_input_exit_code(args, capsys):
@@ -247,3 +251,18 @@ def test_invalid_input_exit_code(args, capsys):
     assert "NaN" not in captured.out and "Infinity" not in captured.out
     assert "Traceback" not in captured.err
     assert "error:" in captured.err
+
+
+def test_unwritable_out_exits_before_the_solve(tmp_path, monkeypatch, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(dual1d, "certify", solve)
+    out = tmp_path / "missing" / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["certify1d", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert exc.value.code == cli.EXIT_INVALID_INPUT
+    assert "Traceback" not in captured.err
+    assert "error:" in captured.err
+    assert not out.parent.exists()

@@ -50,11 +50,11 @@ class TestFStar:
         v = rng.uniform(-2.0, 2.0, 1000)
         z = rng.uniform(-2.0, 2.0, 1000)
         lhs = v * z
-        rhs = dual1d.F_density(v, cfg) + dual1d.F_star_density(z, cfg)
+        rhs = 0.5 * cfg.K * v**2 + dual1d.F_star_density(z, cfg)
         assert np.all(lhs <= rhs + 1e-12)
         # equality exactly on the graph z = K v
         zeq = cfg.K * v
-        req = dual1d.F_density(v, cfg) + dual1d.F_star_density(zeq, cfg)
+        req = 0.5 * cfg.K * v**2 + dual1d.F_star_density(zeq, cfg)
         assert np.allclose(v * zeq, req, atol=1e-12)
         off = np.abs(lhs - rhs) > 1e-12
         assert np.all(np.abs(z[off] - cfg.K * v[off]) > 0)

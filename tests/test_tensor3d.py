@@ -7,7 +7,14 @@ from elastodual import tensor3d
 from elastodual.errors import NotPositiveDefinite
 from elastodual.tensor3d import I3, LameParams
 
-from conftest import golden_max, random_rotation
+from conftest import (
+    golden_max,
+    isotropic_tensor,
+    m_tensor_oracle,
+    on_sym,
+    random_rotation,
+    sym_basis,
+)
 
 P11 = LameParams(1.0, 1.0)
 
@@ -36,27 +43,31 @@ class TestMandel:
 class TestHooke:
     def test_trace_response(self):
         p = LameParams(2.0, 0.5)
-        H = tensor3d.hooke(p)
-        assert np.allclose(H.apply(I3), (3 * p.lam + 2 * p.mu) * I3)
+        e = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])  # Mandel vector of I
+        H = tensor3d.hooke_mandel(p)
+        assert np.allclose(H @ e, (3 * p.lam + 2 * p.mu) * e)
 
     def test_component_values(self):
         p = LameParams(1.5, 0.7)
-        full = tensor3d.hooke(p).full
-        assert full[0, 0, 0, 0] == pytest.approx(p.lam + 2 * p.mu)
-        assert full[0, 0, 1, 1] == pytest.approx(p.lam)
-        assert full[0, 1, 0, 1] == pytest.approx(p.mu)
+        H = tensor3d.hooke_mandel(p)
+        assert H[0, 0] == pytest.approx(p.lam + 2 * p.mu)
+        assert H[0, 1] == pytest.approx(p.lam)
+        assert H[5, 5] == pytest.approx(2 * p.mu)  # Mandel shear: 2 C_0101
 
     def test_mandel_spd(self):
-        H = tensor3d.hooke(P11)
-        assert np.all(np.linalg.eigvalsh(H.mandel) > 0)
+        H = tensor3d.hooke_mandel(P11)
+        assert np.all(np.linalg.eigvalsh(H) > 0)
 
     def test_closed_form_apply(self):
         rng = np.random.default_rng(2)
         p = LameParams(0.8, 1.2)
-        H = tensor3d.hooke(p)
+        full = isotropic_tensor(p.lam, p.mu)
+        assert np.max(np.abs(tensor3d.hooke_mandel(p) - on_sym(full))) <= 1e-14
         for _ in range(10):
             S = _random_sym(rng)
-            assert np.allclose(H.apply(S), tensor3d.hooke_apply(p, S))
+            assert np.allclose(
+                np.einsum("ijkl,kl->ij", full, S), tensor3d.hooke_apply(p, S)
+            )
 
     def test_isotropic_lower_bound(self):
         rng = np.random.default_rng(3)
@@ -77,18 +88,22 @@ class TestHookeInverse:
     def test_two_sided_inverse(self):
         rng = np.random.default_rng(4)
         p = LameParams(1.3, 0.9)
-        Hb = tensor3d.hooke_inverse(p)
+        c = tensor3d.compliance_params(p)
         for _ in range(100):
             S = _random_sym(rng)
-            assert np.max(np.abs(Hb.apply(tensor3d.hooke_apply(p, S)) - S)) <= 1e-12
             assert np.max(
-                np.abs(tensor3d.hooke_apply(p, Hb.apply(S)) - S)
+                np.abs(tensor3d.hooke_apply(c, tensor3d.hooke_apply(p, S)) - S)
+            ) <= 1e-12
+            assert np.max(
+                np.abs(tensor3d.hooke_apply(p, tensor3d.hooke_apply(c, S)) - S)
             ) <= 1e-12
 
     def test_trace_inverse(self):
         p = LameParams(2.0, 1.0)
-        Hb = tensor3d.hooke_inverse(p)
-        assert np.allclose(Hb.apply(I3), I3 / (3 * p.lam + 2 * p.mu))
+        c = tensor3d.compliance_params(p)
+        assert np.allclose(
+            tensor3d.hooke_apply(c, I3), I3 / (3 * p.lam + 2 * p.mu)
+        )
 
     def test_closed_form_entries(self):
         p = LameParams(1.7, 0.6)
@@ -99,15 +114,17 @@ class TestHookeInverse:
         ) - lam / (2.0 * mu * (3 * lam + 2 * mu)) * np.einsum(
             "ij,kl->ijkl", d, d
         )
-        assert np.max(np.abs(tensor3d.hooke_inverse(p).full - expected)) <= 1e-12
+        Hb = tensor3d.hooke_mandel(tensor3d.compliance_params(p))
+        assert np.max(np.abs(Hb - on_sym(expected))) <= 1e-12
 
     @pytest.mark.parametrize(
         "lam,mu", [(1.0, 1.0), (3.0, 0.7), (-0.6, 1.0), (50.0, 0.1)]
     )
     def test_matches_numerical_inverse(self, lam, mu):
         p = LameParams(lam, mu)
-        Minv = np.linalg.inv(tensor3d.hooke(p).mandel)
-        err = np.max(np.abs(tensor3d.hooke_inverse(p).mandel - Minv))
+        Minv = np.linalg.inv(on_sym(isotropic_tensor(lam, mu)))
+        Hb = tensor3d.hooke_mandel(tensor3d.compliance_params(p))
+        err = np.max(np.abs(Hb - Minv))
         assert err <= 1e-12 * np.max(np.abs(Minv))
 
     @pytest.mark.parametrize("lam", [1e15, 1e16, 1e17, 1e300])
@@ -120,10 +137,16 @@ class TestHookeInverse:
     def test_closed_form_apply_agrees(self):
         rng = np.random.default_rng(5)
         p = LameParams(0.4, 1.1)
-        Hb = tensor3d.hooke_inverse(p)
+        # compliance tensor from the numerical inverse on the symmetric basis
+        E = sym_basis()
+        Minv = np.linalg.inv(on_sym(isotropic_tensor(p.lam, p.mu)))
+        full = np.einsum("aij,ab,bkl->ijkl", E, Minv, E)
         for _ in range(10):
             S = _random_sym(rng)
-            assert np.allclose(Hb.apply(S), tensor3d.hooke_inverse_apply(p, S))
+            assert np.allclose(
+                np.einsum("ijkl,kl->ij", full, S),
+                tensor3d.hooke_apply(tensor3d.compliance_params(p), S),
+            )
 
 
 class TestGreenStrain:
@@ -286,7 +309,7 @@ class TestConjugateDensities:
 
         Ainv = np.linalg.inv(s + K * I3)
         b = v1 @ Ainv
-        a = tensor3d.hooke_inverse_apply(p, s) - 0.5 * b.T @ b
+        a = tensor3d.hooke_apply(tensor3d.compliance_params(p), s) - 0.5 * b.T @ b
         assert phi(a, b) == pytest.approx(closed, abs=1e-12)
         for _ in range(8):
             for M in (a, b):
@@ -310,7 +333,7 @@ class TestDstarHessianZ3D:
         Z = np.zeros((3, 3))
         K = 0.5
         hz = tensor3d.dstar_hessian_z_3d(Z, Z, Z, P11, K)
-        expected = np.eye(9) / K - tensor3d.hooke_inverse(P11).as_matrix9()
+        expected = np.eye(6) / K - np.linalg.inv(on_sym(isotropic_tensor(1.0, 1.0)))
         assert np.max(np.abs(hz - expected)) <= 1e-14
 
     def test_finite_difference_oracle(self):
@@ -326,12 +349,13 @@ class TestDstarHessianZ3D:
                 zz, K
             ) - tensor3d.g_star_k_density(v1, v2, zz, p, K)
 
+        # the Hessian acts on symmetric arguments: differentiate along an
+        # orthonormal symmetric basis
         eps = 1e-4
-        fd = np.zeros((9, 9))
-        dirs = [np.eye(9)[k].reshape(3, 3) for k in range(9)]
-        base = density(z)
-        for aa in range(9):
-            for bb in range(9):
+        fd = np.zeros((6, 6))
+        dirs = sym_basis()
+        for aa in range(6):
+            for bb in range(6):
                 da, db = dirs[aa], dirs[bb]
                 fd[aa, bb] = (
                     density(z + eps * da + eps * db)
@@ -346,7 +370,7 @@ class TestDstarHessianZ3D:
         p = P11
         mode = "identity"
         K = tensor3d.admissible_k_max(p, mode) * 0.999
-        _, m_eig = tensor3d.m_tensor_check(p, K, mode)
+        m_eig = min(tensor3d.m_tensor_eigs(p, K, mode))
         for _ in range(20):
             g0 = rng.uniform(-0.12, 0.12, (3, 3))
             # keep the spectral norm within the range where the Hessian
@@ -357,20 +381,18 @@ class TestDstarHessianZ3D:
             if tensor3d.pd_margin(v2 + z, K) < 0:
                 continue
             hz = tensor3d.dstar_hessian_z_3d(v1, v2, z, p, K)
-            assert tensor3d.min_eig_on_sym(hz) >= m_eig - 1e-12
+            assert np.linalg.eigvalsh(hz)[0] >= m_eig - 1e-12
 
 
 class TestMTensor:
     def test_large_k_negative(self):
         for mode in tensor3d.M_TENSOR_MODES:
-            _, eig = tensor3d.m_tensor_check(P11, 1e6, mode)
-            assert eig < 0.0
+            assert min(tensor3d.m_tensor_eigs(P11, 1e6, mode)) < 0.0
 
     def test_below_threshold_positive(self):
         for mode in tensor3d.M_TENSOR_MODES:
             k_max = tensor3d.admissible_k_max(P11, mode)
-            _, eig = tensor3d.m_tensor_check(P11, 0.5 * k_max, mode)
-            assert eig > 0.0
+            assert min(tensor3d.m_tensor_eigs(P11, 0.5 * k_max, mode)) > 0.0
 
     def test_identity_mode_analytic_value(self):
         # for lam = mu = 1 the binding constraint is the deviatoric
@@ -389,9 +411,7 @@ class TestMTensor:
         for mode in tensor3d.M_TENSOR_MODES:
             k_bis = tensor3d.admissible_k_max(P11, mode)
             ks = np.linspace(1e-3, 4.0, 2000)
-            eigs = np.array(
-                [tensor3d.m_tensor_check(P11, k, mode)[1] for k in ks]
-            )
+            eigs = np.linalg.eigvalsh(m_tensor_oracle(1.0, 1.0, ks, mode))[:, 0]
             idx = int(np.argmax(eigs <= 0.0))
             k0, k1 = ks[idx - 1], ks[idx]
             e0, e1 = eigs[idx - 1], eigs[idx]
@@ -400,16 +420,23 @@ class TestMTensor:
 
     def test_k_max_is_the_sign_change(self):
         # (lam, mu) pairs where the deviatoric bound 2 mu or the spherical
-        # bound 3 lam + 2 mu binds, in each mode
+        # bound 3 lam + 2 mu binds, in each mode; the closed-form spectrum
+        # (five deviatoric eigenvalues, one spherical) is the oracle's
         for lam, mu in ((1, 1), (0.5, 2), (3, 0.5), (-0.5, 1), (0, 0.5), (2.7, 1.9)):
             p = LameParams(lam, mu)
             for mode in tensor3d.M_TENSOR_MODES:
                 k_max = tensor3d.admissible_k_max(p, mode)
-                assert tensor3d.m_tensor_check(p, k_max * (1 - 1e-6), mode)[1] > 0
-                assert tensor3d.m_tensor_check(p, k_max * (1 + 1e-6), mode)[1] < 0
+                for K, sign in ((k_max * (1 - 1e-6), 1.0), (k_max * (1 + 1e-6), -1.0)):
+                    M = m_tensor_oracle(lam, mu, K, mode)
+                    eigs = np.linalg.eigvalsh(M)
+                    assert sign * eigs[0] > 0
+                    dev, bulk = tensor3d.m_tensor_eigs(p, K, mode)
+                    closed = np.sort([dev] * 5 + [bulk])
+                    scale = 1.0 / K + np.max(np.abs(M))
+                    assert np.max(np.abs(closed - eigs)) <= 1e-12 * scale
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
-            tensor3d.m_tensor(P11, 1.0, "bogus")
+            tensor3d.m_tensor_eigs(P11, 1.0, "bogus")
         with pytest.raises(ValueError):
             tensor3d.admissible_k_max(P11, "bogus")
