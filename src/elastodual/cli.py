@@ -57,15 +57,24 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _number(kind: type, text: str):
+    """int or float of text; argparse prints a plain message if it is neither."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+
+
 def _finite(text: str) -> float:
-    value = float(text)
+    value = _number(float, text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
 def _seed(text: str) -> int:
-    value = int(text)
+    value = _number(int, text)
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}"
@@ -85,7 +94,7 @@ def _parse_vec3(text: str) -> np.ndarray:
 
 
 def _parse_int3(text: str) -> tuple[int, int, int]:
-    parts = [int(v) for v in text.split(",")]
+    parts = [_number(int, v) for v in text.split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated integers")
     return tuple(parts)  # type: ignore[return-value]
@@ -131,20 +140,12 @@ def cmd_sweep1d(args: argparse.Namespace, models: list) -> int:
         code = _report_exit_code(report)
         status = SWEEP_STATUS.get(code, "FAILED")
         total = 2 * report.saddle_samples_total
-        frac = (
-            sum(report.saddle_samples_passed) / total if total else 0.0
+        frac = sum(report.saddle_samples_passed) / total if total else 0.0
+        values = (
+            amp, report.J_primal, report.J_dual, report.gap, report.condition_norm,
+            report.min_positivity_margin, report.min_hessian_z, frac,
         )
-        rows.append(
-            ",".join(
-                [
-                    _fmt(amp), _fmt(report.J_primal), _fmt(report.J_dual),
-                    _fmt(report.gap), _fmt(report.condition_norm),
-                    _fmt(report.min_positivity_margin),
-                    _fmt(report.min_hessian_z), _fmt(frac),
-                    str(report.newton_iters), status,
-                ]
-            )
-        )
+        rows.append(",".join([*map(_fmt, values), str(report.newton_iters), status]))
         worst = max(worst, code)
     _emit("\n".join(rows) + "\n", args.out)
     return worst

@@ -6,6 +6,9 @@ solver, and the end-to-end gap certification.
 All dual fields are elementwise constant, so the conjugate integrals are exact
 under midpoint quadrature and the discrete duality gap reduces to the inner
 product of the displacement with the converged equilibrium residual.
+The saddle and local-minimality samples are evaluated as stacks, one sample
+per row, in chunks of at most ``CHUNK_ELEMS`` values per array, which bounds
+their memory but not their answers.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ SCHEMA_VERSION = "1.0"
 GAP_TOL = 1e-10
 EIG_TOL = 1e-10
 N_LOCAL = 200
+#: values per array of stacked samples: a chunk holds CHUNK_ELEMS // n rows
+CHUNK_ELEMS = 2**14
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,7 @@ class DualConfig:
 
 @dataclass(frozen=True)
 class DualState1D:
-    """The dual triple (v1, v2, z) as elementwise fields."""
+    """The dual triple (v1, v2, z) as elementwise fields or broadcastable stacks."""
 
     v1: np.ndarray
     v2: np.ndarray
@@ -62,12 +67,11 @@ class DualState1D:
 
 def _require_positivity(d: DualState1D, cfg: DualConfig) -> np.ndarray:
     den = d.denominator(cfg)
-    e = int(np.argmin(den))
-    if den[e] <= 0.0:
+    i = np.unravel_index(np.argmin(den), den.shape)  # (sample, element) of a stack
+    if den[i] <= 0.0:
+        e, margin = int(i[-1]), float(den[i])
         raise PositivityViolated(
-            f"v2 + z + K = {den[e]:.6e} <= 0 at element {e}",
-            location=e,
-            margin=float(den[e]),
+            f"v2 + z + K = {margin:.6e} <= 0 at element {e}", location=e, margin=margin
         )
     return den
 
@@ -77,7 +81,7 @@ def F_star_density(z: np.ndarray, cfg: DualConfig) -> np.ndarray:
     return z**2 / (2.0 * cfg.K)
 
 
-def F_star(z: np.ndarray, cfg: DualConfig, g: Grid1D) -> float:
+def F_star(z: np.ndarray, cfg: DualConfig, g: Grid1D) -> float | np.ndarray:
     return integrate(F_star_density(z, cfg), g)
 
 
@@ -87,12 +91,12 @@ def G_star_K_density(d: DualState1D, m: BarModel, cfg: DualConfig) -> np.ndarray
     return 0.5 * d.v1**2 / den + s**2 / (2.0 * m.EA)
 
 
-def G_star_K(d: DualState1D, m: BarModel, cfg: DualConfig) -> float:
+def G_star_K(d: DualState1D, m: BarModel, cfg: DualConfig) -> float | np.ndarray:
     return integrate(G_star_K_density(d, m, cfg), m.grid)
 
 
-def dual_functional(d: DualState1D, m: BarModel, cfg: DualConfig) -> float:
-    """J*(v*, z*) = F*(z*) - G*_K(v*, z*)."""
+def dual_functional(d: DualState1D, m: BarModel, cfg: DualConfig) -> float | np.ndarray:
+    """J*(v*, z*) = F*(z*) - G*_K(v*, z*), one value per state of a stack."""
     return F_star(d.z, cfg, m.grid) - G_star_K(d, m, cfg)
 
 
@@ -137,28 +141,32 @@ def minimize_in_z_ball(
     r1: float,
     tol: float = 1e-14,
     max_iter: int = 100,
-) -> tuple[DualState1D, int]:
+) -> tuple[DualState1D, int | np.ndarray]:
     """Minimize J* over z within the sup-norm ball of radius r1 around
-    ``z_center``, holding (v1, v2) fixed.
+    ``z_center``, holding (v1, v2) fixed, for one state or each of a stack.
 
     The dual density is separable per element, so this is a bank of projected
-    scalar Newton iterations on the (locally convex) density.  Returns the
-    minimizing state and the number of elements whose minimum sits on the ball
-    boundary.
+    scalar Newton iterations on the (locally convex) density; a state stops
+    once its own largest step is at most ``tol``.  Returns the minimizing
+    state and the number of elements whose minimum sits on the ball boundary.
     """
     lo, hi = z_center - r1, z_center + r1
-    z = np.clip(d.z, lo, hi)
+    shape = np.broadcast_shapes(d.v1.shape, d.v2.shape, d.z.shape)
+    v1, v2, z = np.broadcast_arrays(*(np.atleast_2d(f) for f in (d.v1, d.v2, d.z)))
+    z = np.clip(z, lo, hi)
+    live = np.arange(len(z))  # rows of z still iterating
     for _ in range(max_iter):
-        _, grad, curv = _z_derivatives(DualState1D(d.v1, d.v2, z), m, cfg)
+        z_live = z[live]
+        _, grad, curv = _z_derivatives(DualState1D(v1[live], v2[live], z_live), m, cfg)
         if np.any(curv <= 0.0):
             raise NonConvergence("z-problem lost convexity inside the ball")
-        step = -grad / curv
-        z_new = np.clip(z + step, lo, hi)
-        if np.max(np.abs(z_new - z)) <= tol:
-            z = z_new
+        z_new = np.clip(z_live - grad / curv, lo, hi)
+        z[live] = z_new
+        live = live[np.max(np.abs(z_new - z_live), axis=-1) > tol]
+        if live.size == 0:
             break
-        z = z_new
-    at_boundary = int(np.sum((z <= lo + 1e-13) | (z >= hi - 1e-13)))
+    z = z.reshape(shape)
+    at_boundary = np.sum((z <= lo + 1e-13) | (z >= hi - 1e-13), axis=-1)
     result = DualState1D(d.v1, d.v2, z)
     # KKT check: interior elements must have zero gradient
     grad = _z_derivatives(result, m, cfg)[1]
@@ -166,6 +174,17 @@ def minimize_in_z_ball(
     if np.any(np.abs(grad[interior]) > 1e-9):
         raise NonConvergence("projected Newton did not reach stationarity")
     return result, at_boundary
+
+
+def _chunks(n_samples: int, row_len: int) -> list[tuple[int, int]]:
+    """Consecutive (start, stop) sample ranges of max(1, CHUNK_ELEMS // row_len)."""
+    step = max(1, CHUNK_ELEMS // row_len)
+    return [(i, min(i + step, n_samples)) for i in range(0, n_samples, step)]
+
+
+def _rescale(x: np.ndarray, size: np.ndarray, radius: float) -> np.ndarray:
+    """Rows of x scaled from their given size to ``radius``; zero rows stay."""
+    return x * np.divide(radius, size, out=np.ones_like(size), where=size > 0)[:, None]
 
 
 @dataclass
@@ -197,8 +216,9 @@ def saddle_verify(
     (b) random constraint-preserving v-perturbations in the r2-ball must keep
     the inner z-ball minimum at or below the center value.
 
-    Perturbations are uniform per element, rescaled to the requested sup norm;
-    samples are generated up front so results are deterministic per seed.
+    Perturbations are uniform per element, rescaled to the requested sup norm,
+    and drawn in sample order (z, then v, then the constants of the v2 shifts),
+    so results are deterministic per seed and independent of the chunking.
     """
     if norm_V(equilibrium_residual(d_hat, m)[1:-1]) > constraint_tol:
         raise ValueError("dual state violates the weak equilibrium constraint")
@@ -210,54 +230,36 @@ def saddle_verify(
     shrinks = 0
     # shrink radii until the sampled balls stay inside the positivity domain
     while r1 + 2.0 * r2 >= margin and shrinks < 60:
-        r1 *= 0.5
-        r2 *= 0.5
+        r1, r2 = 0.5 * r1, 0.5 * r2
         shrinks += 1
     if r1 + 2.0 * r2 >= margin:
         raise PositivityViolated(
-            "cannot fit sampling balls inside the positivity domain",
-            margin=margin,
+            "cannot fit sampling balls inside the positivity domain", margin=margin
         )
-
-    z_deltas = rng.uniform(-1.0, 1.0, size=(n_samples, n))
-    v_deltas = rng.uniform(-1.0, 1.0, size=(n_samples, n))
-    v_consts = rng.uniform(-1.0, 1.0, size=n_samples)
 
     passed_z = 0
-    for k in range(n_samples):
-        delta = z_deltas[k]
-        mx = np.max(np.abs(delta))
-        if mx > 0:
-            delta = delta * (r1 / mx)
-        sample = DualState1D(d_hat.v1, d_hat.v2, d_hat.z + delta)
-        if dual_functional(sample, m, cfg) >= J_center - tol:
-            passed_z += 1
+    for a, b in _chunks(n_samples, n):
+        delta = rng.uniform(-1.0, 1.0, size=(b - a, n))
+        delta = _rescale(delta, np.max(np.abs(delta), axis=-1), r1)
+        J = dual_functional(DualState1D(d_hat.v1, d_hat.v2, d_hat.z + delta), m, cfg)
+        passed_z += int(np.count_nonzero(J >= J_center - tol))
 
-    passed_v = 0
-    boundary_hits = 0
-    for k in range(n_samples):
-        d1 = v_deltas[k]
-        d2 = v_consts[k] - d1  # constant sum: weak divergence is unchanged
-        mx = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
-        if mx > 0:
-            d1, d2 = d1 * (r2 / mx), d2 * (r2 / mx)
-        perturbed = DualState1D(d_hat.v1 + d1, d_hat.v2 + d2, d_hat.z)
-        minimized, at_boundary = minimize_in_z_ball(
-            perturbed, m, cfg, d_hat.z, r1
+    v_deltas = rng.uniform(-1.0, 1.0, size=(n_samples, n))
+    v_consts = rng.uniform(-1.0, 1.0, size=n_samples)
+    passed_v = boundary_hits = 0
+    for a, b in _chunks(n_samples, n):
+        d1 = v_deltas[a:b]
+        d2 = v_consts[a:b, None] - d1  # constant sum: weak divergence is unchanged
+        mx = np.maximum(np.max(np.abs(d1), axis=-1), np.max(np.abs(d2), axis=-1))
+        perturbed = DualState1D(
+            d_hat.v1 + _rescale(d1, mx, r2), d_hat.v2 + _rescale(d2, mx, r2), d_hat.z
         )
-        boundary_hits += int(at_boundary > 0)
-        if dual_functional(minimized, m, cfg) <= J_center + tol:
-            passed_v += 1
+        minimized, at_boundary = minimize_in_z_ball(perturbed, m, cfg, d_hat.z, r1)
+        boundary_hits += int(np.count_nonzero(at_boundary))
+        J = dual_functional(minimized, m, cfg)
+        passed_v += int(np.count_nonzero(J <= J_center + tol))
 
-    return SaddleResult(
-        n_samples=n_samples,
-        passed_z=passed_z,
-        passed_v=passed_v,
-        r1=r1,
-        r2=r2,
-        boundary_hits=boundary_hits,
-        radius_shrinks=shrinks,
-    )
+    return SaddleResult(n_samples, passed_z, passed_v, r1, r2, boundary_hits, shrinks)
 
 
 def _stationarity(d: DualState1D, u: np.ndarray, m: BarModel, cfg: DualConfig):
@@ -432,18 +434,16 @@ def certify(m: BarModel, seed: int = 0) -> GapReport:
     report.newton_iters = sum(iters)
 
     report.residual_norm = norm_V(primal1d.residual(m, u0)[1:-1])
-    value, ok = primal1d.condition_check(u0, m.grid)
-    report.condition_norm = value
-    report.condition_ok = ok
-    if not ok:
+    report.J_primal = primal1d.energy(m, u0)
+    report.condition_norm, report.condition_ok = primal1d.condition_check(u0, m.grid)
+    if not report.condition_ok:
         report.errors.append(
-            f"hypothesis: ||u_x||_inf = {value:.6f} >= 1/4, no certification claimed"
+            f"hypothesis: ||u_x||_inf = {report.condition_norm:.6f} >= 1/4, "
+            "no certification claimed"
         )
-        report.J_primal = primal1d.energy(m, u0)
         return report
 
     d_hat = construct_duals(m, u0, cfg)
-    report.J_primal = primal1d.energy(m, u0)
     report.J_dual = dual_functional(d_hat, m, cfg)
     report.gap = report.J_primal - report.J_dual
     report.min_positivity_margin = d_hat.positivity_margin(cfg)
@@ -453,8 +453,7 @@ def certify(m: BarModel, seed: int = 0) -> GapReport:
     )
     report.min_eig = primal1d.second_variation_min_eig(m, u0)
 
-    r1 = min(1e-2, 0.5 * report.min_positivity_margin)
-    r2 = r1
+    r1 = r2 = min(1e-2, 0.5 * report.min_positivity_margin)
     report.r = r1 / cfg.K
 
     try:
@@ -467,24 +466,18 @@ def certify(m: BarModel, seed: int = 0) -> GapReport:
         report.errors.append(f"saddle: {exc}")
 
     try:
-        _, _, iters = kkt_solve(m, cfg, (d_hat, u0.u), tol=1e-11)
+        report.kkt_iters = kkt_solve(m, cfg, (d_hat, u0.u), tol=1e-11)[2]
         report.kkt_converged = True
-        report.kkt_iters = iters
     except (NonConvergence, SingularKKTMatrix) as exc:
         report.errors.append(f"kkt: {exc}")
 
     rng = np.random.default_rng(seed + 1)
-    J0 = report.J_primal
-    passed_local = 0
-    for _ in range(N_LOCAL):
-        delta = np.zeros(m.grid.n_elem + 1)
-        delta[1:-1] = rng.uniform(-1.0, 1.0, m.grid.n_elem - 1)
-        scale = norm_U(delta, m.grid)
-        if scale > 0:
-            delta *= 1e-3 / scale
-        if primal1d.energy(m, PrimalState(u0.u + delta)) >= J0 - 1e-12:
-            passed_local += 1
-    report.local_min_passed = passed_local
+    n = m.grid.n_elem
+    for a, b in _chunks(N_LOCAL, n + 1):
+        delta = np.pad(rng.uniform(-1.0, 1.0, size=(b - a, n - 1)), ((0, 0), (1, 1)))
+        delta = _rescale(delta, norm_U(delta, m.grid), 1e-3)
+        J = primal1d.energy(m, PrimalState(u0.u + delta))
+        report.local_min_passed += int(np.count_nonzero(J >= report.J_primal - 1e-12))
     report.local_min_total = N_LOCAL
 
     # the slope condition and every solver failure were recorded above

@@ -6,7 +6,8 @@ Nodal fields are plain numpy arrays of length ``n_elem + 1`` (continuous,
 piecewise linear); element fields have length ``n_elem`` and represent values
 at element midpoints.  One-point midpoint quadrature is exact for elementwise
 constant integrands, which is what makes every discrete duality identity in
-this package close to rounding.
+this package close to rounding.  The field operations below also take stacks
+of fields, one field per row of the last axis, and reduce each row on its own.
 """
 
 from __future__ import annotations
@@ -44,16 +45,21 @@ class Grid1D:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
     def check_nodal(self, u: np.ndarray) -> None:
-        if u.shape != (self.n_elem + 1,):
+        if u.shape[-1:] != (self.n_elem + 1,):
             raise SizeMismatch(
-                f"nodal field has {u.shape[0]} values, expected {self.n_elem + 1}"
+                f"nodal field has {u.shape[-1]} values, expected {self.n_elem + 1}"
             )
 
     def check_elem(self, f: np.ndarray) -> None:
-        if f.shape != (self.n_elem,):
+        if f.shape[-1:] != (self.n_elem,):
             raise SizeMismatch(
-                f"element field has {f.shape[0]} values, expected {self.n_elem}"
+                f"element field has {f.shape[-1]} values, expected {self.n_elem}"
             )
+
+
+def _per_field(x: np.ndarray) -> float | np.ndarray:
+    """A float for a single field, an array of one value per row for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def derivative(u: np.ndarray, g: Grid1D) -> np.ndarray:
@@ -62,27 +68,27 @@ def derivative(u: np.ndarray, g: Grid1D) -> np.ndarray:
     return np.diff(u) / g.h
 
 
-def integrate(f: np.ndarray, g: Grid1D) -> float:
+def integrate(f: np.ndarray, g: Grid1D) -> float | np.ndarray:
     """Midpoint-rule integral of an element field over [0, L]."""
     g.check_elem(f)
-    return float(np.sum(f) * g.h)
+    return _per_field(np.sum(f, axis=-1) * g.h)
 
 
 def average_to_midpoints(u: np.ndarray, g: Grid1D) -> np.ndarray:
     """Midpoint values of a piecewise-linear nodal field."""
     g.check_nodal(u)
-    return 0.5 * (u[:-1] + u[1:])
+    return 0.5 * (u[..., :-1] + u[..., 1:])
 
 
-def norm_U(u: np.ndarray, g: Grid1D) -> float:
+def norm_U(u: np.ndarray, g: Grid1D) -> float | np.ndarray:
     """Discrete max over the bar of |u| + |u_x|.
 
     Evaluated per element as max(|u| at the two endpoints) + |slope|.
     """
     g.check_nodal(u)
     ux = derivative(u, g)
-    endpoint_max = np.maximum(np.abs(u[:-1]), np.abs(u[1:]))
-    return float(np.max(endpoint_max + np.abs(ux)))
+    endpoint_max = np.maximum(np.abs(u[..., :-1]), np.abs(u[..., 1:]))
+    return _per_field(np.max(endpoint_max + np.abs(ux), axis=-1))
 
 
 def norm_V(f: np.ndarray) -> float:

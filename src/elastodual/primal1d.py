@@ -18,7 +18,7 @@ from scipy.linalg import (
 )
 
 from .errors import NonConvergence, SingularHessian
-from .mesh1d import Grid1D, average_to_midpoints, derivative, norm_V
+from .mesh1d import Grid1D, average_to_midpoints, derivative, integrate, norm_V
 
 #: strict upper bound on ||u_x||_inf for the local duality construction
 SLOPE_LIMIT = 0.25
@@ -48,12 +48,12 @@ class BarModel:
 
 @dataclass(frozen=True)
 class PrimalState:
-    """Clamped nodal displacement field (u[0] = u[-1] = 0)."""
+    """Clamped nodal displacement field (u[0] = u[-1] = 0), or a stack of them."""
 
     u: np.ndarray
 
     def __post_init__(self):
-        if self.u[0] != 0.0 or self.u[-1] != 0.0:
+        if np.count_nonzero(self.u[..., :: max(1, self.u.shape[-1] - 1)]):  # end nodes
             raise ValueError("displacement must vanish at both ends")
 
 
@@ -62,13 +62,13 @@ def _axial_force(m: BarModel, ux: np.ndarray) -> np.ndarray:
     return m.EA * (ux + 0.5 * ux**2)
 
 
-def energy(m: BarModel, s: PrimalState) -> float:
-    """Total potential energy J(u) under midpoint quadrature."""
+def energy(m: BarModel, s: PrimalState) -> float | np.ndarray:
+    """Total potential energy J(u) under midpoint quadrature, one per field
+    of a stacked state."""
     g = m.grid
     ux = derivative(s.u, g)
     strain = ux + 0.5 * ux**2
-    ubar = average_to_midpoints(s.u, g)
-    return float(np.sum(0.5 * m.EA * strain**2 - m.P * ubar) * g.h)
+    return integrate(0.5 * m.EA * strain**2 - m.P * average_to_midpoints(s.u, g), g)
 
 
 def weak_residual(m: BarModel, force: np.ndarray) -> np.ndarray:

@@ -296,16 +296,16 @@ def test_criterion_11_m_tensor_report(tmp_path):
     ok = code == 0
     details = []
     for mode in tensor3d.M_TENSOR_MODES:
-        k_bis = doc["modes"][mode]["K_max"]
+        k_closed = doc["modes"][mode]["K_max"]
         ks = np.linspace(1e-4, 4.0, 10_000)
         eigs = np.linalg.eigvalsh(m_tensor_oracle(p.lam, p.mu, ks, mode))[:, 0]
         idx = int(np.argmax(eigs <= 0.0))
         k0, k1 = ks[idx - 1], ks[idx]
         e0, e1 = eigs[idx - 1], eigs[idx]
         k_grid = k0 - e0 * (k1 - k0) / (e1 - e0)
-        ok = ok and abs(k_bis - k_grid) <= 1e-6
-        details.append(f"{mode}: bisection {k_bis:.8f}, sweep {k_grid:.8f}")
-    _report(11, "K_max bisection matches 10^4-point grid sweep, JSON published",
+        ok = ok and abs(k_closed - k_grid) <= 1e-6
+        details.append(f"{mode}: closed form {k_closed:.8f}, sweep {k_grid:.8f}")
+    _report(11, "K_max closed form matches 10^4-point grid sweep, JSON published",
             ok, "; ".join(details))
 
 

@@ -253,6 +253,26 @@ def test_invalid_input_exit_code(args, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("certify1d --seed x", "argument --seed: expected an integer, got 'x'"),
+        ("certify1d --amp x", "argument --amp: expected a number, got 'x'"),
+        ("sweep1d --amps 0.1,x", "argument --amps: expected a number, got 'x'"),
+        ("certify3d --mesh 2,x,2", "argument --mesh: expected an integer, got 'x'"),
+        ("certify3d --box 1,y,1", "argument --box: expected a number, got 'y'"),
+    ],
+)
+def test_unparsable_number_message(args, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args.split())
+    err = capsys.readouterr().err
+    assert exc.value.code == cli.EXIT_INVALID_INPUT
+    assert message in err
+    # argparse's fallback "invalid <type name> value" would name a private parser
+    assert "invalid" not in err and " _" not in err
+
+
 def test_unwritable_out_exits_before_the_solve(tmp_path, monkeypatch, capsys):
     def solve(*args, **kwargs):
         raise AssertionError("the solve ran")

@@ -1,6 +1,8 @@
 """Unit tests for the 1D dual side: conjugates, dual construction, gap
 identities, saddle sampling, the KKT solver, and certification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,94 @@ class TestSaddleVerify:
         )
 
 
+def _saddle_counts_per_sample(m, d_hat, cfg, r1, r2, seed, n_samples=100, tol=1e-10):
+    """Oracle of saddle_verify's (passed_z, passed_v, boundary_hits): one
+    sample at a time, each z-sample through the single-state dual_functional
+    and each v-sample through a projected Newton with the z-derivatives of
+    the dual density written out here."""
+    rng = np.random.default_rng(seed)
+    n = m.grid.n_elem
+    z_deltas = rng.uniform(-1.0, 1.0, size=(n_samples, n))
+    v_deltas = rng.uniform(-1.0, 1.0, size=(n_samples, n))
+    v_consts = rng.uniform(-1.0, 1.0, size=n_samples)
+    J_center = dual1d.dual_functional(d_hat, m, cfg)
+    passed_z = passed_v = hits = 0
+    for delta in z_deltas:
+        z = d_hat.z + delta * (r1 / np.max(np.abs(delta)))
+        J = dual1d.dual_functional(DualState1D(d_hat.v1, d_hat.v2, z), m, cfg)
+        passed_z += int(J >= J_center - tol)
+    lo, hi = d_hat.z - r1, d_hat.z + r1
+    for d1, c in zip(v_deltas, v_consts):
+        d2 = c - d1
+        scale = r2 / max(np.max(np.abs(d1)), np.max(np.abs(d2)))
+        v1, v2 = d_hat.v1 + d1 * scale, d_hat.v2 + d2 * scale
+        z = np.clip(d_hat.z, lo, hi)
+        for _ in range(100):
+            den = v2 + z + cfg.K
+            grad = z / cfg.K + 0.5 * v1**2 / den**2 - (v2 + z) / m.EA
+            curv = 1.0 / cfg.K - v1**2 / den**3 - 1.0 / m.EA
+            assert np.all(den > 0.0) and np.all(curv > 0.0)
+            z_new = np.clip(z - grad / curv, lo, hi)
+            step, z = np.max(np.abs(z_new - z)), z_new
+            if step <= 1e-14:
+                break
+        hits += int(np.any((z <= lo + 1e-13) | (z >= hi - 1e-13)))
+        J = dual1d.dual_functional(DualState1D(v1, v2, z), m, cfg)
+        passed_v += int(J <= J_center + tol)
+    return passed_z, passed_v, hits
+
+
+class TestBatchedSamples:
+    """The stacked, chunked sample checks against per-sample loops."""
+
+    N = 512  # 100 saddle samples in 4 chunks, 200 local-min samples in 7
+
+    def test_saddle_counts_match_per_sample_loop(self):
+        # z does not enter the weak equilibrium constraint, so a shifted z is
+        # a valid centre off the stationary point.  The first centre leaves
+        # passed_z and passed_v strictly between 0 and 100, the second one
+        # boundary_hits.
+        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, self.N)
+        assert len(dual1d._chunks(100, self.N)) >= 3
+        u0 = primal1d.solve_newton(m)
+        cfg = DualConfig(m.EA / 2.0)
+        d = dual1d.construct_duals(m, u0, cfg)
+        partial = set()
+        for shift, r1, r2 in ((3e-3, 1e-4, 1e-3), (5e-3, 1e-2, 1e-2)):
+            centre = DualState1D(d.v1, d.v2, d.z + shift)
+            res = dual1d.saddle_verify(m, u0, centre, cfg, r1, r2, seed=5)
+            assert (res.r1, res.r2, res.n_samples) == (r1, r2, 100)
+            counts = (res.passed_z, res.passed_v, res.boundary_hits)
+            assert counts == _saddle_counts_per_sample(m, centre, cfg, r1, r2, seed=5)
+            partial |= {i for i, c in enumerate(counts) if 0 < c < 100}
+        assert partial == {0, 1, 2}
+
+    @pytest.mark.parametrize("bump", [0.0, 1e-5])
+    def test_local_min_matches_per_sample_replay(self, bump, monkeypatch):
+        # a bump alternating from node to node moves the centre off the
+        # minimum (inside the slope condition), so part of the samples fail
+        n = self.N
+        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, n)
+        assert len(dual1d._chunks(dual1d.N_LOCAL, n + 1)) >= 3
+        u0 = primal1d.solve_newton(m).u.copy()
+        u0[1:-1] += bump * (-1.0) ** np.arange(n - 1)
+        monkeypatch.setattr(primal1d, "solve_newton", lambda *a, **k: PrimalState(u0))
+        report = dual1d.certify(m, seed=4)
+        rng = np.random.default_rng(4 + 1)  # certify's local-min stream
+        J0 = primal1d.energy(m, PrimalState(u0))
+        passed = 0
+        for _ in range(dual1d.N_LOCAL):
+            delta = np.zeros(n + 1)
+            delta[1:-1] = rng.uniform(-1.0, 1.0, n - 1)
+            delta *= 1e-3 / norm_U(delta, m.grid)
+            passed += int(primal1d.energy(m, PrimalState(u0 + delta)) >= J0 - 1e-12)
+        assert report.condition_ok
+        assert (report.local_min_passed, report.local_min_total) == (
+            passed, dual1d.N_LOCAL
+        )
+        assert 0 < passed < dual1d.N_LOCAL if bump else passed == dual1d.N_LOCAL
+
+
 def _kkt_residual(d, u, m, cfg):
     """Stationarity residual stacked as (r_z, r_v1, r_v2, interior r_u)."""
     den = d.v2 + d.z + cfg.K
@@ -433,6 +523,20 @@ class TestCertify:
         assert not report.passed
         assert not report.condition_ok
         assert any(e.startswith("hypothesis") for e in report.errors)
+
+    def test_memory_is_bounded(self):
+        # peak traced allocation of one n = 4096 certification: 7.4 MB for a
+        # loop over single samples with the draws held up front, 6.0 MB in
+        # chunks of 2^14 values, 53 MB for one unchunked batch of the samples
+        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, 4096)
+        tracemalloc.start()
+        try:
+            report = dual1d.certify(m, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 10e6
 
     def test_upper_bound_chain(self, bar_model, bar_solution, bar_duals):
         d, cfg = bar_duals

@@ -134,3 +134,16 @@ def test_average_to_midpoints():
     g = Grid1D(1.0, 4)
     u = g.nodes**2
     assert np.allclose(average_to_midpoints(u, g), 0.5 * (u[:-1] + u[1:]))
+
+
+def test_stacks_reduce_each_row():
+    g = Grid1D(1.0, 16)
+    rng = np.random.default_rng(5)
+    u, f = rng.standard_normal((4, 17)), rng.standard_normal((4, 16))
+    for fn, x in ((derivative, u), (average_to_midpoints, u), (integrate, f), (norm_U, u)):
+        stacked = fn(x, g)
+        assert np.array_equal(stacked, [fn(row, g) for row in x])
+    assert isinstance(integrate(f[0], g), float)
+    assert isinstance(norm_U(u[0], g), float)
+    with pytest.raises(SizeMismatch):
+        derivative(np.zeros((4, 16)), g)

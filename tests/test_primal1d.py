@@ -61,6 +61,22 @@ class TestEnergy:
         with pytest.raises(ValueError):
             PrimalState(np.ones(5))
 
+    def test_stacked_states(self):
+        # one clamped state per row; a free end in any row is rejected
+        g = Grid1D(1.0, 8)
+        m = BarModel(1.0, 1.0, g, np.sin(np.pi * g.midpoints))
+        u = np.zeros((3, 9))
+        u[:, 1:-1] = np.random.default_rng(4).uniform(-0.1, 0.1, (3, 7))
+        energies = primal1d.energy(m, PrimalState(u))
+        assert energies.shape == (3,)
+        for row, value in zip(u, energies):
+            assert value == primal1d.energy(m, PrimalState(row))
+        for end in (0, -1):
+            bad = u.copy()
+            bad[2, end] = 1e-3
+            with pytest.raises(ValueError):
+                PrimalState(bad)
+
 
 class TestResidual:
     def test_rest_state(self):

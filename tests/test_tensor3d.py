@@ -407,16 +407,16 @@ class TestMTensor:
             2.0, abs=1e-9
         )
 
-    def test_bisection_matches_grid_sweep(self):
+    def test_closed_form_matches_grid_sweep(self):
         for mode in tensor3d.M_TENSOR_MODES:
-            k_bis = tensor3d.admissible_k_max(P11, mode)
+            k_closed = tensor3d.admissible_k_max(P11, mode)
             ks = np.linspace(1e-3, 4.0, 2000)
             eigs = np.linalg.eigvalsh(m_tensor_oracle(1.0, 1.0, ks, mode))[:, 0]
             idx = int(np.argmax(eigs <= 0.0))
             k0, k1 = ks[idx - 1], ks[idx]
             e0, e1 = eigs[idx - 1], eigs[idx]
             k_grid = k0 - e0 * (k1 - k0) / (e1 - e0)
-            assert abs(k_bis - k_grid) <= 1e-4
+            assert abs(k_closed - k_grid) <= 1e-4
 
     def test_k_max_is_the_sign_change(self):
         # (lam, mu) pairs where the deviatoric bound 2 mu or the spherical
