@@ -6,6 +6,11 @@ equilibrium constraint is enforced weakly against the displacement test
 space.  This keeps every certification identity quadrature-consistent, so the
 discrete duality gap reduces to the inner product of the displacement with
 the converged residual.
+
+Gradients and weak divergences are one matrix product with the (8, 24)
+gradient matrix of the reference element.  The local-minimality and
+z-convexity samples are evaluated as stacks, one sample per row, in chunks
+of ``dual1d.CHUNK_ELEMS`` values per array, like the 1D samples.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import tensor3d
+from .dual1d import _chunks, _rescale
 from .errors import NonConvergence, NotPositiveDefinite, SingularSystem
 from .tensor3d import I3, LameParams
 
@@ -121,6 +127,9 @@ class BoxMesh:
         self.N = _shape_values(pts)  # (8q, 8n)
         scale = np.array([2.0 / self.hx, 2.0 / self.hy, 2.0 / self.hz])
         self.dN = _shape_grads(pts) * scale  # (8q, 8n, 3)
+        # column 3q + J holds dN[q, :, J]: one matmul of an element's nodal
+        # values with it gives the gradients at all its quadrature points
+        self.grad_matrix = self.dN.transpose(1, 0, 2).reshape(8, 24)
         self.detJ = self.hx * self.hy * self.hz / 8.0
 
         # traction face x = lx: the last ny * nz elements (i = nx - 1), local
@@ -142,17 +151,20 @@ def zero_displacement(mesh: BoxMesh) -> np.ndarray:
 
 
 def displacement_gradients(mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
-    """Displacement gradient at all quadrature points; (n_elem, 8, 3, 3)."""
-    ue = u[mesh.conn]  # (ne, 8n, 3)
-    return np.einsum("enI,qnJ->eqIJ", ue, mesh.dN)
+    """Displacement gradient at all quadrature points; (..., n_elem, 8, 3, 3)
+    for displacements (..., n_nodes, 3)."""
+    ue = np.swapaxes(u[..., mesh.conn, :], -1, -2)  # (..., ne, 3I, 8n)
+    g = ue.reshape(-1, 8) @ mesh.grad_matrix  # rows (..., e, I), columns (q, J)
+    return np.swapaxes(g.reshape(ue.shape[:-1] + (8, 3)), -3, -2)
 
 
-def energy_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> float:
+def energy_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> float | np.ndarray:
     """Stored energy (2x2x2 Gauss quadrature) minus the work L.u of the
-    mesh's load vector."""
+    mesh's load vector; one value per field of a stack (..., n_nodes, 3)."""
     E = tensor3d.green_strain(displacement_gradients(mesh, u))
-    elastic = 0.5 * np.sum(tensor3d.hooke_apply(m.lame, E) * E) * mesh.detJ
-    return float(elastic - np.sum(mesh.load * u))
+    HE = tensor3d.hooke_apply(m.lame, E)
+    elastic = 0.5 * np.sum(HE * E, axis=(-4, -3, -2, -1)) * mesh.detJ
+    return elastic - np.sum(mesh.load * u, axis=(-2, -1))
 
 
 def _load_vector(m: SolidModel, mesh: BoxMesh) -> np.ndarray:
@@ -170,7 +182,8 @@ def _weak_residual(
 ) -> np.ndarray:
     """Weak divergence of a per-quadrature-point tensor field less
     load_factor times the mesh's load vector; clamped rows zeroed."""
-    Rel = mesh.detJ * np.einsum("eqIJ,qnJ->enI", flux, mesh.dN)
+    fq = np.swapaxes(flux, -3, -2).reshape(-1, 24)  # rows (e, I), columns (q, J)
+    Rel = mesh.detJ * np.swapaxes((fq @ mesh.grad_matrix.T).reshape(-1, 3, 8), -1, -2)
     R = np.zeros((mesh.n_nodes, 3))
     np.add.at(R, mesh.conn, Rel)
     R -= load_factor * mesh.load
@@ -239,11 +252,6 @@ def solve_newton_3d(
     return mesh, u
 
 
-def gradient_sup_norm(mesh: BoxMesh, u: np.ndarray) -> float:
-    """Max over quadrature points of the largest |u_{i,j}| entry."""
-    return float(np.max(np.abs(displacement_gradients(mesh, u))))
-
-
 @dataclass
 class Gap3DReport:
     """Certification record of the 3D duality principle on one box problem."""
@@ -297,8 +305,9 @@ def certify_3d(
 
     R0 = residual_3d(m, mesh, u0).ravel()
     report.residual_norm = float(np.max(np.abs(R0[mesh.free_dofs])))
-    report.J_primal = energy_3d(m, mesh, u0)
-    report.condition_max = gradient_sup_norm(mesh, u0)
+    report.J_primal = float(energy_3d(m, mesh, u0))
+    g0 = displacement_gradients(mesh, u0)
+    report.condition_max = float(np.max(np.abs(g0)))
     report.condition_ok = report.condition_max < GRADIENT_LIMIT
     if not report.condition_ok:
         report.errors.append(
@@ -316,9 +325,7 @@ def certify_3d(
     report.m_min_eig = min(tensor3d.m_tensor_eigs(lame, K, mode))
 
     # dual fields at every quadrature point, (n_elem, 8, 3, 3) each
-    v1, v2, z = tensor3d.construct_duals_pointwise(
-        lame, K, displacement_gradients(mesh, u0)
-    )
+    v1, v2, z = tensor3d.construct_duals_pointwise(lame, K, g0)
 
     report.min_pd_margin = float(np.min(tensor3d.pd_margin(v2 + z, K)))
     report.k_feasible = report.m_min_eig > 0 and report.min_pd_margin >= 0
@@ -329,14 +336,18 @@ def certify_3d(
         )
         return report
 
-    def dual_functional(zz: np.ndarray) -> float:
-        """J* = F*(z) - G*_K(v1, v2, z) under 2x2x2 Gauss quadrature."""
-        return float(np.sum(
-            tensor3d.f_star_3d_density(zz, K)
-            - tensor3d.g_star_k_density(v1, v2, zz, lame, K)
-        ) * mesh.detJ)
+    gram = np.swapaxes(v1, -1, -2) @ v1  # v1^T v1, the same for every z
 
-    report.J_dual = dual_functional(z)
+    def dual_functional(zz: np.ndarray) -> np.ndarray:
+        """J* = F*(z) - G*_K(v1, v2, z) under 2x2x2 Gauss quadrature, one
+        value per z of a stack (..., n_elem, 8, 3, 3)."""
+        return np.sum(
+            tensor3d.f_star_3d_density(zz, K)
+            - tensor3d.g_star_k_density(v1, v2, zz, lame, K, gram=gram),
+            axis=(-2, -1),
+        ) * mesh.detJ
+
+    report.J_dual = float(dual_functional(z))
     report.gap = report.J_primal - report.J_dual
     report.min_hessian_z_eig = float(np.min(np.linalg.eigvalsh(
         tensor3d.dstar_hessian_z_3d(v1, v2, z, lame, K)
@@ -347,34 +358,33 @@ def certify_3d(
         np.max(np.abs(Rdual.ravel()[mesh.free_dofs]))
     )
 
+    # Both sample checks draw one seeded stream in sample order, a chunk of
+    # rows at a time, so the samples do not depend on the chunking.  A row's
+    # largest array is its stack of gradients, 72 values per element.
     rng = np.random.default_rng(seed)
-    passed = 0
-    for _ in range(N_LOCAL):
-        delta = np.zeros((mesh.n_nodes, 3))
-        dv = rng.uniform(-1.0, 1.0, size=mesh.free_dofs.size)
-        delta.reshape(-1)[mesh.free_dofs] = dv
-        mx = np.max(np.abs(delta))
-        if mx > 0:
-            delta *= 1e-4 / mx
-        if energy_3d(m, mesh, u0 + delta) >= report.J_primal - 1e-12:
-            passed += 1
-    report.local_min_passed = passed
+    free, row_len = mesh.free_dofs, 72 * mesh.n_elem
+    for a, b in _chunks(N_LOCAL, row_len):
+        delta = np.zeros((b - a, mesh.n_dof))
+        delta[:, free] = rng.uniform(-1.0, 1.0, size=(b - a, free.size))
+        delta = _rescale(delta, np.max(np.abs(delta), axis=-1), 1e-4)
+        J = energy_3d(m, mesh, u0 + delta.reshape(b - a, mesh.n_nodes, 3))
+        report.local_min_passed += int(np.count_nonzero(J >= report.J_primal - 1e-12))
     report.local_min_total = N_LOCAL
 
     # z-convexity sampling: symmetric perturbations of z at every point,
-    # each scaled to sup-norm radius.  One draw per sample keeps the
-    # temporaries at the size of z.
+    # each scaled to sup-norm radius
     radius = min(1e-3, 0.25 * report.min_pd_margin + 1e-12)
-    z_passed = 0
-    for _ in range(N_Z_SAMPLES):
-        dz = tensor3d.sym(rng.uniform(-1.0, 1.0, size=z.shape))
+    for a, b in _chunks(N_Z_SAMPLES, row_len):
+        dz = tensor3d.sym(rng.uniform(-1.0, 1.0, size=(b - a,) + z.shape))
         dz *= radius / np.max(np.abs(dz), axis=(-2, -1), keepdims=True)
+        zz = z + dz
         try:
-            if dual_functional(z + dz) >= report.J_dual - 1e-10:
-                z_passed += 1
+            J = dual_functional(zz)
         except NotPositiveDefinite:
-            pass  # an indefinite sample counts as failed
-    report.z_convex_passed = z_passed
+            # a sample with an indefinite point fails; the other rows go on
+            pd = np.all(tensor3d.pd_mask(v2 + zz + K * I3), axis=(-2, -1))
+            J = dual_functional(zz[pd])
+        report.z_convex_passed += int(np.count_nonzero(J >= report.J_dual - 1e-10))
     report.z_convex_total = N_Z_SAMPLES
 
     # every earlier failure returned with its own message, so the report

@@ -14,6 +14,11 @@ shear slots), the compliance as Hooke's law with ``compliance_params``, and
 the K-feasibility tensor M by its two eigenvalues (``m_tensor_eigs``).
 There is no 3x3x3x3 array.
 
+Positive definiteness of the 3x3 denominators is decided, and their inverses
+formed, in closed form (Sylvester's criterion, the adjugate over the
+determinant), elementwise over the stack; LAPACK runs only for report values
+and for the margin of a failed check.
+
 Convention note: the conjugate term in v1 is tr(A^-1 v1^T v1) with
 A = v2 + z + K*I, the dual construction right-multiplies the displacement
 gradient, v1 = grad_u (sigma + K*I), and z pairs with the full gradient.
@@ -137,26 +142,52 @@ def construct_duals_pointwise(
     return v1, v2, z
 
 
-def _denominator(v2: np.ndarray, z: np.ndarray, K: float) -> np.ndarray:
-    return v2 + z + K * I3
+#: cyclic successor and predecessor of each row and column index of a 3x3
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _cofactors(A: np.ndarray) -> np.ndarray:
+    """Cofactor matrix of each 3x3 matrix, elementwise:
+    C_ij = A[i+1, j+1] A[i+2, j+2] - A[i+1, j+2] A[i+2, j+1], indices mod 3.
+    C_22 is the leading 2x2 minor and det(A) = A[0, :] . C[0, :]."""
+    r1, r2 = _NEXT[:, None], _PREV[:, None]
+    return A[..., r1, _NEXT] * A[..., r2, _PREV] - A[..., r1, _PREV] * A[..., r2, _NEXT]
+
+
+def _det(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    return np.sum(A[..., 0, :] * C[..., 0, :], axis=-1)
+
+
+def pd_mask(A: np.ndarray) -> np.ndarray:
+    """True at each point where sym(A) is positive definite, by Sylvester's
+    criterion: its three leading principal minors are positive.  Evaluated
+    elementwise over the stack, with no per-point LAPACK call."""
+    S = sym(A)
+    C = _cofactors(S)
+    return (S[..., 0, 0] > 0.0) & (C[..., 2, 2] > 0.0) & (_det(S, C) > 0.0)
 
 
 def _require_pd(A: np.ndarray) -> np.ndarray:
-    """PD check of the symmetric part at every point; returns the inverse of A.
+    """PD check of the symmetric part at every point (``pd_mask``); returns
+    the inverse of A from its adjugate, adj(A) / det(A).  A positive definite
+    symmetric part makes A invertible.
 
-    The error carries the flat index of the worst point and its margin.
+    On failure the error carries the flat index of the worst point and its
+    margin, the smallest eigenvalue of sym(A) there.
     """
-    margins = np.ravel(np.linalg.eigvalsh(sym(A))[..., 0])
-    k = int(np.argmin(margins))
-    margin = float(margins[k])
-    if margin <= 0.0:
+    if not np.all(pd_mask(A)):
+        margins = np.ravel(np.linalg.eigvalsh(sym(A))[..., 0])
+        k = int(np.argmin(margins))
+        margin = float(margins[k])
         raise NotPositiveDefinite(
             f"v2 + z + K*I has smallest symmetric eigenvalue {margin:.6e}"
             f" at point {k}",
             location=k,
             margin=margin,
         )
-    return np.linalg.inv(A)
+    C = _cofactors(A)
+    return _t(C) / _det(A, C)[..., None, None]
 
 
 def pd_margin(S: np.ndarray, K: float) -> np.ndarray:
@@ -172,14 +203,19 @@ def f_star_3d_density(z: np.ndarray, K: float) -> np.ndarray:
 
 
 def g_star_k_density(
-    v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, K: float
+    v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, K: float,
+    *, gram: np.ndarray | None = None,
 ) -> np.ndarray:
     """Closed-form density of the perturbed conjugate:
-    1/2 tr(A^-1 v1^T v1) + 1/2 (v2+z) : Hbar : (v2+z), A = v2 + z + K*I."""
-    A = _denominator(v2, z, K)
-    Ainv = _require_pd(A)
+    1/2 tr(A^-1 v1^T v1) + 1/2 (v2+z) : Hbar : (v2+z), A = v2 + z + K*I.
+
+    ``gram`` is v1^T v1 at each point, for a caller that evaluates many z at
+    the same v1 and forms it once; by default it is formed here."""
+    if gram is None:
+        gram = _t(v1) @ v1
     S = v2 + z
-    return 0.5 * np.trace(Ainv @ _t(v1) @ v1, axis1=-2, axis2=-1) + 0.5 * np.sum(
+    Ainv = _require_pd(S + K * I3)
+    return 0.5 * np.sum(Ainv * _t(gram), axis=(-2, -1)) + 0.5 * np.sum(
         S * hooke_apply(compliance_params(p), S), axis=(-2, -1)
     )
 
@@ -190,7 +226,7 @@ def dstar_hessian_z_3d(
     """6x6 Mandel second derivative of the dual density in z on symmetric
     arguments, (..., 6, 6): I6/K - sym(T) - Hbar, T_ijkl = A^-1_jk Y_li with
     Y = A^-1 v1^T v1 A^-1."""
-    A = _denominator(v2, z, K)
+    A = v2 + z + K * I3
     if np.max(np.abs(A - _t(A))) > 1e-9:
         raise ValueError("Hessian assembly expects a symmetric denominator")
     Ainv = _require_pd(A)

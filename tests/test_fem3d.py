@@ -1,9 +1,12 @@
 """Unit tests for the 3D hexahedral discretization and certification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from elastodual import fem3d, tensor3d
+from elastodual import dual1d, fem3d, tensor3d
+from elastodual.errors import NotPositiveDefinite
 from elastodual.fem3d import BoxMesh, SolidModel
 from elastodual.tensor3d import I3, LameParams
 
@@ -346,7 +349,7 @@ class TestSolveNewton3D:
         mesh, u = fem3d.solve_newton_3d(m, tol=1e-11)
         R = fem3d.residual_3d(m, mesh, u).ravel()
         assert np.max(np.abs(R[mesh.free_dofs])) <= 1e-11
-        assert fem3d.gradient_sup_norm(mesh, u) < 0.125
+        assert np.max(np.abs(fem3d.displacement_gradients(mesh, u))) < 0.125
 
     def test_bb_descent_oracle(self):
         m = _model(traction=(0.01, 0.0, 0.0))
@@ -414,3 +417,116 @@ class TestCertify3D:
         report = fem3d.certify_3d(m)
         assert not report.passed
         assert report.errors
+
+
+def _sample_counts_per_sample(m, mesh, u0, duals, K, radius, seed):
+    """certify_3d's local-minimality and z-convexity counts from one sample
+    at a time over the same seeded stream, and how many z-samples met an
+    indefinite point."""
+    v1, v2, z = duals
+    rng = np.random.default_rng(seed)
+    J0 = fem3d.energy_3d(m, mesh, u0)
+    local = 0
+    for _ in range(fem3d.N_LOCAL):
+        delta = np.zeros((mesh.n_nodes, 3))
+        delta.reshape(-1)[mesh.free_dofs] = rng.uniform(
+            -1.0, 1.0, mesh.free_dofs.size
+        )
+        delta *= 1e-4 / np.max(np.abs(delta))
+        local += int(fem3d.energy_3d(m, mesh, u0 + delta) >= J0 - 1e-12)
+
+    def dual_functional(zz):
+        return np.sum(
+            tensor3d.f_star_3d_density(zz, K)
+            - tensor3d.g_star_k_density(v1, v2, zz, m.lame, K)
+        ) * mesh.detJ
+
+    Jc = dual_functional(z)
+    convex = indefinite = 0
+    for _ in range(fem3d.N_Z_SAMPLES):
+        dz = tensor3d.sym(rng.uniform(-1.0, 1.0, size=z.shape))
+        dz *= radius / np.max(np.abs(dz), axis=(-2, -1), keepdims=True)
+        try:
+            convex += int(dual_functional(z + dz) >= Jc - 1e-10)
+        except NotPositiveDefinite:
+            indefinite += 1
+    return local, convex, indefinite
+
+
+class TestBatchedSamples3D:
+    """The stacked, chunked sample checks of certify_3d against per-sample
+    loops."""
+
+    @pytest.mark.parametrize("case", ["centre", "perturbed", "indefinite"])
+    def test_counts_match_per_sample_replay(self, case, monkeypatch):
+        # 16 rows of 72 * 8 gradient values: 50 samples in 4 chunks
+        monkeypatch.setattr(dual1d, "CHUNK_ELEMS", 16 * 72 * 8)
+        assert len(dual1d._chunks(fem3d.N_LOCAL, 72 * 8)) >= 3
+        traction = (0.0, 0.0, 0.0) if case == "indefinite" else (0.02, 0.01, 0.0)
+        m = _model(traction=traction)
+        mesh, u0 = fem3d.solve_newton_3d(m)
+        construct = tensor3d.construct_duals_pointwise
+        if case == "perturbed":
+            # a bump alternating from DOF to DOF moves u0 off the minimum, and
+            # a shift of z moves the dual centre off its stationary point
+            u0 = u0.copy()
+            free = mesh.free_dofs
+            u0.reshape(-1)[free] += 5e-4 * (-1.0) ** np.arange(free.size)
+
+            def shifted(p, K, g0):
+                v1, v2, z = construct(p, K, g0)
+                return v1, v2, z + 4e-3 * I3
+
+            monkeypatch.setattr(tensor3d, "construct_duals_pointwise", shifted)
+        if case == "indefinite":
+            # v2 + z + K*I = 1e-3 I at one point only, with z stationary
+            # there (v1 = 0), and the hypothesis margin forced so that the
+            # sampling radius stays at 1e-3: a sample is indefinite there,
+            # and only there, when dz has an eigenvalue below -1e-3
+            def dipped(p, K, g0):
+                v1, v2, z = construct(p, K, g0)
+                v2, z = v2.copy(), z.copy()
+                S = (1e-3 - K) * I3
+                z[1, 5] = K * tensor3d.hooke_apply(tensor3d.compliance_params(p), S)
+                v2[1, 5] = S - z[1, 5]
+                return v1, v2, z
+
+            monkeypatch.setattr(tensor3d, "construct_duals_pointwise", dipped)
+            monkeypatch.setattr(
+                tensor3d, "pd_margin", lambda S, K: np.ones(S.shape[:-2])
+            )
+        monkeypatch.setattr(fem3d, "solve_newton_3d", lambda _m: (mesh, u0))
+        report = fem3d.certify_3d(m, seed=9)
+        assert report.k_feasible
+        K = report.K_used
+        duals = tensor3d.construct_duals_pointwise(
+            m.lame, K, fem3d.displacement_gradients(mesh, u0)
+        )
+        radius = min(1e-3, 0.25 * report.min_pd_margin + 1e-12)
+        local, convex, indefinite = _sample_counts_per_sample(
+            m, mesh, u0, duals, K, radius, seed=9
+        )
+        assert (report.local_min_passed, report.z_convex_passed) == (local, convex)
+        assert (report.local_min_total, report.z_convex_total) == (
+            fem3d.N_LOCAL, fem3d.N_Z_SAMPLES
+        )
+        if case == "centre":
+            assert report.passed and indefinite == 0
+        elif case == "perturbed":
+            assert 0 < local < fem3d.N_LOCAL and 0 < convex < fem3d.N_Z_SAMPLES
+        else:
+            assert 0 < indefinite < fem3d.N_Z_SAMPLES
+            assert convex == fem3d.N_Z_SAMPLES - indefinite
+
+    def test_peak_memory_bounded(self):
+        # at 6^3 the dense tangent and its assembly set a 26.5 MB peak; one
+        # 50-row sample stack of gradients alone would add 6.2 MB per array
+        m = _model(nx=6, ny=6, nz=6)
+        tracemalloc.start()
+        try:
+            report = fem3d.certify_3d(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 30e6

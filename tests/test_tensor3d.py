@@ -256,6 +256,44 @@ class TestPdMargin:
             assert abs(stacked - roots[0]) <= 1e-12
 
 
+class TestClosedFormKernel:
+    """Sylvester's PD test and the adjugate inverse against LAPACK."""
+
+    @staticmethod
+    def _stack(rng, eigs):
+        """Matrices with sym(A) = Q diag(eigs) Q^T and a random skew part."""
+        out = []
+        for lam in eigs:
+            Q = random_rotation(rng)
+            W = rng.uniform(-1.0, 1.0, (3, 3))
+            out.append(Q @ np.diag(lam) @ Q.T + (W - W.T))
+        return np.array(out).reshape(4, -1, 3, 3)
+
+    def test_pd_decision_matches_eigvalsh(self):
+        rng = np.random.default_rng(21)
+        eigs = rng.uniform(0.2, 3.0, (400, 3))
+        # a quarter indefinite, a quarter nearly singular on either side
+        eigs[:100, 0] = -rng.uniform(1e-3, 2.0, 100)
+        eigs[100:200, 0] = rng.choice([-1.0, 1.0], 100) * 10.0 ** rng.uniform(
+            -9, -6, 100
+        )
+        A = self._stack(rng, eigs)
+        expected = np.linalg.eigvalsh(tensor3d.sym(A))[..., 0] > 0.0
+        assert 0 < np.count_nonzero(expected) < expected.size
+        ok = tensor3d.pd_mask(A)
+        assert ok.shape == A.shape[:-2]
+        assert np.array_equal(ok, expected)
+
+    def test_adjugate_inverse_matches_lapack(self):
+        rng = np.random.default_rng(22)
+        A = self._stack(rng, rng.uniform(0.1, 3.0, (400, 3)))
+        Ainv = tensor3d._require_pd(A)
+        ref = np.linalg.inv(A)
+        err = np.max(np.abs(Ainv - ref), axis=(-2, -1))
+        assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=(-2, -1)))
+        assert np.allclose(A @ Ainv, I3, rtol=0.0, atol=1e-13)
+
+
 class TestConjugateDensities:
     def test_f_star_values(self):
         assert tensor3d.f_star_3d_density(np.zeros((3, 3)), 1.0) == 0.0
