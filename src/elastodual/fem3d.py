@@ -8,9 +8,11 @@ discrete duality gap reduces to the inner product of the displacement with
 the converged residual.
 
 Gradients and weak divergences are one matrix product with the (8, 24)
-gradient matrix of the reference element.  The local-minimality and
-z-convexity samples are evaluated as stacks, one sample per row, in chunks
-of ``dual1d.CHUNK_ELEMS`` values per array, like the 1D samples.
+gradient matrix of the reference element.  A Newton step scatters the element
+tangents into LAPACK band storage of the free block and solves it by banded
+Cholesky, or by banded LU when the tangent is indefinite; it forms no dense
+matrix.  The local-minimality and z-convexity samples are evaluated as stacks,
+one sample per row, in chunks of ``dual1d.CHUNK_ELEMS`` values per array.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, solve_banded
 
 from . import tensor3d
 from .dual1d import _chunks, _rescale
@@ -97,14 +100,11 @@ class BoxMesh:
     """Uniform hex mesh of the box with precomputed quadrature data."""
 
     def __init__(self, m: SolidModel):
-        self.model = m
         nx, ny, nz = m.nx, m.ny, m.nz
         self.hx, self.hy, self.hz = m.lx / nx, m.ly / ny, m.lz / nz
-        xs = np.linspace(0, m.lx, nx + 1)
-        ys = np.linspace(0, m.ly, ny + 1)
-        zs = np.linspace(0, m.lz, nz + 1)
-        X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
-        self.coords = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+        self.coords = _grid_points(*(
+            np.linspace(0, L, n + 1) for L, n in ((m.lx, nx), (m.ly, ny), (m.lz, nz))
+        ))
         self.n_nodes = self.coords.shape[0]
         self.n_dof = 3 * self.n_nodes
 
@@ -117,19 +117,33 @@ class BoxMesh:
         # flat (row, col) index of every element tangent entry, from the
         # (n_elem, 24) element DOF map
         dofs = (3 * self.conn[:, :, None] + np.arange(3)).reshape(-1, 24)
-        self.tangent_index = (
-            dofs[:, :, None] * self.n_dof + dofs[:, None, :]
-        ).ravel()
+        self.tangent_index = (dofs[:, :, None] * self.n_dof + dofs[:, None, :]).ravel()
+
+        # clamped x = 0 nodes first: the free DOFs are a trailing slice; free
+        # entry (r, c) goes to band storage row band + r - c, column c
+        self.clamped_nodes = np.arange((ny + 1) * (nz + 1))
+        self.free_dofs = np.arange(3 * self.clamped_nodes.size, self.n_dof)
+        r = dofs[:, :, None] - self.free_dofs[0]
+        c = dofs[:, None, :] - self.free_dofs[0]
+        free, n_free = (r >= 0) & (c >= 0), self.free_dofs.size
+        self.band = int(np.max(c - r, where=free, initial=0))
+        drop = (2 * self.band + 1) * n_free
+        self.band_index = np.where(free, (self.band + r - c) * n_free + c, drop).ravel()
 
         # 2x2x2 Gauss points; uniform box makes the Jacobian constant diagonal
         gp = (-_GP1, _GP1)
         pts = _grid_points(gp, gp, gp)
         self.N = _shape_values(pts)  # (8q, 8n)
         scale = np.array([2.0 / self.hx, 2.0 / self.hy, 2.0 / self.hz])
-        self.dN = _shape_grads(pts) * scale  # (8q, 8n, 3)
+        dN = self.dN = _shape_grads(pts) * scale  # (8q, 8n, 3)
         # column 3q + J holds dN[q, :, J]: one matmul of an element's nodal
         # values with it gives the gradients at all its quadrature points
-        self.grad_matrix = self.dN.transpose(1, 0, 2).reshape(8, 24)
+        self.grad_matrix = dN.transpose(1, 0, 2).reshape(8, 24)
+        # strain_op[q, a, (n, M)] = Mandel(sym(e_a x dN[q, n])) and
+        # geometric_op[(q, a, b), (n, m)] = dN[q, n, a] dN[q, m, b]
+        S = tensor3d.sym(np.einsum("ai,qnj->qanij", I3, dN))
+        self.strain_op = tensor3d.sym_to_mandel(S).reshape(8, 3, 48)
+        self.geometric_op = np.einsum("qna,qmb->qabnm", dN, dN).reshape(72, 64)
         self.detJ = self.hx * self.hy * self.hz / 8.0
 
         # traction face x = lx: the last ny * nz elements (i = nx - 1), local
@@ -138,11 +152,6 @@ class BoxMesh:
         self.face_N = _shape_values(_grid_points((1.0,), gp, gp))  # (4q, 8n)
         self.face_detJ = self.hy * self.hz / 4.0
 
-        self.clamped_nodes = np.flatnonzero(self.coords[:, 0] == 0.0)
-        clamped_dofs = (3 * self.clamped_nodes[:, None] + np.arange(3)).ravel()
-        mask = np.ones(self.n_dof, dtype=bool)
-        mask[clamped_dofs] = False
-        self.free_dofs = np.flatnonzero(mask)
         self.load = _load_vector(m, self)  # (n_nodes, 3), loads of `model`
 
 
@@ -202,24 +211,50 @@ def residual_3d(
     return _weak_residual(mesh, piola, load_factor)
 
 
-def hessian_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
-    """Dense tangent stiffness (material + geometric), no boundary treatment."""
-    ne, n_dof, dN = mesh.n_elem, mesh.n_dof, mesh.dN
+def _element_tangents(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
+    """Element tangents (material + geometric); (n_elem, 24, 24), DOF 3 n + i."""
+    ne = mesh.n_elem
     g = displacement_gradients(mesh, u)
     sigma = tensor3d.stress(m.lame, g)
-    F = np.broadcast_to(I3, g.shape) + g
-    # Mandel rows of sym(F^T (e_i x dN_n)) give B, element DOF (n, i) first
-    # and the quadrature point last: (ne, 24, 8q, 6)
-    T1 = np.einsum("eqIa,qnb->enIqab", F, dN)
-    B = tensor3d.sym_to_mandel(tensor3d.sym(T1)).reshape(ne, 24, 8, 6)
-    BH = (B @ tensor3d.hooke_mandel(m.lame)).reshape(ne, 24, 48)
-    Ke = mesh.detJ * (BH @ B.reshape(ne, 24, 48).transpose(0, 2, 1))
-    G = mesh.detJ * (dN @ sigma @ dN.swapaxes(1, 2)).sum(axis=1)  # (ne, 8n, 8n)
-    Ke += np.kron(G, I3)
+    # B[e, (n, I), (q, M)]: Mandel row M of sym(F^T (e_I x dN_n)) at point q
+    B = ((I3 + g) @ mesh.strain_op).reshape(ne, 8, 3, 8, 6)
+    B = B.transpose(0, 3, 2, 1, 4).reshape(ne, 24, 48)
+    BH = (B.reshape(-1, 6) @ tensor3d.hooke_mandel(m.lame)).reshape(ne, 24, 48)
+    Ke = mesh.detJ * (BH @ B.transpose(0, 2, 1)).reshape(ne, 8, 3, 8, 3)
+    G = mesh.detJ * (sigma.reshape(ne, 72) @ mesh.geometric_op).reshape(ne, 8, 8)
+    # the geometric term adds to the I == J diagonal (a writeable view)
+    np.einsum("enimi->enmi", Ke)[...] += G[..., None]
+    return Ke.reshape(ne, 24, 24)
+
+
+def hessian_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
+    """Dense tangent stiffness (material + geometric), no boundary treatment."""
     # bincount sums each entry in element order, a fixed order, so the
     # tangent is the same from run to run
-    Kg = np.bincount(mesh.tangent_index, Ke.ravel(), n_dof * n_dof)
-    return Kg.reshape(n_dof, n_dof)
+    Ke = _element_tangents(m, mesh, u).ravel()
+    return np.bincount(mesh.tangent_index, Ke, mesh.n_dof**2).reshape(mesh.n_dof, -1)
+
+
+def band_tangent_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
+    """Free block of the tangent in LAPACK band storage, (2 band + 1, n_free)."""
+    n_free = mesh.free_dofs.size
+    Ke = _element_tangents(m, mesh, u).ravel()
+    ab = np.bincount(mesh.band_index, Ke, (2 * mesh.band + 1) * n_free + 1)
+    return ab[:-1].reshape(-1, n_free)
+
+
+def _solve_band(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the symmetric matrix of band storage ab: banded Cholesky
+    of its upper rows, or banded LU when the matrix is indefinite."""
+    w = ab.shape[0] // 2
+    try:
+        cho = cholesky_banded(ab[: w + 1], check_finite=False)
+        return cho_solve_banded((cho, False), rhs, check_finite=False)
+    except LinAlgError:
+        try:
+            return solve_banded((w, w), ab, rhs, check_finite=False)
+        except LinAlgError as exc:
+            raise SingularSystem(str(exc)) from exc
 
 
 def solve_newton_3d(
@@ -242,13 +277,7 @@ def solve_newton_3d(
                     f"3D Newton stage {k}/{steps}: residual "
                     f"{np.max(np.abs(R[free])):.3e} after {max_iter} iterations"
                 )
-            Kg = hessian_3d(m, mesh, u)
-            try:
-                du = np.linalg.solve(Kg[np.ix_(free, free)], -R[free])
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystem(str(exc)) from exc
-            u = u.copy()
-            u.reshape(-1)[free] += du
+            u.reshape(-1)[free] += _solve_band(band_tangent_3d(m, mesh, u), -R[free])
     return mesh, u
 
 

@@ -117,7 +117,8 @@ def hooke_apply(p: LameParams, M: np.ndarray) -> np.ndarray:
 
 def green_strain(g: np.ndarray) -> np.ndarray:
     """E = (g + g^T + g^T g) / 2 for a displacement gradient g."""
-    return 0.5 * (g + _t(g) + _t(g) @ g)
+    # numpy's stacked matmul is about 2x slower on the strided transpose
+    return 0.5 * (g + _t(g) + np.ascontiguousarray(_t(g)) @ g)
 
 
 def stress(p: LameParams, g: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ formats, and determinism."""
 import json
 
 import pytest
+from scipy.linalg import LinAlgError
 
 from elastodual import cli, dual1d, fem3d, primal1d
 from elastodual.errors import NonConvergence
@@ -158,6 +159,32 @@ class TestCertify3D:
         code = run_cli(["certify3d", "--traction", "2,0,0"])
         capsys.readouterr()
         assert code == cli.EXIT_HYPOTHESIS_VIOLATED
+
+    @pytest.mark.parametrize(
+        "mesh, exit_code",
+        [
+            ("2,2,2", cli.EXIT_HYPOTHESIS_VIOLATED),
+            ("8,2,2", cli.EXIT_SOLVER_ERROR),
+            ("3,2,2", cli.EXIT_SOLVER_ERROR),
+        ],
+    )
+    def test_indefinite_tangent_exit_code(self, mesh, exit_code, monkeypatch, capsys):
+        # a compressive load makes the tangent indefinite on some Newton
+        # steps; banded Cholesky fails there and banded LU solves the step
+        cholesky, failures = fem3d.cholesky_banded, []
+
+        def counted(*args, **kwargs):
+            try:
+                return cholesky(*args, **kwargs)
+            except LinAlgError:
+                failures.append(mesh)
+                raise
+
+        monkeypatch.setattr(fem3d, "cholesky_banded", counted)
+        code = run_cli(["certify3d", f"--mesh={mesh}", "--traction=-0.5,0,0"])
+        json.loads(capsys.readouterr().out)
+        assert code == exit_code
+        assert failures
 
     @pytest.mark.parametrize("lam", ["1e16", "1e17"])
     def test_nearly_incompressible_material(self, lam, capsys):

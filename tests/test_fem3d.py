@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from elastodual import dual1d, fem3d, tensor3d
-from elastodual.errors import NotPositiveDefinite
+from elastodual.errors import NotPositiveDefinite, SingularSystem
 from elastodual.fem3d import BoxMesh, SolidModel
 from elastodual.tensor3d import I3, LameParams
 
@@ -153,7 +153,9 @@ class TestBoxMesh:
         mesh = BoxMesh(_model(nx=3, ny=2, nz=2))
         assert mesh.n_nodes == 4 * 3 * 3
         assert mesh.n_elem == 12
-        assert np.all(mesh.coords[mesh.clamped_nodes, 0] == 0.0)
+        assert np.array_equal(
+            mesh.clamped_nodes, np.flatnonzero(mesh.coords[:, 0] == 0.0)
+        )
         assert mesh.clamped_nodes.size == 9
         assert mesh.free_dofs.size == mesh.n_dof - 27
 
@@ -338,6 +340,93 @@ class TestHessian3D:
             assert np.max(np.abs(hv - fd)) <= 1e-6 * (1.0 + np.max(np.abs(hv)))
 
 
+def unpack_band(ab):
+    """Dense matrix of LAPACK band storage (2 w + 1, n), entry by entry."""
+    w, n = ab.shape[0] // 2, ab.shape[1]
+    A = np.zeros((n, n))
+    for c in range(n):
+        for r in range(max(0, c - w), min(n, c + w + 1)):
+            A[r, c] = ab[w + r - c, c]
+    return A
+
+
+def pack_band(A, w):
+    """LAPACK band storage (2 w + 1, n) of a matrix of half-bandwidth w."""
+    n = A.shape[0]
+    ab = np.zeros((2 * w + 1, n))
+    for c in range(n):
+        for r in range(max(0, c - w), min(n, c + w + 1)):
+            ab[w + r - c, c] = A[r, c]
+    return ab
+
+
+class TestBandTangent3D:
+    @pytest.mark.parametrize(
+        "dims, box",
+        [
+            ((2, 2, 2), (1.0, 1.0, 1.0)),
+            ((8, 2, 2), (2.0, 0.5, 0.8)),
+            ((2, 4, 4), (0.9, 1.2, 1.1)),
+            ((3, 2, 4), (1.3, 0.7, 2.1)),
+        ],
+    )
+    def test_equals_free_block_of_dense_tangent(self, dims, box):
+        m = SolidModel(
+            *box, *dims, lame=LameParams(1.7, 0.6),
+            body_force=np.zeros(3), traction=np.zeros(3),
+        )
+        mesh = BoxMesh(m)
+        free = mesh.free_dofs
+        rng = np.random.default_rng(8)
+        for _ in range(2):
+            u = _random_clamped_state(mesh, rng, scale=0.05)
+            ab = fem3d.band_tangent_3d(m, mesh, u)
+            K = fem3d.hessian_3d(m, mesh, u)[np.ix_(free, free)]
+            assert ab.shape == (2 * mesh.band + 1, free.size)
+            assert np.max(np.abs(unpack_band(ab) - K)) <= 1e-14 * np.max(np.abs(K))
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (8, 2, 2), (2, 4, 4), (3, 2, 4)])
+    def test_band_is_widest_free_entry(self, dims):
+        mesh = BoxMesh(_model(*dims))
+        free = set(mesh.free_dofs.tolist())
+        widest = 0
+        for nodes in mesh.conn:
+            dofs = [3 * n + i for n in nodes for i in range(3) if 3 * n + i in free]
+            widest = max(widest, max(dofs) - min(dofs))
+        assert mesh.band == widest
+
+    def test_newton_forms_no_dense_tangent(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("solve_newton_3d called hessian_3d")
+
+        monkeypatch.setattr(fem3d, "hessian_3d", dense)
+        m = _model(nx=3, ny=2, nz=2)
+        mesh, u = fem3d.solve_newton_3d(m)
+        R = fem3d.residual_3d(m, mesh, u).ravel()
+        assert np.max(np.abs(R[mesh.free_dofs])) <= 1e-11
+
+    @pytest.mark.parametrize("pivot", [5.0, -5.0])
+    def test_band_solve_matches_dense(self, pivot):
+        # with a negative pivot Cholesky fails and banded LU solves the step
+        rng = np.random.default_rng(9)
+        n, w = 12, 3
+        A = np.diag(np.full(n, 2.0 * w + 1.0))
+        for d in range(1, w + 1):
+            vals = rng.uniform(-1.0, 1.0, n - d)
+            A += np.diag(vals, d) + np.diag(vals, -d)
+        A[0, 0] = pivot
+        ab = pack_band(A, w)
+        assert np.array_equal(unpack_band(ab), A)
+        b = rng.uniform(-1.0, 1.0, n)
+        x = fem3d._solve_band(ab, b)
+        assert np.max(np.abs(x - np.linalg.solve(A, b))) <= 1e-12 * np.max(np.abs(x))
+
+    def test_singular_band_raises(self):
+        A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(SingularSystem):
+            fem3d._solve_band(pack_band(A, 1), np.ones(3))
+
+
 class TestSolveNewton3D:
     def test_zero_loads(self):
         m = _model(traction=(0.0, 0.0, 0.0))
@@ -519,14 +608,24 @@ class TestBatchedSamples3D:
             assert convex == fem3d.N_Z_SAMPLES - indefinite
 
     def test_peak_memory_bounded(self):
-        # at 6^3 the dense tangent and its assembly set a 26.5 MB peak; one
-        # 50-row sample stack of gradients alone would add 6.2 MB per array
-        m = _model(nx=6, ny=6, nz=6)
-        tracemalloc.start()
-        try:
-            report = fem3d.certify_3d(m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.passed
-        assert peak < 30e6
+        # no dense n_dof^2 tangent (8.5 MB at 6^3) is formed; the Newton band
+        # is 2.4 MB, and one 50-row sample stack of gradients alone would add
+        # 6.2 MB per array
+        assert_certify_peak_below(6, 15e6)
+
+    def test_peak_memory_bounded_at_mesh_cap(self):
+        # the dense tangent would be 38 MB at 8^3; the Newton band is 8.6 MB
+        assert_certify_peak_below(fem3d.MAX_ELEMS_PER_AXIS, 40e6)
+
+
+def assert_certify_peak_below(n, bound):
+    """certify_3d passes on an n^3 mesh with a traced peak below bound bytes."""
+    m = _model(nx=n, ny=n, nz=n)
+    tracemalloc.start()
+    try:
+        report = fem3d.certify_3d(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < bound
