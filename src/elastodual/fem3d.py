@@ -8,11 +8,15 @@ discrete duality gap reduces to the inner product of the displacement with
 the converged residual.
 
 Gradients and weak divergences are one matrix product with the (8, 24)
-gradient matrix of the reference element.  A Newton step scatters the element
-tangents into LAPACK band storage of the free block and solves it by banded
-Cholesky, or by banded LU when the tangent is indefinite; it forms no dense
-matrix.  The local-minimality and z-convexity samples are evaluated as stacks,
-one sample per row, in chunks of ``dual1d.CHUNK_ELEMS`` values per array.
+gradient matrix of the reference element.  The primal Newton solve starts
+from u = 0 at the full load, which converges on the small-strain branch that
+the certificate's hypothesis describes; only when that attempt fails does it
+restart from u = 0 over three equal load stages.  A Newton step scatters the
+element tangents into LAPACK band storage of the free block and solves it by
+banded Cholesky, or by banded LU when the tangent is indefinite; it forms no
+dense matrix.  The local-minimality and z-convexity samples are evaluated as
+stacks, one sample per row, in chunks of ``dual1d.CHUNK_ELEMS`` values per
+array.
 """
 
 from __future__ import annotations
@@ -114,10 +118,8 @@ class BoxMesh:
         ci, cj, ck = (_CORNERS > 0).astype(int).T
         self.conn = ((i + ci) * (ny + 1) + j + cj) * (nz + 1) + k + ck
         self.n_elem = self.conn.shape[0]
-        # flat (row, col) index of every element tangent entry, from the
-        # (n_elem, 24) element DOF map
-        dofs = (3 * self.conn[:, :, None] + np.arange(3)).reshape(-1, 24)
-        self.tangent_index = (dofs[:, :, None] * self.n_dof + dofs[:, None, :]).ravel()
+        # element DOF map, DOF 3 n + i of each corner node n
+        dofs = self.dofs = (3 * self.conn[:, :, None] + np.arange(3)).reshape(-1, 24)
 
         # clamped x = 0 nodes first: the free DOFs are a trailing slice; free
         # entry (r, c) goes to band storage row band + r - c, column c
@@ -207,8 +209,7 @@ def residual_3d(
     clamped rows zeroed.  Returns (n_nodes, 3)."""
     g = displacement_gradients(mesh, u)
     sigma = tensor3d.stress(m.lame, g)
-    piola = np.einsum("eqIm,eqmJ->eqIJ", np.broadcast_to(I3, g.shape) + g, sigma)
-    return _weak_residual(mesh, piola, load_factor)
+    return _weak_residual(mesh, (I3 + g) @ sigma, load_factor)
 
 
 def _element_tangents(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
@@ -228,11 +229,13 @@ def _element_tangents(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> np.ndarray
 
 
 def hessian_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
-    """Dense tangent stiffness (material + geometric), no boundary treatment."""
+    """Dense tangent stiffness (material + geometric), no boundary treatment.
+    An oracle for ``band_tangent_3d``; the Newton solve never forms it."""
     # bincount sums each entry in element order, a fixed order, so the
     # tangent is the same from run to run
+    index = mesh.dofs[:, :, None] * mesh.n_dof + mesh.dofs[:, None, :]
     Ke = _element_tangents(m, mesh, u).ravel()
-    return np.bincount(mesh.tangent_index, Ke, mesh.n_dof**2).reshape(mesh.n_dof, -1)
+    return np.bincount(index.ravel(), Ke, mesh.n_dof**2).reshape(mesh.n_dof, -1)
 
 
 def band_tangent_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
@@ -258,26 +261,32 @@ def _solve_band(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_newton_3d(
-    m: SolidModel,
-    steps: int = 3,
-    tol: float = 1e-11,
-    max_iter: int = 30,
+    m: SolidModel, tol: float = 1e-11, max_iter: int = 30
 ) -> tuple[BoxMesh, np.ndarray]:
-    """Continuation Newton solve for the 3D critical point."""
+    """Newton solve for the 3D critical point from u = 0: first at the full
+    load in one stage, and only if that fails, in three equal load stages.
+    Raises the failure of the three-stage run."""
     mesh = BoxMesh(m)
-    u = zero_displacement(mesh)
     free = mesh.free_dofs
-    for k in range(1, steps + 1):
-        for it in range(max_iter + 1):
-            R = residual_3d(m, mesh, u, k / steps).ravel()
-            if np.max(np.abs(R[free])) <= tol:
-                break
-            if it == max_iter:
-                raise NonConvergence(
-                    f"3D Newton stage {k}/{steps}: residual "
-                    f"{np.max(np.abs(R[free])):.3e} after {max_iter} iterations"
-                )
-            u.reshape(-1)[free] += _solve_band(band_tangent_3d(m, mesh, u), -R[free])
+    for steps in (1, 3):
+        u = zero_displacement(mesh)
+        try:
+            for k in range(1, steps + 1):
+                for it in range(max_iter + 1):
+                    R = residual_3d(m, mesh, u, k / steps).ravel()
+                    if np.max(np.abs(R[free])) <= tol:
+                        break
+                    if it == max_iter:
+                        raise NonConvergence(
+                            f"3D Newton stage {k}/{steps}: residual "
+                            f"{np.max(np.abs(R[free])):.3e} after {max_iter} iterations"
+                        )
+                    du = _solve_band(band_tangent_3d(m, mesh, u), -R[free])
+                    u.reshape(-1)[free] += du
+            break
+        except (NonConvergence, SingularSystem):
+            if steps == 3:
+                raise
     return mesh, u
 
 

@@ -111,8 +111,9 @@ def compliance_params(p: LameParams) -> LameParams:
 
 
 def hooke_apply(p: LameParams, M: np.ndarray) -> np.ndarray:
-    """H : M = lam*tr(M)*I + 2*mu*sym(M), in closed form."""
-    return p.lam * _tr(M) * I3 + 2.0 * p.mu * sym(M)
+    """H : M = lam*tr(M)*I + 2*mu*M for symmetric M, in closed form; a
+    caller whose M is symmetric only to rounding passes sym(M)."""
+    return p.lam * _tr(M) * I3 + 2.0 * p.mu * M
 
 
 def green_strain(g: np.ndarray) -> np.ndarray:
@@ -217,7 +218,7 @@ def g_star_k_density(
     S = v2 + z
     Ainv = _require_pd(S + K * I3)
     return 0.5 * np.sum(Ainv * _t(gram), axis=(-2, -1)) + 0.5 * np.sum(
-        S * hooke_apply(compliance_params(p), S), axis=(-2, -1)
+        S * hooke_apply(compliance_params(p), sym(S)), axis=(-2, -1)
     )
 
 

@@ -160,6 +160,17 @@ class TestCertify3D:
         capsys.readouterr()
         assert code == cli.EXIT_HYPOTHESIS_VIOLATED
 
+    def test_one_stage_newton_reaches_hypothesis_check(self, capsys):
+        # three load stages fail to converge here; the full load from u = 0
+        # converges, to a state that breaks the gradient bound
+        code = run_cli(["certify3d", "--mesh=4,4,4", "--traction=-0.5,0,0"])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert code == cli.EXIT_HYPOTHESIS_VIOLATED
+        assert len(doc["errors"]) == 1
+        assert doc["errors"][0].startswith("hypothesis: max |u_i,j| = ")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "mesh, exit_code",
         [

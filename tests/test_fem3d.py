@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from elastodual import dual1d, fem3d, tensor3d
-from elastodual.errors import NotPositiveDefinite, SingularSystem
+from elastodual.errors import NonConvergence, NotPositiveDefinite, SingularSystem
 from elastodual.fem3d import BoxMesh, SolidModel
 from elastodual.tensor3d import I3, LameParams
 
@@ -427,7 +427,65 @@ class TestBandTangent3D:
             fem3d._solve_band(pack_band(A, 1), np.ones(3))
 
 
+def continuation_newton(m, steps, tol=1e-11, max_iter=30):
+    """Newton from u = 0 over `steps` equal load stages, each step solved on
+    the band tangent; raises NonConvergence or SingularSystem on failure."""
+    mesh = BoxMesh(m)
+    u = fem3d.zero_displacement(mesh)
+    free = mesh.free_dofs
+    for k in range(1, steps + 1):
+        for it in range(max_iter + 1):
+            R = fem3d.residual_3d(m, mesh, u, k / steps).ravel()[free]
+            if np.max(np.abs(R)) <= tol:
+                break
+            if it == max_iter:
+                raise NonConvergence(f"stage {k}/{steps} did not converge")
+            ab = fem3d.band_tangent_3d(m, mesh, u)
+            u.reshape(-1)[free] += fem3d._solve_band(ab, -R)
+    return mesh, u
+
+
+# in-hypothesis models; the first is the CLI's default certify3d case
+IN_HYPOTHESIS_MODELS = [
+    dict(nx=4, ny=4, nz=4),
+    dict(nx=8, ny=2, nz=2, traction=(0.03, 0.01, 0.0)),
+    dict(nx=2, ny=4, nz=4, traction=(0.01, 0.0, -0.01), body=(0.0, -0.02, 0.0)),
+    dict(nx=3, ny=2, nz=4, traction=(-0.02, 0.005, 0.0), body=(0.01, 0.0, 0.01)),
+]
+
+
 class TestSolveNewton3D:
+    @pytest.mark.parametrize(
+        "kwargs", IN_HYPOTHESIS_MODELS, ids=["default", "8x2x2", "2x4x4", "3x2x4"]
+    )
+    def test_one_stage_inside_hypothesis(self, kwargs, monkeypatch):
+        # the full load from u = 0 converges in at most 4 tangents, where
+        # three load stages take at least 2 each, and it reaches the
+        # critical point of the three-stage continuation
+        band, calls = fem3d.band_tangent_3d, []
+
+        def counted(*args):
+            calls.append(1)
+            return band(*args)
+
+        monkeypatch.setattr(fem3d, "band_tangent_3d", counted)
+        m = _model(**kwargs)
+        mesh, u = fem3d.solve_newton_3d(m)
+        assert 1 <= len(calls) <= 4
+        _, u3 = continuation_newton(m, 3)
+        J, J3 = fem3d.energy_3d(m, mesh, u), fem3d.energy_3d(m, mesh, u3)
+        assert abs(J - J3) <= 1e-12 * abs(J3)
+
+    def test_three_stages_when_one_stage_fails(self):
+        # a compressive load the one-stage attempt does not converge on: the
+        # solve restarts from u = 0 and returns the three-stage continuation
+        m = _model(traction=(-0.5, 0.0, 0.0))
+        with pytest.raises((NonConvergence, SingularSystem)):
+            continuation_newton(m, 1)
+        _, u = fem3d.solve_newton_3d(m)
+        _, u3 = continuation_newton(m, 3)
+        assert np.array_equal(u, u3)
+
     def test_zero_loads(self):
         m = _model(traction=(0.0, 0.0, 0.0))
         mesh, u = fem3d.solve_newton_3d(m)
