@@ -8,11 +8,18 @@ under midpoint quadrature and the discrete duality gap reduces to the inner
 product of the displacement with the converged equilibrium residual.
 The saddle and local-minimality samples are evaluated as stacks, one sample
 per row, in chunks of at most ``CHUNK_ELEMS`` values per array, which bounds
-their memory but not their answers.
+their memory but not their answers.  ``saddle_verify`` draws its v-samples
+chunk by chunk as well, reading their v2 constants from a copy of the stream
+advanced past them, so the samples are those of one up-front draw.  Its inner
+z-Newton starts each v-sample at the center moved to first order along the
+sample (``_z_sensitivities``), one step closer than the center: about 4
+passes of the fused kernel ``_z_derivatives`` (no ``pow``) per sample element
+instead of 5, the last of them the stationarity check.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 
@@ -65,8 +72,8 @@ class DualState1D:
         return float(np.min(self.denominator(cfg)))
 
 
-def _require_positivity(d: DualState1D, cfg: DualConfig) -> np.ndarray:
-    den = d.denominator(cfg)
+def _require_positivity(den: np.ndarray) -> np.ndarray:
+    """den = v2 + z + K, checked positive."""
     i = np.unravel_index(np.argmin(den), den.shape)  # (sample, element) of a stack
     if den[i] <= 0.0:
         e, margin = int(i[-1]), float(den[i])
@@ -86,9 +93,13 @@ def F_star(z: np.ndarray, cfg: DualConfig, g: Grid1D) -> float | np.ndarray:
 
 
 def G_star_K_density(d: DualState1D, m: BarModel, cfg: DualConfig) -> np.ndarray:
-    den = _require_positivity(d, cfg)
+    """v1^2 / (2 den) + (v2 + z)^2 / (2 EA), with den = v2 + z + K."""
     s = d.v2 + d.z
-    return 0.5 * d.v1**2 / den + s**2 / (2.0 * m.EA)
+    density = np.divide(0.5 * d.v1**2, _require_positivity(s + cfg.K))
+    np.square(s, out=s)
+    s /= 2.0 * m.EA
+    density += s
+    return density
 
 
 def G_star_K(d: DualState1D, m: BarModel, cfg: DualConfig) -> float | np.ndarray:
@@ -121,10 +132,18 @@ def equilibrium_residual(d: DualState1D, m: BarModel) -> np.ndarray:
 
 def _z_derivatives(d: DualState1D, m: BarModel, cfg: DualConfig) -> tuple:
     """Checked den = v2 + z + K and the elementwise z-derivatives of the dual
-    density, z/K + v1^2/(2 den^2) - (v2+z)/EA and 1/K - v1^2/den^3 - 1/EA."""
-    den = _require_positivity(d, cfg)
-    grad = d.z / cfg.K + 0.5 * d.v1**2 / den**2 - (d.v2 + d.z) / m.EA
-    curv = 1.0 / cfg.K - d.v1**2 / den**3 - 1.0 / m.EA
+    density, z/K - (v2+z)/EA + q2/2 and (1/K - 1/EA) - q2/den, both from
+    q2 = (v1/den)^2."""
+    s = d.v2 + d.z
+    den = _require_positivity(s + cfg.K)
+    q2 = np.divide(d.v1, den)
+    q2 *= q2
+    curv = q2 / den
+    np.subtract(1.0 / cfg.K - 1.0 / m.EA, curv, out=curv)
+    s /= -m.EA
+    s += d.z / cfg.K
+    grad = np.multiply(q2, 0.5, out=q2)
+    grad += s
     return den, grad, curv
 
 
@@ -143,7 +162,8 @@ def minimize_in_z_ball(
     max_iter: int = 100,
 ) -> tuple[DualState1D, int | np.ndarray]:
     """Minimize J* over z within the sup-norm ball of radius r1 around
-    ``z_center``, holding (v1, v2) fixed, for one state or each of a stack.
+    ``z_center``, holding (v1, v2) fixed and starting from d.z clipped into
+    the ball, for one state or each of a stack.
 
     The dual density is separable per element, so this is a bank of projected
     scalar Newton iterations on the (locally convex) density; a state stops
@@ -154,17 +174,26 @@ def minimize_in_z_ball(
     shape = np.broadcast_shapes(d.v1.shape, d.v2.shape, d.z.shape)
     v1, v2, z = np.broadcast_arrays(*(np.atleast_2d(f) for f in (d.v1, d.v2, d.z)))
     z = np.clip(z, lo, hi)
-    live = np.arange(len(z))  # rows of z still iterating
+    step = np.empty_like(z)
+    live = slice(None)  # rows still iterating: all of them, without gathers
     for _ in range(max_iter):
         z_live = z[live]
-        _, grad, curv = _z_derivatives(DualState1D(v1[live], v2[live], z_live), m, cfg)
+        _, z_new, curv = _z_derivatives(DualState1D(v1[live], v2[live], z_live), m, cfg)
         if np.any(curv <= 0.0):
             raise NonConvergence("z-problem lost convexity inside the ball")
-        z_new = np.clip(z_live - grad / curv, lo, hi)
-        z[live] = z_new
-        live = live[np.max(np.abs(z_new - z_live), axis=-1) > tol]
-        if live.size == 0:
-            break
+        z_new /= curv  # the Newton step, taken and clipped into the ball in place
+        np.subtract(z_live, z_new, out=z_new)
+        np.minimum(np.maximum(z_new, lo, out=z_new), hi, out=z_new)
+        change = np.subtract(z_new, z_live, out=step[: len(z_new)])
+        moving = np.max(np.abs(change, out=change), axis=-1) > tol
+        if isinstance(live, slice):
+            z = z_new
+        else:
+            z[live] = z_new
+        if not moving.all():
+            live = np.flatnonzero(moving) if isinstance(live, slice) else live[moving]
+            if live.size == 0:
+                break
     z = z.reshape(shape)
     at_boundary = np.sum((z <= lo + 1e-13) | (z >= hi - 1e-13), axis=-1)
     result = DualState1D(d.v1, d.v2, z)
@@ -183,8 +212,29 @@ def _chunks(n_samples: int, row_len: int) -> list[tuple[int, int]]:
 
 
 def _rescale(x: np.ndarray, size: np.ndarray, radius: float) -> np.ndarray:
-    """Rows of x scaled from their given size to ``radius``; zero rows stay."""
-    return x * np.divide(radius, size, out=np.ones_like(size), where=size > 0)[:, None]
+    """Rows of x scaled in place from their given size to ``radius``; zero
+    rows stay.  Returns x."""
+    x *= np.divide(radius, size, out=np.ones_like(size), where=size > 0)[:, None]
+    return x
+
+
+def _v_perturbations(rng: np.random.Generator, n_samples: int, n: int):
+    """Chunks (rows of v1-deltas, their v2 constants) of the v-samples: the
+    n_samples x n deltas next in rng's stream, drawn a chunk at a time, and
+    the constants after them, read from a copy of the bit generator advanced
+    past the deltas (one 64-bit draw per uniform double)."""
+    ahead = copy.deepcopy(rng.bit_generator).advance(n_samples * n)
+    consts = np.random.Generator(ahead).uniform(-1.0, 1.0, size=n_samples)
+    for a, b in _chunks(n_samples, n):
+        yield rng.uniform(-1.0, 1.0, size=(b - a, n)), consts[a:b]
+
+
+def _z_sensitivities(d: DualState1D, m: BarModel, cfg: DualConfig) -> tuple:
+    """Elementwise dz/dv1 and dz/dv2 of the inner z-minimizer at d, by the
+    implicit function theorem on grad(z, v1, v2) = 0: -(v1/den^2)/curv and
+    (v1^2/den^3 + 1/EA)/curv = (1/K - curv)/curv."""
+    den, _, curv = _z_derivatives(d, m, cfg)
+    return -(d.v1 / den**2) / curv, (1.0 / cfg.K - curv) / curv
 
 
 @dataclass
@@ -200,7 +250,6 @@ class SaddleResult:
 
 def saddle_verify(
     m: BarModel,
-    u0: PrimalState,
     d_hat: DualState1D,
     cfg: DualConfig,
     r1: float,
@@ -241,20 +290,24 @@ def saddle_verify(
     for a, b in _chunks(n_samples, n):
         delta = rng.uniform(-1.0, 1.0, size=(b - a, n))
         delta = _rescale(delta, np.max(np.abs(delta), axis=-1), r1)
-        J = dual_functional(DualState1D(d_hat.v1, d_hat.v2, d_hat.z + delta), m, cfg)
+        delta += d_hat.z
+        J = dual_functional(DualState1D(d_hat.v1, d_hat.v2, delta), m, cfg)
         passed_z += int(np.count_nonzero(J >= J_center - tol))
 
-    v_deltas = rng.uniform(-1.0, 1.0, size=(n_samples, n))
-    v_consts = rng.uniform(-1.0, 1.0, size=n_samples)
+    dz_dv1, dz_dv2 = _z_sensitivities(d_hat, m, cfg)
     passed_v = boundary_hits = 0
-    for a, b in _chunks(n_samples, n):
-        d1 = v_deltas[a:b]
-        d2 = v_consts[a:b, None] - d1  # constant sum: weak divergence is unchanged
+    for d1, c in _v_perturbations(rng, n_samples, n):
+        d2 = c[:, None] - d1  # constant sum: weak divergence is unchanged
         mx = np.maximum(np.max(np.abs(d1), axis=-1), np.max(np.abs(d2), axis=-1))
-        perturbed = DualState1D(
-            d_hat.v1 + _rescale(d1, mx, r2), d_hat.v2 + _rescale(d2, mx, r2), d_hat.z
+        d1, d2 = _rescale(d1, mx, r2), _rescale(d2, mx, r2)
+        z = dz_dv1 * d1
+        z += dz_dv2 * d2
+        z += d_hat.z
+        d1 += d_hat.v1
+        d2 += d_hat.v2
+        minimized, at_boundary = minimize_in_z_ball(
+            DualState1D(d1, d2, z), m, cfg, d_hat.z, r1
         )
-        minimized, at_boundary = minimize_in_z_ball(perturbed, m, cfg, d_hat.z, r1)
         boundary_hits += int(np.count_nonzero(at_boundary))
         J = dual_functional(minimized, m, cfg)
         passed_v += int(np.count_nonzero(J <= J_center + tol))
@@ -457,7 +510,7 @@ def certify(m: BarModel, seed: int = 0) -> GapReport:
     report.r = r1 / cfg.K
 
     try:
-        saddle = saddle_verify(m, u0, d_hat, cfg, r1, r2, seed=seed)
+        saddle = saddle_verify(m, d_hat, cfg, r1, r2, seed=seed)
         report.r1, report.r2 = saddle.r1, saddle.r2
         report.saddle_samples_passed = (saddle.passed_z, saddle.passed_v)
         report.saddle_samples_total = saddle.n_samples
@@ -474,9 +527,11 @@ def certify(m: BarModel, seed: int = 0) -> GapReport:
     rng = np.random.default_rng(seed + 1)
     n = m.grid.n_elem
     for a, b in _chunks(N_LOCAL, n + 1):
-        delta = np.pad(rng.uniform(-1.0, 1.0, size=(b - a, n - 1)), ((0, 0), (1, 1)))
-        delta = _rescale(delta, norm_U(delta, m.grid), 1e-3)
-        J = primal1d.energy(m, PrimalState(u0.u + delta))
+        u = np.zeros((b - a, n + 1))  # clamped ends
+        u[:, 1:-1] = rng.uniform(-1.0, 1.0, size=(b - a, n - 1))
+        u = _rescale(u, norm_U(u, m.grid), 1e-3)
+        u += u0.u
+        J = primal1d.energy(m, PrimalState(u))
         report.local_min_passed += int(np.count_nonzero(J >= report.J_primal - 1e-12))
     report.local_min_total = N_LOCAL
 

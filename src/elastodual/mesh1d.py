@@ -65,7 +65,9 @@ def _per_field(x: np.ndarray) -> float | np.ndarray:
 def derivative(u: np.ndarray, g: Grid1D) -> np.ndarray:
     """Elementwise slope of a piecewise-linear nodal field."""
     g.check_nodal(u)
-    return np.diff(u) / g.h
+    ux = np.diff(u)
+    ux /= g.h
+    return ux
 
 
 def integrate(f: np.ndarray, g: Grid1D) -> float | np.ndarray:
@@ -77,7 +79,9 @@ def integrate(f: np.ndarray, g: Grid1D) -> float | np.ndarray:
 def average_to_midpoints(u: np.ndarray, g: Grid1D) -> np.ndarray:
     """Midpoint values of a piecewise-linear nodal field."""
     g.check_nodal(u)
-    return 0.5 * (u[..., :-1] + u[..., 1:])
+    mid = u[..., :-1] + u[..., 1:]
+    mid *= 0.5
+    return mid
 
 
 def norm_U(u: np.ndarray, g: Grid1D) -> float | np.ndarray:
@@ -85,10 +89,12 @@ def norm_U(u: np.ndarray, g: Grid1D) -> float | np.ndarray:
 
     Evaluated per element as max(|u| at the two endpoints) + |slope|.
     """
-    g.check_nodal(u)
-    ux = derivative(u, g)
-    endpoint_max = np.maximum(np.abs(u[..., :-1]), np.abs(u[..., 1:]))
-    return _per_field(np.max(endpoint_max + np.abs(ux), axis=-1))
+    slope = derivative(u, g)
+    np.abs(slope, out=slope)
+    size = np.abs(u)
+    size = np.maximum(size[..., :-1], size[..., 1:])  # endpoint max
+    size += slope
+    return _per_field(np.max(size, axis=-1))
 
 
 def norm_V(f: np.ndarray) -> float:

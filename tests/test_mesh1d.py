@@ -109,6 +109,17 @@ class TestNormU:
             u, v = rng.standard_normal(17), rng.standard_normal(17)
             assert norm_U(u + v, g) <= norm_U(u, g) + norm_U(v, g) + 1e-14
 
+    @pytest.mark.parametrize("shape", [(1025,), (7, 1025)])
+    def test_bit_identical_to_plain_expression(self, shape):
+        # norm_U works on in-place temporaries; it must round exactly as the
+        # plain expression below, for a single field and for a stack
+        g = Grid1D(1.3, 1024)
+        u = np.random.default_rng(7).uniform(-1e-2, 1e-2, shape)
+        ux = np.diff(u) / g.h
+        endpoint_max = np.maximum(np.abs(u[..., :-1]), np.abs(u[..., 1:]))
+        plain = np.max(endpoint_max + np.abs(ux), axis=-1)
+        assert np.array_equal(norm_U(u, g), plain)
+
 
 class TestNormV:
     def test_zero(self):

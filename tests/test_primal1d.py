@@ -77,6 +77,20 @@ class TestEnergy:
             with pytest.raises(ValueError):
                 PrimalState(bad)
 
+    @pytest.mark.parametrize("shape", [(1025,), (7, 1025)])
+    def test_bit_identical_to_plain_expression(self, shape):
+        # energy works on in-place temporaries; every rounding must stay that
+        # of the plain expression below, for a single field and for a stack
+        g = Grid1D(1.3, 1024)
+        m = BarModel(1.7, 0.6, g, 0.4 * np.sin(np.pi * g.midpoints / g.length))
+        u = np.zeros(shape)
+        u[..., 1:-1] = np.random.default_rng(6).uniform(-1e-2, 1e-2, shape[:-1] + (1023,))
+        ux = np.diff(u) / g.h
+        strain = ux + 0.5 * ux**2
+        f = 0.5 * m.EA * strain**2 - m.P * (0.5 * (u[..., :-1] + u[..., 1:]))
+        plain = np.sum(f, axis=-1) * g.h
+        assert np.array_equal(primal1d.energy(m, PrimalState(u)), plain)
+
 
 class TestResidual:
     def test_rest_state(self):
