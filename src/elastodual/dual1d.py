@@ -95,11 +95,7 @@ def F_star(z: np.ndarray, cfg: DualConfig, g: Grid1D) -> float | np.ndarray:
 def G_star_K_density(d: DualState1D, m: BarModel, cfg: DualConfig) -> np.ndarray:
     """v1^2 / (2 den) + (v2 + z)^2 / (2 EA), with den = v2 + z + K."""
     s = d.v2 + d.z
-    density = np.divide(0.5 * d.v1**2, _require_positivity(s + cfg.K))
-    np.square(s, out=s)
-    s /= 2.0 * m.EA
-    density += s
-    return density
+    return 0.5 * d.v1**2 / _require_positivity(s + cfg.K) + s**2 / (2.0 * m.EA)
 
 
 def G_star_K(d: DualState1D, m: BarModel, cfg: DualConfig) -> float | np.ndarray:
@@ -166,8 +162,8 @@ def minimize_in_z_ball(
     the ball, for one state or each of a stack.
 
     The dual density is separable per element, so this is a bank of projected
-    scalar Newton iterations on the (locally convex) density; a state stops
-    once its own largest step is at most ``tol``.  Returns the minimizing
+    scalar Newton iterations on the (locally convex) density, run on the whole
+    stack until its largest step is at most ``tol``.  Returns the minimizing
     state and the number of elements whose minimum sits on the ball boundary.
     """
     lo, hi = z_center - r1, z_center + r1
@@ -175,25 +171,17 @@ def minimize_in_z_ball(
     v1, v2, z = np.broadcast_arrays(*(np.atleast_2d(f) for f in (d.v1, d.v2, d.z)))
     z = np.clip(z, lo, hi)
     step = np.empty_like(z)
-    live = slice(None)  # rows still iterating: all of them, without gathers
     for _ in range(max_iter):
-        z_live = z[live]
-        _, z_new, curv = _z_derivatives(DualState1D(v1[live], v2[live], z_live), m, cfg)
+        _, z_new, curv = _z_derivatives(DualState1D(v1, v2, z), m, cfg)
         if np.any(curv <= 0.0):
             raise NonConvergence("z-problem lost convexity inside the ball")
         z_new /= curv  # the Newton step, taken and clipped into the ball in place
-        np.subtract(z_live, z_new, out=z_new)
+        np.subtract(z, z_new, out=z_new)
         np.minimum(np.maximum(z_new, lo, out=z_new), hi, out=z_new)
-        change = np.subtract(z_new, z_live, out=step[: len(z_new)])
-        moving = np.max(np.abs(change, out=change), axis=-1) > tol
-        if isinstance(live, slice):
-            z = z_new
-        else:
-            z[live] = z_new
-        if not moving.all():
-            live = np.flatnonzero(moving) if isinstance(live, slice) else live[moving]
-            if live.size == 0:
-                break
+        np.subtract(z_new, z, out=step)
+        z = z_new
+        if np.max(np.abs(step, out=step)) <= tol:
+            break
     z = z.reshape(shape)
     at_boundary = np.sum((z <= lo + 1e-13) | (z >= hi - 1e-13), axis=-1)
     result = DualState1D(d.v1, d.v2, z)
