@@ -337,8 +337,9 @@ def kkt_solve(
 
     Element e's unknowns couple to u only through b = (0, 1, 1): w_e enters
     r_v1 and r_v2, and v1 + v2 enters r_u.  Each step eliminates the
-    symmetric 3x3 block A_e of every element and solves the tridiagonal
-    Schur complement in u, so it costs O(n) time and memory.
+    symmetric 3x3 block A_e of every element and solves the Schur complement
+    in u, the clamped chain of the springs b.A_e^-1.b at unit spacing, by the
+    prefix sums of ``primal1d.solve_spring_chain``: O(n) time and memory.
     """
     h, K = m.grid.h, cfg.K
     n = m.grid.n_elem
@@ -371,9 +372,8 @@ def kkt_solve(
             sol = np.linalg.solve(A, rhs)  # A_e^-1 r_x(e), A_e^-1 b
             bAr, bAb = (sol[:, 1] + sol[:, 2]).T
             du = np.zeros(n + 1)
-            du[1:-1] = primal1d.solve_tridiagonal(
-                bAb[:-1] + bAb[1:], -bAb[1:-1], h * (r[3 * n:] - (bAr[:-1] - bAr[1:]))
-            )
+            rhs_u = h * (r[3 * n:] - (bAr[:-1] - bAr[1:]))
+            du[1:-1] = primal1d.solve_spring_chain(bAb, 1.0, rhs_u)
         except (np.linalg.LinAlgError, SingularHessian) as exc:
             raise SingularKKTMatrix(str(exc)) from exc
         x = x - (sol[:, :, 0] + (np.diff(du) / h)[:, None] * sol[:, :, 1]).T

@@ -14,7 +14,7 @@ class NonConvergence(ElastodualError):
 
 
 class SingularHessian(ElastodualError):
-    """A tridiagonal system is exactly singular (LAPACK ``gtsv`` met a zero pivot)."""
+    """A spring-chain system has a zero spring or springs with sum(1/c) = 0."""
 
 
 class SingularKKTMatrix(ElastodualError):

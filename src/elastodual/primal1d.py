@@ -1,7 +1,7 @@
 """Primal 1D bar problem: total potential energy with quadratic-in-Green-strain
 stored energy, its first and second variations, a continuation line-search
-Newton solver for critical points, and the second-order (smallest eigenvalue)
-check.
+Newton solver for critical points (its tangent, a clamped spring chain, solved
+in closed form), and the second-order (smallest eigenvalue) check.
 
 The displacement is a piecewise-linear nodal field clamped at both ends.  With
 one-point quadrature every integrand below is elementwise constant, so all
@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (
-    LinAlgError, cho_solve_banded, cholesky_banded, eigh_tridiagonal, solve_banded,
-)
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import NonConvergence, SingularHessian
 from .mesh1d import Grid1D, average_to_midpoints, derivative, integrate, norm_V
@@ -103,35 +101,37 @@ def hessian_coefficients(m: BarModel, s: PrimalState) -> np.ndarray:
 
 
 def hessian(m: BarModel, s: PrimalState) -> tuple[np.ndarray, np.ndarray]:
-    """Interior-node tridiagonal second variation, as (diagonal, off-diagonal).
-
-    Entry (i, j) is the second variation evaluated on the interior hat
-    functions phi_i, phi_j.
-    """
-    return _spring_chain(hessian_coefficients(m, s), m.grid.h)
-
-
-def _spring_chain(c: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonal stiffness of a chain of element springs c with clamped ends."""
+    """Interior-node tridiagonal second variation, as (diagonal, off-diagonal):
+    the clamped spring chain of ``hessian_coefficients`` on the hat functions."""
+    c, h = hessian_coefficients(m, s), m.grid.h
     return (c[:-1] + c[1:]) / h, -c[1:-1] / h
 
 
-def solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric tridiagonal system by LAPACK's pivoted ``gtsv``."""
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = ab[2, :-1] = off
-    ab[1] = diag
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except LinAlgError as exc:
-        raise SingularHessian(str(exc)) from exc
+def chain_is_positive_definite(c: np.ndarray) -> bool:
+    """Whether the clamped spring chain of c has no zero spring and is positive
+    definite: every c > 0, or exactly one c < 0 and sum 1/c < 0."""
+    neg = np.count_nonzero(c < 0.0)
+    return bool(c.all() and (neg == 0 or neg == 1 and np.sum(1.0 / c) < 0.0))
 
 
-def _cholesky_solve(c: np.ndarray, h: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve with the spring chain of c by banded Cholesky (LinAlgError if not SPD)."""
-    ab = np.empty((2, c.size - 1))
-    ab[1], ab[0, 1:] = _spring_chain(c, h)
-    return cho_solve_banded((cholesky_banded(ab), False), rhs)
+def solve_spring_chain(c: np.ndarray, h: float, b: np.ndarray) -> np.ndarray:
+    """Solve (1/h) D^T diag(c) D x = b, D the clamped difference operator
+    from the interior nodes to the elements, in closed form.
+
+    With w = 1/c, W = sum(w) and wl_i, wr_i the compliance left and right of
+    node i, the Green's function h wl_min(i,j) wr_max(i,j) / W gives x as four
+    prefix sums that cancel no more than b does.  ``SingularHessian`` if a
+    spring is zero or sum(1/c) = 0."""
+    if not c.all():
+        raise SingularHessian("spring chain with a zero spring")
+    w = 1.0 / c
+    wl, wr = np.cumsum(w), np.cumsum(w[::-1])[::-1]
+    if wl[-1] == 0.0:
+        raise SingularHessian("spring chain with sum(1/c) = 0")
+    x = wr[1:] * np.cumsum(wl[:-1] * b)
+    x[:-1] += wl[:-2] * np.cumsum((wr[2:] * b[1:])[::-1])[::-1]
+    x *= h / wl[-1]
+    return x
 
 
 def energy_change(m: BarModel, s: PrimalState, du: np.ndarray) -> float:
@@ -156,8 +156,10 @@ def solve_newton(
     """Line-search Newton minimization of the energy over equal load steps
     (Nocedal & Wright, Numerical Optimization, section 3.4).
 
-    The step uses the exact Hessian if its Cholesky factorization succeeds,
-    else curvatures raised to 1e-2 max|c|, a positive definite spring chain;
+    The Hessian is the clamped spring chain of the curvatures c, positive
+    definite (no c zero) iff every c > 0, or exactly one c < 0 and
+    sum 1/c < 0 (Cauchy-Schwarz on the slopes, which sum to 0).  The step
+    solves it, else the chain of c raised to 1e-2 max|c|, in closed form;
     Armijo backtracking (c1 = 1e-4) halves it.  On the small-strain branch
     every unit step is accepted.  ``iteration_log``, if given, receives the
     iteration count of each stage.
@@ -185,11 +187,9 @@ def solve_newton(
                     f"{stage}: residual {res:.3e} after {it} iterations"
                 )
             c = hessian_coefficients(mk, s)
-            try:
-                du[1:-1] = _cholesky_solve(c, g.h, -r)
-            except LinAlgError:
+            if not chain_is_positive_definite(c):
                 c = np.maximum(c, 1e-2 * np.max(np.abs(c)))
-                du[1:-1] = _cholesky_solve(c, g.h, -r)
+            du[1:-1] = solve_spring_chain(c, g.h, -r)
             slope, t = float(r @ du[1:-1]), 1.0
             while not energy_change(mk, s, t * du) <= 1e-4 * t * slope:
                 t *= 0.5

@@ -588,12 +588,12 @@ class TestKKTSolve:
             assert np.max(np.abs(got - want)) <= 1e-8
 
     def test_singular_schur_complement(self, monkeypatch):
-        def singular(diag, off, rhs):
-            raise SingularHessian("pivot 0.000e+00 at row 0")
+        def singular(c, h, b):
+            raise SingularHessian("spring chain with sum(1/c) = 0")
 
         m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.1, 8)
         cfg, _, start = _perturbed_kkt_start(m, seed=1)
-        monkeypatch.setattr(primal1d, "solve_tridiagonal", singular)
+        monkeypatch.setattr(primal1d, "solve_spring_chain", singular)
         with pytest.raises(SingularKKTMatrix):
             dual1d.kkt_solve(m, cfg, start)
 

@@ -1,8 +1,13 @@
 """Unit tests for the 1D primal energy, variations, Newton solver, and the
 second-order condition, each checked against an independent oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import eigh_tridiagonal
 
 from elastodual import primal1d
@@ -165,49 +170,96 @@ class TestHessian:
             assert np.max(np.abs(hv - fd)) <= 1e-6 * denom
 
 
-class TestSolveTridiagonal:
-    def test_against_dense_solve(self):
-        rng = np.random.default_rng(4)
-        n = 20
-        diag = 2.0 + rng.uniform(0, 1, n)
-        off = rng.uniform(-0.5, 0.5, n - 1)
-        rhs = rng.standard_normal(n)
-        A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        x = primal1d.solve_tridiagonal(diag, off, rhs)
-        assert np.allclose(x, np.linalg.solve(A, rhs), atol=1e-12)
-
-    def test_singular_pivot(self):
-        with pytest.raises(SingularHessian):
-            primal1d.solve_tridiagonal(
-                np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0, 1.0])
-            )
+EPS = np.finfo(float).eps
+#: least delta = |sum 1/c| / sum_{e != k} 1/c_e of a drawn chain with one
+#: negative spring k: its distance from the positive-definiteness boundary,
+#: so that Cholesky's decision on it is not a matter of rounding
+PD_MARGIN = 1e-3
 
 
-def _thomas_numpy_scalars(diag, off, rhs):
-    """The Thomas loop on numpy float64 scalars, in solve_tridiagonal's
-    operation order."""
-    n = diag.size
-    d, b = diag.copy(), rhs.copy()
-    for i in range(1, n):
-        w = off[i - 1] / d[i - 1]
-        d[i] -= w * off[i - 1]
-        b[i] -= w * b[i - 1]
-    x = np.empty(n)
-    x[n - 1] = b[n - 1] / d[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (b[i] - off[i] * x[i + 1]) / d[i]
-    return x
+def _dense_chain(c, h):
+    return (np.diag(c[:-1] + c[1:]) - np.diag(c[1:-1], 1) - np.diag(c[1:-1], -1)) / h
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 4095])
-def test_solve_tridiagonal_bit_identical_to_numpy_loop(n):
-    rng = np.random.default_rng(n)
-    diag = 2.0 + rng.uniform(0, 1, n)
-    off = rng.uniform(-1.0, 1.0, n - 1)
-    rhs = rng.standard_normal(n)
-    x = primal1d.solve_tridiagonal(diag, off, rhs)
-    assert x.dtype == np.float64 and x.shape == (n,)
-    assert x.tobytes() == _thomas_numpy_scalars(diag, off, rhs).tobytes()
+@st.composite
+def _chains(draw, kind):
+    """Springs of magnitude 1e-3 to 1e3 and a load of 1e-3 to 1e3 per node.
+
+    positive: every spring > 0.  one_negative: spring k < 0 with
+    sum 1/c = -delta sum_{e != k} 1/c_e, a positive definite chain.
+    indefinite: the same with sum 1/c = +delta sum_{e != k} 1/c_e.  negative:
+    every spring < 0, as in the KKT Schur complement.  two_negative: springs
+    k and k + 1 < 0, the others of random sign.
+    """
+    n = draw(st.integers(2, 40))
+    c = 10.0 ** draw(hnp.arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))
+    b = draw(hnp.arrays(np.float64, n - 1, elements=st.floats(-3.0, 3.0)))
+    b = np.where(draw(hnp.arrays(bool, n - 1)), -1.0, 1.0) * 10.0**b
+    k = draw(st.integers(0, n - 1))
+    others = np.sum(1.0 / np.delete(c, k))
+    if kind == "one_negative":
+        c[k] = -1.0 / (others * (1.0 + draw(st.floats(PD_MARGIN, 10.0))))
+    elif kind == "indefinite":
+        c[k] = -1.0 / (others * (1.0 - draw(st.floats(PD_MARGIN, 0.999))))
+    elif kind == "negative":
+        c = -c
+    elif kind == "two_negative":
+        c *= np.where(draw(hnp.arrays(bool, n)), -1.0, 1.0)
+        pair = [k - 1, k] if k else [0, 1]
+        c[pair] = -np.abs(c[pair])
+    return c, 2.0 ** -draw(st.integers(0, 12)), b
+
+
+class TestSolveSpringChain:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["positive", "one_negative", "negative"]).flatmap(_chains))
+    def test_against_dense_solve(self, chain):
+        # The closed form is exact for springs and loads perturbed by a few
+        # rounding units, except that sum(1/c) amplifies a perturbation of
+        # the compliances by sum|1/c| / |sum 1/c| (1 on a definite chain).
+        # Both solutions then lie within n eps cond(A) of the exact one,
+        # times that amplification; the factor 4 is slack for both.
+        c, h, b = chain
+        A = _dense_chain(c, h)
+        want = np.linalg.solve(A, b)
+        got = primal1d.solve_spring_chain(c, h, b)
+        amplification = np.sum(np.abs(1.0 / c)) / abs(np.sum(1.0 / c))
+        bound = 4.0 * c.size * EPS * np.linalg.cond(A, np.inf) * amplification
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(
+            ["positive", "one_negative", "indefinite", "negative", "two_negative"]
+        ).flatmap(_chains)
+    )
+    def test_positive_definite_decision_matches_cholesky(self, chain):
+        c, h, _ = chain
+        try:
+            np.linalg.cholesky(_dense_chain(c, h))
+            cholesky = True
+        except np.linalg.LinAlgError:
+            cholesky = False
+        assert primal1d.chain_is_positive_definite(c) == cholesky
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            [1.0, 1.0, -0.5],  # sum 1/c = 0
+            [4.0, -4.0],
+            [0.5, -0.125, 0.25, 0.5],
+            [1.0, 0.0, 2.0, 0.0],  # two zero springs
+            [0.0, 0.0],
+            [1.0, 0.0, 2.0],  # one zero spring: regular, but no finite compliance
+        ],
+    )
+    def test_singular_chain(self, c):
+        c = np.array(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularHessian):
+                primal1d.solve_spring_chain(c, 0.5, np.ones(c.size - 1))
+            assert not primal1d.chain_is_positive_definite(c)
 
 
 class TestSolveNewton:
@@ -312,6 +364,23 @@ class TestLineSearchNewton:
         assert norm_V(primal1d.residual(m, s)[1:-1]) <= 1e-12
         assert not primal1d.condition_check(s, m.grid)[1]
         assert primal1d.second_variation_min_eig(m, s) > 0.0
+
+    @pytest.mark.parametrize(
+        "amp,n,log",
+        [
+            (10.0, 64, [11, 9, 9, 7]),
+            (3.0, 256, [6, 11, 12, 13]),
+            (10.0, 512, [13, 15, 16, 16]),
+            (1.5, 2048, [4, 6, 14, 14]),
+            (1.0, 4096, [4, 4, 5, 15]),
+        ],
+    )
+    def test_past_limit_iteration_logs(self, amp, n, log):
+        # per-stage counts measured with a banded-Cholesky step: how the
+        # step's linear system is solved must not change them
+        got = []
+        primal1d.solve_newton(_sine_model(amp, n), iteration_log=got)
+        assert got == log
 
 
 class TestEnergyChange:
