@@ -9,6 +9,7 @@ Exit codes: 0 all checks pass, 1 solver error, 2 hypothesis violated,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -191,6 +192,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # string defaults go through ``type``: fresh arrays per call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="elastodual",
@@ -212,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--E", type=_finite, default=1.0)
     ps.add_argument("--A", type=_finite, default=1.0)
     ps.add_argument("--L", type=_finite, default=1.0)
-    ps.add_argument("--amps", type=_parse_floats, default=[], help="e.g. 0,0.05,0.1")
+    ps.add_argument("--amps", type=_parse_floats, default="", help="e.g. 0,0.05,0.1")
     ps.add_argument("--n", type=int, default=64)
     ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--out", default=None)
@@ -221,11 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     p3 = sub.add_parser("certify3d", help="certify the 3D solid duality principle")
     p3.add_argument("--lam", type=_finite, default=1.0)
     p3.add_argument("--mu", type=_finite, default=1.0)
-    p3.add_argument("--box", type=_parse_vec3, default=np.array([1.0, 1.0, 1.0]))
+    p3.add_argument("--box", type=_parse_vec3, default="1,1,1")
     p3.add_argument("--mesh", type=_parse_int3, default=(4, 4, 4))
-    p3.add_argument("--body", type=_parse_vec3, default=np.zeros(3))
+    p3.add_argument("--body", type=_parse_vec3, default="0,0,0")
     p3.add_argument(
-        "--traction", type=_parse_vec3, default=np.array([0.02, 0.0, 0.0]),
+        "--traction", type=_parse_vec3, default="0.02,0,0",
         help="traction vector on the x = lx face",
     )
     p3.add_argument("--K", type=_finite, default=None)

@@ -5,7 +5,8 @@ in closed form), and the second-order (smallest eigenvalue) check.
 
 The displacement is a piecewise-linear nodal field clamped at both ends.  With
 one-point quadrature every integrand below is elementwise constant, so all
-expressions are exact at the discrete level.
+expressions are exact at the discrete level.  Newton forms the slope field
+once per iteration for the tangent and every line-search trial of its step.
 """
 
 from __future__ import annotations
@@ -94,10 +95,14 @@ def residual(m: BarModel, s: PrimalState) -> np.ndarray:
     return weak_residual(m, _axial_force(m, ux) * (1.0 + ux))  # elementwise dJ/d(u_x)
 
 
-def hessian_coefficients(m: BarModel, s: PrimalState) -> np.ndarray:
+def _curvature(m: BarModel, ux: np.ndarray) -> np.ndarray:
     """Elementwise second-variation coefficient EA*((1+u_x)^2 + u_x + u_x^2/2)."""
-    ux = derivative(s.u, m.grid)
     return m.EA * ((1.0 + ux) ** 2 + ux + 0.5 * ux**2)
+
+
+def hessian_coefficients(m: BarModel, s: PrimalState) -> np.ndarray:
+    """``_curvature`` of the state's slope field."""
+    return _curvature(m, derivative(s.u, m.grid))
 
 
 def hessian(m: BarModel, s: PrimalState) -> tuple[np.ndarray, np.ndarray]:
@@ -134,16 +139,23 @@ def solve_spring_chain(c: np.ndarray, h: float, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _change_along(m: BarModel, ux: np.ndarray, du: np.ndarray):
+    """t -> J(u + t du) - J(u) for u of slope field ux and a clamped nodal
+    increment du, summed per element: a plain difference of two energies
+    loses the O(|du|^2) decrease of a Newton step near convergence to rounding."""
+    d, load = derivative(du, m.grid), m.P * average_to_midpoints(du, m.grid)
+    opx, two_strain = 1.0 + ux, 2.0 * (ux + 0.5 * ux**2)
+    def change(t: float) -> float:
+        td = t * d
+        d_strain = td * (opx + 0.5 * td)
+        d_stored = 0.5 * m.EA * d_strain * (two_strain + d_strain)
+        return float(np.sum(d_stored - t * load) * m.grid.h)
+    return change
+
+
 def energy_change(m: BarModel, s: PrimalState, du: np.ndarray) -> float:
-    """J(u + du) - J(u) for a clamped nodal increment du, summed from
-    per-element increments: a plain difference of two energies loses the
-    O(|du|^2) decrease of a Newton step near convergence to rounding."""
-    g = m.grid
-    ux = derivative(s.u, g)
-    d = derivative(du, g)
-    d_strain = d * (1.0 + ux + 0.5 * d)
-    d_stored = 0.5 * m.EA * d_strain * (2.0 * (ux + 0.5 * ux**2) + d_strain)
-    return float(np.sum(d_stored - m.P * average_to_midpoints(du, g)) * g.h)
+    """J(u + du) - J(u) for a clamped nodal increment du."""
+    return _change_along(m, derivative(s.u, m.grid), du)(1.0)
 
 
 def solve_newton(
@@ -160,9 +172,11 @@ def solve_newton(
     definite (no c zero) iff every c > 0, or exactly one c < 0 and
     sum 1/c < 0 (Cauchy-Schwarz on the slopes, which sum to 0).  The step
     solves it, else the chain of c raised to 1e-2 max|c|, in closed form;
-    Armijo backtracking (c1 = 1e-4) halves it.  On the small-strain branch
-    every unit step is accepted.  ``iteration_log``, if given, receives the
-    iteration count of each stage.
+    Armijo backtracking (c1 = 1e-4) halves it.  Its trials t = 2^-k share
+    u_x and du's slope and load work: scaling by a power of two is exact (short
+    of underflow), so each equals ``energy_change(m, s, t * du)`` bit for bit.
+    On the small-strain branch every unit step is accepted.  ``iteration_log``,
+    if given, receives the iteration count of each stage.
     """
     if continuation_steps < 1:
         raise ValueError("continuation_steps must be >= 1")
@@ -186,12 +200,14 @@ def solve_newton(
                 raise NonConvergence(
                     f"{stage}: residual {res:.3e} after {it} iterations"
                 )
-            c = hessian_coefficients(mk, s)
+            ux = derivative(u, g)
+            c = _curvature(mk, ux)
             if not chain_is_positive_definite(c):
                 c = np.maximum(c, 1e-2 * np.max(np.abs(c)))
             du[1:-1] = solve_spring_chain(c, g.h, -r)
+            change = _change_along(mk, ux, du)
             slope, t = float(r @ du[1:-1]), 1.0
-            while not energy_change(mk, s, t * du) <= 1e-4 * t * slope:
+            while not change(t) <= 1e-4 * t * slope:
                 t *= 0.5
                 if t < 1e-15:
                     raise NonConvergence(f"{stage}: no descent at residual {res:.3e}")

@@ -259,6 +259,25 @@ class TestDeterminism:
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_reused_parser(self, capsys):
+        # one parser serves every call of the process: a report must not
+        # depend on the calls before it, failed ones included
+        certify3d = ["certify3d", "--mesh", "2,2,2"]
+        assert run_cli(certify3d) == cli.EXIT_PASS
+        first = capsys.readouterr().out
+        assert run_cli(["certify1d"]) == cli.EXIT_PASS
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["certify1d", "--n", "1"])
+        assert exc.value.code == cli.EXIT_INVALID_INPUT
+        capsys.readouterr()
+        assert run_cli(certify3d) == cli.EXIT_PASS
+        assert capsys.readouterr().out == first
+        parser = cli.build_parser()
+        assert parser is cli.build_parser()
+        a, b = (parser.parse_args(certify3d) for _ in range(2))
+        for name in ("box", "body", "traction"):
+            assert getattr(a, name) is not getattr(b, name)
+
 
 @pytest.mark.parametrize(
     "args",

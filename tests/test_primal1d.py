@@ -287,7 +287,8 @@ class TestSolveNewton:
             primal1d.solve_newton(_model(P=np.full(16, np.nan)))
 
     def test_line_search_gives_up(self, monkeypatch):
-        monkeypatch.setattr(primal1d, "energy_change", lambda m, s, du: 1.0)
+        # every Armijo trial of every step reports an energy increase
+        monkeypatch.setattr(primal1d, "_change_along", lambda m, ux, du: lambda t: 1.0)
         with pytest.raises(NonConvergence, match="no descent"):
             primal1d.solve_newton(_model(P=np.ones(16)))
 
@@ -373,17 +374,64 @@ class TestLineSearchNewton:
             (10.0, 512, [13, 15, 16, 16]),
             (1.5, 2048, [4, 6, 14, 14]),
             (1.0, 4096, [4, 4, 5, 15]),
+            (2.0, 128, [5, 11, 9, 10]),
+            (1.0, 1024, [4, 4, 5, 14]),
+            (1.5, 4096, [4, 6, 15, 14]),
         ],
     )
     def test_past_limit_iteration_logs(self, amp, n, log):
-        # per-stage counts measured with a banded-Cholesky step: how the
-        # step's linear system is solved must not change them
+        # every past-limit case of the benchmark's bar1d_recover mix; the
+        # first five counts were measured with a banded-Cholesky step, the
+        # last three with the closed-form one: neither how the step's linear
+        # system is solved nor how its Armijo trials are formed may move them
         got = []
         primal1d.solve_newton(_sine_model(amp, n), iteration_log=got)
         assert got == log
 
 
+@st.composite
+def _bar_increments(draw):
+    """A loaded bar, a state with slopes up to 1/2 and a clamped increment of
+    magnitude 1e-6 to 10 per node, some entries zero.  Magnitudes stay far
+    from underflow, where a scaling by 2^-k would round."""
+    n = draw(st.integers(2, 40))
+    E, A, L = (draw(st.floats(0.1, 10.0)) for _ in range(3))
+    P = draw(hnp.arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
+    m = BarModel(E, A, Grid1D(L, n), P)
+    u, du = np.zeros(n + 1), np.zeros(n + 1)
+    u[1:-1] = m.grid.h * draw(
+        hnp.arrays(np.float64, n - 1, elements=st.floats(-0.25, 0.25))
+    )
+    sizes = draw(hnp.arrays(np.float64, n - 1, elements=st.floats(-6.0, 1.0)))
+    signs = draw(hnp.arrays(np.int8, n - 1, elements=st.integers(-1, 1)))
+    du[1:-1] = signs * 10.0**sizes
+    return m, PrimalState(u), du
+
+
 class TestEnergyChange:
+    @settings(max_examples=200, deadline=None)
+    @given(_bar_increments())
+    def test_trials_are_exact_scalings(self, case):
+        # the line search only halves t from 1, and scaling by t = 2^-k is
+        # exact, so each trial equals a fresh energy_change of t du bit for bit
+        m, s, du = case
+        change = primal1d._change_along(m, np.diff(s.u) / m.grid.h, du)
+        for k in range(50):
+            t = 2.0**-k
+            assert change(t) == primal1d.energy_change(m, s, t * du)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_bar_increments())
+    def test_formula_is_unchanged(self, case):
+        # energy_change written out term by term: its rounding must not move
+        m, s, du = case
+        h = m.grid.h
+        ux, d = np.diff(s.u) / h, np.diff(du) / h
+        d_strain = d * (1.0 + ux + 0.5 * d)
+        d_stored = 0.5 * m.EA * d_strain * (2.0 * (ux + 0.5 * ux**2) + d_strain)
+        load = m.P * ((du[:-1] + du[1:]) * 0.5)
+        assert primal1d.energy_change(m, s, du) == float(np.sum(d_stored - load) * h)
+
     def test_matches_energy_difference(self):
         rng = np.random.default_rng(6)
         n = 32
