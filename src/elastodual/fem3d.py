@@ -15,8 +15,8 @@ restart from u = 0 over three equal load stages.  A Newton step scatters the
 element tangents into LAPACK band storage of the free block and solves it by
 banded Cholesky, or by banded LU when the tangent is indefinite; it forms no
 dense matrix.  The local-minimality and z-convexity samples are evaluated as
-stacks, one sample per row, in chunks of ``dual1d.CHUNK_ELEMS`` values per
-array.
+stacks, one sample per row, in chunks of at most ``CHUNK_ELEMS`` values per
+array, which bounds their memory but not their answers.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, solve_banded
 
 from . import tensor3d
-from .dual1d import _chunks, _rescale
 from .errors import NonConvergence, NotPositiveDefinite, SingularSystem
 from .tensor3d import I3, LameParams
 
@@ -41,6 +40,14 @@ GAP_TOL = 1e-8
 CONSTRAINT_TOL = 1e-9
 N_LOCAL = 50
 N_Z_SAMPLES = 50
+#: values per array of stacked samples: a chunk holds CHUNK_ELEMS // row_len rows
+CHUNK_ELEMS = 2**14
+
+
+def _chunks(n_samples: int, row_len: int) -> list[tuple[int, int]]:
+    """Consecutive (start, stop) sample ranges of max(1, CHUNK_ELEMS // row_len)."""
+    step = max(1, CHUNK_ELEMS // row_len)
+    return [(i, min(i + step, n_samples)) for i in range(0, n_samples, step)]
 
 
 @dataclass(frozen=True)
@@ -404,7 +411,7 @@ def certify_3d(
     for a, b in _chunks(N_LOCAL, row_len):
         delta = np.zeros((b - a, mesh.n_dof))
         delta[:, free] = rng.uniform(-1.0, 1.0, size=(b - a, free.size))
-        delta = _rescale(delta, np.max(np.abs(delta), axis=-1), 1e-4)
+        delta *= 1e-4 / np.max(np.abs(delta), axis=-1, keepdims=True)
         J = energy_3d(m, mesh, u0 + delta.reshape(b - a, mesh.n_nodes, 3))
         report.local_min_passed += int(np.count_nonzero(J >= report.J_primal - 1e-12))
     report.local_min_total = N_LOCAL

@@ -66,14 +66,7 @@ def energy(m: BarModel, s: PrimalState) -> float | np.ndarray:
     of a stacked state."""
     g = m.grid
     ux = derivative(s.u, g)
-    strain = np.square(ux)  # ux + ux^2/2, in place
-    strain *= 0.5
-    strain += ux
-    density = np.square(strain, out=strain)  # EA/2 strain^2 - P u_mid, in place
-    density *= 0.5 * m.EA
-    load = average_to_midpoints(s.u, g)
-    load *= m.P
-    density -= load
+    density = 0.5 * m.EA * (0.5 * ux**2 + ux) ** 2 - average_to_midpoints(s.u, g) * m.P
     return integrate(density, g)
 
 

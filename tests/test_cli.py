@@ -27,6 +27,12 @@ class TestCertify1D:
         assert abs(doc["dual"]["gap"]) <= 1e-10
         for key in ("version", "config_echo", "primal", "dual", "saddle", "kkt"):
             assert key in doc
+        assert doc["version"] == "1.1" and "seed" not in doc
+        assert doc["config_echo"]["seed"] == 7
+        assert set(doc["saddle"]) == {
+            "r", "r1", "r2", "z_curvature_floor", "z_deficit", "v_excess"
+        }
+        assert set(doc["local_min"]) == {"slope_radius", "energy_deficit"}
 
     def test_zero_amplitude_gap_exactly_zero(self, capsys):
         code = run_cli(["certify1d", "--amp", "0"])
@@ -61,6 +67,16 @@ class TestCertify1D:
         assert doc["primal"]["condition_ok"] is False
         assert doc["primal"]["residual_norm"] <= 1e-12
 
+    def test_small_ea_fails_on_curvature(self, capsys):
+        # the 1e-2 ball is wide against den ~ EA/2: it holds points where the
+        # z-problem is not convex, so the saddle proof fails
+        code = run_cli(["certify1d", "--E", "0.1", "--amp", "0.03", "--n", "512"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert doc["primal"]["condition_ok"] is True
+        assert doc["saddle"]["z_curvature_floor"] <= 0.0
+        assert doc["errors"][0].startswith("saddle_z: z-curvature floor")
+
     def test_mesh_cap(self):
         with pytest.raises(SystemExit):
             run_cli(["certify1d", "--n", "5000"])
@@ -83,10 +99,12 @@ class TestSweep1D:
         assert code == cli.EXIT_PASS
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 4
+        assert lines[0].split(",")[7] == "saddle_bound"
         for row in lines[1:]:
             fields = row.split(",")
             assert fields[-1] == "OK"
             assert abs(float(fields[3])) <= 1e-10  # gap column
+            assert 0.0 <= float(fields[7]) <= dual1d.SADDLE_TOL
 
     def test_duplicate_amplitudes_identical_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -1,15 +1,18 @@
 """Unit tests for the 1D dual side: conjugates, dual construction, gap
-identities, saddle sampling, the KKT solver, and certification."""
+identities, the saddle and local-minimality bounds against the samplers they
+replaced, the KKT solver, and certification."""
 
+import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from elastodual import dual1d, primal1d
+from elastodual import cli, dual1d, primal1d
 from elastodual.dual1d import DualConfig, DualState1D
 from elastodual.errors import (
     ConditionViolated,
@@ -252,110 +255,78 @@ class TestZKernel:
         assert np.all(np.abs(grad - grad_t) <= grad_bound)
         assert np.all(np.abs(curv - curv_t) <= curv_bound)
 
-    @pytest.mark.parametrize("n", [64, 1024])
-    @pytest.mark.parametrize("size, hits", [(1e-4, False), (1e-2, True)])
-    def test_warm_start_reaches_the_cold_minimum(self, n, size, hits):
-        # v-perturbations of sup norm ``size`` around the constructed duals,
-        # with z confined to the 1e-2 ball certify uses: the small ones keep
-        # every minimum inside it, the large ones push some onto its boundary
-        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, n)
-        cfg = DualConfig(m.EA / 2.0)
-        d = dual1d.construct_duals(m, primal1d.solve_newton(m), cfg)
-        rng = np.random.default_rng(n)
-        d1, d2 = rng.uniform(-size, size, size=(2, 8, n))
-        v1, v2, r1 = d.v1 + d1, d.v2 + d2, 1e-2
-        dz_dv1, dz_dv2 = dual1d._z_sensitivities(d, m, cfg)
-        z_warm = d.z + dz_dv1 * d1 + dz_dv2 * d2
-        cold, cold_hits = dual1d.minimize_in_z_ball(
-            DualState1D(v1, v2, d.z), m, cfg, d.z, r1
-        )
-        warm, warm_hits = dual1d.minimize_in_z_ball(
-            DualState1D(v1, v2, z_warm), m, cfg, d.z, r1
-        )
-        assert np.max(np.abs(warm.z - cold.z)) <= 1e-14
-        assert np.array_equal(warm_hits, cold_hits)
-        assert np.any(cold_hits) == hits
-        if not hits:  # a first-order start: its error is second order
-            err = np.max(np.abs(z_warm - cold.z))
-            assert err <= 1e-3 * np.max(np.abs(d.z - cold.z))
-
-    def test_saddle_kernel_passes(self, monkeypatch):
-        # the warm start saves one Newton step per v-sample: 4.01 kernel
-        # evaluations per sample element here against 5.00 from a cold
-        # start, the last of them the final stationarity check
-        n, n_samples = 1024, 100
-        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, n)
-        cfg = DualConfig(m.EA / 2.0)
-        d = dual1d.construct_duals(m, primal1d.solve_newton(m), cfg)
-        kernel, evaluated = dual1d._z_derivatives, []
-
-        def counted(*args):
-            out = kernel(*args)
-            evaluated.append(out[1].size)
-            return out
-
-        monkeypatch.setattr(dual1d, "_z_derivatives", counted)
-        res = dual1d.saddle_verify(m, d, cfg, 1e-2, 1e-2, n_samples=n_samples)
-        assert res.passed_v == n_samples
-        assert sum(evaluated) <= 4.1 * n_samples * n
-
 
 class TestSaddleVerify:
+    """The closed-form saddle and weak-equilibrium checks of ``certify``."""
+
     def test_canonical_case(self):
         m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.1, 32)
-        u0 = primal1d.solve_newton(m)
-        cfg = DualConfig(m.EA / 2.0)
-        d = dual1d.construct_duals(m, u0, cfg)
-        res = dual1d.saddle_verify(
-            m, d, cfg, r1=1e-2, r2=1e-2, n_samples=100, seed=0, tol=1e-10
-        )
-        assert res.passed_z == 100
-        assert res.passed_v == 100
+        report = dual1d.certify(m)
+        assert report.passed
+        assert (report.r, report.r1, report.r2) == (2e-2, 1e-2, 1e-2)
+        assert report.z_curvature_floor > 0.5
+        assert report.z_deficit <= dual1d.SADDLE_TOL
+        assert report.v_excess <= dual1d.SADDLE_TOL
 
-    def test_corrupted_duals_rejected(self, bar_model, bar_duals):
-        d, cfg = bar_duals
-        v2 = d.v2.copy()
-        v2[5] += 0.1
-        bad = DualState1D(d.v1, v2, d.z)
-        with pytest.raises(ValueError):
-            dual1d.saddle_verify(
-                bar_model, bad, cfg, r1=1e-2, r2=1e-2
-            )
+    def test_corrupted_duals_rejected(self, bar_model, monkeypatch):
+        construct = dual1d.construct_duals
 
-    def test_deterministic_given_seed(self, bar_model, bar_duals):
-        d, cfg = bar_duals
-        a = dual1d.saddle_verify(
-            bar_model, d, cfg, 1e-2, 1e-2, n_samples=20, seed=3
-        )
-        b = dual1d.saddle_verify(
-            bar_model, d, cfg, 1e-2, 1e-2, n_samples=20, seed=3
-        )
-        assert (a.passed_z, a.passed_v, a.boundary_hits) == (
-            b.passed_z,
-            b.passed_v,
-            b.boundary_hits,
-        )
+        def corrupted(m, u0, cfg):
+            d = construct(m, u0, cfg)
+            v2 = d.v2.copy()
+            v2[5] += 0.1
+            return DualState1D(d.v1, v2, d.z)
+
+        monkeypatch.setattr(dual1d, "construct_duals", corrupted)
+        report = dual1d.certify(bar_model)
+        assert not report.passed
+        assert report.constraint_residual_norm > dual1d.CONSTRAINT_TOL
+        assert any(e.startswith("constraint: ") for e in report.errors)
+
+    def test_deterministic_given_seed(self, capsys):
+        # the bounds draw no samples: --seed changes only its echo
+        docs = []
+        for seed in ("3", "3", "4"):
+            cli.main(["certify1d", "--amp", "0.1", "--n", "64", "--seed", seed])
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0] == docs[1]
+        assert docs[2]["config_echo"].pop("seed") == 4
+        docs[0]["config_echo"].pop("seed")
+        assert docs[0] == docs[2]
+
+    def test_radius_is_halved_once_near_the_positivity_boundary(self):
+        # min den is about 0.014 at EA = 0.05: r = margin/2 is halved once,
+        # and 3r < margin afterwards
+        m = dual1d.sine_load_model(0.05, 1.0, 1.0, 0.02, 64)
+        report = dual1d.certify(m)
+        margin, r0 = report.min_positivity_margin, 0.5 * report.min_positivity_margin
+        assert margin < 0.03
+        assert report.r == r0 / (m.EA / 2.0)
+        assert report.r1 == report.r2 == 0.5 * r0
+        assert 3.0 * report.r1 < margin
 
 
 def _saddle_counts_per_sample(m, d_hat, cfg, r1, r2, seed, n_samples=100, tol=1e-10):
-    """Oracle of saddle_verify's (passed_z, passed_v, boundary_hits): one
-    sample at a time, each z-sample through the single-state dual_functional
-    and each v-sample through a projected Newton with the z-derivatives of
-    the dual density written out here."""
+    """Oracle of the saddle check, the sampler it replaced: (passed_z,
+    passed_v, lost) from one sample at a time, each z-sample through the
+    single-state dual_functional and each v-sample through a projected
+    Newton in z, with the z-derivatives of the dual density written out
+    here.  ``lost`` counts the v-samples whose Newton met a z-curvature
+    <= 0 inside the ball; they do not pass."""
     rng = np.random.default_rng(seed)
     n = m.grid.n_elem
     z_deltas = rng.uniform(-1.0, 1.0, size=(n_samples, n))
     v_deltas = rng.uniform(-1.0, 1.0, size=(n_samples, n))
     v_consts = rng.uniform(-1.0, 1.0, size=n_samples)
     J_center = dual1d.dual_functional(d_hat, m, cfg)
-    passed_z = passed_v = hits = 0
+    passed_z = passed_v = lost = 0
     for delta in z_deltas:
         z = d_hat.z + delta * (r1 / np.max(np.abs(delta)))
         J = dual1d.dual_functional(DualState1D(d_hat.v1, d_hat.v2, z), m, cfg)
         passed_z += int(J >= J_center - tol)
     lo, hi = d_hat.z - r1, d_hat.z + r1
     for d1, c in zip(v_deltas, v_consts):
-        d2 = c - d1
+        d2 = c - d1  # constant sum: weak divergence is unchanged
         scale = r2 / max(np.max(np.abs(d1)), np.max(np.abs(d2)))
         v1, v2 = d_hat.v1 + d1 * scale, d_hat.v2 + d2 * scale
         z = np.clip(d_hat.z, lo, hi)
@@ -363,82 +334,169 @@ def _saddle_counts_per_sample(m, d_hat, cfg, r1, r2, seed, n_samples=100, tol=1e
             den = v2 + z + cfg.K
             grad = z / cfg.K + 0.5 * v1**2 / den**2 - (v2 + z) / m.EA
             curv = 1.0 / cfg.K - v1**2 / den**3 - 1.0 / m.EA
-            assert np.all(den > 0.0) and np.all(curv > 0.0)
+            assert np.all(den > 0.0)
+            if np.any(curv <= 0.0):
+                lost += 1
+                break
             z_new = np.clip(z - grad / curv, lo, hi)
             step, z = np.max(np.abs(z_new - z)), z_new
             if step <= 1e-14:
                 break
-        hits += int(np.any((z <= lo + 1e-13) | (z >= hi - 1e-13)))
-        J = dual1d.dual_functional(DualState1D(v1, v2, z), m, cfg)
-        passed_v += int(J <= J_center + tol)
-    return passed_z, passed_v, hits
+        else:
+            raise AssertionError("projected z-Newton did not converge")
+        if np.all(curv > 0.0):
+            J = dual1d.dual_functional(DualState1D(v1, v2, z), m, cfg)
+            passed_v += int(J <= J_center + tol)
+    return passed_z, passed_v, lost
+
+
+def _local_min_per_sample(m, u0, seed, n_samples=200, radius=1e-3, tol=1e-12):
+    """Oracle of the local-minimality check, the sampler it replaced: how many
+    clamped perturbations of norm_U ``radius`` drawn from default_rng(seed)
+    keep J(u0 + delta) >= J(u0) - tol."""
+    rng = np.random.default_rng(seed)
+    n = m.grid.n_elem
+    J0 = primal1d.energy(m, PrimalState(u0))
+    passed = 0
+    for _ in range(n_samples):
+        delta = np.zeros(n + 1)
+        delta[1:-1] = rng.uniform(-1.0, 1.0, n - 1)
+        delta *= radius / norm_U(delta, m.grid)
+        passed += int(primal1d.energy(m, PrimalState(u0 + delta)) >= J0 - tol)
+    return passed
+
+
+def _certify_at(m, u0, shift=0.0, split=0.0):
+    """certify with the primal solve returning u0 and the dual centre moved
+    off its stationary point: z by ``shift``, and v1 by ``split`` and v2 by
+    -split, so that v1 + v2 and with it the weak equilibrium stay."""
+    construct = dual1d.construct_duals
+
+    def shifted(m, u, cfg):
+        d = construct(m, u, cfg)
+        return DualState1D(d.v1 + split, d.v2 - split, d.z + shift)
+
+    with mock.patch.object(primal1d, "solve_newton", lambda *a, **k: PrimalState(u0)):
+        with mock.patch.object(dual1d, "construct_duals", shifted):
+            return dual1d.certify(m)
+
+
+def _bumped_solution(m, bump):
+    """The Newton solution plus a bump alternating from node to node."""
+    u0 = primal1d.solve_newton(m).u.copy()
+    u0[1:-1] += bump * (-1.0) ** np.arange(m.grid.n_elem - 1)
+    return u0
 
 
 class TestBatchedSamples:
-    """The stacked, chunked sample checks against per-sample loops."""
+    """The closed-form local-minimality check of ``certify`` against a
+    per-sample replay of the sampler it replaced."""
 
-    N = 512  # 100 saddle samples in 4 chunks, 200 local-min samples in 7
-
-    def test_saddle_counts_match_per_sample_loop(self):
-        # z does not enter the weak equilibrium constraint, so a shifted z is
-        # a valid centre off the stationary point.  The first centre leaves
-        # passed_z and passed_v strictly between 0 and 100, the second one
-        # boundary_hits.
-        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, self.N)
-        assert len(dual1d._chunks(100, self.N)) >= 3
-        u0 = primal1d.solve_newton(m)
-        cfg = DualConfig(m.EA / 2.0)
-        d = dual1d.construct_duals(m, u0, cfg)
-        partial = set()
-        for shift, r1, r2 in ((3e-3, 1e-4, 1e-3), (5e-3, 1e-2, 1e-2)):
-            centre = DualState1D(d.v1, d.v2, d.z + shift)
-            res = dual1d.saddle_verify(m, centre, cfg, r1, r2, seed=5)
-            assert (res.r1, res.r2, res.n_samples) == (r1, r2, 100)
-            counts = (res.passed_z, res.passed_v, res.boundary_hits)
-            assert counts == _saddle_counts_per_sample(m, centre, cfg, r1, r2, seed=5)
-            partial |= {i for i, c in enumerate(counts) if 0 < c < 100}
-        assert partial == {0, 1, 2}
+    N = 512
 
     @pytest.mark.parametrize("bump", [0.0, 1e-5])
-    def test_local_min_matches_per_sample_replay(self, bump, monkeypatch):
-        # a bump alternating from node to node moves the centre off the
-        # minimum (inside the slope condition), so part of the samples fail
-        n = self.N
-        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, n)
-        assert len(dual1d._chunks(dual1d.N_LOCAL, n + 1)) >= 3
-        u0 = primal1d.solve_newton(m).u.copy()
-        u0[1:-1] += bump * (-1.0) ** np.arange(n - 1)
-        monkeypatch.setattr(primal1d, "solve_newton", lambda *a, **k: PrimalState(u0))
-        report = dual1d.certify(m, seed=4)
-        rng = np.random.default_rng(4 + 1)  # certify's local-min stream
-        J0 = primal1d.energy(m, PrimalState(u0))
-        passed = 0
-        for _ in range(dual1d.N_LOCAL):
-            delta = np.zeros(n + 1)
-            delta[1:-1] = rng.uniform(-1.0, 1.0, n - 1)
-            delta *= 1e-3 / norm_U(delta, m.grid)
-            passed += int(primal1d.energy(m, PrimalState(u0 + delta)) >= J0 - 1e-12)
+    def test_local_min_matches_per_sample_replay(self, bump):
+        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, self.N)
+        u0 = _bumped_solution(m, bump)
+        report = _certify_at(m, u0)
+        passed = _local_min_per_sample(m, u0, seed=5)
         assert report.condition_ok
-        assert (report.local_min_passed, report.local_min_total) == (
-            passed, dual1d.N_LOCAL
+        assert report.slope_radius > 1.0 / 12.0
+        assert (passed == 200) == (report.energy_deficit <= dual1d.LOCAL_MIN_TOL)
+        assert 0 < passed < 200 if bump else passed == 200
+
+
+@st.composite
+def _certified_states(draw):
+    """(E, n, load, shift, split, bump, seed): a bar with A = L = 1 under the
+    sine load load * E, half of the loads near the slope limit |u_x| = 1/4,
+    and the perturbations of ``_certify_at`` (in units of EA) and
+    ``_bumped_solution`` (in units of h)."""
+    E = draw(st.floats(0.05, 4.0))
+    n = draw(st.sampled_from([4, 16, 64]))
+    load = draw(st.one_of(st.floats(-0.61, 0.61), st.floats(0.55, 0.61)))
+    shift, split = (draw(st.one_of(st.just(0.0), st.floats(-0.05, 0.05))) * E
+                    for _ in range(2))
+    bump = draw(st.one_of(st.just(0.0), st.floats(-2e-3, 2e-3))) / n  # h = 1/n
+    return E, n, load, shift, split, bump, draw(st.integers(0, 2**16))
+
+
+class TestSampleOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(_certified_states())
+    def test_bounds_fail_whenever_a_sampler_does(self, case):
+        E, n, load, shift, split, bump, seed = case
+        m = dual1d.sine_load_model(E, 1.0, 1.0, load * E, n)
+        u0 = _bumped_solution(m, bump)
+        report = _certify_at(m, u0, shift, split)
+        assume(report.condition_ok)
+        cfg = DualConfig(m.EA / 2.0)
+        d = dual1d.construct_duals(m, PrimalState(u0), cfg)
+        centre = DualState1D(d.v1 + split, d.v2 - split, d.z + shift)
+        pz, pv, lost = _saddle_counts_per_sample(
+            m, centre, cfg, report.r1, report.r2, seed
         )
-        assert 0 < passed < dual1d.N_LOCAL if bump else passed == dual1d.N_LOCAL
+        failed = {e.split(":")[0] for e in report.errors}
+        if lost:
+            assert report.z_curvature_floor <= 0.0 and "saddle_z" in failed
+        if pz < 100:
+            assert report.z_deficit > dual1d.SADDLE_TOL and "saddle_z" in failed
+        if pv + lost < 100:
+            assert report.v_excess > dual1d.SADDLE_TOL and "saddle_v" in failed
+        if _local_min_per_sample(m, u0, seed) < 200:
+            assert "local_min" in failed
+        if shift == split == bump == 0.0:
+            # constructed duals: every bound holds; the curvature floor
+            # needs den ~ EA/2 well above r = 1e-2, here EA >= 0.3
+            assert not failed & {"constraint", "saddle_v", "local_min"}
+            if E >= 0.5:
+                assert report.passed
 
+    def test_saddle_bounds_are_attained_where_samples_miss(self):
+        # moving the centre's z by 3e-3 off its stationary point opens a drop
+        # of J* inside the z-ball, at the unshifted z, that all 100 random
+        # z-samples miss; z_deficit bounds it to a few percent.  The v-samples
+        # pass there too, while the v-side bound fails.
+        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, 512)
+        u0 = primal1d.solve_newton(m).u
+        cfg = DualConfig(m.EA / 2.0)
+        d = dual1d.construct_duals(m, PrimalState(u0), cfg)
+        for shift in (0.0, 3e-3):
+            report = _certify_at(m, u0, shift)
+            centre = DualState1D(d.v1, d.v2, d.z + shift)
+            pz, pv, lost = _saddle_counts_per_sample(
+                m, centre, cfg, report.r1, report.r2, seed=5
+            )
+            assert lost == 0 and report.z_curvature_floor > 0.0
+            assert pz == pv == 100
+            assert (report.z_deficit <= dual1d.SADDLE_TOL) == (shift == 0.0)
+            assert (report.v_excess <= dual1d.SADDLE_TOL) == (shift == 0.0)
+        J_c = dual1d.dual_functional(centre, m, cfg)
+        drop = J_c - dual1d.dual_functional(d, m, cfg)
+        assert dual1d.SADDLE_TOL < 0.9 * report.z_deficit < drop <= report.z_deficit
 
-class TestStreamedVDraws:
-    def test_chunks_match_one_full_draw(self):
-        # saddle_verify's stream: z-deltas, v-deltas, then the v2 constants
-        n, n_samples = 512, 100
-        full = np.random.default_rng(9)
-        z_deltas = full.uniform(-1.0, 1.0, size=(n_samples, n))
-        v_deltas = full.uniform(-1.0, 1.0, size=(n_samples, n))
-        v_consts = full.uniform(-1.0, 1.0, size=n_samples)
-        rng = np.random.default_rng(9)
-        assert np.array_equal(rng.uniform(-1.0, 1.0, size=(n_samples, n)), z_deltas)
-        chunks = list(dual1d._v_perturbations(rng, n_samples, n))
-        assert len(chunks) == len(dual1d._chunks(n_samples, n)) >= 3
-        assert np.array_equal(np.concatenate([d1 for d1, _ in chunks]), v_deltas)
-        assert np.array_equal(np.concatenate([c for _, c in chunks]), v_consts)
+    @pytest.mark.parametrize("E, load", [(1.0, 0.3), (4.0, -0.6), (0.1, 0.3), (0.05, 0.6)])
+    def test_curvature_floor_is_attained_at_the_worst_corner(self, E, load):
+        m = dual1d.sine_load_model(E, 1.0, 1.0, load * E, 64)
+        report = dual1d.certify(m)
+        cfg = DualConfig(m.EA / 2.0)
+        K, EA, r = cfg.K, m.EA, report.r1
+        d = dual1d.construct_duals(m, primal1d.solve_newton(m), cfg)
+        corner = DualState1D(d.v1 + np.copysign(r, d.v1), d.v2 - r, d.z - r)
+        curv = dual1d.dstar_hessian_z(corner, m, cfg)
+        # both roundings, in units u of each term: the floor's (its
+        # docstring) and the kernel's at the corner, whose den also carries
+        # the shifts: 1/K, 1/EA, k and t = v1^2/den^3 carry 4, 4, 3 and
+        # 12 + 3 (|v2| + |z| + 2r + 2 |s| + 2 den + b)/b
+        u = 0.5 * np.finfo(float).eps
+        s, den = np.abs(d.v2 + d.z), d.v2 + d.z + K
+        b = den - 2.0 * r
+        t = (np.abs(d.v1) + r) ** 2 / b**3
+        spread = np.abs(d.v2) + np.abs(d.z) + 2.0 * r + 2.0 * s + 2.0 * den + b
+        bound = u * (4.0 / K + 4.0 / EA + 3.0 * np.abs(curv) + t * (12.0 + 3.0 * spread / b))
+        assert report.z_curvature_floor <= curv.min()
+        assert curv.min() - report.z_curvature_floor <= np.max(bound)
+        assert (report.z_curvature_floor > 0.0) == (E >= 1.0)
 
 
 def _kkt_residual(d, u, m, cfg):
@@ -627,19 +685,17 @@ class TestCertify:
         assert any(e.startswith("hypothesis") for e in report.errors)
 
     def test_memory_is_bounded(self):
-        # peak traced allocation of one n = 4096 certification: 7.4 MB for a
-        # loop over single samples with the draws held up front, 6.0 MB in
-        # chunks of 2^14 values, 2.4 MB with the v-samples also drawn chunk
-        # by chunk, 53 MB for one unchunked batch of the samples
+        # peak traced allocation of one n = 4096 certification: 0.96 MB of
+        # O(n) arrays, no sample stacks
         m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, 4096)
         tracemalloc.start()
         try:
-            report = dual1d.certify(m, seed=0)
+            report = dual1d.certify(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert peak < 4.5e6
+        assert peak < 1.5e6
 
     def test_upper_bound_chain(self, bar_model, bar_solution, bar_duals):
         d, cfg = bar_duals

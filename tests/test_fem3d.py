@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from elastodual import dual1d, fem3d, tensor3d
+from elastodual import fem3d, tensor3d
 from elastodual.errors import NonConvergence, NotPositiveDefinite, SingularSystem
 from elastodual.fem3d import BoxMesh, SolidModel
 from elastodual.tensor3d import I3, LameParams
@@ -607,8 +607,8 @@ class TestBatchedSamples3D:
     @pytest.mark.parametrize("case", ["centre", "perturbed", "indefinite"])
     def test_counts_match_per_sample_replay(self, case, monkeypatch):
         # 16 rows of 72 * 8 gradient values: 50 samples in 4 chunks
-        monkeypatch.setattr(dual1d, "CHUNK_ELEMS", 16 * 72 * 8)
-        assert len(dual1d._chunks(fem3d.N_LOCAL, 72 * 8)) >= 3
+        monkeypatch.setattr(fem3d, "CHUNK_ELEMS", 16 * 72 * 8)
+        assert len(fem3d._chunks(fem3d.N_LOCAL, 72 * 8)) >= 3
         traction = (0.0, 0.0, 0.0) if case == "indefinite" else (0.02, 0.01, 0.0)
         m = _model(traction=traction)
         mesh, u0 = fem3d.solve_newton_3d(m)
