@@ -29,7 +29,7 @@ EXIT_INVALID_INPUT = 4
 SWEEP_STATUS = {EXIT_PASS: "OK", EXIT_HYPOTHESIS_VIOLATED: "HYPOTHESIS"}
 
 MAX_ELEMS_1D = 4096
-SEED_1D_HELP = "echoed in the report; the 1D certificate draws no samples"
+SEED_HELP = "echoed in the report; the certificates draw no samples"
 
 log = logging.getLogger("elastodual")
 
@@ -158,7 +158,7 @@ def _solid_model(args: argparse.Namespace) -> fem3d.SolidModel:
 
 
 def cmd_certify3d(args: argparse.Namespace, model: fem3d.SolidModel) -> int:
-    report = fem3d.certify_3d(model, K=args.K, seed=args.seed, mode=args.mode)
+    report = fem3d.certify_3d(model, K=args.K, mode=args.mode)
     echo = {
         "subcommand": "certify3d",
         "lam": args.lam, "mu": args.mu,
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p1.add_argument("--L", type=_finite, default=1.0)
     p1.add_argument("--amp", type=_finite, default=0.1, help="sine load amplitude")
     p1.add_argument("--n", type=int, default=64, help="number of elements")
-    p1.add_argument("--seed", type=_seed, default=0, help=SEED_1D_HELP)
+    p1.add_argument("--seed", type=_seed, default=0, help=SEED_HELP)
     p1.add_argument("--out", default=None, help="report file (default stdout)")
     p1.set_defaults(func=cmd_certify1d, build=lambda a: _bar_models(a, [a.amp]))
 
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--L", type=_finite, default=1.0)
     ps.add_argument("--amps", type=_parse_floats, default="", help="e.g. 0,0.05,0.1")
     ps.add_argument("--n", type=int, default=64)
-    ps.add_argument("--seed", type=_seed, default=0, help=SEED_1D_HELP)
+    ps.add_argument("--seed", type=_seed, default=0, help=SEED_HELP)
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_sweep1d, build=lambda a: _bar_models(a, a.amps))
 
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p3.add_argument("--K", type=_finite, default=None)
     p3.add_argument("--mode", choices=tensor3d.M_TENSOR_MODES, default="identity")
-    p3.add_argument("--seed", type=_seed, default=0)
+    p3.add_argument("--seed", type=_seed, default=0, help=SEED_HELP)
     p3.add_argument("--out", default=None)
     p3.set_defaults(func=cmd_certify3d, build=_solid_model)
 

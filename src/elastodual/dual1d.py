@@ -105,23 +105,16 @@ def F_star_density(z: np.ndarray, cfg: DualConfig) -> np.ndarray:
     return z**2 / (2.0 * cfg.K)
 
 
-def F_star(z: np.ndarray, cfg: DualConfig, g: Grid1D) -> float | np.ndarray:
-    return integrate(F_star_density(z, cfg), g)
-
-
 def G_star_K_density(d: DualState1D, m: BarModel, cfg: DualConfig) -> np.ndarray:
     """v1^2 / (2 den) + (v2 + z)^2 / (2 EA), with den = v2 + z + K."""
     s = d.v2 + d.z
     return 0.5 * d.v1**2 / _require_positivity(s + cfg.K) + s**2 / (2.0 * m.EA)
 
 
-def G_star_K(d: DualState1D, m: BarModel, cfg: DualConfig) -> float | np.ndarray:
-    return integrate(G_star_K_density(d, m, cfg), m.grid)
-
-
 def dual_functional(d: DualState1D, m: BarModel, cfg: DualConfig) -> float | np.ndarray:
     """J*(v*, z*) = F*(z*) - G*_K(v*, z*), one value per state of a stack."""
-    return F_star(d.z, cfg, m.grid) - G_star_K(d, m, cfg)
+    f, g = F_star_density(d.z, cfg), G_star_K_density(d, m, cfg)
+    return integrate(f, m.grid) - integrate(g, m.grid)
 
 
 def construct_duals(m: BarModel, u0: PrimalState, cfg: DualConfig) -> DualState1D:
@@ -168,14 +161,6 @@ def _stationarity(d: DualState1D, u: np.ndarray, m: BarModel, cfg: DualConfig):
     r_v2 = 0.5 * d.v1**2 / den**2 - (d.v2 + d.z) / m.EA + w
     r_u = equilibrium_residual(d, m)[1:-1]
     return (r_z, r_v1, r_v2, r_u), den, curv
-
-
-def stationarity_residuals(
-    d: DualState1D, u: np.ndarray, m: BarModel, cfg: DualConfig
-) -> dict[str, float]:
-    """Max norms of the four stationarity equations of the Lagrangian."""
-    parts, _, _ = _stationarity(d, u, m, cfg)
-    return {k: norm_V(r) for k, r in zip(("z", "v1", "v2", "u"), parts)}
 
 
 def _saddle_bounds(

@@ -57,23 +57,19 @@ class Grid1D:
             )
 
 
-def _per_field(x: np.ndarray) -> float | np.ndarray:
-    """A float for a single field, an array of one value per row for a stack."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def derivative(u: np.ndarray, g: Grid1D) -> np.ndarray:
     """Elementwise slope of a piecewise-linear nodal field."""
     g.check_nodal(u)
-    ux = np.diff(u)
+    ux = u[..., 1:] - u[..., :-1]
     ux /= g.h
     return ux
 
 
 def integrate(f: np.ndarray, g: Grid1D) -> float | np.ndarray:
-    """Midpoint-rule integral of an element field over [0, L]."""
+    """Midpoint-rule integral over [0, L]: a float per field, one per row of a stack."""
     g.check_elem(f)
-    return _per_field(np.sum(f, axis=-1) * g.h)
+    x = np.sum(f, axis=-1) * g.h
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def average_to_midpoints(u: np.ndarray, g: Grid1D) -> np.ndarray:
@@ -82,19 +78,6 @@ def average_to_midpoints(u: np.ndarray, g: Grid1D) -> np.ndarray:
     mid = u[..., :-1] + u[..., 1:]
     mid *= 0.5
     return mid
-
-
-def norm_U(u: np.ndarray, g: Grid1D) -> float | np.ndarray:
-    """Discrete max over the bar of |u| + |u_x|.
-
-    Evaluated per element as max(|u| at the two endpoints) + |slope|.
-    """
-    slope = derivative(u, g)
-    np.abs(slope, out=slope)
-    size = np.abs(u)
-    size = np.maximum(size[..., :-1], size[..., 1:])  # endpoint max
-    size += slope
-    return _per_field(np.max(size, axis=-1))
 
 
 def norm_V(f: np.ndarray) -> float:

@@ -138,17 +138,16 @@ def _change_along(m: BarModel, ux: np.ndarray, du: np.ndarray):
     loses the O(|du|^2) decrease of a Newton step near convergence to rounding."""
     d, load = derivative(du, m.grid), m.P * average_to_midpoints(du, m.grid)
     opx, two_strain = 1.0 + ux, 2.0 * (ux + 0.5 * ux**2)
-    def change(t: float) -> float:
-        td = t * d
-        d_strain = td * (opx + 0.5 * td)
-        d_stored = 0.5 * m.EA * d_strain * (two_strain + d_strain)
-        return float(np.sum(d_stored - t * load) * m.grid.h)
+    td, s, w = (np.empty_like(d) for _ in range(3))
+    def change(t: float) -> float:  # in place: three buffers, the same roundings
+        np.multiply(t, d, out=td)
+        np.add(opx, np.multiply(0.5, td, out=s), out=s)
+        np.multiply(td, s, out=s)  # the strain change
+        np.multiply(0.5 * m.EA, s, out=w)
+        np.multiply(w, np.add(two_strain, s, out=s), out=w)
+        np.subtract(w, np.multiply(t, load, out=td), out=w)
+        return float(np.sum(w) * m.grid.h)
     return change
-
-
-def energy_change(m: BarModel, s: PrimalState, du: np.ndarray) -> float:
-    """J(u + du) - J(u) for a clamped nodal increment du."""
-    return _change_along(m, derivative(s.u, m.grid), du)(1.0)
 
 
 def solve_newton(
@@ -167,7 +166,7 @@ def solve_newton(
     solves it, else the chain of c raised to 1e-2 max|c|, in closed form;
     Armijo backtracking (c1 = 1e-4) halves it.  Its trials t = 2^-k share
     u_x and du's slope and load work: scaling by a power of two is exact (short
-    of underflow), so each equals ``energy_change(m, s, t * du)`` bit for bit.
+    of underflow), so each equals the t = 1 trial of t du bit for bit.
     On the small-strain branch every unit step is accepted.  ``iteration_log``,
     if given, receives the iteration count of each stage.
     """

@@ -205,16 +205,11 @@ def f_star_3d_density(z: np.ndarray, K: float) -> np.ndarray:
 
 
 def g_star_k_density(
-    v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, K: float,
-    *, gram: np.ndarray | None = None,
+    v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, K: float
 ) -> np.ndarray:
     """Closed-form density of the perturbed conjugate:
-    1/2 tr(A^-1 v1^T v1) + 1/2 (v2+z) : Hbar : (v2+z), A = v2 + z + K*I.
-
-    ``gram`` is v1^T v1 at each point, for a caller that evaluates many z at
-    the same v1 and forms it once; by default it is formed here."""
-    if gram is None:
-        gram = _t(v1) @ v1
+    1/2 tr(A^-1 v1^T v1) + 1/2 (v2+z) : Hbar : (v2+z), A = v2 + z + K*I."""
+    gram = _t(v1) @ v1
     S = v2 + z
     Ainv = _require_pd(S + K * I3)
     return 0.5 * np.sum(Ainv * _t(gram), axis=(-2, -1)) + 0.5 * np.sum(

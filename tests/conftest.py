@@ -13,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from elastodual import dual1d, primal1d
-from elastodual.mesh1d import Grid1D
+from elastodual import dual1d, fem3d, primal1d
+from elastodual.mesh1d import Grid1D, derivative, norm_V
 
 
 @pytest.fixture(scope="session")
@@ -167,3 +167,37 @@ def m_tensor_oracle(lam, mu, K, mode):
     Hbar = np.linalg.inv(on_sym(isotropic_tensor(lam, mu)))
     K = np.asarray(K, dtype=float)[..., None, None]
     return on_sym(np.eye(9) - (3.0 / 32.0) * delta) / K - Hbar
+
+
+def energy_change(m, s, du):
+    """J(u + du) - J(u) for a clamped nodal increment du: the t = 1 trial of
+    primal1d.solve_newton's line search."""
+    return primal1d._change_along(m, derivative(s.u, m.grid), du)(1.0)
+
+
+def stationarity_residuals(d, u, m, cfg):
+    """Max norms of the four stationarity equations of the Lagrangian."""
+    parts, _, _ = dual1d._stationarity(d, u, m, cfg)
+    return {k: norm_V(r) for k, r in zip(("z", "v1", "v2", "u"), parts)}
+
+
+def dense_tangent_3d(m, mesh, u, material=None):
+    """Dense tangent stiffness (material + geometric), no boundary treatment:
+    the element tangents scattered into an n_dof^2 array, an oracle for the
+    band storage that the Newton solve and the local-minimality bound use.
+    ``material`` replaces m.lame in the material term only."""
+    index = mesh.dofs[:, :, None] * mesh.n_dof + mesh.dofs[:, None, :]
+    Ke = fem3d._element_tangents(m, mesh, u, material).ravel()
+    return np.bincount(index.ravel(), Ke, mesh.n_dof**2).reshape(mesh.n_dof, -1)
+
+
+def norm_U(u, g):
+    """Discrete max over the bar of |u| + |u_x|, one value per field of a
+    stack: per element, max(|u| at the two endpoints) + |slope|."""
+    slope = derivative(u, g)
+    np.abs(slope, out=slope)
+    size = np.abs(u)
+    size = np.maximum(size[..., :-1], size[..., 1:])  # endpoint max
+    size += slope
+    x = np.max(size, axis=-1)
+    return float(x) if np.ndim(x) == 0 else x

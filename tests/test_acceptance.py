@@ -13,16 +13,19 @@ import pytest
 from elastodual import cli, dual1d, fem3d, primal1d, tensor3d
 from elastodual.dual1d import DualConfig, DualState1D
 from elastodual.fem3d import BoxMesh, SolidModel
-from elastodual.mesh1d import Grid1D, norm_U, norm_V
+from elastodual.mesh1d import Grid1D, norm_V
 from elastodual.primal1d import BarModel, PrimalState
 from elastodual.tensor3d import I3, LameParams
 
 from conftest import (
+    dense_tangent_3d,
     f_star_sup_oracle,
     g_star_k_sup_oracle,
     golden_max,
     m_tensor_oracle,
+    norm_U,
     random_rotation,
+    stationarity_residuals,
 )
 
 AMPLITUDES = (0.02, 0.05, 0.1)
@@ -100,7 +103,7 @@ def test_criterion_03_hessian_bound(one_d_cases):
 
 def test_criterion_04_stationarity_and_kkt(one_d_cases):
     m, u0, d, cfg, _, _ = one_d_cases[0.1]
-    res = dual1d.stationarity_residuals(d, u0.u, m, cfg)
+    res = stationarity_residuals(d, u0.u, m, cfg)
     ok = max(res.values()) <= 1e-11
 
     rng = np.random.default_rng(11)
@@ -196,7 +199,7 @@ def test_criterion_07_derivative_oracles(one_d_cases):
             - fem3d.energy_3d(sm, mesh, u - eps * phi)
         ) / (2 * eps)
         ok = ok and abs(dj - fd) <= 1e-6 * (1.0 + abs(dj))
-        Kg = fem3d.hessian_3d(sm, mesh, u)
+        Kg = dense_tangent_3d(sm, mesh, u)
         hv = (Kg @ phi.ravel())[mesh.free_dofs]
         fdh = (
             fem3d.residual_3d(sm, mesh, u + eps * phi)

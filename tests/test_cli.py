@@ -277,6 +277,18 @@ class TestDeterminism:
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_certify3d_seed_is_only_echoed(self, capsys):
+        # the 3D bounds draw no samples: at the 8^3 mesh cap, --seed 1 and
+        # --seed 2 print the same report apart from the config echo
+        docs = []
+        for seed in (1, 2):
+            args = ["certify3d", "--mesh", "8,8,8", "--seed", str(seed)]
+            assert run_cli(args) == cli.EXIT_PASS
+            doc = json.loads(capsys.readouterr().out)
+            assert doc.pop("config_echo")["seed"] == seed
+            docs.append(json.dumps(doc, indent=2, sort_keys=True))
+        assert docs[0] == docs[1]
+
     def test_reused_parser(self, capsys):
         # one parser serves every call of the process: a report must not
         # depend on the calls before it, failed ones included

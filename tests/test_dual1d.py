@@ -20,10 +20,12 @@ from elastodual.errors import (
     SingularHessian,
     SingularKKTMatrix,
 )
-from elastodual.mesh1d import Grid1D, derivative, norm_U, norm_V
+from elastodual.mesh1d import Grid1D, derivative, integrate, norm_V
 from elastodual.primal1d import BarModel, PrimalState
 
-from conftest import f_star_sup_oracle, g_star_k_sup_oracle
+from conftest import (
+    f_star_sup_oracle, g_star_k_sup_oracle, norm_U, stationarity_residuals,
+)
 
 
 def _model(n=16, P=None, E=1.0, A=1.0, L=1.0):
@@ -36,12 +38,12 @@ def _model(n=16, P=None, E=1.0, A=1.0, L=1.0):
 class TestFStar:
     def test_zero(self):
         g = Grid1D(1.0, 8)
-        assert dual1d.F_star(np.zeros(8), DualConfig(1.0), g) == 0.0
+        assert integrate(dual1d.F_star_density(np.zeros(8), DualConfig(1.0)), g) == 0.0
 
     def test_constant(self):
         g = Grid1D(2.0, 8)
         cfg = DualConfig(0.5)
-        assert dual1d.F_star(np.full(8, 3.0), cfg, g) == pytest.approx(
+        assert integrate(dual1d.F_star_density(np.full(8, 3.0), cfg), g) == pytest.approx(
             9.0 * 2.0 / (2.0 * 0.5)
         )
 
@@ -72,18 +74,18 @@ class TestGStarK:
     def test_zero(self):
         m = _model(n=4)
         d = DualState1D(np.zeros(4), np.zeros(4), np.zeros(4))
-        assert dual1d.G_star_K(d, m, DualConfig(1.0)) == 0.0
+        assert integrate(dual1d.G_star_K_density(d, m, DualConfig(1.0)), m.grid) == 0.0
 
     def test_constant_closed_form(self):
         m = _model(n=4, E=2.0, A=1.0)
         d = DualState1D(np.ones(4), np.zeros(4), np.zeros(4))
-        assert dual1d.G_star_K(d, m, DualConfig(1.0)) == pytest.approx(0.5)
+        assert integrate(dual1d.G_star_K_density(d, m, DualConfig(1.0)), m.grid) == pytest.approx(0.5)
 
     def test_positivity_violation(self):
         m = _model(n=4)
         d = DualState1D(np.zeros(4), np.full(4, -2.0), np.zeros(4))
         with pytest.raises(PositivityViolated) as exc:
-            dual1d.G_star_K(d, m, DualConfig(1.0))
+            integrate(dual1d.G_star_K_density(d, m, DualConfig(1.0)), m.grid)
         assert exc.value.margin <= 0.0
         assert exc.value.location == 0
 
@@ -598,7 +600,7 @@ class TestKKTSolve:
         self, bar_model, bar_solution, bar_duals
     ):
         d, cfg = bar_duals
-        res = dual1d.stationarity_residuals(d, bar_solution.u, bar_model, cfg)
+        res = stationarity_residuals(d, bar_solution.u, bar_model, cfg)
         assert max(res.values()) <= 1e-12
 
     def test_reconvergence_from_perturbed_start(

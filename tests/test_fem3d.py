@@ -1,16 +1,19 @@
 """Unit tests for the 3D hexahedral discretization and certification."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from elastodual import fem3d, tensor3d
+from elastodual import cli, fem3d, tensor3d
 from elastodual.errors import NonConvergence, NotPositiveDefinite, SingularSystem
 from elastodual.fem3d import BoxMesh, SolidModel
 from elastodual.tensor3d import I3, LameParams
 
-from conftest import isotropic_tensor, on_sym
+from conftest import dense_tangent_3d, isotropic_tensor, on_sym
 
 P11 = LameParams(1.0, 1.0)
 
@@ -187,7 +190,7 @@ class TestEnergy3D:
     def test_zero(self):
         m = _model()
         mesh = BoxMesh(m)
-        assert fem3d.energy_3d(m, mesh, fem3d.zero_displacement(mesh)) == 0.0
+        assert fem3d.energy_3d(m, mesh, np.zeros((mesh.n_nodes, 3))) == 0.0
 
     def test_patch_constant_strain(self):
         # linear displacement field: constant stress at every quadrature
@@ -244,13 +247,13 @@ class TestResidual3D:
     def test_zero_state_no_load(self):
         m = _model(traction=(0.0, 0.0, 0.0))
         mesh = BoxMesh(m)
-        R = fem3d.residual_3d(m, mesh, fem3d.zero_displacement(mesh))
+        R = fem3d.residual_3d(m, mesh, np.zeros((mesh.n_nodes, 3)))
         assert np.max(np.abs(R)) == 0.0
 
     def test_zero_state_equals_negative_load(self):
         m = _model(body=(0.3, -0.1, 0.2), traction=(0.0, 0.1, 0.0))
         mesh = BoxMesh(m)
-        R = fem3d.residual_3d(m, mesh, fem3d.zero_displacement(mesh))
+        R = fem3d.residual_3d(m, mesh, np.zeros((mesh.n_nodes, 3)))
         L = fem3d._load_vector(m, mesh)
         L[mesh.clamped_nodes] = 0.0
         assert np.allclose(R, -L, atol=1e-14)
@@ -285,7 +288,7 @@ class TestHessian3D:
         mesh = BoxMesh(m)
         rng = np.random.default_rng(2)
         u = _random_clamped_state(mesh, rng)
-        Kg = fem3d.hessian_3d(m, mesh, u)
+        Kg = dense_tangent_3d(m, mesh, u)
         assert np.max(np.abs(Kg - Kg.T)) <= 1e-12
 
     def test_zero_state_is_linear_stiffness(self):
@@ -293,8 +296,8 @@ class TestHessian3D:
         # second derivative of the quadratic part of the energy
         m = _model(traction=(0.0, 0.0, 0.0))
         mesh = BoxMesh(m)
-        u0 = fem3d.zero_displacement(mesh)
-        Kg = fem3d.hessian_3d(m, mesh, u0)
+        u0 = np.zeros((mesh.n_nodes, 3))
+        Kg = dense_tangent_3d(m, mesh, u0)
         rng = np.random.default_rng(3)
         for _ in range(5):
             phi = _random_clamped_state(mesh, rng, scale=1.0).ravel()
@@ -318,7 +321,7 @@ class TestHessian3D:
         rng = np.random.default_rng(6)
         for _ in range(3):
             u = _random_clamped_state(mesh, rng, scale=0.05)
-            Kg = fem3d.hessian_3d(m, mesh, u)
+            Kg = dense_tangent_3d(m, mesh, u)
             oracle = hessian_oracle(m, mesh, u)
             assert Kg.shape == (mesh.n_dof, mesh.n_dof)
             assert np.max(np.abs(Kg - oracle)) <= 1e-13 * np.max(np.abs(oracle))
@@ -331,7 +334,7 @@ class TestHessian3D:
         for _ in range(3):
             u = _random_clamped_state(mesh, rng)
             psi = _random_clamped_state(mesh, rng, scale=1.0)
-            Kg = fem3d.hessian_3d(m, mesh, u)
+            Kg = dense_tangent_3d(m, mesh, u)
             hv = (Kg @ psi.ravel())[mesh.free_dofs]
             fd = (
                 fem3d.residual_3d(m, mesh, u + eps * psi)
@@ -381,7 +384,7 @@ class TestBandTangent3D:
         for _ in range(2):
             u = _random_clamped_state(mesh, rng, scale=0.05)
             ab = fem3d.band_tangent_3d(m, mesh, u)
-            K = fem3d.hessian_3d(m, mesh, u)[np.ix_(free, free)]
+            K = dense_tangent_3d(m, mesh, u)[np.ix_(free, free)]
             assert ab.shape == (2 * mesh.band + 1, free.size)
             assert np.max(np.abs(unpack_band(ab) - K)) <= 1e-14 * np.max(np.abs(K))
 
@@ -395,15 +398,21 @@ class TestBandTangent3D:
             widest = max(widest, max(dofs) - min(dofs))
         assert mesh.band == widest
 
-    def test_newton_forms_no_dense_tangent(self, monkeypatch):
-        def dense(*args, **kwargs):
-            raise AssertionError("solve_newton_3d called hessian_3d")
-
-        monkeypatch.setattr(fem3d, "hessian_3d", dense)
-        m = _model(nx=3, ny=2, nz=2)
-        mesh, u = fem3d.solve_newton_3d(m)
+    def test_newton_forms_no_dense_tangent(self):
+        # src has no dense tangent (the oracle lives in conftest), and the
+        # solve's traced peak stays below one n_dof^2 array: 8.5 MB at 6^3
+        assert not hasattr(fem3d, "hessian_3d")
+        m = _model(nx=6, ny=6, nz=6)
+        n_dof = 3 * 7**3
+        tracemalloc.start()
+        try:
+            mesh, u = fem3d.solve_newton_3d(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         R = fem3d.residual_3d(m, mesh, u).ravel()
         assert np.max(np.abs(R[mesh.free_dofs])) <= 1e-11
+        assert peak < 8 * n_dof**2
 
     @pytest.mark.parametrize("pivot", [5.0, -5.0])
     def test_band_solve_matches_dense(self, pivot):
@@ -431,7 +440,7 @@ def continuation_newton(m, steps, tol=1e-11, max_iter=30):
     """Newton from u = 0 over `steps` equal load stages, each step solved on
     the band tangent; raises NonConvergence or SingularSystem on failure."""
     mesh = BoxMesh(m)
-    u = fem3d.zero_displacement(mesh)
+    u = np.zeros((mesh.n_nodes, 3))
     free = mesh.free_dofs
     for k in range(1, steps + 1):
         for it in range(max_iter + 1):
@@ -501,7 +510,7 @@ class TestSolveNewton3D:
     def test_bb_descent_oracle(self):
         m = _model(traction=(0.01, 0.0, 0.0))
         mesh, u_newton = fem3d.solve_newton_3d(m, tol=1e-11)
-        u = fem3d.zero_displacement(mesh)
+        u = np.zeros((mesh.n_nodes, 3))
         r_prev = s_prev = None
         for _ in range(20000):
             r = fem3d.residual_3d(m, mesh, u).ravel()[mesh.free_dofs]
@@ -566,15 +575,160 @@ class TestCertify3D:
         assert report.errors
 
 
-def _sample_counts_per_sample(m, mesh, u0, duals, K, radius, seed):
-    """certify_3d's local-minimality and z-convexity counts from one sample
-    at a time over the same seeded stream, and how many z-samples met an
-    indefinite point."""
+def _certify_at(monkeypatch, m, mesh, u0, shift=None):
+    """certify_3d at the fixed state u0, with z moved by ``shift`` if given."""
+    monkeypatch.setattr(fem3d, "solve_newton_3d", lambda _m: (mesh, u0))
+    if shift is not None:
+        construct = tensor3d.construct_duals_pointwise
+
+        def shifted(p, K, g0):
+            v1, v2, z = construct(p, K, g0)
+            return v1, v2, z + shift
+
+        monkeypatch.setattr(tensor3d, "construct_duals_pointwise", shifted)
+    return fem3d.certify_3d(m)
+
+
+def _failed(report):
+    return {e.split(":")[0] for e in report.errors}
+
+
+class TestBounds3D:
+    """The closed-form z-side and local-minimality bounds of certify_3d."""
+
+    def test_report_schema(self):
+        doc = json.loads(fem3d.certify_3d(_model()).to_json())
+        assert doc["version"] == "1.1"
+        for key in ("z_curvature_floor", "z_deficit", "energy_deficit", "local_min_shift"):
+            assert np.isfinite(doc[key])
+        for key in ("seed", "local_min_passed", "local_min_total",
+                    "z_convex_passed", "z_convex_total"):
+            assert key not in doc
+        assert 0.0 < doc["local_min_shift"] < 1e-9
+        assert doc["z_curvature_floor"] > 0.0 and doc["z_deficit"] <= 1e-30
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("certify_3d drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        assert fem3d.certify_3d(_model()).passed
+
+    def test_z_shift_fails_z_side_bound(self, monkeypatch):
+        # z + s I is stationary no more: J* drops by about 0.53 s^2 towards
+        # z, a point of the ball, so s = 3e-5 breaks the 1e-10 slack; the
+        # bound must fail there.  At s = 1e-6 that drop is 5e-13, inside the
+        # slack, and the bound passes.
+        m = _model()
+        mesh, u0 = fem3d.solve_newton_3d(m)
+        small = _certify_at(monkeypatch, m, mesh, u0, 1e-6 * I3)
+        assert small.passed and small.z_deficit < 1e-10
+        report = _certify_at(monkeypatch, m, mesh, u0, 3e-5 * I3)
+        assert _failed(report) == {"z_convex"}
+        assert report.z_curvature_floor > 0.0 and report.z_deficit > 1e-10
+        K = report.K_used
+        v1, v2, z = tensor3d.construct_duals_pointwise(
+            m.lame, K, fem3d.displacement_gradients(mesh, u0)
+        )
+
+        def J_star(zz):
+            return float(np.sum(
+                tensor3d.f_star_3d_density(zz, K)
+                - tensor3d.g_star_k_density(v1, v2, zz, m.lame, K)
+            )) * mesh.detJ
+
+        assert J_star(z - 3e-5 * I3) < J_star(z) - 1e-10
+
+    def test_u0_off_the_minimum_fails_energy_deficit(self, monkeypatch):
+        m = _model()
+        mesh, u0 = fem3d.solve_newton_3d(m)
+        moved = u0.copy()
+        moved.reshape(-1)[mesh.free_dofs] += 1e-6 * (-1.0) ** np.arange(mesh.free_dofs.size)
+        report = _certify_at(monkeypatch, m, mesh, moved)
+        assert "local_min" in _failed(report)
+        assert report.energy_deficit > 1e-12
+        # and the energy does drop by more than the slack in the ball: the
+        # Newton step of the dense tangent, back to u0, stays in it
+        free = mesh.free_dofs
+        R = fem3d.residual_3d(m, mesh, moved).ravel()[free]
+        Kt = dense_tangent_3d(m, mesh, moved)[np.ix_(free, free)]
+        delta = np.zeros(mesh.n_dof)
+        delta[free] = -np.linalg.solve(Kt, R)
+        assert np.max(np.abs(delta)) <= fem3d.LOCAL_RADIUS
+        J0 = fem3d.energy_3d(m, mesh, moved)
+        assert fem3d.energy_3d(m, mesh, moved + delta.reshape(-1, 3)) < J0 - 1e-12
+
+    @pytest.mark.parametrize("radius", [fem3d.LOCAL_RADIUS, 0.3])
+    @pytest.mark.parametrize("lame", [P11, LameParams(-0.3, 1.0)], ids=["lam>0", "lam<0"])
+    def test_shifted_cholesky_matches_dense_eigenvalues(self, radius, lame, monkeypatch):
+        # the verdict and the deficit against eigvalsh and a dense solve of
+        # the free block of K_k - c G; at radius 0.3 c G swamps the tangent
+        monkeypatch.setattr(fem3d, "LOCAL_RADIUS", radius)
+        m = SolidModel(1.0, 1.0, 1.0, 3, 2, 2, lame, np.zeros(3), np.array([0.03, 0.01, 0.0]))
+        mesh, u0 = fem3d.solve_newton_3d(m)
+        free = mesh.free_dofs
+        R0 = fem3d.residual_3d(m, mesh, u0).ravel()[free]
+        deficit, shift = fem3d._local_min_bound(m, mesh, u0, R0)
+        # eta bounds ||grad delta||_F on the ball: at each Gauss point every
+        # row of grad delta is largest at a corner of the ball
+        corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * 8)).reshape(8, -1).T
+        largest = max(np.linalg.norm(radius * corners @ mesh.dN[q], axis=-1).max()
+                      for q in range(8)) * np.sqrt(3.0)
+        col = np.abs(mesh.dN).sum(axis=1).max(axis=0)
+        eta = radius * np.sqrt(3.0 * np.sum(col**2))
+        assert largest <= eta <= 3.0 * largest
+        # c = 2 mu (1 + g_a) eta, g_a = max|u0| eta / radius >= ||grad u0||_F
+        g_a = np.max(np.abs(u0)) * eta / radius
+        g0 = fem3d.displacement_gradients(mesh, u0)
+        assert np.max(np.linalg.norm(g0, axis=(-2, -1))) <= g_a
+        c = 2.0 * lame.mu * (1.0 + g_a) * eta
+        kept = LameParams(min(lame.lam, 0.0), lame.mu)
+        gram = sum(np.kron(np.einsum("na,ma->nm", mesh.dN[q], mesh.dN[q]), I3)
+                   for q in range(8)) * mesh.detJ
+        G = np.zeros((mesh.n_dof, mesh.n_dof))
+        for dofs in mesh.dofs:
+            G[np.ix_(dofs, dofs)] += gram
+        M = (dense_tangent_3d(m, mesh, u0, kept) - c * G)[np.ix_(free, free)]
+        low = np.linalg.eigvalsh(M)[0]
+        if radius < 1e-3:
+            assert low > 0.5 * shift > 0.0
+            # the deficit adds n e LOCAL_RADIUS for the rounding of R0, here
+            # below 1e-15
+            dense = 0.5 * R0 @ np.linalg.solve(M, R0)
+            assert dense <= deficit <= dense + 1e-15
+        else:
+            assert low < 0.0 and deficit == np.inf
+
+    def test_failed_factorisation_reports_finite_values(self, monkeypatch, capsys):
+        monkeypatch.setattr(fem3d, "LOCAL_RADIUS", 0.3)
+        code = cli.main(["certify3d", "--mesh", "2,2,2"])
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert "Infinity" not in out and "NaN" not in out
+        assert doc["energy_deficit"] == np.finfo(float).max
+        assert [e.split(":")[0] for e in doc["errors"]] == ["local_min"]
+
+    def test_spherical_mode_inside_admissible_k(self):
+        # spherical mode at K = 0.3, about 0.21 K_max: the bounds pass
+        m = _model(nx=4, ny=4, nz=2)
+        report = fem3d.certify_3d(m, K=0.3, mode="spherical")
+        assert report.passed, report.errors
+
+
+N_SAMPLES = 50  # per check, as the samplers that the bounds replaced drew
+
+
+def _sample_counts_per_sample(m, mesh, u0, duals, K, radius, seed, n=N_SAMPLES):
+    """The sampled checks that the bounds replaced, one sample at a time: how
+    many of n energies on the 1e-4 sup-ball around u0 and of n dual
+    functionals on the symmetric radius-ball around z stay within their
+    slacks (1e-12, 1e-10), and how many z-samples met an indefinite point."""
     v1, v2, z = duals
     rng = np.random.default_rng(seed)
     J0 = fem3d.energy_3d(m, mesh, u0)
     local = 0
-    for _ in range(fem3d.N_LOCAL):
+    for _ in range(n):
         delta = np.zeros((mesh.n_nodes, 3))
         delta.reshape(-1)[mesh.free_dofs] = rng.uniform(
             -1.0, 1.0, mesh.free_dofs.size
@@ -590,7 +744,7 @@ def _sample_counts_per_sample(m, mesh, u0, duals, K, radius, seed):
 
     Jc = dual_functional(z)
     convex = indefinite = 0
-    for _ in range(fem3d.N_Z_SAMPLES):
+    for _ in range(n):
         dz = tensor3d.sym(rng.uniform(-1.0, 1.0, size=z.shape))
         dz *= radius / np.max(np.abs(dz), axis=(-2, -1), keepdims=True)
         try:
@@ -600,75 +754,103 @@ def _sample_counts_per_sample(m, mesh, u0, duals, K, radius, seed):
     return local, convex, indefinite
 
 
+def _bound_verdicts(m, mesh, u0, duals, K, radius):
+    """Whether the local-minimality and z-side bounds hold at (u0, duals),
+    from the true pd_margin of the duals."""
+    v1, v2, z = duals
+    R0 = fem3d.residual_3d(m, mesh, u0).ravel()[mesh.free_dofs]
+    deficit, _ = fem3d._local_min_bound(m, mesh, u0, R0)
+    margin = tensor3d.pd_margin(v2 + z, K)
+    kappa, drop = fem3d._z_side_bounds(v1, v2, z, m.lame, K, margin, radius)
+    z_ok = np.min(kappa) > 0.0 and np.sum(drop) * mesh.detJ <= fem3d.SADDLE_TOL
+    return deficit <= fem3d.LOCAL_MIN_TOL, z_ok
+
+
+def _assert_samples_imply_bounds(m, mesh, u0, duals, K, radius, seed, n=N_SAMPLES):
+    """Every failed sample, and every indefinite z-sample, fails its bound."""
+    local, convex, indefinite = _sample_counts_per_sample(
+        m, mesh, u0, duals, K, radius, seed, n
+    )
+    local_ok, z_ok = _bound_verdicts(m, mesh, u0, duals, K, radius)
+    assert local_ok <= (local == n)
+    assert z_ok <= (convex == n and indefinite == 0)
+    return local, convex, indefinite
+
+
 class TestBatchedSamples3D:
-    """The stacked, chunked sample checks of certify_3d against per-sample
-    loops."""
+    """The sampled checks that certify_3d's bounds replaced, as oracles: each
+    sample failure implies that the matching bound fails."""
 
     @pytest.mark.parametrize("case", ["centre", "perturbed", "indefinite"])
     def test_counts_match_per_sample_replay(self, case, monkeypatch):
-        # 16 rows of 72 * 8 gradient values: 50 samples in 4 chunks
-        monkeypatch.setattr(fem3d, "CHUNK_ELEMS", 16 * 72 * 8)
-        assert len(fem3d._chunks(fem3d.N_LOCAL, 72 * 8)) >= 3
         traction = (0.0, 0.0, 0.0) if case == "indefinite" else (0.02, 0.01, 0.0)
         m = _model(traction=traction)
         mesh, u0 = fem3d.solve_newton_3d(m)
-        construct = tensor3d.construct_duals_pointwise
+        K = 0.999 * tensor3d.admissible_k_max(m.lame)
+        v1, v2, z = tensor3d.construct_duals_pointwise(
+            m.lame, K, fem3d.displacement_gradients(mesh, u0)
+        )
+        radius = min(1e-3, 0.25 * float(np.min(tensor3d.pd_margin(v2 + z, K))) + 1e-12)
         if case == "perturbed":
             # a bump alternating from DOF to DOF moves u0 off the minimum, and
             # a shift of z moves the dual centre off its stationary point
             u0 = u0.copy()
-            free = mesh.free_dofs
-            u0.reshape(-1)[free] += 5e-4 * (-1.0) ** np.arange(free.size)
-
-            def shifted(p, K, g0):
-                v1, v2, z = construct(p, K, g0)
-                return v1, v2, z + 4e-3 * I3
-
-            monkeypatch.setattr(tensor3d, "construct_duals_pointwise", shifted)
+            u0.reshape(-1)[mesh.free_dofs] += 5e-4 * (-1.0) ** np.arange(
+                mesh.free_dofs.size
+            )
+            v1, v2, z = tensor3d.construct_duals_pointwise(
+                m.lame, K, fem3d.displacement_gradients(mesh, u0)
+            )
+            z = z + 4e-3 * I3
         if case == "indefinite":
             # v2 + z + K*I = 1e-3 I at one point only, with z stationary
-            # there (v1 = 0), and the hypothesis margin forced so that the
-            # sampling radius stays at 1e-3: a sample is indefinite there,
-            # and only there, when dz has an eigenvalue below -1e-3
-            def dipped(p, K, g0):
-                v1, v2, z = construct(p, K, g0)
-                v2, z = v2.copy(), z.copy()
-                S = (1e-3 - K) * I3
-                z[1, 5] = K * tensor3d.hooke_apply(tensor3d.compliance_params(p), S)
-                v2[1, 5] = S - z[1, 5]
-                return v1, v2, z
-
-            monkeypatch.setattr(tensor3d, "construct_duals_pointwise", dipped)
-            monkeypatch.setattr(
-                tensor3d, "pd_margin", lambda S, K: np.ones(S.shape[:-2])
-            )
-        monkeypatch.setattr(fem3d, "solve_newton_3d", lambda _m: (mesh, u0))
-        report = fem3d.certify_3d(m, seed=9)
-        assert report.k_feasible
-        K = report.K_used
-        duals = tensor3d.construct_duals_pointwise(
-            m.lame, K, fem3d.displacement_gradients(mesh, u0)
-        )
-        radius = min(1e-3, 0.25 * report.min_pd_margin + 1e-12)
-        local, convex, indefinite = _sample_counts_per_sample(
-            m, mesh, u0, duals, K, radius, seed=9
-        )
-        assert (report.local_min_passed, report.z_convex_passed) == (local, convex)
-        assert (report.local_min_total, report.z_convex_total) == (
-            fem3d.N_LOCAL, fem3d.N_Z_SAMPLES
+            # there (v1 = 0), sampled at radius 1e-3: a sample is indefinite
+            # there, and only there, when dz has an eigenvalue below -1e-3
+            v2, z = v2.copy(), z.copy()
+            S = (1e-3 - K) * I3
+            z[1, 5] = K * tensor3d.hooke_apply(tensor3d.compliance_params(m.lame), S)
+            v2[1, 5] = S - z[1, 5]
+            radius = 1e-3
+        local, convex, indefinite = _assert_samples_imply_bounds(
+            m, mesh, u0, (v1, v2, z), K, radius, seed=9
         )
         if case == "centre":
-            assert report.passed and indefinite == 0
+            assert (local, convex, indefinite) == (N_SAMPLES, N_SAMPLES, 0)
+            report = _certify_at(monkeypatch, m, mesh, u0)
+            assert report.passed and report.K_used == K
         elif case == "perturbed":
-            assert 0 < local < fem3d.N_LOCAL and 0 < convex < fem3d.N_Z_SAMPLES
+            assert 0 < local < N_SAMPLES and 0 < convex < N_SAMPLES
+            report = _certify_at(monkeypatch, m, mesh, u0, 4e-3 * I3)
+            assert {"local_min", "z_convex"} <= _failed(report)
         else:
-            assert 0 < indefinite < fem3d.N_Z_SAMPLES
-            assert convex == fem3d.N_Z_SAMPLES - indefinite
+            assert 0 < indefinite < N_SAMPLES
+            assert convex == N_SAMPLES - indefinite
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        tx=st.floats(-0.15, 0.3),
+        ty=st.floats(-0.05, 0.05),
+        lame=st.sampled_from([P11, LameParams(3.0, 0.5), LameParams(-0.2, 1.0)]),
+    )
+    def test_samples_imply_bounds_near_the_hypothesis_boundary(self, tx, ty, lame):
+        # loads up to the 1/8 gradient bound on the 2^3 mesh
+        m = SolidModel(1.0, 1.0, 1.0, 2, 2, 2, lame, np.zeros(3), np.array([tx, ty, 0.0]))
+        try:
+            mesh, u0 = fem3d.solve_newton_3d(m)
+        except (NonConvergence, SingularSystem):
+            assume(False)
+        g0 = fem3d.displacement_gradients(mesh, u0)
+        assume(np.max(np.abs(g0)) < fem3d.GRADIENT_LIMIT)
+        K = 0.999 * tensor3d.admissible_k_max(lame)
+        duals = tensor3d.construct_duals_pointwise(lame, K, g0)
+        margin = float(np.min(tensor3d.pd_margin(duals[1] + duals[2], K)))
+        assume(margin >= 0.0)
+        radius = min(1e-3, 0.25 * margin + 1e-12)
+        _assert_samples_imply_bounds(m, mesh, u0, duals, K, radius, seed=3, n=10)
 
     def test_peak_memory_bounded(self):
         # no dense n_dof^2 tangent (8.5 MB at 6^3) is formed; the Newton band
-        # is 2.4 MB, and one 50-row sample stack of gradients alone would add
-        # 6.2 MB per array
+        # is 2.4 MB
         assert_certify_peak_below(6, 15e6)
 
     def test_peak_memory_bounded_at_mesh_cap(self):

@@ -9,9 +9,10 @@ from elastodual.mesh1d import (
     average_to_midpoints,
     derivative,
     integrate,
-    norm_U,
     norm_V,
 )
+
+from conftest import norm_U
 
 
 class TestGrid1D:

@@ -12,10 +12,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from elastodual import primal1d
 from elastodual.errors import NonConvergence, SingularHessian
-from elastodual.mesh1d import Grid1D, norm_U, norm_V
+from elastodual.mesh1d import Grid1D, norm_V
 from elastodual.primal1d import BarModel, PrimalState
 
-from conftest import bb_minimize_1d, energy_oracle_1d
+from conftest import bb_minimize_1d, energy_change, energy_oracle_1d, norm_U
 
 
 def _random_state(rng, n, scale=0.05):
@@ -355,7 +355,7 @@ class TestLineSearchNewton:
         for (m0, s0), (m1, s1) in zip(iterates, iterates[1:]):
             if m1 is m0:
                 steps += 1
-                assert primal1d.energy_change(m0, s0, s1.u - s0.u) < 0.0
+                assert energy_change(m0, s0, s1.u - s0.u) < 0.0
         assert steps == len(iterates) - 4
 
     @pytest.mark.parametrize("amp,n", [(10.0, 64), (2.0, 128), (3.0, 256)])
@@ -418,7 +418,7 @@ class TestEnergyChange:
         change = primal1d._change_along(m, np.diff(s.u) / m.grid.h, du)
         for k in range(50):
             t = 2.0**-k
-            assert change(t) == primal1d.energy_change(m, s, t * du)
+            assert change(t) == energy_change(m, s, t * du)
 
     @settings(max_examples=200, deadline=None)
     @given(_bar_increments())
@@ -430,7 +430,7 @@ class TestEnergyChange:
         d_strain = d * (1.0 + ux + 0.5 * d)
         d_stored = 0.5 * m.EA * d_strain * (2.0 * (ux + 0.5 * ux**2) + d_strain)
         load = m.P * ((du[:-1] + du[1:]) * 0.5)
-        assert primal1d.energy_change(m, s, du) == float(np.sum(d_stored - load) * h)
+        assert energy_change(m, s, du) == float(np.sum(d_stored - load) * h)
 
     def test_matches_energy_difference(self):
         rng = np.random.default_rng(6)
@@ -440,7 +440,7 @@ class TestEnergyChange:
             s = _random_state(rng, n)
             du = _random_state(rng, n, scale=1e-2).u
             plain = primal1d.energy(m, PrimalState(s.u + du)) - primal1d.energy(m, s)
-            change = primal1d.energy_change(m, s, du)
+            change = energy_change(m, s, du)
             assert abs(change - plain) <= 1e-12 * abs(plain)
 
     def test_newton_step_near_convergence(self):
@@ -455,7 +455,7 @@ class TestEnergyChange:
         du = np.zeros(17)
         du[1:-1] = np.linalg.solve(_dense_hessian(m, s), -r)
         expected = 0.5 * float(r @ du[1:-1])
-        assert abs(primal1d.energy_change(m, s, du) - expected) <= 1e-6 * abs(expected)
+        assert abs(energy_change(m, s, du) - expected) <= 1e-6 * abs(expected)
 
 
 class TestConditionCheck:
