@@ -356,7 +356,8 @@ def certify(m: BarModel) -> GapReport:
     except NonConvergence as exc:
         report.errors.append(f"newton: {exc}")
         return report
-    report.newton_iters = sum(iters)
+    finally:
+        report.newton_iters = sum(iters)
 
     res = primal1d.residual(m, u0)[1:-1]
     report.residual_norm = norm_V(res)

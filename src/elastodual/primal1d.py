@@ -1,7 +1,7 @@
 """Primal 1D bar problem: total potential energy with quadratic-in-Green-strain
-stored energy, its first and second variations, a continuation line-search
-Newton solver for critical points (its tangent, a clamped spring chain, solved
-in closed form), and the second-order (smallest eigenvalue) check.
+stored energy, its first and second variations, a line-search Newton solver
+for critical points at the full load (its tangent, a clamped spring chain,
+solved in closed form), and the second-order (smallest eigenvalue) check.
 
 The displacement is a piecewise-linear nodal field clamped at both ends.  With
 one-point quadrature every integrand below is elementwise constant, so all
@@ -152,13 +152,12 @@ def _change_along(m: BarModel, ux: np.ndarray, du: np.ndarray):
 
 def solve_newton(
     m: BarModel,
-    continuation_steps: int = 4,
     tol: float = 1e-12,
     max_iter: int = 50,
     iteration_log: list | None = None,
 ) -> PrimalState:
-    """Line-search Newton minimization of the energy over equal load steps
-    (Nocedal & Wright, Numerical Optimization, section 3.4).
+    """Line-search Newton minimization of the energy from u = 0 at the full
+    load (Nocedal & Wright, Numerical Optimization, section 3.4).
 
     The Hessian is the clamped spring chain of the curvatures c, positive
     definite (no c zero) iff every c > 0, or exactly one c < 0 and
@@ -168,43 +167,38 @@ def solve_newton(
     u_x and du's slope and load work: scaling by a power of two is exact (short
     of underflow), so each equals the t = 1 trial of t du bit for bit.
     On the small-strain branch every unit step is accepted.  ``iteration_log``,
-    if given, receives the iteration count of each stage.
+    if given, receives the number of steps taken, also when the solve fails.
     """
-    if continuation_steps < 1:
-        raise ValueError("continuation_steps must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
     g = m.grid
     u = np.zeros(g.n_elem + 1)
     du = np.zeros(g.n_elem + 1)
-    for k in range(1, continuation_steps + 1):
-        mk = BarModel(m.E, m.A, g, (k / continuation_steps) * m.P)
-        stage = f"Newton stage {k}/{continuation_steps}"
+    it = 0
+    try:
         for it in range(max_iter + 1):
-            s = PrimalState(u)
-            r = residual(mk, s)[1:-1]
+            r = residual(m, PrimalState(u))[1:-1]
             res = norm_V(r)
             if res <= tol:
-                if iteration_log is not None:
-                    iteration_log.append(it)
-                break
+                return PrimalState(u)
             if it == max_iter or not np.isfinite(res):
-                raise NonConvergence(
-                    f"{stage}: residual {res:.3e} after {it} iterations"
-                )
+                raise NonConvergence(f"residual {res:.3e} after {it} iterations")
             ux = derivative(u, g)
-            c = _curvature(mk, ux)
+            c = _curvature(m, ux)
             if not chain_is_positive_definite(c):
                 c = np.maximum(c, 1e-2 * np.max(np.abs(c)))
             du[1:-1] = solve_spring_chain(c, g.h, -r)
-            change = _change_along(mk, ux, du)
+            change = _change_along(m, ux, du)
             slope, t = float(r @ du[1:-1]), 1.0
             while not change(t) <= 1e-4 * t * slope:
                 t *= 0.5
                 if t < 1e-15:
-                    raise NonConvergence(f"{stage}: no descent at residual {res:.3e}")
+                    raise NonConvergence(f"no descent at residual {res:.3e}")
             u = u + t * du
-    return PrimalState(u)
+    finally:
+        if iteration_log is not None:
+            iteration_log.append(it)
+    raise NonConvergence("unreachable")
 
 
 def condition_check(s: PrimalState, g: Grid1D) -> tuple[float, bool]:

@@ -25,7 +25,7 @@ def bar_model():
 
 @pytest.fixture(scope="session")
 def bar_solution(bar_model):
-    return primal1d.solve_newton(bar_model, continuation_steps=4, tol=1e-12)
+    return primal1d.solve_newton(bar_model, tol=1e-12)
 
 
 @pytest.fixture(scope="session")

@@ -50,8 +50,8 @@ class TestCertify1D:
 
     @pytest.mark.parametrize("n", ["2048", "4096"])
     def test_far_branch_exit_code(self, n, capsys):
-        # The third load stage crosses the limit point; the line search
-        # needs 14-15 of its 50 Newton iterations there.
+        # Newton at the full load crosses the limit point; the line search
+        # needs 14 of its 50 iterations.
         code = run_cli(["certify1d", "--amp", "1.5", "--n", n])
         doc = json.loads(capsys.readouterr().out)
         assert code == cli.EXIT_HYPOTHESIS_VIOLATED
@@ -122,6 +122,16 @@ class TestSweep1D:
         assert len(lines) == 4
         assert lines[2].endswith("HYPOTHESIS")
         assert lines[1].endswith("OK") and lines[3].endswith("OK")
+
+    def test_past_limit_statuses(self, tmp_path):
+        # the CI sweep: one pass, two far-branch minima and one solve stopped
+        # at the residual floor after all 50 Newton iterations
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep1d", "--amps=0.3,1,1.5,3", "--n=4096", "--out", str(out)])
+        assert code == cli.EXIT_HYPOTHESIS_VIOLATED
+        rows = [row.split(",") for row in out.read_text().strip().split("\n")[1:]]
+        assert [row[-1] for row in rows] == ["OK", "HYPOTHESIS", "HYPOTHESIS", "FAILED"]
+        assert [row[-2] for row in rows] == ["4", "16", "14", "50"]
 
     def test_solver_failure_row(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):

@@ -679,6 +679,22 @@ class TestCertify:
         assert len(report.errors) == 1
         assert report.errors[0].startswith("gap: ")
 
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    @pytest.mark.parametrize("amp", [0.05, 0.2, 0.5])
+    def test_newton_iterations_inside_hypothesis(self, amp, n):
+        # one line-search Newton stage at the full load: 3-5 unit steps
+        report = dual1d.certify(dual1d.sine_load_model(1.0, 1.0, 1.0, amp, n))
+        assert report.passed
+        assert 1 <= report.newton_iters <= 5
+
+    def test_failed_newton_reports_its_iterations(self):
+        report = dual1d.certify(dual1d.sine_load_model(1.0, 1.0, 1.0, 10.0, 2048))
+        # the residual floor of ROADMAP item 8 stops all 50 iterations
+        assert len(report.errors) == 1
+        assert report.errors[0].startswith("newton: residual ")
+        assert report.errors[0].endswith(" after 50 iterations")
+        assert report.newton_iters == 50
+
     def test_condition_violation_path(self):
         m = dual1d.sine_load_model(1.0, 1.0, 1.0, 10.0, 16)
         report = dual1d.certify(m)
