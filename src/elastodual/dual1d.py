@@ -267,7 +267,7 @@ def kkt_solve(
             du[1:-1] = primal1d.solve_spring_chain(bAb, 1.0, rhs_u)
         except (np.linalg.LinAlgError, SingularHessian) as exc:
             raise SingularKKTMatrix(str(exc)) from exc
-        x = x - (sol[:, :, 0] + (np.diff(du) / h)[:, None] * sol[:, :, 1]).T
+        x = x - (sol[:, :, 0] + derivative(du, m.grid)[:, None] * sol[:, :, 1]).T
         u = u + du
     raise NonConvergence("unreachable")
 

@@ -1,7 +1,7 @@
 """Primal 1D bar problem: total potential energy with quadratic-in-Green-strain
 stored energy, its first and second variations, a line-search Newton solver
 for critical points at the full load (its tangent, a clamped spring chain,
-solved in closed form), and the second-order (smallest eigenvalue) check.
+solved in closed form), and the second variation's smallest eigenvalue.
 
 The displacement is a piecewise-linear nodal field clamped at both ends.  With
 one-point quadrature every integrand below is elementwise constant, so all
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dptsv
 
 from .errors import NonConvergence, SingularHessian
 from .mesh1d import Grid1D, average_to_midpoints, derivative, integrate, norm_V
@@ -208,14 +208,34 @@ def condition_check(s: PrimalState, g: Grid1D) -> tuple[float, bool]:
 
 
 def second_variation_min_eig(m: BarModel, s: PrimalState) -> float:
-    """Smallest eigenvalue of the interior second variation.
+    """``spring_chain_min_eig`` of the state's curvatures: EA (pi/L)^2 at u = 0."""
+    return spring_chain_min_eig(hessian_coefficients(m, s), m.grid.h)
 
-    Normalized against the discrete L2 inner product (h times the euclidean
-    one), so at u = 0 the value approximates EA * (pi/L)^2.
-    """
-    diag, off = hessian(m, s)
-    vals = eigh_tridiagonal(
-        diag / m.grid.h, off / m.grid.h, select="i", select_range=(0, 0),
-        eigvals_only=True,
-    )
-    return float(vals[0])
+
+def spring_chain_min_eig(c: np.ndarray, h: float) -> float:
+    """Smallest eigenvalue lambda_1 of T = (1/h^2) D^T diag(c) D, the clamped
+    chain against the discrete L2 inner product (h times the euclidean one),
+    by Noda's iteration (Numer. Math. 1971; quadratic: Elsner, Linear Algebra
+    Appl. 1976).  The off-diagonal flipped to -|e| (a +-1 diagonal similarity)
+    makes T - sigma I an M-matrix for sigma < lambda_1: LAPACK dptsv's solve
+    y = (T - sigma I)^-1 x sums positive terms, and min(x/y) <= lambda_1 - sigma
+    <= max(x/y) (Collatz-Wielandt).  From x = sin(pi i/n) and the Gershgorin
+    bound, each step moves sigma to that lower end less floor = 16 U (max|d| +
+    2 max|e|), U = eps/2, and x to y / max y; the lower end is returned once the
+    bracket is below floor, it stops rising, or dptsv fails (sigma ~ lambda_1)."""
+    d, a = (c[:-1] + c[1:]) / h / h, np.abs(c[1:-1]) / h / h
+    lo = float((d - np.concatenate(([0.0], a)) - np.concatenate((a, [0.0]))).min())
+    floor = 8.0 * np.finfo(float).eps * (np.abs(d).max() + 2.0 * a.max(initial=0.0))
+    e = -a if a.size else np.zeros(1)  # f2py wants one unused entry for a 1 x 1 T
+    x = np.sin(np.pi / c.size * np.arange(1, c.size))
+    while True:
+        sigma = lo - floor
+        y, info = dptsv(d - sigma, e, x)[2:]
+        if info:
+            return lo
+        with np.errstate(invalid="ignore"):  # 0/0 where x and y underflowed
+            theta = x / y
+        new, hi = sigma + float(theta.min()), sigma + float(theta.max())
+        if not new > lo or hi - new <= floor:
+            return max(lo, new)  # lo also if new is NaN
+        lo, x = new, y / y.max()

@@ -2,16 +2,17 @@
 
 The oracles here deliberately avoid the code paths they are meant to check:
 high-resolution quadrature instead of the package's midpoint rule, dense
-eigensolvers instead of the tridiagonal path, Barzilai-Borwein descent
-instead of Newton, brute-force grid search instead of closed-form
-conjugates, and einsum-built 3x3x3x3 tensors, taken on a symmetric basis
-built here, instead of the closed-form isotropic tensors.
+eigensolvers and LAPACK bisection instead of the shifted inverse iteration,
+Barzilai-Borwein descent instead of Newton, brute-force grid search instead
+of closed-form conjugates, and einsum-built 3x3x3x3 tensors, taken on a
+symmetric basis built here, instead of the closed-form isotropic tensors.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from elastodual import dual1d, fem3d, primal1d
 from elastodual.mesh1d import Grid1D, derivative, norm_V
@@ -167,6 +168,22 @@ def m_tensor_oracle(lam, mu, K, mode):
     Hbar = np.linalg.inv(on_sym(isotropic_tensor(lam, mu)))
     K = np.asarray(K, dtype=float)[..., None, None]
     return on_sym(np.eye(9) - (3.0 / 32.0) * delta) / K - Hbar
+
+
+def chain_matrix(c, h):
+    """Diagonal d and off-diagonal e of the clamped spring chain
+    T = (1/h^2) D^T diag(c) D of ``primal1d.spring_chain_min_eig``, and the
+    norm max|d| + 2 max|e| that scales its accuracy bound."""
+    d, e = (c[:-1] + c[1:]) / h / h, -c[1:-1] / h / h
+    return d, e, float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e), initial=0.0))
+
+
+def bisection_min_eig(c, h):
+    """Smallest eigenvalue of the spring chain by LAPACK dstebz bisection
+    (Sturm counts), not the package's shifted inverse iteration."""
+    d, e, _ = chain_matrix(c, h)
+    vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0), eigvals_only=True)
+    return float(vals[0])
 
 
 def energy_change(m, s, du):

@@ -55,6 +55,11 @@ class TestDerivative:
         u = g.nodes * (1.0 - g.nodes)
         assert np.allclose(derivative(u, g), [0.75, 0.25, -0.25, -0.75])
 
+    def test_bit_identical_to_plain_expression(self):
+        g = Grid1D(1.3, 1024)
+        u = np.random.default_rng(3).uniform(-1.0, 1.0, 1025)
+        assert np.array_equal(derivative(u, g), np.diff(u) / g.h)
+
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             derivative(np.zeros(5), Grid1D(1.0, 8))

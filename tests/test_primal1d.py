@@ -8,14 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.linalg import eigh_tridiagonal
 
-from elastodual import primal1d
+from elastodual import dual1d, primal1d
 from elastodual.errors import NonConvergence, SingularHessian
 from elastodual.mesh1d import Grid1D, norm_V
 from elastodual.primal1d import BarModel, PrimalState
 
-from conftest import bb_minimize_1d, energy_change, energy_oracle_1d, norm_U
+from conftest import (
+    bb_minimize_1d,
+    bisection_min_eig,
+    chain_matrix,
+    energy_change,
+    energy_oracle_1d,
+    norm_U,
+)
 
 
 def _random_state(rng, n, scale=0.05):
@@ -182,16 +188,17 @@ def _dense_chain(c, h):
 
 
 @st.composite
-def _chains(draw, kind):
+def _chains(draw, kind, max_n=40):
     """Springs of magnitude 1e-3 to 1e3 and a load of 1e-3 to 1e3 per node.
 
     positive: every spring > 0.  one_negative: spring k < 0 with
     sum 1/c = -delta sum_{e != k} 1/c_e, a positive definite chain.
     indefinite: the same with sum 1/c = +delta sum_{e != k} 1/c_e.  negative:
     every spring < 0, as in the KKT Schur complement.  two_negative: springs
-    k and k + 1 < 0, the others of random sign.
+    k and k + 1 < 0, the others of random sign.  near_zero: spring k within
+    1e-9 of 0, the others > 0.
     """
-    n = draw(st.integers(2, 40))
+    n = draw(st.integers(2, max_n))
     c = 10.0 ** draw(hnp.arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))
     b = draw(hnp.arrays(np.float64, n - 1, elements=st.floats(-3.0, 3.0)))
     b = np.where(draw(hnp.arrays(bool, n - 1)), -1.0, 1.0) * 10.0**b
@@ -207,6 +214,8 @@ def _chains(draw, kind):
         c *= np.where(draw(hnp.arrays(bool, n)), -1.0, 1.0)
         pair = [k - 1, k] if k else [0, 1]
         c[pair] = -np.abs(c[pair])
+    elif kind == "near_zero":
+        c[k] = draw(st.floats(-1e-9, 1e-9))
     return c, 2.0 ** -draw(st.integers(0, 12)), b
 
 
@@ -481,7 +490,52 @@ class TestConditionCheck:
         assert not ok
 
 
+#: accuracy of spring_chain_min_eig: 32 U (max|d| + 2 max|e|), U = eps/2, of
+#: the same order as the rounding of T itself
+EIG_ACCURACY = 16.0 * EPS
+
+
 class TestSecondVariationMinEig:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["positive", "one_negative", "indefinite", "near_zero"]).flatmap(
+            lambda kind: _chains(kind, max_n=256)
+        )
+    )
+    def test_against_dense_eigensolver(self, chain):
+        c, h, _ = chain
+        want = np.linalg.eigvalsh(_dense_chain(c, h) / h)[0]
+        got = primal1d.spring_chain_min_eig(c, h)
+        assert abs(got - want) <= EIG_ACCURACY * chain_matrix(c, h)[2]
+
+    def test_bisection_oracle_on_benchmark_bars(self, monkeypatch):
+        # bars drawn as the benchmark's certify1d ops, up to the CLI's mesh
+        # cap; the factorisation count guards the iteration, not its time
+        calls = []
+        dptsv = primal1d.dptsv
+        monkeypatch.setattr(primal1d, "dptsv", lambda *a: calls.append(a) or dptsv(*a))
+        rng = np.random.default_rng(19)
+        for n in (4, 64, 256, 1024, 2048, 4096) * 4:
+            E, A, L = np.exp(rng.uniform(np.log(0.5), np.log(2.0), 3))
+            m = dual1d.sine_load_model(E, A, L, rng.uniform(0.05, 0.5) * E * A / L, n)
+            s = primal1d.solve_newton(m)
+            c = primal1d.hessian_coefficients(m, s)
+            calls.clear()
+            got = primal1d.second_variation_min_eig(m, s)
+            assert 1 <= len(calls) <= 6
+            want = bisection_min_eig(c, m.grid.h)
+            assert abs(got - want) <= EIG_ACCURACY * chain_matrix(c, m.grid.h)[2]
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 4096])
+    def test_rest_state_closed_form(self, n):
+        # at u = 0 every spring is EA and T has the eigenvalues
+        # EA (4/h^2) sin^2(k pi/(2n)); at n = 2 T is the 1 x 1 matrix 2 EA/h^2
+        m = _model(n=n, E=1.3, A=0.7)
+        got = primal1d.second_variation_min_eig(m, PrimalState(np.zeros(n + 1)))
+        h = m.grid.h
+        want = m.EA * 4.0 / h**2 * np.sin(np.pi / (2 * n)) ** 2
+        assert abs(got - want) <= EIG_ACCURACY * chain_matrix(np.full(n, m.EA), h)[2]
+
     def test_rest_state_spectrum(self):
         m = _model(n=64)
         val = primal1d.second_variation_min_eig(m, PrimalState(np.zeros(65)))
