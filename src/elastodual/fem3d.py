@@ -8,9 +8,10 @@ discrete duality gap reduces to the inner product of the displacement with
 the converged residual.
 
 Gradients and weak divergences are one matmul with the (8, 24) element
-gradient matrix.  Newton runs from u = 0 at the full load, and over three load
-stages only if that fails; each step solves the free block in LAPACK band
-storage, by banded Cholesky or, when indefinite, banded LU.
+gradient matrix.  Newton minimises the energy from u = 0 at the full load as
+the bar's solve does (Nocedal & Wright, Numerical Optimization, 3.4): a step
+solves the tangent's free block by banded Cholesky, or where it is indefinite
+the tangent of each point's tensile stress, and Armijo backtracking halves it.
 
 ``certify_3d`` proves two checks; each bound adds the first-order rounding of
 its evaluation, in U = eps/2 of the magnitudes of its terms:
@@ -59,7 +60,7 @@ import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
 from . import tensor3d
@@ -159,15 +160,15 @@ class BoxMesh:
         dofs = self.dofs = (3 * self.conn[:, :, None] + np.arange(3)).reshape(-1, 24)
 
         # clamped x = 0 nodes first: the free DOFs are a trailing slice; free
-        # entry (r, c) goes to band storage row band + r - c, column c
+        # entry (r, c), r <= c, goes to upper band storage row band + r - c, column c
         self.clamped_nodes = np.arange((ny + 1) * (nz + 1))
         self.free_dofs = np.arange(3 * self.clamped_nodes.size, self.n_dof)
         r = dofs[:, :, None] - self.free_dofs[0]
         c = dofs[:, None, :] - self.free_dofs[0]
-        free, n_free = (r >= 0) & (c >= 0), self.free_dofs.size
-        self.band = int(np.max(c - r, where=free, initial=0))
-        drop = (2 * self.band + 1) * n_free
-        self.band_index = np.where(free, (self.band + r - c) * n_free + c, drop).ravel()
+        upper, n_free = (r >= 0) & (c >= r), self.free_dofs.size
+        self.band = int(np.max(c - r, where=upper, initial=0))
+        drop = (self.band + 1) * n_free
+        self.band_index = np.where(upper, (self.band + r - c) * n_free + c, drop).ravel()
 
         # 2x2x2 Gauss points; uniform box makes the Jacobian constant diagonal
         gp = (-_GP1, _GP1)
@@ -195,20 +196,16 @@ class BoxMesh:
 
 
 def displacement_gradients(mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
-    """Displacement gradient at all quadrature points; (..., n_elem, 8, 3, 3)
-    for displacements (..., n_nodes, 3)."""
-    ue = np.swapaxes(u[..., mesh.conn, :], -1, -2)  # (..., ne, 3I, 8n)
-    g = ue.reshape(-1, 8) @ mesh.grad_matrix  # rows (..., e, I), columns (q, J)
-    return np.swapaxes(g.reshape(ue.shape[:-1] + (8, 3)), -3, -2)
+    """Displacement gradient at all quadrature points, (n_elem, 8, 3, 3), of
+    the displacements u, (n_nodes, 3)."""
+    ue = np.swapaxes(u[mesh.conn], 1, 2)  # (ne, 3I, 8n)
+    g = ue.reshape(-1, 8) @ mesh.grad_matrix  # rows (e, I), columns (q, J)
+    return np.swapaxes(g.reshape(-1, 3, 8, 3), 1, 2)
 
 
-def energy_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> float | np.ndarray:
-    """Stored energy (2x2x2 Gauss quadrature) minus the work L.u of the
-    mesh's load vector; one value per field of a stack (..., n_nodes, 3)."""
-    E = tensor3d.green_strain(displacement_gradients(mesh, u))
-    HE = tensor3d.hooke_apply(m.lame, E)
-    elastic = 0.5 * np.sum(HE * E, axis=(-4, -3, -2, -1)) * mesh.detJ
-    return elastic - np.sum(mesh.load * u, axis=(-2, -1))
+def energy_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> float:
+    """Stored energy (2x2x2 Gauss) less the load work L.u: the change from 0."""
+    return _energy_change(m, mesh, 0.0, 0.0, u)(1.0)
 
 
 def _load_vector(m: SolidModel, mesh: BoxMesh) -> np.ndarray:
@@ -221,36 +218,28 @@ def _load_vector(m: SolidModel, mesh: BoxMesh) -> np.ndarray:
     return L
 
 
-def _weak_residual(
-    mesh: BoxMesh, flux: np.ndarray, load_factor: float = 1.0
-) -> np.ndarray:
-    """Weak divergence of a per-quadrature-point tensor field less
-    load_factor times the mesh's load vector; clamped rows zeroed."""
+def _weak_residual(mesh: BoxMesh, flux: np.ndarray) -> np.ndarray:
+    """Weak divergence of a per-quadrature-point tensor field less the mesh's
+    load vector; clamped rows zeroed."""
     fq = np.swapaxes(flux, -3, -2).reshape(-1, 24)  # rows (e, I), columns (q, J)
     Rel = mesh.detJ * np.swapaxes((fq @ mesh.grad_matrix.T).reshape(-1, 3, 8), -1, -2)
     R = np.zeros((mesh.n_nodes, 3))
     np.add.at(R, mesh.conn, Rel)
-    R -= load_factor * mesh.load
+    R -= mesh.load
     R[mesh.clamped_nodes] = 0.0
     return R
 
 
-def residual_3d(
-    m: SolidModel, mesh: BoxMesh, u: np.ndarray, load_factor: float = 1.0
-) -> np.ndarray:
-    """Weak-form residual under load_factor times the mesh's load vector;
-    clamped rows zeroed.  Returns (n_nodes, 3)."""
+def residual_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
+    """Weak-form residual; clamped rows zeroed.  Returns (n_nodes, 3)."""
     g = displacement_gradients(mesh, u)
-    sigma = tensor3d.stress(m.lame, g)
-    return _weak_residual(mesh, (I3 + g) @ sigma, load_factor)
+    return _weak_residual(mesh, (I3 + g) @ tensor3d.stress(m.lame, g))
 
 
-def _element_tangents(m: SolidModel, mesh: BoxMesh, u: np.ndarray, material=None):
-    """Element tangents (material + geometric); (n_elem, 24, 24), DOF 3 n + i.
-    ``material`` replaces m.lame in the material term only."""
+def _element_tangents(m: SolidModel, mesh: BoxMesh, g, sigma, material=None):
+    """Element tangents at displacement gradients g, with sigma in the geometric
+    term and ``material`` (else m.lame) in the material one; (n_elem, 24, 24)."""
     ne = mesh.n_elem
-    g = displacement_gradients(mesh, u)
-    sigma = tensor3d.stress(m.lame, g)
     # B[e, (n, I), (q, M)]: Mandel row M of sym(F^T (e_I x dN_n)) at point q
     B = ((I3 + g) @ mesh.strain_op).reshape(ne, 8, 3, 8, 6)
     B = B.transpose(0, 3, 2, 1, 4).reshape(ne, 24, 48)
@@ -263,58 +252,75 @@ def _element_tangents(m: SolidModel, mesh: BoxMesh, u: np.ndarray, material=None
     return Ke.reshape(ne, 24, 24)
 
 
-def band_tangent_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray, material=None, less=0.0):
-    """Free block of the tangent in LAPACK band storage, (2 band + 1, n_free),
-    less the element matrix ``less`` per element (``_element_tangents``)."""
+def band_tangent_3d(m: SolidModel, mesh: BoxMesh, g, sigma, material=None, less=0.0):
+    """Free block of the tangent less the element matrix ``less`` per element
+    in LAPACK upper band storage, (band + 1, n_free), as Cholesky reads it."""
     n_free = mesh.free_dofs.size
-    Ke = _element_tangents(m, mesh, u, material)
+    Ke = _element_tangents(m, mesh, g, sigma, material)
     Ke -= less
-    ab = np.bincount(mesh.band_index, Ke.ravel(), (2 * mesh.band + 1) * n_free + 1)
+    ab = np.bincount(mesh.band_index, Ke.ravel(), (mesh.band + 1) * n_free + 1)
     return ab[:-1].reshape(-1, n_free)
 
 
-def _solve_band(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with the symmetric matrix of band storage ab: banded Cholesky
-    of its upper rows, or banded LU when the matrix is indefinite."""
-    w = ab.shape[0] // 2
+def _newton_step(m: SolidModel, mesh: BoxMesh, g, sigma, rhs: np.ndarray) -> np.ndarray:
+    """Banded Cholesky solve of the tangent at (g, sigma), else of the tangent
+    with tensile stress Q max(L, 0) Q^T, positive semi-definite term by term and
+    shifted as in bound 2 against rounding (lam >> mu); else ``SingularSystem``."""
     try:
-        cho = cholesky_banded(ab[: w + 1], check_finite=False)
-        return cho_solve_banded((cho, False), rhs, check_finite=False)
+        cho = cholesky_banded(band_tangent_3d(m, mesh, g, sigma), check_finite=False)
     except LinAlgError:
+        w, Q = np.linalg.eigh(sigma)
+        tensile = (Q * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+        ab = band_tangent_3d(m, mesh, g, tensile)
+        ab[-1] += 2.0 * U * (2 * mesh.band + 1) * (3 * mesh.band + 5) * np.max(ab[-1])
         try:
-            return solve_banded((w, w), ab, rhs, check_finite=False)
+            cho = cholesky_banded(ab, check_finite=False)
         except LinAlgError as exc:
             raise SingularSystem(str(exc)) from exc
+    return cho_solve_banded((cho, False), rhs, check_finite=False)
+
+
+def _energy_change(m: SolidModel, mesh: BoxMesh, g, sigma, du: np.ndarray):
+    """t -> J(u + t du) - J(u) at u's gradients g and stress sigma: h = grad du
+    moves the strain by dE = t sym((I + g)^T h) + t^2 h^T h/2, J by detJ sum(sigma:dE
+    + dE:H:dE/2) - t L.du, with no cancellation of two energies near convergence."""
+    h = displacement_gradients(mesh, du)
+    lin = tensor3d.sym(np.swapaxes(I3 + g, -1, -2) @ h)
+    quad, work = 0.5 * np.swapaxes(h, -1, -2) @ h, float(np.sum(mesh.load * du))
+    def change(t: float) -> float:
+        dE = t * lin + (t * t) * quad
+        density = sigma + 0.5 * tensor3d.hooke_apply(m.lame, dE)
+        return float(np.sum(density * dE) * mesh.detJ - t * work)
+    return change
 
 
 def solve_newton_3d(
-    m: SolidModel, tol: float = 1e-11, max_iter: int = 30
+    m: SolidModel, tol: float = 1e-11, max_iter: int = 50
 ) -> tuple[BoxMesh, np.ndarray]:
-    """Newton solve for the 3D critical point from u = 0: first at the full
-    load in one stage, and only if that fails, in three equal load stages.
-    Raises the failure of the three-stage run."""
+    """The line-search Newton of the module docstring (c1 = 1e-4); an iterate's
+    gradients and stress serve its residual, tangent and line search.  Raises
+    ``NonConvergence`` or ``SingularSystem``."""
     mesh = BoxMesh(m)
-    free = mesh.free_dofs
-    for steps in (1, 3):
-        u = np.zeros((mesh.n_nodes, 3))
-        try:
-            for k in range(1, steps + 1):
-                for it in range(max_iter + 1):
-                    R = residual_3d(m, mesh, u, k / steps).ravel()
-                    if np.max(np.abs(R[free])) <= tol:
-                        break
-                    if it == max_iter:
-                        raise NonConvergence(
-                            f"3D Newton stage {k}/{steps}: residual "
-                            f"{np.max(np.abs(R[free])):.3e} after {max_iter} iterations"
-                        )
-                    du = _solve_band(band_tangent_3d(m, mesh, u), -R[free])
-                    u.reshape(-1)[free] += du
+    free, u = mesh.free_dofs, np.zeros((mesh.n_nodes, 3))
+    for it in range(max_iter + 1):
+        g = displacement_gradients(mesh, u)
+        sigma = tensor3d.stress(m.lame, g)
+        R = _weak_residual(mesh, (I3 + g) @ sigma).ravel()[free]
+        res = np.max(np.abs(R))
+        if res <= tol:
+            return mesh, u
+        if it == max_iter or not np.isfinite(res):
             break
-        except (NonConvergence, SingularSystem):
-            if steps == 3:
-                raise
-    return mesh, u
+        du = np.zeros_like(u)
+        du.reshape(-1)[free] = _newton_step(m, mesh, g, sigma, -R)
+        change = _energy_change(m, mesh, g, sigma, du)
+        slope, t = float(R @ du.ravel()[free]), 1.0
+        while not change(t) <= 1e-4 * t * slope:
+            t *= 0.5
+            if t < 1e-15:
+                raise NonConvergence(f"3D Newton: no descent at residual {res:.3e}")
+        u = u + t * du
+    raise NonConvergence(f"3D Newton: residual {res:.3e} after {it} iterations")
 
 
 def _z_side_bounds(v1, v2, z, p: LameParams, K: float, margin, r: float):
@@ -348,14 +354,15 @@ def _local_min_bound(m: SolidModel, mesh: BoxMesh, u0: np.ndarray, R0: np.ndarra
     c = 2.0 * p.mu * (1.0 + ga) * LOCAL_RADIUS * nd * (1.0 + 4.0 * U)
     # G has one element matrix, and a node lies in at most 8 elements
     Ge = mesh.detJ * np.einsum("qna,qma,ij->nimj", mesh.dN, mesh.dN, I3).reshape(24, 24)
-    ab = band_tangent_3d(m, mesh, u0, LameParams(min(p.lam, 0.0), p.mu), c * Ge)
+    g0, kept = displacement_gradients(mesh, u0), LameParams(min(p.lam, 0.0), p.mu)
+    ab = band_tangent_3d(m, mesh, g0, tensor3d.stress(p, g0), kept, c * Ge)
     phi, sa = np.sqrt(3.0) + ga, (3.0 * abs(p.lam) + 2.0 * p.mu) * (ga + 0.5 * ga**2)
     beta = 3.0 * (3.0 * max(-p.lam, 0.0) + 2.0 * p.mu) * phi**2 + sa + c
     shift = 2.0 * U * (2 * w + 1) * float(
         (3 * w + 5) * np.max(np.abs(ab[w])) + 880.0 * beta * np.max(np.diag(Ge)))
     ab[w] -= shift
     try:
-        cho = cholesky_banded(ab[: w + 1], check_finite=False)
+        cho = cholesky_banded(ab, check_finite=False)
     except LinAlgError:
         return np.inf, shift
     y = dtbtrs(cho, R0[:, None], uplo="U", trans="T")[0][:, 0]
@@ -414,7 +421,7 @@ def certify_3d(
 
     R0 = residual_3d(m, mesh, u0).ravel()[mesh.free_dofs]
     report.residual_norm = float(np.max(np.abs(R0)))
-    report.J_primal = float(energy_3d(m, mesh, u0))
+    report.J_primal = energy_3d(m, mesh, u0)
     g0 = displacement_gradients(mesh, u0)
     report.condition_max = float(np.max(np.abs(g0)))
     report.condition_ok = report.condition_max < GRADIENT_LIMIT

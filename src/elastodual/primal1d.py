@@ -98,13 +98,6 @@ def hessian_coefficients(m: BarModel, s: PrimalState) -> np.ndarray:
     return _curvature(m, derivative(s.u, m.grid))
 
 
-def hessian(m: BarModel, s: PrimalState) -> tuple[np.ndarray, np.ndarray]:
-    """Interior-node tridiagonal second variation, as (diagonal, off-diagonal):
-    the clamped spring chain of ``hessian_coefficients`` on the hat functions."""
-    c, h = hessian_coefficients(m, s), m.grid.h
-    return (c[:-1] + c[1:]) / h, -c[1:-1] / h
-
-
 def chain_is_positive_definite(c: np.ndarray) -> bool:
     """Whether the clamped spring chain of c has no zero spring and is positive
     definite: every c > 0, or exactly one c < 0 and sum 1/c < 0."""

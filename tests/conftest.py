@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from elastodual import dual1d, fem3d, primal1d
+from elastodual import dual1d, fem3d, primal1d, tensor3d
 from elastodual.mesh1d import Grid1D, derivative, norm_V
 
 
@@ -186,6 +186,14 @@ def bisection_min_eig(c, h):
     return float(vals[0])
 
 
+def hessian(m, s):
+    """Interior-node tridiagonal second variation of the bar, as (diagonal,
+    off-diagonal): the clamped spring chain of
+    ``primal1d.hessian_coefficients`` on the hat functions."""
+    c, h = primal1d.hessian_coefficients(m, s), m.grid.h
+    return (c[:-1] + c[1:]) / h, -c[1:-1] / h
+
+
 def energy_change(m, s, du):
     """J(u + du) - J(u) for a clamped nodal increment du: the t = 1 trial of
     primal1d.solve_newton's line search."""
@@ -204,7 +212,8 @@ def dense_tangent_3d(m, mesh, u, material=None):
     band storage that the Newton solve and the local-minimality bound use.
     ``material`` replaces m.lame in the material term only."""
     index = mesh.dofs[:, :, None] * mesh.n_dof + mesh.dofs[:, None, :]
-    Ke = fem3d._element_tangents(m, mesh, u, material).ravel()
+    g = fem3d.displacement_gradients(mesh, u)
+    Ke = fem3d._element_tangents(m, mesh, g, tensor3d.stress(m.lame, g), material).ravel()
     return np.bincount(index.ravel(), Ke, mesh.n_dof**2).reshape(mesh.n_dof, -1)
 
 

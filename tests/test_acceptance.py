@@ -22,6 +22,7 @@ from conftest import (
     f_star_sup_oracle,
     g_star_k_sup_oracle,
     golden_max,
+    hessian,
     m_tensor_oracle,
     norm_U,
     random_rotation,
@@ -169,7 +170,7 @@ def test_criterion_07_derivative_oracles(one_d_cases):
             - primal1d.energy(m, PrimalState(u - eps * phi))
         ) / (2 * eps)
         ok = ok and abs(dj - fd) <= 1e-6 * (1.0 + abs(dj))
-        diag, off = primal1d.hessian(m, s)
+        diag, off = hessian(m, s)
         hv = (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)) @ phi[1:-1]
         fdh = (
             primal1d.residual(m, PrimalState(u + eps * phi))

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: subcommands, exit codes, report
 formats, and determinism."""
 
+import collections
 import json
 
 import pytest
@@ -189,8 +190,8 @@ class TestCertify3D:
         assert code == cli.EXIT_HYPOTHESIS_VIOLATED
 
     def test_one_stage_newton_reaches_hypothesis_check(self, capsys):
-        # three load stages fail to converge here; the full load from u = 0
-        # converges, to a state that breaks the gradient bound
+        # the line-search Newton converges from u = 0 at the full load, to a
+        # state that breaks the gradient bound
         code = run_cli(["certify3d", "--mesh=4,4,4", "--traction=-0.5,0,0"])
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
@@ -203,13 +204,14 @@ class TestCertify3D:
         "mesh, exit_code",
         [
             ("2,2,2", cli.EXIT_HYPOTHESIS_VIOLATED),
-            ("8,2,2", cli.EXIT_SOLVER_ERROR),
-            ("3,2,2", cli.EXIT_SOLVER_ERROR),
+            ("8,2,2", cli.EXIT_HYPOTHESIS_VIOLATED),
+            ("3,2,2", cli.EXIT_HYPOTHESIS_VIOLATED),
         ],
     )
     def test_indefinite_tangent_exit_code(self, mesh, exit_code, monkeypatch, capsys):
         # a compressive load makes the tangent indefinite on some Newton
-        # steps; banded Cholesky fails there and banded LU solves the step
+        # steps; banded Cholesky fails there and the step solves the
+        # tensile-stress tangent instead
         cholesky, failures = fem3d.cholesky_banded, []
 
         def counted(*args, **kwargs):
@@ -224,6 +226,31 @@ class TestCertify3D:
         json.loads(capsys.readouterr().out)
         assert code == exit_code
         assert failures
+
+    def test_traction_sweep_exit_codes(self, capsys):
+        # 99 loads on three meshes, most far outside the hypothesis: each
+        # certifies, breaks the hypothesis or (one case) stops at the
+        # 50-iteration cap.  Exit 0 exactly where |tx| <= 0.2 with ty = 0, and
+        # at ty = 0.05 for tx = 0.2, and for tx = 0.1 off the 4^3 mesh.
+        txs = (-0.5, -0.2, -0.1, -0.05, -0.03, 0.03, 0.1, 0.2, 0.5, 1, 2)
+        codes = {}
+        for mesh in ("8,2,2", "4,4,4", "2,4,4"):
+            for tx in txs:
+                for ty in (0, 0.05, 0.3):
+                    argv = ["certify3d", f"--mesh={mesh}", f"--traction={tx},{ty},0"]
+                    codes[mesh, tx, ty] = run_cli(argv)
+                    assert "Traceback" not in capsys.readouterr().err
+        assert collections.Counter(codes.values()) == {
+            cli.EXIT_HYPOTHESIS_VIOLATED: 72, cli.EXIT_PASS: 26, cli.EXIT_SOLVER_ERROR: 1
+        }
+        passed = {key for key, code in codes.items() if code == cli.EXIT_PASS}
+        assert passed == {
+            (mesh, tx, ty)
+            for mesh in ("8,2,2", "4,4,4", "2,4,4")
+            for tx, ty in [(tx, 0) for tx in txs if abs(tx) <= 0.2]
+            + [(0.2, 0.05)] + ([(0.1, 0.05)] if mesh != "4,4,4" else [])
+        }
+        assert codes["8,2,2", -0.2, 0.05] == cli.EXIT_SOLVER_ERROR
 
     @pytest.mark.parametrize("lam", ["1e16", "1e17"])
     def test_nearly_incompressible_material(self, lam, capsys):

@@ -20,6 +20,7 @@ from conftest import (
     chain_matrix,
     energy_change,
     energy_oracle_1d,
+    hessian,
     norm_U,
 )
 
@@ -139,7 +140,7 @@ class TestResidual:
 class TestHessian:
     def test_rest_state_is_laplacian(self):
         m = _model(n=8, E=2.0, A=3.0)
-        diag, off = primal1d.hessian(m, PrimalState(np.zeros(9)))
+        diag, off = hessian(m, PrimalState(np.zeros(9)))
         h = m.grid.h
         assert np.allclose(diag, 2.0 * m.EA / h)
         assert np.allclose(off, -m.EA / h)
@@ -149,7 +150,7 @@ class TestHessian:
         n = 12
         m = _model(n=n)
         s = _random_state(rng, n)
-        diag, off = primal1d.hessian(m, s)
+        diag, off = hessian(m, s)
         H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert np.array_equal(H, H.T)
         # H x against the element-wise weak form of the spring chain
@@ -166,7 +167,7 @@ class TestHessian:
             s = _random_state(rng, n)
             psi = np.zeros(n + 1)
             psi[1:-1] = rng.uniform(-1.0, 1.0, n - 1)
-            diag, off = primal1d.hessian(m, s)
+            diag, off = hessian(m, s)
             hv = (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)) @ psi[1:-1]
             fd = (
                 primal1d.residual(m, PrimalState(s.u + eps * psi))
@@ -322,7 +323,7 @@ def _sine_model(amp, n):
 
 
 def _dense_hessian(m, s):
-    diag, off = primal1d.hessian(m, s)
+    diag, off = hessian(m, s)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
@@ -547,7 +548,7 @@ class TestSecondVariationMinEig:
         m = _model(n=n)
         s = _random_state(rng, n)
         val = primal1d.second_variation_min_eig(m, s)
-        diag, off = primal1d.hessian(m, s)
+        diag, off = hessian(m, s)
         H = (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)) / m.grid.h
         oracle = float(np.linalg.eigvalsh(H)[0])
         assert abs(val - oracle) <= 1e-10
