@@ -2,7 +2,7 @@
 
 The oracles here deliberately avoid the code paths they are meant to check:
 high-resolution quadrature instead of the package's midpoint rule, dense
-eigensolvers and LAPACK bisection instead of the shifted inverse iteration,
+eigensolvers and LAPACK bisection instead of the closed-form eigenvalue floor,
 Barzilai-Borwein descent instead of Newton, brute-force grid search instead
 of closed-form conjugates, and einsum-built 3x3x3x3 tensors, taken on a
 symmetric basis built here, instead of the closed-form isotropic tensors.
@@ -172,15 +172,16 @@ def m_tensor_oracle(lam, mu, K, mode):
 
 def chain_matrix(c, h):
     """Diagonal d and off-diagonal e of the clamped spring chain
-    T = (1/h^2) D^T diag(c) D of ``primal1d.spring_chain_min_eig``, and the
-    norm max|d| + 2 max|e| that scales its accuracy bound."""
+    T = (1/h^2) D^T diag(c) D, the bar's second variation against the
+    discrete L2 inner product, and the norm max|d| + 2 max|e| that scales the
+    rounding of its eigenvalues."""
     d, e = (c[:-1] + c[1:]) / h / h, -c[1:-1] / h / h
     return d, e, float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e), initial=0.0))
 
 
 def bisection_min_eig(c, h):
     """Smallest eigenvalue of the spring chain by LAPACK dstebz bisection
-    (Sturm counts), not the package's shifted inverse iteration."""
+    (Sturm counts), not the package's closed-form floor."""
     d, e, _ = chain_matrix(c, h)
     vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0), eigvals_only=True)
     return float(vals[0])
@@ -188,9 +189,9 @@ def bisection_min_eig(c, h):
 
 def hessian(m, s):
     """Interior-node tridiagonal second variation of the bar, as (diagonal,
-    off-diagonal): the clamped spring chain of
-    ``primal1d.hessian_coefficients`` on the hat functions."""
-    c, h = primal1d.hessian_coefficients(m, s), m.grid.h
+    off-diagonal): the clamped spring chain of the curvatures
+    ``primal1d._curvature`` on the hat functions."""
+    c, h = primal1d._curvature(m, derivative(s.u, m.grid)), m.grid.h
     return (c[:-1] + c[1:]) / h, -c[1:-1] / h
 
 

@@ -145,9 +145,9 @@ def test_criterion_06_local_minimality(one_d_cases):
     for amp, (m, u0, d, cfg, report, _) in one_d_cases.items():
         ok = ok and report.slope_radius > 1.0 / 12.0 > 1e-3
         ok = ok and report.energy_deficit <= 1e-12
-        ok = ok and report.min_eig >= -1e-10
+        ok = ok and report.min_eig_floor > 0.0
     _report(6, "local minimality: energy deficit <= 1e-12 on a slope ball "
-            "> 1/12 and min eig >= -1e-10", ok)
+            "> 1/12 and a positive second-variation floor", ok)
 
 
 def test_criterion_07_derivative_oracles(one_d_cases):

@@ -28,8 +28,14 @@ class TestCertify1D:
         assert abs(doc["dual"]["gap"]) <= 1e-10
         for key in ("version", "config_echo", "primal", "dual", "saddle", "kkt"):
             assert key in doc
-        assert doc["version"] == "1.1" and "seed" not in doc
+        assert doc["version"] == "1.2" and "seed" not in doc
         assert doc["config_echo"]["seed"] == 7
+        assert set(doc["primal"]) == {
+            "J", "residual_norm", "min_eig_floor", "newton_iters",
+            "condition_norm", "condition_ok",
+        }
+        assert doc["primal"]["min_eig_floor"] > 0.0
+        assert 1 <= doc["primal"]["newton_iters"] <= 5
         assert set(doc["saddle"]) == {
             "r", "r1", "r2", "z_curvature_floor", "z_deficit", "v_excess"
         }
@@ -183,6 +189,21 @@ class TestCertify3D:
         assert len(doc["errors"]) == 1
         assert doc["errors"][0].startswith("hessian: min z-Hessian eig ")
         assert f"< M min eig {doc['m_min_eig']:.3e}" in doc["errors"][0]
+
+    def test_spherical_corner_case_passes(self, capsys):
+        # inside the benchmark's parameter box, with z_curvature_floor 2.2585
+        # < m_min_eig 2.2958 < min_hessian_z_eig 2.3004: a check of the
+        # z-curvature floor against the M tensor would fail this case
+        code = run_cli(
+            ["certify3d", "--lam=3", "--mu=0.5", "--box=1.25,0.8,0.8",
+             "--mesh=3,2,2", "--traction=0.01,0.008,0.008",
+             "--body=0.004,0.004,0.004", "--mode=spherical", "--K=0.3"]
+        )
+        doc = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_PASS
+        assert doc["passed"] is True and doc["errors"] == []
+        assert (doc["z_curvature_floor"] < doc["m_min_eig"]
+                < doc["min_hessian_z_eig"])
 
     def test_hypothesis_exit_code(self, capsys):
         code = run_cli(["certify3d", "--traction", "2,0,0"])

@@ -694,6 +694,7 @@ class TestCertify:
         assert report.errors[0].startswith("newton: residual ")
         assert report.errors[0].endswith(" after 50 iterations")
         assert report.newton_iters == 50
+        assert json.loads(report.to_json())["primal"]["newton_iters"] == 50
 
     def test_condition_violation_path(self):
         m = dual1d.sine_load_model(1.0, 1.0, 1.0, 10.0, 16)

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from elastodual import dual1d, primal1d
 from elastodual.errors import NonConvergence, SingularHessian
-from elastodual.mesh1d import Grid1D, norm_V
+from elastodual.mesh1d import Grid1D, derivative, norm_V
 from elastodual.primal1d import BarModel, PrimalState
 
 from conftest import (
@@ -155,7 +155,8 @@ class TestHessian:
         assert np.array_equal(H, H.T)
         # H x against the element-wise weak form of the spring chain
         x = rng.standard_normal(n - 1)
-        w = primal1d.hessian_coefficients(m, s) * np.diff(np.r_[0.0, x, 0.0]) / m.grid.h
+        c = primal1d._curvature(m, derivative(s.u, m.grid))
+        w = c * np.diff(np.r_[0.0, x, 0.0]) / m.grid.h
         assert np.allclose(H @ x, w[:-1] - w[1:])
 
     def test_finite_difference_of_residual(self):
@@ -376,7 +377,8 @@ class TestLineSearchNewton:
         s = primal1d.solve_newton(m)
         assert norm_V(primal1d.residual(m, s)[1:-1]) <= 1e-12
         assert not primal1d.condition_check(s, m.grid)[1]
-        assert primal1d.second_variation_min_eig(m, s) > 0.0
+        c = primal1d._curvature(m, derivative(s.u, m.grid))
+        assert bisection_min_eig(c, m.grid.h) > 0.0
 
     @pytest.mark.parametrize(
         "amp,n,log",
@@ -491,75 +493,106 @@ class TestConditionCheck:
         assert not ok
 
 
-#: accuracy of spring_chain_min_eig: 32 U (max|d| + 2 max|e|), U = eps/2, of
-#: the same order as the rounding of T itself
+#: rounding of the oracles' smallest eigenvalue: 16 eps (max|d| + 2 max|e|),
+#: of the same order as the rounding of T itself
 EIG_ACCURACY = 16.0 * EPS
 
 
-class TestSecondVariationMinEig:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.sampled_from(["positive", "one_negative", "indefinite", "near_zero"]).flatmap(
-            lambda kind: _chains(kind, max_n=256)
-        )
-    )
-    def test_against_dense_eigensolver(self, chain):
-        c, h, _ = chain
-        want = np.linalg.eigvalsh(_dense_chain(c, h) / h)[0]
-        got = primal1d.spring_chain_min_eig(c, h)
-        assert abs(got - want) <= EIG_ACCURACY * chain_matrix(c, h)[2]
+def _eig_floor(m, ux):
+    """The certificate's floor on the second variation's smallest eigenvalue
+    at the slopes ux."""
+    return dual1d._min_eig_floor(m, norm_V(ux))
 
-    def test_bisection_oracle_on_benchmark_bars(self, monkeypatch):
+
+@st.composite
+def _in_hypothesis_slopes(draw, max_n=4096):
+    """A bar of EA 1e-3 to 1e3, L 0.1 to 10 and 2 to max_n elements, and a
+    slope field of sup norm s in [0.2, 1/4).  pinned: a drawn share of the
+    slopes is -s, the softest spring the hypothesis allows, the rest uniform
+    in [-s, s] (all -s is the uniform chain the floor is exact on).  clamped:
+    the slopes of a clamped field, sum 0, from the same draw less its mean
+    and scaled to sup norm s."""
+    n = draw(st.integers(2, max_n))
+    EA, L = 10.0 ** draw(st.floats(-3.0, 3.0)), 10.0 ** draw(st.floats(-1.0, 1.0))
+    s = draw(st.one_of(st.floats(0.2, 0.25, exclude_max=True),
+                       st.just(float(np.nextafter(0.25, 0.0)))))
+    share = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ux = np.where(rng.random(n) < share, -1.0, rng.uniform(-1.0, 1.0, n))
+    if draw(st.sampled_from(["pinned", "clamped"])) == "clamped":
+        ux -= np.mean(ux)
+        ux /= np.max(np.abs(ux)) or 1.0  # all pinned leaves u = 0
+    return BarModel(EA, 1.0, Grid1D(L, n), np.zeros(n)), s * ux
+
+
+class TestSecondVariationMinEig:
+    """The certificate's closed-form floor on the second variation's smallest
+    eigenvalue (proof 5 of ``dual1d``), against the eigenvalue that dense and
+    bisection eigensolvers find: below it by no more than the spread of W''
+    over the slope ball, max W''/min W'' < 6."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_in_hypothesis_slopes())
+    def test_floor_below_bisection(self, bar):
+        m, ux = bar
+        c, h = primal1d._curvature(m, ux), m.grid.h
+        want = bisection_min_eig(c, h)
+        floor = _eig_floor(m, ux)
+        assert 0.0 < floor <= want + EIG_ACCURACY * chain_matrix(c, h)[2]
+        assert want <= 6.0 * floor
+
+    @settings(max_examples=100, deadline=None)
+    @given(_in_hypothesis_slopes(max_n=256))
+    def test_against_dense_eigensolver(self, bar):
+        m, ux = bar
+        c, h = primal1d._curvature(m, ux), m.grid.h
+        want = np.linalg.eigvalsh(_dense_chain(c, h) / h)[0]
+        floor = _eig_floor(m, ux)
+        assert 0.0 < floor <= want + EIG_ACCURACY * chain_matrix(c, h)[2]
+
+    def test_bisection_oracle_on_benchmark_bars(self):
         # bars drawn as the benchmark's certify1d ops, up to the CLI's mesh
-        # cap; the factorisation count guards the iteration, not its time
-        calls = []
-        dptsv = primal1d.dptsv
-        monkeypatch.setattr(primal1d, "dptsv", lambda *a: calls.append(a) or dptsv(*a))
+        # cap: the report carries the floor, below the certified state's
+        # smallest eigenvalue
         rng = np.random.default_rng(19)
         for n in (4, 64, 256, 1024, 2048, 4096) * 4:
             E, A, L = np.exp(rng.uniform(np.log(0.5), np.log(2.0), 3))
             m = dual1d.sine_load_model(E, A, L, rng.uniform(0.05, 0.5) * E * A / L, n)
-            s = primal1d.solve_newton(m)
-            c = primal1d.hessian_coefficients(m, s)
-            calls.clear()
-            got = primal1d.second_variation_min_eig(m, s)
-            assert 1 <= len(calls) <= 6
-            want = bisection_min_eig(c, m.grid.h)
-            assert abs(got - want) <= EIG_ACCURACY * chain_matrix(c, m.grid.h)[2]
+            report = dual1d.certify(m)
+            assert report.passed
+            ux = derivative(primal1d.solve_newton(m).u, m.grid)
+            want = bisection_min_eig(primal1d._curvature(m, ux), m.grid.h)
+            assert 0.0 < report.min_eig_floor <= want <= 6.0 * report.min_eig_floor
 
     @pytest.mark.parametrize("n", [2, 3, 64, 4096])
     def test_rest_state_closed_form(self, n):
         # at u = 0 every spring is EA and T has the eigenvalues
-        # EA (4/h^2) sin^2(k pi/(2n)); at n = 2 T is the 1 x 1 matrix 2 EA/h^2
+        # EA (4/h^2) sin^2(k pi/(2n)); at n = 2 T is the 1 x 1 matrix 2 EA/h^2,
+        # and the floor is the first less its rounding term
         m = _model(n=n, E=1.3, A=0.7)
-        got = primal1d.second_variation_min_eig(m, PrimalState(np.zeros(n + 1)))
-        h = m.grid.h
-        want = m.EA * 4.0 / h**2 * np.sin(np.pi / (2 * n)) ** 2
-        assert abs(got - want) <= EIG_ACCURACY * chain_matrix(np.full(n, m.EA), h)[2]
+        got = _eig_floor(m, np.zeros(n))
+        want = m.EA * 4.0 / m.grid.h**2 * np.sin(np.pi / (2 * n)) ** 2
+        assert got == pytest.approx(want, rel=32.0 * EPS)
 
     def test_rest_state_spectrum(self):
-        m = _model(n=64)
-        val = primal1d.second_variation_min_eig(m, PrimalState(np.zeros(65)))
+        val = _eig_floor(_model(n=64), np.zeros(64))
         assert abs(val - np.pi**2) <= 0.02 * np.pi**2
 
     def test_dense_eigensolver_oracle(self):
         rng = np.random.default_rng(5)
         n = 32
         m = _model(n=n)
-        s = _random_state(rng, n)
-        val = primal1d.second_variation_min_eig(m, s)
+        s = _random_state(rng, n, scale=0.003)  # slopes below 0.2
+        ux = derivative(s.u, m.grid)
+        val = _eig_floor(m, ux)
         diag, off = hessian(m, s)
         H = (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)) / m.grid.h
         oracle = float(np.linalg.eigvalsh(H)[0])
-        assert abs(val - oracle) <= 1e-10
+        assert 0.0 < val <= oracle <= 6.0 * val
 
     def test_scaling_in_E(self):
         g = Grid1D(1.0, 16)
-        zero = PrimalState(np.zeros(17))
-        e1 = primal1d.second_variation_min_eig(
-            BarModel(1.0, 1.0, g, np.zeros(16)), zero
-        )
-        e2 = primal1d.second_variation_min_eig(
-            BarModel(2.0, 1.0, g, np.zeros(16)), zero
-        )
+        zero = np.zeros(16)
+        e1 = _eig_floor(BarModel(1.0, 1.0, g, np.zeros(16)), zero)
+        e2 = _eig_floor(BarModel(2.0, 1.0, g, np.zeros(16)), zero)
         assert e2 == pytest.approx(2.0 * e1)
