@@ -161,13 +161,11 @@ def dstar_hessian_z(d: DualState1D, m: BarModel, cfg: DualConfig) -> np.ndarray:
 
 def _stationarity(d: DualState1D, u: np.ndarray, m: BarModel, cfg: DualConfig):
     """Residuals (r_z, r_v1, r_v2, r_u at interior nodes) of the Lagrangian's
-    stationarity equations, and den and the z-curvature of _z_derivatives."""
-    den, r_z, curv = _z_derivatives(d, m, cfg)
-    w = derivative(u, m.grid)
-    r_v1 = -d.v1 / den + w
-    r_v2 = 0.5 * d.v1**2 / den**2 - (d.v2 + d.z) / m.EA + w
-    r_u = equilibrium_residual(d, m)[1:-1]
-    return (r_z, r_v1, r_v2, r_u), den, curv
+    stationarity equations, den = v2 + z + K and a = v1/den."""
+    den, r_z, _ = _z_derivatives(d, m, cfg)
+    a, w = d.v1 / den, derivative(u, m.grid)
+    r_v2 = 0.5 * a**2 - (d.v2 + d.z) / m.EA + w
+    return (r_z, w - a, r_v2, equilibrium_residual(d, m)[1:-1]), den, a
 
 
 def _saddle_bounds(
@@ -176,12 +174,13 @@ def _saddle_bounds(
     """(z_curvature_floor, z_deficit, v_excess): proofs 1-3 of the module
     docstring on the r-ball around d.  Rounding, in units U of each term: den
     is off by s + den (s = |v2 + z|), b = den - 2r by s + den + b; in k, 1/K,
-    1/EA, k and t = (a/b)^2/b (a = |v1| + r) carry 2, 2, 2 and
-    6 + 3 (s + den + b)/b; with rel = (s + den)/den and q = v1^2/(2 den^2), in
-    r_z |z/K|, s/EA, q and r_z carry 2, 3, 3 + 2 rel and 1, in r_v1 |v1/den|,
-    |u_x| and r_v1 1 + rel, 2 and 1, in r_v2 q, s/EA, |u_x| and r_v2 4 + 2 rel,
+    1/EA, k and t = ((|v1| + r)/b)^2/b carry 2, 2, 2 and
+    6 + 3 (s + den + b)/b; with rel = (s + den)/den, a = v1/den (off by
+    1 + rel) and q = a^2/2 (by 3 + 2 rel), in r_z |z/K|, s/EA, q and r_z carry
+    2, 3, 3 + 2 rel and 1, in r_v1 = u_x - a |a|, |u_x| and r_v1 1 + rel, 2
+    and 1, and in r_v2 = (q - s/EA) + u_x q, s/EA, |u_x| and r_v2 4 + 2 rel,
     3, 2 and 1.  h sum u_x is 0 for a clamped u."""
-    (r_z, r_v1, r_v2, _), den, _ = _stationarity(d, u, m, cfg)
+    (r_z, r_v1, r_v2, _), den, a = _stationarity(d, u, m, cfg)
     K, EA, h = cfg.K, m.EA, m.grid.h
     ux, s = derivative(u, m.grid), np.abs(d.v2 + d.z)
     rel, b = (s + den) / den, den - 2.0 * r
@@ -189,7 +188,7 @@ def _saddle_bounds(
     kappa = (1.0 / K - 1.0 / EA) - t
     kappa -= U * (2.0 / K + 2.0 / EA + 2.0 * np.abs(kappa)
                   + t * (6.0 + 3.0 * (s + den + b) / b))
-    q, c = 0.5 * (d.v1 / den) ** 2, s / EA
+    q, c = 0.5 * a**2, s / EA
     g = np.abs(r_z)
     g += U * (2.0 * np.abs(d.z / K) + 3.0 * c + (3.0 + 2.0 * rel) * q + g)
     # the minimising |dz| of the quadratic model: g/k inside the ball, else r
@@ -198,7 +197,7 @@ def _saddle_bounds(
     up = 1.0 + (len(g) + 8) * U
     z_deficit = float(np.sum(dz * (g - 0.5 * kappa * dz))) * h * up
     rv = np.abs(r_v1) + np.abs(r_v2)
-    rv += U * ((1.0 + rel) * np.abs(d.v1 / den) + (4.0 + 2.0 * rel) * q + 3.0 * c
+    rv += U * ((1.0 + rel) * np.abs(a) + (4.0 + 2.0 * rel) * q + 3.0 * c
                + 4.0 * np.abs(ux) + rv)
     v_excess = r * (float(np.sum(rv)) * h * up + 2.0 * abs(float(np.sum(ux)) * h))
     return float(np.min(kappa)), z_deficit, v_excess
@@ -244,48 +243,45 @@ def kkt_solve(
     nodes; the converged multiplier is the primal critical point.  Returns the
     dual state, the full nodal multiplier, and the iteration count.
 
-    Element e's unknowns couple to u only through b = (0, 1, 1): w_e enters
-    r_v1 and r_v2, and v1 + v2 enters r_u.  Each step eliminates the
-    symmetric 3x3 block A_e of every element and solves the Schur complement
-    in u, the clamped chain of the springs b.A_e^-1.b at unit spacing, by the
+    Per element, with s = v2 + z and a = v1/den, r_z - r_v2 = z/K - w is
+    linear, and the Jacobian of (r_v1, r_v2) in (v1, s) has determinant
+    1/(EA den) and inverse -[[EA a^2 + den, EA a], [EA a, EA]], so the 3x3
+    block in (z, v1, v2) has determinant 1/(K EA den) > 0 and a closed-form
+    inverse.  With dw the slope of the step du in u, p, q = r_v1 + dw,
+    r_v2 + dw and rho = r_z - r_v2, the Newton step is ds = EA (a p + q),
+    dv1 = den p + a ds, dz = K (dw - rho), and the flux v1 + v2 changes by
+    g + c dw, g = den r_v1 + (1 + a) EA (a r_v1 + r_v2) + K rho, on the
+    springs c = s + EA (1 + a)^2 (the primal tangent's at the solution).  So
+    du is minus the clamped chain of c solved against r_u + g_l - g_r, by the
     prefix sums of ``primal1d.solve_spring_chain``: O(n) time and memory.
     """
-    h, K = m.grid.h, cfg.K
-    n = m.grid.n_elem
-    d0, u_full = init
-    x = np.stack([d0.z, d0.v1, d0.v2])
-    u = np.zeros(n + 1)
+    h, K, EA = m.grid.h, cfg.K, m.EA
+    d, u_full = init
+    u = np.zeros(m.grid.n_elem + 1)
     u[1:-1] = u_full[1:-1]
-    rhs = np.zeros((n, 3, 2))
-    rhs[:, 1:, 1] = 1.0  # second column: b
     for it in range(max_iter + 1):
-        z, v1, v2 = x
-        d = DualState1D(v1, v2, z)
-        parts, den, curv = _stationarity(d, u, m, cfg)
-        r = np.concatenate(parts)
-        if norm_V(r) <= tol:
+        parts, den, a = _stationarity(d, u, m, cfg)
+        res = norm_V(np.concatenate(parts))
+        if res <= tol:
             return d, u, it
         if it == max_iter:
             raise NonConvergence(
-                f"KKT Newton: residual {norm_V(r):.3e} after {max_iter} iterations"
+                f"KKT Newton: residual {res:.3e} after {max_iter} iterations"
             )
-        c = curv - 1.0 / K  # d(r_z)/d(v2): the z-curvature less 1/K
-        a = v1 / den**2
-        A = np.empty((n, 3, 3))  # d(r_z, r_v1, r_v2)/d(z, v1, v2) per element
-        A[:, 0, 0] = curv
-        A[:, 1, 1] = -1.0 / den
-        A[:, 0, 2] = A[:, 2, 0] = A[:, 2, 2] = c
-        A[:, 0, 1] = A[:, 1, 0] = A[:, 1, 2] = A[:, 2, 1] = a
-        rhs[:, :, 0] = r[: 3 * n].reshape(3, n).T
+        r_z, r_v1, r_v2, r_u = parts
+        rho = r_z - r_v2
+        g = den * r_v1 + (1.0 + a) * EA * (a * r_v1 + r_v2) + K * rho
+        c = (d.v2 + d.z) + EA * (1.0 + a) ** 2
+        du = np.zeros_like(u)
         try:
-            sol = np.linalg.solve(A, rhs)  # A_e^-1 r_x(e), A_e^-1 b
-            bAr, bAb = (sol[:, 1] + sol[:, 2]).T
-            du = np.zeros(n + 1)
-            rhs_u = h * (r[3 * n:] - (bAr[:-1] - bAr[1:]))
-            du[1:-1] = primal1d.solve_spring_chain(bAb, 1.0, rhs_u)
-        except (np.linalg.LinAlgError, SingularHessian) as exc:
+            du[1:-1] = -primal1d.solve_spring_chain(c, h, r_u + g[:-1] - g[1:])
+        except SingularHessian as exc:
             raise SingularKKTMatrix(str(exc)) from exc
-        x = x - (sol[:, :, 0] + derivative(du, m.grid)[:, None] * sol[:, :, 1]).T
+        dw = derivative(du, m.grid)
+        p, q = r_v1 + dw, r_v2 + dw
+        ds = EA * (a * p + q)
+        dz = K * (dw - rho)
+        d = DualState1D(d.v1 + (den * p + a * ds), d.v2 + (ds - dz), d.z + dz)
         u = u + du
     raise NonConvergence("unreachable")
 

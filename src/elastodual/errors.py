@@ -18,7 +18,7 @@ class SingularHessian(ElastodualError):
 
 
 class SingularKKTMatrix(ElastodualError):
-    """The Newton matrix of the stationarity system is numerically singular."""
+    """The KKT step's Schur complement, a spring chain in u, is singular."""
 
 
 class SingularSystem(ElastodualError):

@@ -84,6 +84,19 @@ class TestCertify1D:
         assert doc["saddle"]["z_curvature_floor"] <= 0.0
         assert doc["errors"][0].startswith("saddle_z: z-curvature floor")
 
+    def test_tiny_ea_report_is_strict_json(self, capsys):
+        # at E = 1e-300 den^2 underflows; r_v2 is formed from a = v1/den,
+        # so v_excess stays finite and the report names the failed check
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        code = run_cli(["certify1d", "--E", "1e-300", "--amp", "0"])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out, parse_constant=reject)
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert [e.split(":")[0] for e in doc["errors"]] == ["saddle_z"]
+        assert "Traceback" not in captured.err
+
     def test_mesh_cap(self):
         with pytest.raises(SystemExit):
             run_cli(["certify1d", "--n", "5000"])

@@ -6,6 +6,7 @@ import json
 import tracemalloc
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -256,6 +257,56 @@ class TestZKernel:
         assert np.array_equal(den, den_t)
         assert np.all(np.abs(grad - grad_t) <= grad_bound)
         assert np.all(np.abs(curv - curv_t) <= curv_bound)
+
+
+@st.composite
+def _in_hypothesis_bars(draw):
+    """(model, cfg, duals, u): a clamped u on n <= 64 elements with max |u_x|
+    up to, or just below, 1/4, EA across 16 decades, K = EA/2, and the
+    constructed duals, or those moved by up to 1e-6 EA or 1e-2 EA per field.
+    The shapes are drawn in steps of 1e-3, so no value is subnormal: the
+    rounding terms are relative, for arithmetic without underflow."""
+    n = draw(st.integers(2, 64))
+    m = _model(n=n, E=10.0 ** draw(st.floats(-8.0, 8.0)))
+    raw = draw(hnp.arrays(np.int64, n, elements=st.integers(-1000, 1000)))
+    raw = raw - np.mean(raw)
+    assume(np.max(np.abs(raw)) > 0.0)
+    top = draw(st.one_of(st.floats(1e-3, 0.249), st.floats(0.249, 0.2499)))
+    u = np.zeros(n + 1)
+    u[1:-1] = np.cumsum(raw * (top / np.max(np.abs(raw))))[:-1] * m.grid.h
+    assume(primal1d.condition_check(PrimalState(u), m.grid)[1])
+    cfg = DualConfig(m.EA / 2.0)
+    d = dual1d.construct_duals(m, PrimalState(u), cfg)
+    scale = draw(st.sampled_from([0.0, 1e-6, 1e-2])) * m.EA
+    dv = scale * 1e-3 * draw(hnp.arrays(np.int64, (3, n), elements=st.integers(-1000, 1000)))
+    return m, cfg, DualState1D(d.v1 + dv[0], d.v2 + dv[1], d.z + dv[2]), u
+
+
+class TestStationarityRounding:
+    @settings(max_examples=100, deadline=None)
+    @given(_in_hypothesis_bars())
+    def test_v_residuals_within_their_rounding_terms(self, case):
+        # _saddle_bounds' first-order terms, in units U of each term:
+        # r_v1 |a|, |u_x|, r_v1: 1 + rel, 2, 1; r_v2 q, s/EA, |u_x|, r_v2:
+        # 4 + 2 rel, 3, 2, 1.  The slack 1e-6 covers the second-order terms.
+        m, cfg, d, u = case
+        (_, r_v1, r_v2, _), den, a = dual1d._stationarity(d, u, m, cfg)
+        ux, s = derivative(u, m.grid), np.abs(d.v2 + d.z)
+        rel, q = (s + den) / den, 0.5 * a**2
+        bound_v1 = dual1d.U * ((1.0 + rel) * np.abs(a) + 2.0 * np.abs(ux) + np.abs(r_v1))
+        bound_v2 = dual1d.U * ((4.0 + 2.0 * rel) * q + 3.0 * s / m.EA
+                               + 2.0 * np.abs(ux) + np.abs(r_v2))
+        with mpmath.workdps(50):
+            mpf = mpmath.mpf
+            EA, K, h = mpf(m.EA), mpf(cfg.K), mpf(m.grid.h)
+            for e in range(m.grid.n_elem):
+                s_e = mpf(d.v2[e]) + mpf(d.z[e])
+                a_e = mpf(d.v1[e]) / (s_e + K)
+                w = (mpf(u[e + 1]) - mpf(u[e])) / h
+                err_v1 = abs(mpf(r_v1[e]) - (w - a_e))
+                err_v2 = abs(mpf(r_v2[e]) - (a_e**2 / 2 - s_e / EA + w))
+                assert err_v1 <= mpf(bound_v1[e]) * (1 + mpf("1e-6"))
+                assert err_v2 <= mpf(bound_v2[e]) * (1 + mpf("1e-6"))
 
 
 class TestSaddleVerify:
@@ -573,10 +624,15 @@ def _dense_kkt_newton(m, cfg, init, tol, max_iter=50):
 
 def _perturbed_kkt_start(m, seed, eps=1e-3):
     """Constructed duals and primal solution, and a start perturbed by up to
-    ``eps`` in every field."""
+    ``eps`` in every field.  The duals are ``construct_duals``' closed form
+    without its slope check: they solve the stationarity system past the
+    hypothesis too."""
     cfg = DualConfig(K=m.EA / 2.0)
     u0 = primal1d.solve_newton(m)
-    d = dual1d.construct_duals(m, u0, cfg)
+    ux = derivative(u0.u, m.grid)
+    z = cfg.K * ux
+    v2 = m.EA * (ux + 0.5 * ux**2) - z
+    d = DualState1D((z + v2 + cfg.K) * ux, v2, z)
     rng = np.random.default_rng(seed)
     n = m.grid.n_elem
     zp = d.z + eps * rng.uniform(-1, 1, n)
@@ -623,19 +679,36 @@ class TestKKTSolve:
         assert norm_V(d2.z - d.z) <= 1e-8
         assert norm_U(u2 - bar_solution.u, bar_model.grid) <= 1e-8
 
-    @pytest.mark.parametrize("n", [8, 33])
-    def test_iterates_match_dense_newton(self, n):
-        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.2, n)
+    @pytest.mark.parametrize(
+        "n, amp, cold",
+        [
+            pytest.param(8, 0.2, False, id="8"),
+            pytest.param(33, 0.2, False, id="33"),
+            pytest.param(33, 0.2, True, id="33-cold"),
+            pytest.param(33, 0.7, False, id="33-amp0.7"),
+        ],
+    )
+    def test_iterates_match_dense_newton(self, n, amp, cold, monkeypatch):
+        m = dual1d.sine_load_model(1.0, 1.0, 1.0, amp, n)
         cfg, _, start = _perturbed_kkt_start(m, seed=n)
-        states, norms = _dense_kkt_newton(m, cfg, start, tol=1e-12)
+        if cold:  # v1 = v2 = z = 0 and u = 0
+            start = (DualState1D(*np.zeros((3, n))), np.zeros(n + 1))
+        states, _ = _dense_kkt_newton(m, cfg, start, tol=1e-12)
         assert len(states) >= 3
+        # kkt_solve forms the residuals of each iterate once; from the cold
+        # start the residual rises at the first step, so no tolerance stops
+        # the solve there
+        seen = []
+        stationarity = dual1d._stationarity
+
+        def record(d, u, m, cfg):
+            seen.append((d, u))
+            return stationarity(d, u, m, cfg)
+
+        monkeypatch.setattr(dual1d, "_stationarity", record)
         _, _, iters = dual1d.kkt_solve(m, cfg, start, tol=1e-12)
-        assert iters == len(states) - 1
-        # a tolerance of half the previous residual stops kkt_solve at iterate k
-        for k in range(1, len(states)):
-            d2, u2, iters = dual1d.kkt_solve(m, cfg, start, tol=0.5 * norms[k - 1])
-            assert iters == k
-            dk, uk = states[k]
+        assert iters == len(states) - 1 == len(seen) - 1
+        for (d2, u2), (dk, uk) in zip(seen, states):
             for got, want in ((d2.z, dk.z), (d2.v1, dk.v1), (d2.v2, dk.v2), (u2, uk)):
                 assert np.max(np.abs(got - want)) <= 1e-13
 

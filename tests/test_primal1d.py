@@ -196,7 +196,7 @@ def _chains(draw, kind, max_n=40):
     positive: every spring > 0.  one_negative: spring k < 0 with
     sum 1/c = -delta sum_{e != k} 1/c_e, a positive definite chain.
     indefinite: the same with sum 1/c = +delta sum_{e != k} 1/c_e.  negative:
-    every spring < 0, as in the KKT Schur complement.  two_negative: springs
+    every spring < 0, a negative definite chain.  two_negative: springs
     k and k + 1 < 0, the others of random sign.  near_zero: spring k within
     1e-9 of 0, the others > 0.
     """
