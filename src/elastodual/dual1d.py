@@ -143,29 +143,28 @@ def equilibrium_residual(d: DualState1D, m: BarModel) -> np.ndarray:
     return primal1d.weak_residual(m, d.v1 + d.v2)
 
 
-def _z_derivatives(d: DualState1D, m: BarModel, cfg: DualConfig) -> tuple:
-    """Checked den = v2 + z + K and the elementwise z-derivatives of the dual
-    density, z/K - (v2+z)/EA + q2/2 and (1/K - 1/EA) - q2/den, both from
-    q2 = (v1/den)^2."""
+def _den_a(d: DualState1D, cfg: DualConfig) -> tuple:
+    """s = v2 + z, checked den = s + K and a = v1/den."""
     s = d.v2 + d.z
     den = _require_positivity(s + cfg.K)
-    q2 = (d.v1 / den) ** 2
-    curv = (1.0 / cfg.K - 1.0 / m.EA) - q2 / den
-    return den, 0.5 * q2 + (d.z / cfg.K - s / m.EA), curv
+    return s, den, d.v1 / den
 
 
 def dstar_hessian_z(d: DualState1D, m: BarModel, cfg: DualConfig) -> np.ndarray:
-    """Elementwise second z-derivative of the dual density."""
-    return _z_derivatives(d, m, cfg)[2]
+    """Elementwise second z-derivative of the dual density,
+    (1/K - 1/EA) - a^2/den."""
+    _, den, a = _den_a(d, cfg)
+    return (1.0 / cfg.K - 1.0 / m.EA) - a * a / den
 
 
 def _stationarity(d: DualState1D, u: np.ndarray, m: BarModel, cfg: DualConfig):
     """Residuals (r_z, r_v1, r_v2, r_u at interior nodes) of the Lagrangian's
-    stationarity equations, den = v2 + z + K and a = v1/den."""
-    den, r_z, _ = _z_derivatives(d, m, cfg)
-    a, w = d.v1 / den, derivative(u, m.grid)
-    r_v2 = 0.5 * a**2 - (d.v2 + d.z) / m.EA + w
-    return (r_z, w - a, r_v2, equilibrium_residual(d, m)[1:-1]), den, a
+    stationarity equations, den = v2 + z + K and a = v1/den: with q = a^2/2,
+    r_z = q + (z/K - s/EA), r_v1 = u_x - a and r_v2 = (q - s/EA) + u_x."""
+    s, den, a = _den_a(d, cfg)
+    q, c, w = 0.5 * (a * a), s / m.EA, derivative(u, m.grid)
+    r = (q + (d.z / cfg.K - c), w - a, q - c + w, equilibrium_residual(d, m)[1:-1])
+    return r, den, a
 
 
 def _saddle_bounds(

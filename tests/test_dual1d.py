@@ -6,7 +6,6 @@ import json
 import tracemalloc
 from unittest import mock
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -253,7 +252,12 @@ class TestZKernel:
         a, b, c = np.abs(d.z / K), 0.5 * d.v1**2 / den_t**2, np.abs(d.v2 + d.z) / EA
         grad_bound = u * (6.0 * a + 9.0 * b + 5.0 * c)
         curv_bound = u * (6.0 / K + 11.0 * d.v1**2 / den_t**3 + 5.0 / EA)
-        den, grad, curv = dual1d._z_derivatives(d, m, cfg)
+        # r_z of _stationarity, one state of the stack at a time
+        rows = np.stack([d.v1, d.v2, d.z], axis=-2).reshape(-1, 3, 6)
+        grad = np.reshape([dual1d._stationarity(DualState1D(*f), np.zeros(7), m, cfg)[0][0]
+                           for f in rows], grad_t.shape)
+        _, den, _ = dual1d._den_a(d, cfg)
+        curv = dual1d.dstar_hessian_z(d, m, cfg)
         assert np.array_equal(den, den_t)
         assert np.all(np.abs(grad - grad_t) <= grad_bound)
         assert np.all(np.abs(curv - curv_t) <= curv_bound)
@@ -289,6 +293,8 @@ class TestStationarityRounding:
         # _saddle_bounds' first-order terms, in units U of each term:
         # r_v1 |a|, |u_x|, r_v1: 1 + rel, 2, 1; r_v2 q, s/EA, |u_x|, r_v2:
         # 4 + 2 rel, 3, 2, 1.  The slack 1e-6 covers the second-order terms.
+        import mpmath  # a test-only dependency, declared in the test extra
+
         m, cfg, d, u = case
         (_, r_v1, r_v2, _), den, a = dual1d._stationarity(d, u, m, cfg)
         ux, s = derivative(u, m.grid), np.abs(d.v2 + d.z)
@@ -706,9 +712,10 @@ class TestKKTSolve:
             return stationarity(d, u, m, cfg)
 
         monkeypatch.setattr(dual1d, "_stationarity", record)
-        _, _, iters = dual1d.kkt_solve(m, cfg, start, tol=1e-12)
+        d_end, u_end, iters = dual1d.kkt_solve(m, cfg, start, tol=1e-12)
         assert iters == len(states) - 1 == len(seen) - 1
-        for (d2, u2), (dk, uk) in zip(seen, states):
+        # every iterate, and the returned state is the last one
+        for (d2, u2), (dk, uk) in zip(seen + [(d_end, u_end)], states + states[-1:]):
             for got, want in ((d2.z, dk.z), (d2.v1, dk.v1), (d2.v2, dk.v2), (u2, uk)):
                 assert np.max(np.abs(got - want)) <= 1e-13
 
