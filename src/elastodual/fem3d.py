@@ -60,8 +60,7 @@ import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dtbtrs
+from numpy.linalg import LinAlgError
 
 from . import tensor3d
 from .errors import NonConvergence, SingularSystem
@@ -266,6 +265,8 @@ def _newton_step(m: SolidModel, mesh: BoxMesh, g, sigma, rhs: np.ndarray) -> np.
     """Banded Cholesky solve of the tangent at (g, sigma), else of the tangent
     with tensile stress Q max(L, 0) Q^T, positive semi-definite term by term and
     shifted as in bound 2 against rounding (lam >> mu); else ``SingularSystem``."""
+    # scipy loads here, on the first 3D solve: the bar and ktensor never need it
+    from scipy.linalg import cho_solve_banded, cholesky_banded
     try:
         cho = cholesky_banded(band_tangent_3d(m, mesh, g, sigma), check_finite=False)
     except LinAlgError:
@@ -361,6 +362,8 @@ def _local_min_bound(m: SolidModel, mesh: BoxMesh, u0: np.ndarray, R0: np.ndarra
     shift = 2.0 * U * (2 * w + 1) * float(
         (3 * w + 5) * np.max(np.abs(ab[w])) + 880.0 * beta * np.max(np.diag(Ge)))
     ab[w] -= shift
+    from scipy.linalg import cholesky_banded
+    from scipy.linalg.lapack import dtbtrs
     try:
         cho = cholesky_banded(ab, check_finite=False)
     except LinAlgError:

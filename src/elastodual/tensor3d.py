@@ -161,19 +161,26 @@ def _det(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.sum(A[..., 0, :] * C[..., 0, :], axis=-1)
 
 
+def _exponent(A: np.ndarray) -> np.ndarray:
+    """Exponent e of max|A| = m 2^e, 1/2 <= m < 1, per point, (..., 1, 1): the
+    minors of A / 2^e stay in range at any Lame scale, and the scaling is exact."""
+    return np.frexp(np.max(np.abs(A), axis=(-2, -1), keepdims=True))[1]
+
+
 def pd_mask(A: np.ndarray) -> np.ndarray:
     """True at each point where sym(A) is positive definite, by Sylvester's
-    criterion: its three leading principal minors are positive.  Evaluated
-    elementwise over the stack, with no per-point LAPACK call."""
+    criterion on sym(A) / 2^e (``_exponent``): its three leading principal
+    minors are positive, evaluated elementwise with no per-point LAPACK call."""
     S = sym(A)
+    S = np.ldexp(S, -_exponent(S))
     C = _cofactors(S)
     return (S[..., 0, 0] > 0.0) & (C[..., 2, 2] > 0.0) & (_det(S, C) > 0.0)
 
 
 def _require_pd(A: np.ndarray) -> np.ndarray:
     """PD check of the symmetric part at every point (``pd_mask``); returns
-    the inverse of A from its adjugate, adj(A) / det(A).  A positive definite
-    symmetric part makes A invertible.
+    A^-1 = 2^-e adj(B) / det(B) from B = A / 2^e (``_exponent``).  A positive
+    definite symmetric part makes A invertible.
 
     On failure the error carries the flat index of the worst point and its
     margin, the smallest eigenvalue of sym(A) there.
@@ -188,8 +195,10 @@ def _require_pd(A: np.ndarray) -> np.ndarray:
             location=k,
             margin=margin,
         )
-    C = _cofactors(A)
-    return _t(C) / _det(A, C)[..., None, None]
+    e = _exponent(A)
+    B = np.ldexp(A, -e)
+    C = _cofactors(B)
+    return np.ldexp(_t(C) / _det(B, C)[..., None, None], -e)
 
 
 def pd_margin(S: np.ndarray, K: float) -> np.ndarray:

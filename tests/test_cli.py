@@ -3,9 +3,13 @@ formats, and determinism."""
 
 import collections
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from scipy.linalg import LinAlgError
+import scipy.linalg
 
 from elastodual import cli, dual1d, fem3d, primal1d
 from elastodual.errors import NonConvergence
@@ -13,6 +17,13 @@ from elastodual.errors import NonConvergence
 
 def run_cli(args):
     return cli.main(args)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# runs cli.main in a fresh interpreter, then prints its exit code and whether
+# scipy was imported
+COLD_START = ("import sys; from elastodual import cli; code = cli.main(sys.argv[1:]); "
+              "print(code, 'scipy' in sys.modules)")
 
 
 class TestCertify1D:
@@ -212,6 +223,23 @@ class TestCertify3D:
         assert (doc["z_curvature_floor"] < doc["m_min_eig"]
                 < doc["min_hessian_z_eig"])
 
+    @pytest.mark.parametrize(
+        "scale, exit_code",
+        [("1e-110", cli.EXIT_SOLVER_ERROR), ("1e160", cli.EXIT_PASS)],
+    )
+    def test_extreme_lame_scale(self, scale, exit_code, capsys):
+        # the PD checks scale each denominator to entries below 1, so
+        # Sylvester's minors neither underflow (1e-110) nor overflow (1e160);
+        # at 1e-110 the z-side bound fails instead
+        args = ["certify3d", f"--mu={scale}", f"--lam={scale}",
+                "--traction=0,0,0", "--mesh=2,2,2"]
+        code = run_cli(args)
+        doc = json.loads(capsys.readouterr().out)
+        assert code == exit_code
+        assert doc["passed"] is (exit_code == cli.EXIT_PASS)
+        assert bool(doc["errors"]) is not doc["passed"]
+        assert all(e.startswith("z_convex: ") for e in doc["errors"])
+
     def test_hypothesis_exit_code(self, capsys):
         code = run_cli(["certify3d", "--traction", "2,0,0"])
         capsys.readouterr()
@@ -240,16 +268,16 @@ class TestCertify3D:
         # a compressive load makes the tangent indefinite on some Newton
         # steps; banded Cholesky fails there and the step solves the
         # tensile-stress tangent instead
-        cholesky, failures = fem3d.cholesky_banded, []
+        cholesky, failures = scipy.linalg.cholesky_banded, []
 
         def counted(*args, **kwargs):
             try:
                 return cholesky(*args, **kwargs)
-            except LinAlgError:
+            except scipy.linalg.LinAlgError:
                 failures.append(mesh)
                 raise
 
-        monkeypatch.setattr(fem3d, "cholesky_banded", counted)
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted)
         code = run_cli(["certify3d", f"--mesh={mesh}", "--traction=-0.5,0,0"])
         json.loads(capsys.readouterr().out)
         assert code == exit_code
@@ -438,3 +466,28 @@ def test_unwritable_out_exits_before_the_solve(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in captured.err
     assert "error:" in captured.err
     assert not out.parent.exists()
+
+
+class TestColdStart:
+    """The bar and ktensor run on numpy alone; scipy's banded Cholesky loads
+    on the first 3D solve.  Each case runs in a fresh interpreter, because
+    pytest has imported scipy already."""
+
+    @pytest.mark.parametrize(
+        "args, exit_code, scipy_loaded",
+        [
+            (["certify1d", "--n", "64"], cli.EXIT_PASS, False),
+            (["sweep1d", "--amps=0.1,3"], cli.EXIT_HYPOTHESIS_VIOLATED, False),
+            (["ktensor"], cli.EXIT_PASS, False),
+            (["certify3d", "--mesh", "2,2,2"], cli.EXIT_PASS, True),
+        ],
+        ids=["certify1d", "sweep1d", "ktensor", "certify3d"],
+    )
+    def test_scipy_loads_only_for_3d(self, args, exit_code, scipy_loaded, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = ["--out", str(tmp_path / "report")]
+        run = subprocess.run(
+            [sys.executable, "-c", COLD_START, *args, *out],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert run.stdout.split() == [str(exit_code), str(scipy_loaded)]

@@ -6,9 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError
 
 from elastodual import cli, fem3d, tensor3d
 from elastodual.errors import NonConvergence, NotPositiveDefinite, SingularSystem
@@ -506,7 +506,7 @@ class TestSolveNewton3D:
         # compression the tangent is indefinite on some steps, and the step
         # solves the tensile-stress tangent there.
         searches, failures = [], []
-        energy_change, cholesky = fem3d._energy_change, fem3d.cholesky_banded
+        energy_change, cholesky = fem3d._energy_change, scipy.linalg.cholesky_banded
 
         def recorded(m, mesh, g, sigma, du):
             change, trials = energy_change(m, mesh, g, sigma, du), []
@@ -516,12 +516,12 @@ class TestSolveNewton3D:
         def counted(*args, **kwargs):
             try:
                 return cholesky(*args, **kwargs)
-            except LinAlgError:
+            except scipy.linalg.LinAlgError:
                 failures.append(1)
                 raise
 
         monkeypatch.setattr(fem3d, "_energy_change", recorded)
-        monkeypatch.setattr(fem3d, "cholesky_banded", counted)
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted)
         m = _model(*dims, traction=traction)
         mesh, u_final = fem3d.solve_newton_3d(m)
         monkeypatch.setattr(fem3d, "_energy_change", energy_change)  # energy_3d's

@@ -293,6 +293,20 @@ class TestClosedFormKernel:
         assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=(-2, -1)))
         assert np.allclose(A @ Ainv, I3, rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("k", [-600, -300, 300, 600])
+    def test_power_of_two_scale_is_exact(self, k):
+        # both kernels work on A / 2^e, so scaling A by 2^k changes neither
+        # the decision nor a bit of 2^k times the inverse; unscaled, the
+        # determinant would underflow at 2^-600 and overflow at 2^600
+        rng = np.random.default_rng(23)
+        eigs = rng.uniform(0.1, 3.0, (400, 3))
+        eigs[:100, 0] = -rng.uniform(1e-3, 2.0, 100)
+        A = self._stack(rng, eigs)
+        assert np.array_equal(tensor3d.pd_mask(np.ldexp(A, k)), tensor3d.pd_mask(A))
+        pd = A[1:]
+        scaled_inverse = np.ldexp(tensor3d._require_pd(np.ldexp(pd, k)), k)
+        assert np.array_equal(scaled_inverse, tensor3d._require_pd(pd))
+
 
 class TestConjugateDensities:
     def test_f_star_values(self):
