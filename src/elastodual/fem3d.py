@@ -12,6 +12,8 @@ gradient matrix.  Newton minimises the energy from u = 0 at the full load as
 the bar's solve does (Nocedal & Wright, Numerical Optimization, 3.4): a step
 solves the tangent's free block by banded Cholesky, or where it is indefinite
 the tangent of each point's tensile stress, and Armijo backtracking halves it.
+The band layout comes from the reference element's DOF offsets, the same in
+every element of the structured mesh.
 
 ``certify_3d`` proves two checks; each bound adds the first-order rounding of
 its evaluation, in U = eps/2 of the magnitudes of its terms:
@@ -56,6 +58,7 @@ its evaluation, in U = eps/2 of the magnitudes of its terms:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -97,44 +100,33 @@ class SolidModel:
     def __post_init__(self):
         if min(self.lx, self.ly, self.lz) <= 0:
             raise ValueError("box dimensions must be positive")
-        for n in (self.nx, self.ny, self.nz):
-            if not 2 <= n <= MAX_ELEMS_PER_AXIS:
-                raise ValueError(
-                    f"elements per axis must be in [2, {MAX_ELEMS_PER_AXIS}]"
-                )
+        if not all(2 <= n <= MAX_ELEMS_PER_AXIS for n in (self.nx, self.ny, self.nz)):
+            raise ValueError(f"elements per axis must be in [2, {MAX_ELEMS_PER_AXIS}]")
         if np.shape(self.body_force) != (3,) or np.shape(self.traction) != (3,):
             raise ValueError("loads must be 3-vectors")
 
 
-# local corner signs of the reference hex, node order fixed
-_CORNERS = np.array(
-    [
-        [-1, -1, -1], [1, -1, -1], [1, 1, -1], [-1, 1, -1],
-        [-1, -1, 1], [1, -1, 1], [1, 1, 1], [-1, 1, 1],
-    ],
-    dtype=float,
-)
+# local corner signs c of the reference hex, node order fixed
+_CORNERS = np.array([[-1, -1, -1], [1, -1, -1], [1, 1, -1], [-1, 1, -1],
+                     [-1, -1, 1], [1, -1, 1], [1, 1, 1], [-1, 1, 1]], dtype=float)
 _GP1 = 1.0 / np.sqrt(3.0)
-
-
-def _shape_values(xi: np.ndarray) -> np.ndarray:
-    """Trilinear shape values at reference points (q, 3); (q, 8)."""
-    return np.prod(1.0 + _CORNERS * xi[:, None, :], axis=-1) / 8.0
-
-
-def _shape_grads(xi: np.ndarray) -> np.ndarray:
-    """Reference gradients at points (q, 3); (q, 8, 3)."""
-    g = np.empty((xi.shape[0], 8, 3))
-    for d in range(3):
-        terms = 1.0 + _CORNERS * xi[:, None, :]
-        terms[..., d] = _CORNERS[:, d]
-        g[..., d] = np.prod(terms, axis=-1) / 8.0
-    return g
 
 
 def _grid_points(*axes) -> np.ndarray:
     """Tensor-product points, last axis fastest; (q, 3)."""
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+@functools.cache  # model-free: built on the first BoxMesh, not per op or at import
+def _reference_element() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trilinear shape values N_n = t_0 t_1 t_2 / 8, t_k = 1 + c_nk xi_k, and
+    gradients dN_n/dxi_d = c_nd (the other two t) / 8 at the 2x2x2 Gauss points,
+    (8q, 8n) and (8q, 8n, 3), and N at the 2x2 points of the face xi_1 = +1."""
+    gp = (-_GP1, _GP1)
+    t, face = (1.0 + _CORNERS * _grid_points(*axes)[:, None, :]
+               for axes in ((gp, gp, gp), ((1.0,), gp, gp)))
+    dN = _CORNERS * (t[..., [1, 2, 0]] * t[..., [2, 0, 1]]) / 8.0
+    return np.prod(t, axis=-1) / 8.0, dN, np.prod(face, axis=-1) / 8.0
 
 
 class BoxMesh:
@@ -143,10 +135,7 @@ class BoxMesh:
     def __init__(self, m: SolidModel):
         nx, ny, nz = m.nx, m.ny, m.nz
         self.hx, self.hy, self.hz = m.lx / nx, m.ly / ny, m.lz / nz
-        self.coords = _grid_points(*(
-            np.linspace(0, L, n + 1) for L, n in ((m.lx, nx), (m.ly, ny), (m.lz, nz))
-        ))
-        self.n_nodes = self.coords.shape[0]
+        self.n_nodes = (nx + 1) * (ny + 1) * (nz + 1)
         self.n_dof = 3 * self.n_nodes
 
         # elements and nodes are numbered x-major, z fastest; corner c of
@@ -159,22 +148,21 @@ class BoxMesh:
         dofs = self.dofs = (3 * self.conn[:, :, None] + np.arange(3)).reshape(-1, 24)
 
         # clamped x = 0 nodes first: the free DOFs are a trailing slice; free
-        # entry (r, c), r <= c, goes to upper band storage row band + r - c, column c
+        # entry (r, c), r <= c, goes to upper band storage row band + r - c,
+        # column c.  Element e's DOFs are dofs[e, 0] + off, off = dofs[0]: c - r
+        # = off[b] - off[a] in every element, and band = max(off)
         self.clamped_nodes = np.arange((ny + 1) * (nz + 1))
         self.free_dofs = np.arange(3 * self.clamped_nodes.size, self.n_dof)
-        r = dofs[:, :, None] - self.free_dofs[0]
-        c = dofs[:, None, :] - self.free_dofs[0]
-        upper, n_free = (r >= 0) & (c >= r), self.free_dofs.size
-        self.band = int(np.max(c - r, where=upper, initial=0))
-        drop = (self.band + 1) * n_free
-        self.band_index = np.where(upper, (self.band + r - c) * n_free + c, drop).ravel()
+        off, c, n_free = dofs[0], dofs - self.free_dofs[0], self.free_dofs.size
+        self.band = int(off.max())
+        upper = (c[:, :, None] >= 0) & (off[:, None] <= off)
+        index = (self.band + off[:, None] - off) * n_free + c[:, None, :]
+        self.band_index = np.where(upper, index, (self.band + 1) * n_free).ravel()
 
         # 2x2x2 Gauss points; uniform box makes the Jacobian constant diagonal
-        gp = (-_GP1, _GP1)
-        pts = _grid_points(gp, gp, gp)
-        self.N = _shape_values(pts)  # (8q, 8n)
+        self.N, dN, self.face_N = _reference_element()
         scale = np.array([2.0 / self.hx, 2.0 / self.hy, 2.0 / self.hz])
-        dN = self.dN = _shape_grads(pts) * scale  # (8q, 8n, 3)
+        dN = self.dN = dN * scale  # (8q, 8n, 3)
         # column 3q + J holds dN[q, :, J]: one matmul of an element's nodal
         # values with it gives the gradients at all its quadrature points
         self.grad_matrix = dN.transpose(1, 0, 2).reshape(8, 24)
@@ -188,7 +176,6 @@ class BoxMesh:
         # traction face x = lx: the last ny * nz elements (i = nx - 1), local
         # face xi_1 = +1
         self.face_elems = np.arange((nx - 1) * ny * nz, self.n_elem)
-        self.face_N = _shape_values(_grid_points((1.0,), gp, gp))  # (4q, 8n)
         self.face_detJ = self.hy * self.hz / 4.0
 
         self.load = _load_vector(m, self)  # (n_nodes, 3), loads of `model`
@@ -222,8 +209,7 @@ def _weak_residual(mesh: BoxMesh, flux: np.ndarray) -> np.ndarray:
     load vector; clamped rows zeroed."""
     fq = np.swapaxes(flux, -3, -2).reshape(-1, 24)  # rows (e, I), columns (q, J)
     Rel = mesh.detJ * np.swapaxes((fq @ mesh.grad_matrix.T).reshape(-1, 3, 8), -1, -2)
-    R = np.zeros((mesh.n_nodes, 3))
-    np.add.at(R, mesh.conn, Rel)
+    R = np.bincount(mesh.dofs.ravel(), Rel.ravel(), mesh.n_dof).reshape(-1, 3)
     R -= mesh.load
     R[mesh.clamped_nodes] = 0.0
     return R
@@ -244,7 +230,9 @@ def _element_tangents(m: SolidModel, mesh: BoxMesh, g, sigma, material=None):
     B = B.transpose(0, 3, 2, 1, 4).reshape(ne, 24, 48)
     H = tensor3d.hooke_mandel(material or m.lame)
     BH = (B.reshape(-1, 6) @ H).reshape(ne, 24, 48)
-    Ke = mesh.detJ * (BH @ B.transpose(0, 2, 1)).reshape(ne, 8, 3, 8, 3)
+    Ke = (BH @ B.transpose(0, 2, 1)).reshape(ne, 8, 3, 8, 3)
+    del B, BH  # before the geometric term: the transient peak stays one Ke lower
+    Ke *= mesh.detJ
     G = mesh.detJ * (sigma.reshape(ne, 72) @ mesh.geometric_op).reshape(ne, 8, 8)
     # the geometric term adds to the I == J diagonal (a writeable view)
     np.einsum("enimi->enmi", Ke)[...] += G[..., None]
@@ -295,12 +283,11 @@ def _energy_change(m: SolidModel, mesh: BoxMesh, g, sigma, du: np.ndarray):
     return change
 
 
-def solve_newton_3d(
-    m: SolidModel, tol: float = 1e-11, max_iter: int = 50
-) -> tuple[BoxMesh, np.ndarray]:
+def solve_newton_3d(m: SolidModel, tol: float = 1e-11, max_iter: int = 50) -> tuple:
     """The line-search Newton of the module docstring (c1 = 1e-4); an iterate's
-    gradients and stress serve its residual, tangent and line search.  Raises
-    ``NonConvergence`` or ``SingularSystem``."""
+    gradients and stress serve its residual, tangent and line search.  Returns
+    (mesh, u, g, sigma, R): the converged u, (n_nodes, 3), its gradients, stress
+    and free residual.  Raises ``NonConvergence`` or ``SingularSystem``."""
     mesh = BoxMesh(m)
     free, u = mesh.free_dofs, np.zeros((mesh.n_nodes, 3))
     for it in range(max_iter + 1):
@@ -309,7 +296,7 @@ def solve_newton_3d(
         R = _weak_residual(mesh, (I3 + g) @ sigma).ravel()[free]
         res = np.max(np.abs(R))
         if res <= tol:
-            return mesh, u
+            return mesh, u, g, sigma, R
         if it == max_iter or not np.isfinite(res):
             break
         du = np.zeros_like(u)
@@ -332,22 +319,30 @@ def _z_side_bounds(v1, v2, z, p: LameParams, K: float, margin, r: float):
     l0, nS, v1sq, X = margin + 0.5 * K, norm(S), norm(v1) ** 2, np.linalg.inv(A)
     low = l0 - rho - 20.0 * U * (nS + K + rho)
     hbar = max(0.5 / p.mu, 1.0 / (3.0 * p.lam + 2.0 * p.mu))
-    q = np.divide(v1sq, low**3, out=np.full_like(low, np.inf), where=low > 0.0)
+    # where low**3 would leave the double range, q over powers of two (exact)
+    e = np.frexp(low)[1]
+    e *= np.abs(e) > 336
+    q = np.divide(np.ldexp(v1sq, -3 * e), np.ldexp(low, -e) ** 3,
+                  out=np.full_like(low, np.inf), where=low > 0.0)
     kappa = (1.0 / K - hbar) - q
     kappa -= U * (2.0 / K + 4.0 * hbar + 13.0 * q + np.abs(kappa))
     P, cp = X @ (np.swapaxes(v1, -1, -2) @ v1) @ X, tensor3d.compliance_params(p)
     g = norm(tensor3d.sym(z / K + 0.5 * P - tensor3d.hooke_apply(cp, tensor3d.sym(S))))
     g += U * (6.0 * g + 3.0 * norm(z) / K + 3.0 * norm(P)
               + 12.0 * (3.0 * abs(cp.lam) + 2.0 * cp.mu) * nS)
-    res = norm(I3 - A @ X) + 8.0 * U * (2.0 + (nS + 2.0 * K) * norm(X))
-    g += norm(X) * v1sq * (res / (l0 - 20.0 * U * (nS + K)) + 4.5 * U * norm(X))
+    # ||X|| over the power of two of max|X| (exact): X^2 ~ 1/K^2 leaves the range
+    eX = tensor3d._exponent(X)
+    nX = np.ldexp(norm(np.ldexp(X, -eX)), eX[..., 0, 0])
+    res = norm(I3 - A @ X) + 8.0 * U * (2.0 + (nS + 2.0 * K) * nX)
+    g += nX * v1sq * (res / (l0 - 20.0 * U * (nS + K)) + 4.5 * U * nX)
     t = np.minimum(rho, np.divide(g, kappa, out=np.full_like(g, rho), where=kappa > 0))
     return kappa, t * (g - 0.5 * kappa * t)
 
 
-def _local_min_bound(m: SolidModel, mesh: BoxMesh, u0: np.ndarray, R0: np.ndarray):
-    """(energy_deficit, local_min_shift) at u0 with free residual R0, bound 2
-    of the module docstring; energy_deficit is inf if the Cholesky fails."""
+def _local_min_bound(m: SolidModel, mesh: BoxMesh, u0, g0, sigma0, R0):
+    """(energy_deficit, local_min_shift) at u0 with gradients g0, stress sigma0
+    and free residual R0, bound 2 of the module docstring; energy_deficit is
+    inf if the Cholesky fails."""
     p, w = m.lame, mesh.band
     # ||grad v||_F <= |v|_inf nd for a nodal field v, from the column sums of |dN|
     nd = np.sqrt(3.0 * np.sum(np.max(np.abs(mesh.dN).sum(1), 0) ** 2)) * (1.0 + 8.0 * U)
@@ -355,8 +350,8 @@ def _local_min_bound(m: SolidModel, mesh: BoxMesh, u0: np.ndarray, R0: np.ndarra
     c = 2.0 * p.mu * (1.0 + ga) * LOCAL_RADIUS * nd * (1.0 + 4.0 * U)
     # G has one element matrix, and a node lies in at most 8 elements
     Ge = mesh.detJ * np.einsum("qna,qma,ij->nimj", mesh.dN, mesh.dN, I3).reshape(24, 24)
-    g0, kept = displacement_gradients(mesh, u0), LameParams(min(p.lam, 0.0), p.mu)
-    ab = band_tangent_3d(m, mesh, g0, tensor3d.stress(p, g0), kept, c * Ge)
+    kept = LameParams(min(p.lam, 0.0), p.mu)
+    ab = band_tangent_3d(m, mesh, g0, sigma0, kept, c * Ge)
     phi, sa = np.sqrt(3.0) + ga, (3.0 * abs(p.lam) + 2.0 * p.mu) * (ga + 0.5 * ga**2)
     beta = 3.0 * (3.0 * max(-p.lam, 0.0) + 2.0 * p.mu) * phi**2 + sa + c
     shift = 2.0 * U * (2 * w + 1) * float(
@@ -417,15 +412,13 @@ def certify_3d(
     report = Gap3DReport(mode=mode)
     lame = m.lame
     try:
-        mesh, u0 = solve_newton_3d(m)
+        mesh, u0, g0, sigma0, R0 = solve_newton_3d(m)
     except (NonConvergence, SingularSystem) as exc:
         report.errors.append(f"newton: {exc}")
         return report
 
-    R0 = residual_3d(m, mesh, u0).ravel()[mesh.free_dofs]
     report.residual_norm = float(np.max(np.abs(R0)))
     report.J_primal = energy_3d(m, mesh, u0)
-    g0 = displacement_gradients(mesh, u0)
     report.condition_max = float(np.max(np.abs(g0)))
     report.condition_ok = report.condition_max < GRADIENT_LIMIT
     if not report.condition_ok:
@@ -444,9 +437,10 @@ def certify_3d(
     report.m_min_eig = min(tensor3d.m_tensor_eigs(lame, K, mode))
 
     # dual fields at every quadrature point, (n_elem, 8, 3, 3) each
-    v1, v2, z = tensor3d.construct_duals_pointwise(lame, K, g0)
+    v1, v2, z = tensor3d.construct_duals_pointwise(lame, K, g0, sigma0)
 
-    margin = tensor3d.pd_margin(v2 + z, K)
+    S = v2 + z
+    margin = tensor3d.pd_margin(S, K)
     report.min_pd_margin = float(np.min(margin))
     report.k_feasible = report.m_min_eig > 0 and report.min_pd_margin >= 0
     if not report.k_feasible:
@@ -456,13 +450,16 @@ def certify_3d(
         )
         return report
 
-    # J* = F*(z) - G*_K(v1, v2, z) under 2x2x2 Gauss quadrature
+    # J* = F*(z) - G*_K(v1, v2, z) under 2x2x2 Gauss quadrature; G*_K and the
+    # z-Hessian share one A^-1
+    Ainv = tensor3d._require_pd(S + K * I3)
     report.J_dual = float(np.sum(
-        tensor3d.f_star_3d_density(z, K) - tensor3d.g_star_k_density(v1, v2, z, lame, K)
+        tensor3d.f_star_3d_density(z, K)
+        - tensor3d.g_star_k_density(v1, v2, z, lame, K, Ainv)
     )) * mesh.detJ
     report.gap = report.J_primal - report.J_dual
     report.min_hessian_z_eig = float(np.min(np.linalg.eigvalsh(
-        tensor3d.dstar_hessian_z_3d(v1, v2, z, lame, K)
+        tensor3d.dstar_hessian_z_3d(v1, v2, z, lame, K, Ainv)
     )[..., 0]))
 
     Rdual = _weak_residual(mesh, v1 + v2).ravel()[mesh.free_dofs]
@@ -475,7 +472,7 @@ def certify_3d(
     report.z_curvature_floor = float(np.nan_to_num(np.min(kappa)))
     up = 1.0 + (drop.size + 8) * U
     report.z_deficit = float(np.nan_to_num(np.sum(drop) * mesh.detJ * up))
-    deficit, report.local_min_shift = _local_min_bound(m, mesh, u0, R0)
+    deficit, report.local_min_shift = _local_min_bound(m, mesh, u0, g0, sigma0, R0)
     report.energy_deficit = float(np.nan_to_num(deficit))
 
     # every earlier failure returned with its own message, so the report

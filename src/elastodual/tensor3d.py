@@ -29,6 +29,7 @@ chain all close exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +103,14 @@ def hooke_mandel(p: LameParams) -> np.ndarray:
 def compliance_params(p: LameParams) -> LameParams:
     """Lame parameters of the (isotropic) inverse stiffness: it scales
     deviators by 1/(2 mu) = 2 mu' and the spherical part by 1/(3 lam + 2 mu)
-    = 3 lam' + 2 mu', so mu' = 1/(4 mu), lam' = -lam/(2 mu (3 lam + 2 mu)).
+    = 3 lam' + 2 mu', so mu' = 1/(4 mu), lam' = -lam/(2 mu (3 lam + 2 mu)), from
+    lam and mu over the power of two of mu (exact): no product leaves the range.
     Past lam/mu ~ 2e15 the rounding of lam' swallows 3 lam' + 2 mu' > 0, so
     lam' stays at least the next double above -2 mu'/3."""
-    mu = 0.25 / p.mu
-    lam = -p.lam / (2.0 * p.mu * (3.0 * p.lam + 2.0 * p.mu))
+    e = math.frexp(p.mu)[1]
+    lam, mu = math.ldexp(p.lam, -e), math.ldexp(p.mu, -e)
+    lam = math.ldexp(-lam / (2.0 * mu * (3.0 * lam + 2.0 * mu)), -e)
+    mu = math.ldexp(0.25 / mu, -e)
     return LameParams(max(lam, float(np.nextafter(-2.0 * mu / 3.0, 0.0))), mu)
 
 
@@ -128,16 +132,16 @@ def stress(p: LameParams, g: np.ndarray) -> np.ndarray:
 
 
 def construct_duals_pointwise(
-    p: LameParams, K: float, g0: np.ndarray
+    p: LameParams, K: float, g0: np.ndarray, sigma: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dual triple (v1, v2, z) at each displacement gradient g0.
+    """Dual triple (v1, v2, z) at each displacement gradient g0 of stress sigma.
 
     z = K*g0, v2 = sigma - z, v1 = g0 @ (sigma + K*I).  The identities
     z + v2 = sigma and v1 + v2 = (I + g0) sigma hold to rounding.
     """
     if not K > 0:
         raise ValueError("K must be positive")
-    sigma = stress(p, g0)
+    sigma = stress(p, g0) if sigma is None else sigma
     z = K * g0
     v2 = sigma - z
     v1 = g0 @ (sigma + K * I3)
@@ -190,11 +194,8 @@ def _require_pd(A: np.ndarray) -> np.ndarray:
         k = int(np.argmin(margins))
         margin = float(margins[k])
         raise NotPositiveDefinite(
-            f"v2 + z + K*I has smallest symmetric eigenvalue {margin:.6e}"
-            f" at point {k}",
-            location=k,
-            margin=margin,
-        )
+            f"v2 + z + K*I has smallest symmetric eigenvalue {margin:.6e} at point {k}",
+            location=k, margin=margin)
     e = _exponent(A)
     B = np.ldexp(A, -e)
     C = _cofactors(B)
@@ -214,28 +215,30 @@ def f_star_3d_density(z: np.ndarray, K: float) -> np.ndarray:
 
 
 def g_star_k_density(
-    v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, K: float
+    v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, K: float,
+    Ainv: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Closed-form density of the perturbed conjugate:
+    """Closed-form density of the perturbed conjugate, A^-1 = Ainv if given:
     1/2 tr(A^-1 v1^T v1) + 1/2 (v2+z) : Hbar : (v2+z), A = v2 + z + K*I."""
     gram = _t(v1) @ v1
     S = v2 + z
-    Ainv = _require_pd(S + K * I3)
+    Ainv = _require_pd(S + K * I3) if Ainv is None else Ainv
     return 0.5 * np.sum(Ainv * _t(gram), axis=(-2, -1)) + 0.5 * np.sum(
         S * hooke_apply(compliance_params(p), sym(S)), axis=(-2, -1)
     )
 
 
 def dstar_hessian_z_3d(
-    v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, K: float
+    v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, K: float,
+    Ainv: np.ndarray | None = None,
 ) -> np.ndarray:
     """6x6 Mandel second derivative of the dual density in z on symmetric
     arguments, (..., 6, 6): I6/K - sym(T) - Hbar, T_ijkl = A^-1_jk Y_li with
-    Y = A^-1 v1^T v1 A^-1."""
+    Y = A^-1 v1^T v1 A^-1; A^-1 as in ``g_star_k_density``."""
     A = v2 + z + K * I3
     if np.max(np.abs(A - _t(A))) > 1e-9:
         raise ValueError("Hessian assembly expects a symmetric denominator")
-    Ainv = _require_pd(A)
+    Ainv = _require_pd(A) if Ainv is None else Ainv
     Y = Ainv @ _t(v1) @ v1 @ Ainv
     T = np.einsum("...jk,...li->...ijkl", Ainv, Y).reshape(A.shape[:-2] + (9, 9))
     T = MANDEL_BASIS_9.T @ T @ MANDEL_BASIS_9

@@ -218,6 +218,21 @@ def dense_tangent_3d(m, mesh, u, material=None):
     return np.bincount(index.ravel(), Ke, mesh.n_dof**2).reshape(mesh.n_dof, -1)
 
 
+def node_coords(m):
+    """Node coordinates of the BoxMesh of the SolidModel m, (n_nodes, 3), in
+    its numbering: x-major, z fastest."""
+    axes = (np.linspace(0.0, L, n + 1) for L, n in ((m.lx, m.nx), (m.ly, m.ny), (m.lz, m.nz)))
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def newton_state(m, mesh, u):
+    """The state (mesh, u, g, sigma, R) of the iterate u, formed from u alone,
+    as fem3d.solve_newton_3d returns it at convergence."""
+    g = fem3d.displacement_gradients(mesh, u)
+    R = fem3d.residual_3d(m, mesh, u).ravel()[mesh.free_dofs]
+    return mesh, u, g, tensor3d.stress(m.lame, g), R
+
+
 def norm_U(u, g):
     """Discrete max over the bar of |u| + |u_x|, one value per field of a
     stack: per element, max(|u| at the two endpoints) + |slope|."""

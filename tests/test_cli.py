@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -225,16 +226,25 @@ class TestCertify3D:
 
     @pytest.mark.parametrize(
         "scale, exit_code",
-        [("1e-110", cli.EXIT_SOLVER_ERROR), ("1e160", cli.EXIT_PASS)],
+        [("1e-110", cli.EXIT_SOLVER_ERROR), ("1e160", cli.EXIT_PASS),
+         ("1e-200", cli.EXIT_SOLVER_ERROR), ("1e-300", cli.EXIT_SOLVER_ERROR),
+         ("1e300", cli.EXIT_PASS)],
     )
     def test_extreme_lame_scale(self, scale, exit_code, capsys):
-        # the PD checks scale each denominator to entries below 1, so
-        # Sylvester's minors neither underflow (1e-110) nor overflow (1e160);
-        # at 1e-110 the z-side bound fails instead
+        # the PD checks, the compliance and the z-side bound's q and ||A^-1||
+        # are formed over powers of two, so no minor, 2 mu (3 lam + 2 mu),
+        # low^3 or square leaves the double range, and nothing warns; from
+        # 1e-110 down the z-side ball (r >= 1e-12) outgrows the PD margin, and
+        # the z-side bound fails instead
         args = ["certify3d", f"--mu={scale}", f"--lam={scale}",
                 "--traction=0,0,0", "--mesh=2,2,2"]
-        code = run_cli(args)
-        doc = json.loads(capsys.readouterr().out)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(args)
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert [str(w.message) for w in caught] == []
+        assert captured.err == ""
         assert code == exit_code
         assert doc["passed"] is (exit_code == cli.EXIT_PASS)
         assert bool(doc["errors"]) is not doc["passed"]
