@@ -100,15 +100,23 @@ class SolidModel:
     def __post_init__(self):
         if min(self.lx, self.ly, self.lz) <= 0:
             raise ValueError("box dimensions must be positive")
-        if not all(2 <= n <= MAX_ELEMS_PER_AXIS for n in (self.nx, self.ny, self.nz)):
-            raise ValueError(f"elements per axis must be in [2, {MAX_ELEMS_PER_AXIS}]")
+        for n in (self.nx, self.ny, self.nz):
+            if not 2 <= n <= MAX_ELEMS_PER_AXIS:
+                raise ValueError(
+                    f"elements per axis must be in [2, {MAX_ELEMS_PER_AXIS}]"
+                )
         if np.shape(self.body_force) != (3,) or np.shape(self.traction) != (3,):
             raise ValueError("loads must be 3-vectors")
 
 
 # local corner signs c of the reference hex, node order fixed
-_CORNERS = np.array([[-1, -1, -1], [1, -1, -1], [1, 1, -1], [-1, 1, -1],
-                     [-1, -1, 1], [1, -1, 1], [1, 1, 1], [-1, 1, 1]], dtype=float)
+_CORNERS = np.array(
+    [
+        [-1, -1, -1], [1, -1, -1], [1, 1, -1], [-1, 1, -1],
+        [-1, -1, 1], [1, -1, 1], [1, 1, 1], [-1, 1, 1],
+    ],
+    dtype=float,
+)
 _GP1 = 1.0 / np.sqrt(3.0)
 
 
@@ -117,7 +125,9 @@ def _grid_points(*axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-@functools.cache  # model-free: built on the first BoxMesh, not per op or at import
+# model-free: built on the first BoxMesh, not per op; built at import they
+# would slow every CLI call, the bar's too (BENCH_box_once.json)
+@functools.cache
 def _reference_element() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trilinear shape values N_n = t_0 t_1 t_2 / 8, t_k = 1 + c_nk xi_k, and
     gradients dN_n/dxi_d = c_nd (the other two t) / 8 at the 2x2x2 Gauss points,
@@ -283,7 +293,9 @@ def _energy_change(m: SolidModel, mesh: BoxMesh, g, sigma, du: np.ndarray):
     return change
 
 
-def solve_newton_3d(m: SolidModel, tol: float = 1e-11, max_iter: int = 50) -> tuple:
+def solve_newton_3d(
+    m: SolidModel, tol: float = 1e-11, max_iter: int = 50
+) -> tuple[BoxMesh, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The line-search Newton of the module docstring (c1 = 1e-4); an iterate's
     gradients and stress serve its residual, tangent and line search.  Returns
     (mesh, u, g, sigma, R): the converged u, (n_nodes, 3), its gradients, stress
@@ -319,20 +331,14 @@ def _z_side_bounds(v1, v2, z, p: LameParams, K: float, margin, r: float):
     l0, nS, v1sq, X = margin + 0.5 * K, norm(S), norm(v1) ** 2, np.linalg.inv(A)
     low = l0 - rho - 20.0 * U * (nS + K + rho)
     hbar = max(0.5 / p.mu, 1.0 / (3.0 * p.lam + 2.0 * p.mu))
-    # where low**3 would leave the double range, q over powers of two (exact)
-    e = np.frexp(low)[1]
-    e *= np.abs(e) > 336
-    q = np.divide(np.ldexp(v1sq, -3 * e), np.ldexp(low, -e) ** 3,
-                  out=np.full_like(low, np.inf), where=low > 0.0)
+    q = tensor3d.over_cube(v1sq, low)  # low^3 leaves the range at extreme Lame scales
     kappa = (1.0 / K - hbar) - q
     kappa -= U * (2.0 / K + 4.0 * hbar + 13.0 * q + np.abs(kappa))
     P, cp = X @ (np.swapaxes(v1, -1, -2) @ v1) @ X, tensor3d.compliance_params(p)
     g = norm(tensor3d.sym(z / K + 0.5 * P - tensor3d.hooke_apply(cp, tensor3d.sym(S))))
     g += U * (6.0 * g + 3.0 * norm(z) / K + 3.0 * norm(P)
               + 12.0 * (3.0 * abs(cp.lam) + 2.0 * cp.mu) * nS)
-    # ||X|| over the power of two of max|X| (exact): X^2 ~ 1/K^2 leaves the range
-    eX = tensor3d._exponent(X)
-    nX = np.ldexp(norm(np.ldexp(X, -eX)), eX[..., 0, 0])
+    nX = tensor3d.frobenius_norm(X)  # and so do the squares of X ~ 1/K
     res = norm(I3 - A @ X) + 8.0 * U * (2.0 + (nS + 2.0 * K) * nX)
     g += nX * v1sq * (res / (l0 - 20.0 * U * (nS + K)) + 4.5 * U * nX)
     t = np.minimum(rho, np.divide(g, kappa, out=np.full_like(g, rho), where=kappa > 0))
@@ -454,8 +460,7 @@ def certify_3d(
     # z-Hessian share one A^-1
     Ainv = tensor3d._require_pd(S + K * I3)
     report.J_dual = float(np.sum(
-        tensor3d.f_star_3d_density(z, K)
-        - tensor3d.g_star_k_density(v1, v2, z, lame, K, Ainv)
+        tensor3d.f_star_3d_density(z, K) - tensor3d.g_star_k_density(v1, v2, z, lame, Ainv)
     )) * mesh.detJ
     report.gap = report.J_primal - report.J_dual
     report.min_hessian_z_eig = float(np.min(np.linalg.eigvalsh(

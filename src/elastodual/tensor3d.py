@@ -103,11 +103,11 @@ def hooke_mandel(p: LameParams) -> np.ndarray:
 def compliance_params(p: LameParams) -> LameParams:
     """Lame parameters of the (isotropic) inverse stiffness: it scales
     deviators by 1/(2 mu) = 2 mu' and the spherical part by 1/(3 lam + 2 mu)
-    = 3 lam' + 2 mu', so mu' = 1/(4 mu), lam' = -lam/(2 mu (3 lam + 2 mu)), from
-    lam and mu over the power of two of mu (exact): no product leaves the range.
+    = 3 lam' + 2 mu', so mu' = 1/(4 mu), lam' = -lam/(2 mu (3 lam + 2 mu)),
+    formed from lam / 2^e and mu / 2^e past mu = m 2^e, |e| > _SCALE_FREE_EXP.
     Past lam/mu ~ 2e15 the rounding of lam' swallows 3 lam' + 2 mu' > 0, so
     lam' stays at least the next double above -2 mu'/3."""
-    e = math.frexp(p.mu)[1]
+    e = int(_range_exponent(p.mu))
     lam, mu = math.ldexp(p.lam, -e), math.ldexp(p.mu, -e)
     lam = math.ldexp(-lam / (2.0 * mu * (3.0 * lam + 2.0 * mu)), -e)
     mu = math.ldexp(0.25 / mu, -e)
@@ -132,16 +132,16 @@ def stress(p: LameParams, g: np.ndarray) -> np.ndarray:
 
 
 def construct_duals_pointwise(
-    p: LameParams, K: float, g0: np.ndarray, sigma: np.ndarray | None = None
+    p: LameParams, K: float, g0: np.ndarray, sigma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dual triple (v1, v2, z) at each displacement gradient g0 of stress sigma.
+    """Dual triple (v1, v2, z) at each displacement gradient g0 of stress
+    sigma = stress(p, g0).
 
     z = K*g0, v2 = sigma - z, v1 = g0 @ (sigma + K*I).  The identities
     z + v2 = sigma and v1 + v2 = (I + g0) sigma hold to rounding.
     """
     if not K > 0:
         raise ValueError("K must be positive")
-    sigma = stress(p, g0) if sigma is None else sigma
     z = K * g0
     v2 = sigma - z
     v1 = g0 @ (sigma + K * I3)
@@ -171,6 +171,32 @@ def _exponent(A: np.ndarray) -> np.ndarray:
     return np.frexp(np.max(np.abs(A), axis=(-2, -1), keepdims=True))[1]
 
 
+#: x = m 2^e with |e| <= 336 has x^2 and x^3 in [2^-1011, 2^1008], normal
+#: doubles: ``compliance_params``, ``frobenius_norm`` and ``over_cube`` scale
+#: by 2^-e only past it (exact), so in range they round as the plain formula
+_SCALE_FREE_EXP = 336
+
+
+def _range_exponent(x: np.ndarray) -> np.ndarray:
+    e = np.frexp(x)[1]
+    return e * (np.abs(e) > _SCALE_FREE_EXP)
+
+
+def frobenius_norm(A: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each 3x3, (...): in range wherever the norm is,
+    though the squares of A may not be."""
+    e = _range_exponent(np.max(np.abs(A), axis=(-2, -1)))
+    return np.ldexp(np.linalg.norm(np.ldexp(A, -e[..., None, None]), axis=(-2, -1)), e)
+
+
+def over_cube(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b^3 where b > 0, else inf: in range wherever the quotient is,
+    though b^3 may not be."""
+    e = _range_exponent(b)
+    return np.divide(np.ldexp(a, -3 * e), np.ldexp(b, -e) ** 3,
+                     out=np.full_like(b, np.inf), where=b > 0.0)
+
+
 def pd_mask(A: np.ndarray) -> np.ndarray:
     """True at each point where sym(A) is positive definite, by Sylvester's
     criterion on sym(A) / 2^e (``_exponent``): its three leading principal
@@ -194,8 +220,11 @@ def _require_pd(A: np.ndarray) -> np.ndarray:
         k = int(np.argmin(margins))
         margin = float(margins[k])
         raise NotPositiveDefinite(
-            f"v2 + z + K*I has smallest symmetric eigenvalue {margin:.6e} at point {k}",
-            location=k, margin=margin)
+            f"v2 + z + K*I has smallest symmetric eigenvalue {margin:.6e}"
+            f" at point {k}",
+            location=k,
+            margin=margin,
+        )
     e = _exponent(A)
     B = np.ldexp(A, -e)
     C = _cofactors(B)
@@ -215,14 +244,13 @@ def f_star_3d_density(z: np.ndarray, K: float) -> np.ndarray:
 
 
 def g_star_k_density(
-    v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, K: float,
-    Ainv: np.ndarray | None = None,
+    v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, Ainv: np.ndarray
 ) -> np.ndarray:
-    """Closed-form density of the perturbed conjugate, A^-1 = Ainv if given:
-    1/2 tr(A^-1 v1^T v1) + 1/2 (v2+z) : Hbar : (v2+z), A = v2 + z + K*I."""
+    """Closed-form density of the perturbed conjugate:
+    1/2 tr(A^-1 v1^T v1) + 1/2 (v2+z) : Hbar : (v2+z), A = v2 + z + K*I, from
+    Ainv = _require_pd(A), which checks the hypothesis that A is PD."""
     gram = _t(v1) @ v1
     S = v2 + z
-    Ainv = _require_pd(S + K * I3) if Ainv is None else Ainv
     return 0.5 * np.sum(Ainv * _t(gram), axis=(-2, -1)) + 0.5 * np.sum(
         S * hooke_apply(compliance_params(p), sym(S)), axis=(-2, -1)
     )
@@ -230,7 +258,7 @@ def g_star_k_density(
 
 def dstar_hessian_z_3d(
     v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, K: float,
-    Ainv: np.ndarray | None = None,
+    Ainv: np.ndarray,
 ) -> np.ndarray:
     """6x6 Mandel second derivative of the dual density in z on symmetric
     arguments, (..., 6, 6): I6/K - sym(T) - Hbar, T_ijkl = A^-1_jk Y_li with
@@ -238,7 +266,6 @@ def dstar_hessian_z_3d(
     A = v2 + z + K * I3
     if np.max(np.abs(A - _t(A))) > 1e-9:
         raise ValueError("Hessian assembly expects a symmetric denominator")
-    Ainv = _require_pd(A) if Ainv is None else Ainv
     Y = Ainv @ _t(v1) @ v1 @ Ainv
     T = np.einsum("...jk,...li->...ijkl", Ainv, Y).reshape(A.shape[:-2] + (9, 9))
     T = MANDEL_BASIS_9.T @ T @ MANDEL_BASIS_9

@@ -633,7 +633,8 @@ class TestCertify3D:
         g_all = fem3d.displacement_gradients(mesh, u0)
         flat = g_all.reshape(-1, 3, 3)
         duals = [
-            tensor3d.construct_duals_pointwise(m.lame, K, gq) for gq in flat
+            tensor3d.construct_duals_pointwise(m.lame, K, gq, tensor3d.stress(m.lame, gq))
+            for gq in flat
         ]
         flux = np.array([v1 + v2 for (v1, v2, _) in duals]).reshape(g_all.shape)
         Rd = fem3d._weak_residual(mesh, flux)
@@ -739,14 +740,14 @@ class TestBounds3D:
         assert _failed(report) == {"z_convex"}
         assert report.z_curvature_floor > 0.0 and report.z_deficit > 1e-10
         K = report.K_used
-        v1, v2, z = tensor3d.construct_duals_pointwise(
-            m.lame, K, fem3d.displacement_gradients(mesh, u0)
-        )
+        g0 = fem3d.displacement_gradients(mesh, u0)
+        v1, v2, z = tensor3d.construct_duals_pointwise(m.lame, K, g0, tensor3d.stress(m.lame, g0))
 
         def J_star(zz):
+            Ainv = tensor3d._require_pd(v2 + zz + K * I3)
             return float(np.sum(
                 tensor3d.f_star_3d_density(zz, K)
-                - tensor3d.g_star_k_density(v1, v2, zz, m.lame, K)
+                - tensor3d.g_star_k_density(v1, v2, zz, m.lame, Ainv)
             )) * mesh.detJ
 
         assert J_star(z - 3e-5 * I3) < J_star(z) - 1e-10
@@ -849,9 +850,10 @@ def _sample_counts_per_sample(m, mesh, u0, duals, K, radius, seed, n=N_SAMPLES):
         local += int(fem3d.energy_3d(m, mesh, u0 + delta) >= J0 - 1e-12)
 
     def dual_functional(zz):
+        Ainv = tensor3d._require_pd(v2 + zz + K * I3)
         return np.sum(
             tensor3d.f_star_3d_density(zz, K)
-            - tensor3d.g_star_k_density(v1, v2, zz, m.lame, K)
+            - tensor3d.g_star_k_density(v1, v2, zz, m.lame, Ainv)
         ) * mesh.detJ
 
     Jc = dual_functional(z)
@@ -898,9 +900,8 @@ class TestBatchedSamples3D:
         m = _model(traction=traction)
         mesh, u0 = fem3d.solve_newton_3d(m)[:2]
         K = 0.999 * tensor3d.admissible_k_max(m.lame)
-        v1, v2, z = tensor3d.construct_duals_pointwise(
-            m.lame, K, fem3d.displacement_gradients(mesh, u0)
-        )
+        g0 = fem3d.displacement_gradients(mesh, u0)
+        v1, v2, z = tensor3d.construct_duals_pointwise(m.lame, K, g0, tensor3d.stress(m.lame, g0))
         radius = min(1e-3, 0.25 * float(np.min(tensor3d.pd_margin(v2 + z, K))) + 1e-12)
         if case == "perturbed":
             # a bump alternating from DOF to DOF moves u0 off the minimum, and
@@ -909,8 +910,9 @@ class TestBatchedSamples3D:
             u0.reshape(-1)[mesh.free_dofs] += 5e-4 * (-1.0) ** np.arange(
                 mesh.free_dofs.size
             )
+            g0 = fem3d.displacement_gradients(mesh, u0)
             v1, v2, z = tensor3d.construct_duals_pointwise(
-                m.lame, K, fem3d.displacement_gradients(mesh, u0)
+                m.lame, K, g0, tensor3d.stress(m.lame, g0)
             )
             z = z + 4e-3 * I3
         if case == "indefinite":
@@ -953,7 +955,7 @@ class TestBatchedSamples3D:
         g0 = fem3d.displacement_gradients(mesh, u0)
         assume(np.max(np.abs(g0)) < fem3d.GRADIENT_LIMIT)
         K = 0.999 * tensor3d.admissible_k_max(lame)
-        duals = tensor3d.construct_duals_pointwise(lame, K, g0)
+        duals = tensor3d.construct_duals_pointwise(lame, K, g0, tensor3d.stress(lame, g0))
         margin = float(np.min(tensor3d.pd_margin(duals[1] + duals[2], K)))
         assume(margin >= 0.0)
         radius = min(1e-3, 0.25 * margin + 1e-12)

@@ -197,19 +197,20 @@ class TestStress:
 
 class TestConstructDualsPointwise:
     def test_zero(self):
-        v1, v2, z = tensor3d.construct_duals_pointwise(P11, 0.5, np.zeros((3, 3)))
+        Z = np.zeros((3, 3))
+        v1, v2, z = tensor3d.construct_duals_pointwise(P11, 0.5, Z, Z)
         assert np.all(v1 == 0) and np.all(v2 == 0) and np.all(z == 0)
 
     def test_identities(self):
         rng = np.random.default_rng(9)
         gs = 0.1 * rng.uniform(-1, 1, (20, 3, 3))
         for g in gs:
-            v1, v2, z = tensor3d.construct_duals_pointwise(P11, 0.8, g)
             sigma = tensor3d.stress(P11, g)
+            v1, v2, z = tensor3d.construct_duals_pointwise(P11, 0.8, g, sigma)
             assert np.max(np.abs(z + v2 - sigma)) <= 1e-14
             assert np.max(np.abs(v1 + v2 - (I3 + g) @ sigma)) <= 1e-13
         # one stacked call, each point against its own stress
-        v1, v2, z = tensor3d.construct_duals_pointwise(P11, 0.8, gs)
+        v1, v2, z = tensor3d.construct_duals_pointwise(P11, 0.8, gs, tensor3d.stress(P11, gs))
         for k, g in enumerate(gs):
             sigma = tensor3d.stress(P11, g)
             assert np.max(np.abs(z[k] + v2[k] - sigma)) <= 1e-14
@@ -220,9 +221,8 @@ class TestConstructDualsPointwise:
         E_mod = 1.0
         p = LameParams(0.0, E_mod / 2.0)
         ux, K = 0.1, 0.5
-        v1, v2, z = tensor3d.construct_duals_pointwise(
-            p, K, np.diag([ux, 0.0, 0.0])
-        )
+        g = np.diag([ux, 0.0, 0.0])
+        v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g, tensor3d.stress(p, g))
         assert z[0, 0] == pytest.approx(K * ux)
         assert v2[0, 0] == pytest.approx(
             E_mod * (ux + 0.5 * ux**2) - K * ux
@@ -231,7 +231,7 @@ class TestConstructDualsPointwise:
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            tensor3d.construct_duals_pointwise(P11, 0.0, np.zeros((3, 3)))
+            tensor3d.construct_duals_pointwise(P11, 0.0, np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 class TestPdMargin:
@@ -307,6 +307,24 @@ class TestClosedFormKernel:
         scaled_inverse = np.ldexp(tensor3d._require_pd(np.ldexp(pd, k)), k)
         assert np.array_equal(scaled_inverse, tensor3d._require_pd(pd))
 
+    @pytest.mark.parametrize("k", [-1000, -600, -300, 0, 300, 600, 1000])
+    def test_range_safe_norm_and_cube(self, k):
+        # each rounds as the plain formula where that stays in range, and
+        # scales by exact powers of two where it would not: at 2^+-600 the
+        # squares and cubes leave the double range, at 2^+-1000 A itself is
+        # near the ends of it
+        rng = np.random.default_rng(24)
+        A = rng.uniform(-1.0, 1.0, (50, 3, 3))
+        b = rng.uniform(0.5, 4.0, 50)
+        norm, q = tensor3d.frobenius_norm(A), tensor3d.over_cube(b, b)
+        if k == 0:
+            assert np.array_equal(norm, np.linalg.norm(A, axis=(-2, -1)))
+            assert np.array_equal(q, b / b**3)
+        assert np.array_equal(tensor3d.frobenius_norm(np.ldexp(A, k)), np.ldexp(norm, k))
+        kb = int(np.clip(k, -340, 340))  # b 2^(3 kb) stays a normal double
+        assert np.array_equal(tensor3d.over_cube(np.ldexp(b, 3 * kb), np.ldexp(b, kb)), q)
+        assert np.array_equal(tensor3d.over_cube(b, -b), np.full(50, np.inf))
+
 
 class TestConjugateDensities:
     def test_f_star_values(self):
@@ -322,23 +340,23 @@ class TestConjugateDensities:
 
     def test_g_star_zero_and_identity(self):
         Z = np.zeros((3, 3))
-        assert tensor3d.g_star_k_density(Z, Z, Z, P11, 1.0) == 0.0
+        assert tensor3d.g_star_k_density(Z, Z, Z, P11, I3) == 0.0
         K = 0.5
-        assert tensor3d.g_star_k_density(I3, Z, Z, P11, K) == pytest.approx(
+        assert tensor3d.g_star_k_density(I3, Z, Z, P11, I3 / K) == pytest.approx(
             1.5 / K
         )
 
     def test_not_positive_definite(self):
-        Z = np.zeros((3, 3))
+        # the hypothesis check on A = v2 + z + K*I that G*_K's A^-1 comes from
+        K = 1.0
         with pytest.raises(NotPositiveDefinite):
-            tensor3d.g_star_k_density(Z, -2.0 * I3, Z, P11, 1.0)
+            tensor3d._require_pd(-2.0 * I3 + K * I3)
         # a stack in which only point k is indefinite reports that point
         k = 3
-        Zs = np.zeros((6, 3, 3))
         v2 = np.zeros((6, 3, 3))
         v2[k] = -2.0 * I3
         with pytest.raises(NotPositiveDefinite) as info:
-            tensor3d.g_star_k_density(Zs, v2, Zs, P11, 1.0)
+            tensor3d._require_pd(v2 + K * I3)
         assert info.value.location == k
         assert info.value.margin < 0.0
 
@@ -347,9 +365,9 @@ class TestConjugateDensities:
         p = P11
         K = 1.0
         g0 = 0.05 * rng.uniform(-1, 1, (3, 3))
-        v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g0)
-        closed = tensor3d.g_star_k_density(v1, v2, z, p, K)
+        v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g0, tensor3d.stress(p, g0))
         s = v2 + z
+        closed = tensor3d.g_star_k_density(v1, v2, z, p, tensor3d._require_pd(s + K * I3))
 
         def phi(a, b):
             X = a + 0.5 * b.T @ b
@@ -384,7 +402,7 @@ class TestDstarHessianZ3D:
     def test_v1_zero(self):
         Z = np.zeros((3, 3))
         K = 0.5
-        hz = tensor3d.dstar_hessian_z_3d(Z, Z, Z, P11, K)
+        hz = tensor3d.dstar_hessian_z_3d(Z, Z, Z, P11, K, I3 / K)
         expected = np.eye(6) / K - np.linalg.inv(on_sym(isotropic_tensor(1.0, 1.0)))
         assert np.max(np.abs(hz - expected)) <= 1e-14
 
@@ -393,13 +411,15 @@ class TestDstarHessianZ3D:
         p = P11
         K = 1.0
         g0 = 0.05 * rng.uniform(-1, 1, (3, 3))
-        v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g0)
-        hz = tensor3d.dstar_hessian_z_3d(v1, v2, z, p, K)
+        v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g0, tensor3d.stress(p, g0))
+        Ainv = tensor3d._require_pd(v2 + z + K * I3)
+        hz = tensor3d.dstar_hessian_z_3d(v1, v2, z, p, K, Ainv)
 
         def density(zz):
-            return tensor3d.f_star_3d_density(
-                zz, K
-            ) - tensor3d.g_star_k_density(v1, v2, zz, p, K)
+            Ainv = tensor3d._require_pd(v2 + zz + K * I3)
+            return tensor3d.f_star_3d_density(zz, K) - tensor3d.g_star_k_density(
+                v1, v2, zz, p, Ainv
+            )
 
         # the Hessian acts on symmetric arguments: differentiate along an
         # orthonormal symmetric basis
@@ -429,10 +449,11 @@ class TestDstarHessianZ3D:
             # bound is an operator-norm consequence of the hypotheses
             smax = float(np.linalg.norm(g0, 2))
             g0 *= min(1.0, np.sqrt(3.0 / 64.0) / smax)
-            v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g0)
+            v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g0, tensor3d.stress(p, g0))
             if tensor3d.pd_margin(v2 + z, K) < 0:
                 continue
-            hz = tensor3d.dstar_hessian_z_3d(v1, v2, z, p, K)
+            Ainv = tensor3d._require_pd(v2 + z + K * I3)
+            hz = tensor3d.dstar_hessian_z_3d(v1, v2, z, p, K, Ainv)
             assert np.linalg.eigvalsh(hz)[0] >= m_eig - 1e-12
 
 
