@@ -70,6 +70,8 @@ GAP_TOL = 1e-10
 CONSTRAINT_TOL = 1e-9
 SADDLE_TOL = 1e-10
 LOCAL_MIN_TOL = 1e-12
+#: iteration cap of ``kkt_solve``
+KKT_MAX_ITER = 50
 U = 0.5 * float(np.finfo(float).eps)
 
 
@@ -234,7 +236,6 @@ def kkt_solve(
     cfg: DualConfig,
     init: tuple[DualState1D, np.ndarray],
     tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> tuple[DualState1D, np.ndarray, int]:
     """Newton solve of the full stationarity system of the Lagrangian.
 
@@ -258,14 +259,14 @@ def kkt_solve(
     d, u_full = init
     u = np.zeros(m.grid.n_elem + 1)
     u[1:-1] = u_full[1:-1]
-    for it in range(max_iter + 1):
+    for it in range(KKT_MAX_ITER + 1):
         parts, den, a = _stationarity(d, u, m, cfg)
         res = norm_V(np.concatenate(parts))
         if res <= tol:
             return d, u, it
-        if it == max_iter:
+        if it == KKT_MAX_ITER:
             raise NonConvergence(
-                f"KKT Newton: residual {res:.3e} after {max_iter} iterations"
+                f"KKT Newton: residual {res:.3e} after {KKT_MAX_ITER} iterations"
             )
         r_z, r_v1, r_v2, r_u = parts
         rho = r_z - r_v2

@@ -26,7 +26,7 @@ class SingularSystem(ElastodualError):
 
 
 class PositivityViolated(ElastodualError):
-    """The scalar/tensor denominator of the perturbed conjugate lost positivity.
+    """The denominator of the bar's perturbed conjugate lost positivity.
 
     Carries the offending location and the (negative) margin.
     """
@@ -35,10 +35,6 @@ class PositivityViolated(ElastodualError):
         super().__init__(message)
         self.location = location
         self.margin = margin
-
-
-class NotPositiveDefinite(PositivityViolated):
-    """3D variant: v2 + z + K*I is not positive definite at a point."""
 
 
 class ConditionViolated(ElastodualError):

@@ -18,9 +18,9 @@ every element of the structured mesh.
 ``certify_3d`` proves two checks; each bound adds the first-order rounding of
 its evaluation, in U = eps/2 of the magnitudes of its terms:
 
-1. z-side, for symmetric dz, |dz_ij| <= r = min(1e-3, min pd_margin/4 + 1e-12),
-   ||dz||_F <= rho = 3r.  Per point let S = v2 + z, A = S + K I, G = v1^T v1,
-   l0 = pd_margin + K/2 = lmin(sym A).  On the ball lmin(sym A) >= l0 - rho,
+1. z-side, for symmetric dz, |dz_ij| <= r = min(1e-3, min pd_margin/4 +
+   1e-12 K), ||dz||_F <= rho = 3r.  Per point let S = v2 + z, A = S + K I, G =
+   v1^T v1, l0 = pd_margin + K/2 = lmin(sym A).  On the ball lmin(sym A) >= l0 - rho,
    ||A^-1||_2 <= 1/lmin(sym A), so along symmetric D the density f = z:z/(2K)
    - tr(A^-1 G)/2 - S:Hbar:S/2 has f'' = D:D/K - D:Hbar:D - tr(A^-1 D A^-1 D
    A^-1 G) >= kappa ||D||_F^2 (|tr(X G)| <= ||X||_2 tr G for G >= 0), kappa =
@@ -33,6 +33,11 @@ its evaluation, in U = eps/2 of the magnitudes of its terms:
    3 ||z||/K + 12 (3|lam'| + 2 mu') ||S|| + 3 ||X G X|| + 4.5 ||X||^2 ||G||
    plus ||X|| ||G|| times the error of the inverse X, at most ||I - A X||_F /
    (l0 - 20 (||S|| + K)), that residual carrying 8 (2 + (||S|| + 2K) ||X||).
+   X is the computed inverse that J* and the z-Hessian use; the residual term
+   holds for any X.  ``k_feasible`` (min pd_margin >= 0) puts l0 at K/2 less
+   rounding, and the bound passes only if low = l0 - rho less l0's rounding is
+   > 0 at every point (else q = inf): that proves sym A > 0 on the whole ball,
+   centre included, so A is invertible and G*_K is in closed form there.
 2. Local minimality, for |delta| <= ``LOCAL_RADIUS`` at the free DOFs.  With
    h = grad delta, F0 = I + g0, e1 = sym(F0^T h), e2 = h^T h/2, lam_k =
    min(lam, 0) and H_k the stiffness of (lam_k, mu) (H_k >= 0, ||H_k|| = 2 mu),
@@ -80,6 +85,9 @@ CONSTRAINT_TOL = 1e-9
 SADDLE_TOL = 1e-10
 LOCAL_MIN_TOL = 1e-12
 LOCAL_RADIUS = 1e-4
+#: Newton stops at max |R| <= NEWTON_TOL and fails after NEWTON_MAX_ITER steps
+NEWTON_TOL = 1e-11
+NEWTON_MAX_ITER = 50
 U = 0.5 * float(np.finfo(float).eps)
 
 
@@ -294,7 +302,7 @@ def _energy_change(m: SolidModel, mesh: BoxMesh, g, sigma, du: np.ndarray):
 
 
 def solve_newton_3d(
-    m: SolidModel, tol: float = 1e-11, max_iter: int = 50
+    m: SolidModel,
 ) -> tuple[BoxMesh, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The line-search Newton of the module docstring (c1 = 1e-4); an iterate's
     gradients and stress serve its residual, tangent and line search.  Returns
@@ -302,14 +310,14 @@ def solve_newton_3d(
     and free residual.  Raises ``NonConvergence`` or ``SingularSystem``."""
     mesh = BoxMesh(m)
     free, u = mesh.free_dofs, np.zeros((mesh.n_nodes, 3))
-    for it in range(max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         g = displacement_gradients(mesh, u)
         sigma = tensor3d.stress(m.lame, g)
         R = _weak_residual(mesh, (I3 + g) @ sigma).ravel()[free]
         res = np.max(np.abs(R))
-        if res <= tol:
+        if res <= NEWTON_TOL:
             return mesh, u, g, sigma, R
-        if it == max_iter or not np.isfinite(res):
+        if it == NEWTON_MAX_ITER or not np.isfinite(res):
             break
         du = np.zeros_like(u)
         du.reshape(-1)[free] = _newton_step(m, mesh, g, sigma, -R)
@@ -323,12 +331,13 @@ def solve_newton_3d(
     raise NonConvergence(f"3D Newton: residual {res:.3e} after {it} iterations")
 
 
-def _z_side_bounds(v1, v2, z, p: LameParams, K: float, margin, r: float):
+def _z_side_bounds(v1, v2, z, p: LameParams, K: float, X, margin, r: float):
     """Per-point z-curvature floor kappa and drop of the dual density on the
-    r-ball around z, bound 1 of the module docstring; margin is pd_margin."""
+    r-ball around z, bound 1 of the module docstring; X is the computed
+    inverse of A = v2 + z + K I that J* uses, margin is pd_margin."""
     norm = lambda M: np.linalg.norm(M, axis=(-2, -1))  # noqa: E731
     S, A, rho = v2 + z, v2 + z + K * I3, 3.0 * r
-    l0, nS, v1sq, X = margin + 0.5 * K, norm(S), norm(v1) ** 2, np.linalg.inv(A)
+    l0, nS, v1sq = margin + 0.5 * K, norm(S), norm(v1) ** 2
     low = l0 - rho - 20.0 * U * (nS + K + rho)
     hbar = max(0.5 / p.mu, 1.0 / (3.0 * p.lam + 2.0 * p.mu))
     q = tensor3d.over_cube(v1sq, low)  # low^3 leaves the range at extreme Lame scales
@@ -456,9 +465,9 @@ def certify_3d(
         )
         return report
 
-    # J* = F*(z) - G*_K(v1, v2, z) under 2x2x2 Gauss quadrature; G*_K and the
-    # z-Hessian share one A^-1
-    Ainv = tensor3d._require_pd(S + K * I3)
+    # J* = F*(z) - G*_K(v1, v2, z) under 2x2x2 Gauss quadrature; G*_K, the
+    # z-Hessian and bound 1 share one A^-1 (sym A > 0: the gate, then bound 1)
+    Ainv = np.linalg.inv(S + K * I3)
     report.J_dual = float(np.sum(
         tensor3d.f_star_3d_density(z, K) - tensor3d.g_star_k_density(v1, v2, z, lame, Ainv)
     )) * mesh.detJ
@@ -472,8 +481,8 @@ def certify_3d(
 
     # a bound with no proof (inf) is reported as the largest double; a sum of
     # n positive terms of k roundings each is off by (n + k) U
-    r = min(1e-3, 0.25 * report.min_pd_margin + 1e-12)
-    kappa, drop = _z_side_bounds(v1, v2, z, lame, K, margin, r)
+    r = min(1e-3, 0.25 * report.min_pd_margin + 1e-12 * K)
+    kappa, drop = _z_side_bounds(v1, v2, z, lame, K, Ainv, margin, r)
     report.z_curvature_floor = float(np.nan_to_num(np.min(kappa)))
     up = 1.0 + (drop.size + 8) * U
     report.z_deficit = float(np.nan_to_num(np.sum(drop) * mesh.detJ * up))

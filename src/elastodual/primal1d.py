@@ -20,6 +20,9 @@ from .mesh1d import Grid1D, average_to_midpoints, derivative, integrate, norm_V
 
 #: strict upper bound on ||u_x||_inf for the local duality construction
 SLOPE_LIMIT = 0.25
+#: Newton stops at ||r||_inf <= NEWTON_TOL and fails after NEWTON_MAX_ITER steps
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -137,12 +140,7 @@ def _change_along(m: BarModel, ux: np.ndarray, du: np.ndarray):
     return change
 
 
-def solve_newton(
-    m: BarModel,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-    iteration_log: list | None = None,
-) -> PrimalState:
+def solve_newton(m: BarModel, iteration_log: list | None = None) -> PrimalState:
     """Line-search Newton minimization of the energy from u = 0 at the full
     load (Nocedal & Wright, Numerical Optimization, section 3.4).
 
@@ -156,19 +154,17 @@ def solve_newton(
     On the small-strain branch every unit step is accepted.  ``iteration_log``,
     if given, receives the number of steps taken, also when the solve fails.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     g = m.grid
     u = np.zeros(g.n_elem + 1)
     du = np.zeros(g.n_elem + 1)
     it = 0
     try:
-        for it in range(max_iter + 1):
+        for it in range(NEWTON_MAX_ITER + 1):
             r = residual(m, PrimalState(u))[1:-1]
             res = norm_V(r)
-            if res <= tol:
+            if res <= NEWTON_TOL:
                 return PrimalState(u)
-            if it == max_iter or not np.isfinite(res):
+            if it == NEWTON_MAX_ITER or not np.isfinite(res):
                 raise NonConvergence(f"residual {res:.3e} after {it} iterations")
             ux = derivative(u, g)
             c = _curvature(m, ux)

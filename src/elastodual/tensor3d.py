@@ -1,6 +1,6 @@
 """Batched 3D tensor algebra: isotropic stiffness tensor and its inverse,
 Green strain and stress, the closed-form conjugate densities, the dual-field
-construction, and the positive-definiteness checks that gate the 3D duality
+construction, and the positive-definiteness margin that gates the 3D duality
 certificate.
 
 Every pointwise function takes one 3x3 matrix or a stack of shape
@@ -14,10 +14,12 @@ shear slots), the compliance as Hooke's law with ``compliance_params``, and
 the K-feasibility tensor M by its two eigenvalues (``m_tensor_eigs``).
 There is no 3x3x3x3 array.
 
-Positive definiteness of the 3x3 denominators is decided, and their inverses
-formed, in closed form (Sylvester's criterion, the adjugate over the
-determinant), elementwise over the stack; LAPACK runs only for report values
-and for the margin of a failed check.
+Positive definiteness of the denominator A = v2 + z + K*I is decided once, by
+``pd_margin`` (LAPACK's eigvalsh): a margin >= 0 puts the smallest eigenvalue
+of sym(A) at K/2 or more, less rounding.  The conjugate density and the
+z-Hessian take A^-1 as an argument, so the caller forms one LAPACK inverse
+for them and for its z-side bound.  LAPACK's LU inverse of 2^k A is 2^-k
+times that of A, bit for bit, so it stays in range at extreme Lame scales.
 
 Convention note: the conjugate term in v1 is tr(A^-1 v1^T v1) with
 A = v2 + z + K*I, the dual construction right-multiplies the displacement
@@ -33,8 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NotPositiveDefinite
 
 I3 = np.eye(3)
 
@@ -148,29 +148,6 @@ def construct_duals_pointwise(
     return v1, v2, z
 
 
-#: cyclic successor and predecessor of each row and column index of a 3x3
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
-
-
-def _cofactors(A: np.ndarray) -> np.ndarray:
-    """Cofactor matrix of each 3x3 matrix, elementwise:
-    C_ij = A[i+1, j+1] A[i+2, j+2] - A[i+1, j+2] A[i+2, j+1], indices mod 3.
-    C_22 is the leading 2x2 minor and det(A) = A[0, :] . C[0, :]."""
-    r1, r2 = _NEXT[:, None], _PREV[:, None]
-    return A[..., r1, _NEXT] * A[..., r2, _PREV] - A[..., r1, _PREV] * A[..., r2, _NEXT]
-
-
-def _det(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    return np.sum(A[..., 0, :] * C[..., 0, :], axis=-1)
-
-
-def _exponent(A: np.ndarray) -> np.ndarray:
-    """Exponent e of max|A| = m 2^e, 1/2 <= m < 1, per point, (..., 1, 1): the
-    minors of A / 2^e stay in range at any Lame scale, and the scaling is exact."""
-    return np.frexp(np.max(np.abs(A), axis=(-2, -1), keepdims=True))[1]
-
-
 #: x = m 2^e with |e| <= 336 has x^2 and x^3 in [2^-1011, 2^1008], normal
 #: doubles: ``compliance_params``, ``frobenius_norm`` and ``over_cube`` scale
 #: by 2^-e only past it (exact), so in range they round as the plain formula
@@ -197,40 +174,6 @@ def over_cube(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      out=np.full_like(b, np.inf), where=b > 0.0)
 
 
-def pd_mask(A: np.ndarray) -> np.ndarray:
-    """True at each point where sym(A) is positive definite, by Sylvester's
-    criterion on sym(A) / 2^e (``_exponent``): its three leading principal
-    minors are positive, evaluated elementwise with no per-point LAPACK call."""
-    S = sym(A)
-    S = np.ldexp(S, -_exponent(S))
-    C = _cofactors(S)
-    return (S[..., 0, 0] > 0.0) & (C[..., 2, 2] > 0.0) & (_det(S, C) > 0.0)
-
-
-def _require_pd(A: np.ndarray) -> np.ndarray:
-    """PD check of the symmetric part at every point (``pd_mask``); returns
-    A^-1 = 2^-e adj(B) / det(B) from B = A / 2^e (``_exponent``).  A positive
-    definite symmetric part makes A invertible.
-
-    On failure the error carries the flat index of the worst point and its
-    margin, the smallest eigenvalue of sym(A) there.
-    """
-    if not np.all(pd_mask(A)):
-        margins = np.ravel(np.linalg.eigvalsh(sym(A))[..., 0])
-        k = int(np.argmin(margins))
-        margin = float(margins[k])
-        raise NotPositiveDefinite(
-            f"v2 + z + K*I has smallest symmetric eigenvalue {margin:.6e}"
-            f" at point {k}",
-            location=k,
-            margin=margin,
-        )
-    e = _exponent(A)
-    B = np.ldexp(A, -e)
-    C = _cofactors(B)
-    return np.ldexp(_t(C) / _det(B, C)[..., None, None], -e)
-
-
 def pd_margin(S: np.ndarray, K: float) -> np.ndarray:
     """Margin of the hypothesis S + K*I >= (K/2)*I, i.e. eigmin(S + K/2*I)."""
     return np.linalg.eigvalsh(sym(S) + 0.5 * K * I3).min(axis=-1)
@@ -248,7 +191,8 @@ def g_star_k_density(
 ) -> np.ndarray:
     """Closed-form density of the perturbed conjugate:
     1/2 tr(A^-1 v1^T v1) + 1/2 (v2+z) : Hbar : (v2+z), A = v2 + z + K*I, from
-    Ainv = _require_pd(A), which checks the hypothesis that A is PD."""
+    Ainv = A^-1; the caller has checked that sym(A) is positive definite
+    (``pd_margin`` >= 0), which makes A invertible."""
     gram = _t(v1) @ v1
     S = v2 + z
     return 0.5 * np.sum(Ainv * _t(gram), axis=(-2, -1)) + 0.5 * np.sum(

@@ -26,7 +26,7 @@ def bar_model():
 
 @pytest.fixture(scope="session")
 def bar_solution(bar_model):
-    return primal1d.solve_newton(bar_model, tol=1e-12)
+    return primal1d.solve_newton(bar_model)
 
 
 @pytest.fixture(scope="session")

@@ -226,16 +226,16 @@ class TestCertify3D:
 
     @pytest.mark.parametrize(
         "scale, exit_code",
-        [("1e-110", cli.EXIT_SOLVER_ERROR), ("1e160", cli.EXIT_PASS),
-         ("1e-200", cli.EXIT_SOLVER_ERROR), ("1e-300", cli.EXIT_SOLVER_ERROR),
+        [("1e-110", cli.EXIT_PASS), ("1e160", cli.EXIT_PASS),
+         ("1e-200", cli.EXIT_PASS), ("1e-300", cli.EXIT_PASS),
          ("1e300", cli.EXIT_PASS)],
     )
     def test_extreme_lame_scale(self, scale, exit_code, capsys):
-        # the PD checks, the compliance and the z-side bound's q and ||A^-1||
-        # are formed over powers of two, so no minor, 2 mu (3 lam + 2 mu),
-        # low^3 or square leaves the double range, and nothing warns; from
-        # 1e-110 down the z-side ball (r >= 1e-12) outgrows the PD margin, and
-        # the z-side bound fails instead
+        # the compliance and the z-side bound's q and ||A^-1|| are formed over
+        # powers of two, and LAPACK's inverse of A scales exactly, so no
+        # 2 mu (3 lam + 2 mu), low^3, square or inverse leaves the double
+        # range, and nothing warns; the z-side ball's radius scales with K,
+        # so it fits inside the PD margin at every scale
         args = ["certify3d", f"--mu={scale}", f"--lam={scale}",
                 "--traction=0,0,0", "--mesh=2,2,2"]
         with warnings.catch_warnings(record=True) as caught:
@@ -249,6 +249,17 @@ class TestCertify3D:
         assert doc["passed"] is (exit_code == cli.EXIT_PASS)
         assert bool(doc["errors"]) is not doc["passed"]
         assert all(e.startswith("z_convex: ") for e in doc["errors"])
+
+    def test_tiny_k_certifies(self, capsys):
+        # at K = 1e-300 an absolute term in the z-side ball's radius would
+        # make the ball outgrow the PD margin K/2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["certify3d", "--mesh=4,4,2", "--traction=0,0,0", "--K=1e-300"])
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == [] and captured.err == ""
+        assert code == cli.EXIT_PASS
+        assert json.loads(captured.out)["K_used"] == 1e-300
 
     def test_hypothesis_exit_code(self, capsys):
         code = run_cli(["certify3d", "--traction", "2,0,0"])

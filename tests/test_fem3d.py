@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from elastodual import cli, fem3d, tensor3d
-from elastodual.errors import NonConvergence, NotPositiveDefinite, SingularSystem
+from elastodual.errors import NonConvergence, SingularSystem
 from elastodual.fem3d import BoxMesh, SolidModel
 from elastodual.tensor3d import I3, LameParams
 
@@ -582,14 +582,14 @@ class TestSolveNewton3D:
 
     def test_small_traction_converges(self):
         m = _model()
-        mesh, u = fem3d.solve_newton_3d(m, tol=1e-11)[:2]
+        mesh, u = fem3d.solve_newton_3d(m)[:2]
         R = fem3d.residual_3d(m, mesh, u).ravel()
         assert np.max(np.abs(R[mesh.free_dofs])) <= 1e-11
         assert np.max(np.abs(fem3d.displacement_gradients(mesh, u))) < 0.125
 
     def test_bb_descent_oracle(self):
         m = _model(traction=(0.01, 0.0, 0.0))
-        mesh, u_newton = fem3d.solve_newton_3d(m, tol=1e-11)[:2]
+        mesh, u_newton = fem3d.solve_newton_3d(m)[:2]
         u = np.zeros((mesh.n_nodes, 3))
         r_prev = s_prev = None
         for _ in range(20000):
@@ -656,11 +656,12 @@ class TestCertify3D:
 
 
 class TestFormedOnce:
-    """certify_3d forms each per-op quantity once: one mesh, one A^-1, and
-    the converged residual from Newton's last pass, not residual_3d."""
+    """certify_3d forms each per-op quantity once: one mesh, one A^-1 that
+    J*, the z-Hessian and bound 1 share, and the converged residual from
+    Newton's last pass, not residual_3d."""
 
     def test_each_quantity_is_formed_once(self, monkeypatch):
-        calls, states = collections.Counter(), []
+        calls, states, inverses, passed = collections.Counter(), [], [], []
 
         def count(module, name, record=None):
             original = getattr(module, name)
@@ -677,11 +678,22 @@ class TestFormedOnce:
         count(fem3d, "BoxMesh")
         count(fem3d, "residual_3d")
         count(fem3d, "solve_newton_3d", states)
-        count(tensor3d, "_require_pd")
+        count(np.linalg, "inv", inverses)
+        for module, name, at in ((tensor3d, "g_star_k_density", 4),
+                                 (tensor3d, "dstar_hessian_z_3d", 5),
+                                 (fem3d, "_z_side_bounds", 5)):
+            original = getattr(module, name)
+
+            def taking(*args, _original=original, _at=at):
+                passed.append(args[_at])
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, taking)
         m = _model(nx=4, ny=4, nz=2, traction=(0.03, 0.01, -0.01), body=(0.0, 0.02, 0.0))
         report = fem3d.certify_3d(m)
         assert report.passed, report.errors
-        assert calls == {"BoxMesh": 1, "solve_newton_3d": 1, "_require_pd": 1}
+        assert calls == {"BoxMesh": 1, "solve_newton_3d": 1, "inv": 1}
+        assert len(passed) == 3 and all(X is inverses[0] for X in passed)
         ((mesh, u0, _, _, R0),) = states
         R = fem3d.residual_3d(m, mesh, u0)
         assert report.residual_norm == np.max(np.abs(R)) > 0.0
@@ -744,7 +756,7 @@ class TestBounds3D:
         v1, v2, z = tensor3d.construct_duals_pointwise(m.lame, K, g0, tensor3d.stress(m.lame, g0))
 
         def J_star(zz):
-            Ainv = tensor3d._require_pd(v2 + zz + K * I3)
+            Ainv = np.linalg.inv(v2 + zz + K * I3)
             return float(np.sum(
                 tensor3d.f_star_3d_density(zz, K)
                 - tensor3d.g_star_k_density(v1, v2, zz, m.lame, Ainv)
@@ -836,7 +848,8 @@ def _sample_counts_per_sample(m, mesh, u0, duals, K, radius, seed, n=N_SAMPLES):
     """The sampled checks that the bounds replaced, one sample at a time: how
     many of n energies on the 1e-4 sup-ball around u0 and of n dual
     functionals on the symmetric radius-ball around z stay within their
-    slacks (1e-12, 1e-10), and how many z-samples met an indefinite point."""
+    slacks (1e-12, 1e-10), and how many z-samples met a point where sym(A)
+    is not positive definite (eigvalsh), with no dual functional there."""
     v1, v2, z = duals
     rng = np.random.default_rng(seed)
     J0 = fem3d.energy_3d(m, mesh, u0)
@@ -850,7 +863,7 @@ def _sample_counts_per_sample(m, mesh, u0, duals, K, radius, seed, n=N_SAMPLES):
         local += int(fem3d.energy_3d(m, mesh, u0 + delta) >= J0 - 1e-12)
 
     def dual_functional(zz):
-        Ainv = tensor3d._require_pd(v2 + zz + K * I3)
+        Ainv = np.linalg.inv(v2 + zz + K * I3)
         return np.sum(
             tensor3d.f_star_3d_density(zz, K)
             - tensor3d.g_star_k_density(v1, v2, zz, m.lame, Ainv)
@@ -861,10 +874,11 @@ def _sample_counts_per_sample(m, mesh, u0, duals, K, radius, seed, n=N_SAMPLES):
     for _ in range(n):
         dz = tensor3d.sym(rng.uniform(-1.0, 1.0, size=z.shape))
         dz *= radius / np.max(np.abs(dz), axis=(-2, -1), keepdims=True)
-        try:
-            convex += int(dual_functional(z + dz) >= Jc - 1e-10)
-        except NotPositiveDefinite:
+        zz = z + dz
+        if np.min(np.linalg.eigvalsh(tensor3d.sym(v2 + zz + K * I3))[..., 0]) <= 0.0:
             indefinite += 1
+        else:
+            convex += int(dual_functional(zz) >= Jc - 1e-10)
     return local, convex, indefinite
 
 
@@ -874,7 +888,8 @@ def _bound_verdicts(m, mesh, u0, duals, K, radius):
     v1, v2, z = duals
     deficit, _ = fem3d._local_min_bound(m, *newton_state(m, mesh, u0))
     margin = tensor3d.pd_margin(v2 + z, K)
-    kappa, drop = fem3d._z_side_bounds(v1, v2, z, m.lame, K, margin, radius)
+    X = np.linalg.inv(v2 + z + K * I3)
+    kappa, drop = fem3d._z_side_bounds(v1, v2, z, m.lame, K, X, margin, radius)
     z_ok = np.min(kappa) > 0.0 and np.sum(drop) * mesh.detJ <= fem3d.SADDLE_TOL
     return deficit <= fem3d.LOCAL_MIN_TOL, z_ok
 

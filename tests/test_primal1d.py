@@ -312,11 +312,6 @@ class TestSolveNewton:
             primal1d.solve_newton(_sine_model(10.0, 2048), iteration_log=log)
         assert log == [50]
 
-    def test_invalid_arguments(self):
-        m = _model()
-        with pytest.raises(ValueError):
-            primal1d.solve_newton(m, tol=-1.0)
-
 
 def _sine_model(amp, n):
     g = Grid1D(1.0, n)

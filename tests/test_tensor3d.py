@@ -1,10 +1,13 @@
 """Unit tests for the batched 3D tensor algebra and conjugate densities."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from elastodual import tensor3d
-from elastodual.errors import NotPositiveDefinite
 from elastodual.tensor3d import I3, LameParams
 
 from conftest import (
@@ -17,6 +20,7 @@ from conftest import (
 )
 
 P11 = LameParams(1.0, 1.0)
+U = 0.5 * float(np.finfo(float).eps)
 
 
 def _random_sym(rng, scale=1.0):
@@ -256,8 +260,19 @@ class TestPdMargin:
             assert abs(stacked - roots[0]) <= 1e-12
 
 
+def _exact_inverse(A: np.ndarray) -> list[list[Fraction]]:
+    """A^-1 of a 3x3 in rationals, by the adjugate over the determinant."""
+    a = [[Fraction(x) for x in row] for row in A.tolist()]
+    C = [[a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
+          - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]
+          for j in range(3)] for i in range(3)]
+    det = sum(a[0][j] * C[0][j] for j in range(3))
+    return [[C[j][i] / det for j in range(3)] for i in range(3)]
+
+
 class TestClosedFormKernel:
-    """Sylvester's PD test and the adjugate inverse against LAPACK."""
+    """The one PD decision on A = S + K*I (pd_margin) and LAPACK's inverse of
+    A against exact arithmetic, and the range-safe norm and cube of bound 1."""
 
     @staticmethod
     def _stack(rng, eigs):
@@ -269,43 +284,62 @@ class TestClosedFormKernel:
             out.append(Q @ np.diag(lam) @ Q.T + (W - W.T))
         return np.array(out).reshape(4, -1, 3, 3)
 
-    def test_pd_decision_matches_eigvalsh(self):
-        rng = np.random.default_rng(21)
-        eigs = rng.uniform(0.2, 3.0, (400, 3))
-        # a quarter indefinite, a quarter nearly singular on either side
-        eigs[:100, 0] = -rng.uniform(1e-3, 2.0, 100)
-        eigs[100:200, 0] = rng.choice([-1.0, 1.0], 100) * 10.0 ** rng.uniform(
-            -9, -6, 100
-        )
-        A = self._stack(rng, eigs)
-        expected = np.linalg.eigvalsh(tensor3d.sym(A))[..., 0] > 0.0
-        assert 0 < np.count_nonzero(expected) < expected.size
-        ok = tensor3d.pd_mask(A)
-        assert ok.shape == A.shape[:-2]
-        assert np.array_equal(ok, expected)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        upper=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+        log_k=st.floats(-6.0, 1.0),
+        t=st.floats(0.0, 2.0),
+    )
+    def test_pd_margin_gates_the_inverse(self, upper, log_k, t):
+        # S's smallest eigenvalue sits near -(1 - t) K/2, so pd_margin ~ t K/2
+        # draws the gate's edge.  pd_margin >= 0 proves sym(A) positive
+        # definite, with lmin at least low = l0 - 20 U (||S|| + K), l0 =
+        # pd_margin + K/2 (bound 1), and the inverse X that J*, the z-Hessian
+        # and bound 1 share meets bound 1's residual term in exact arithmetic
+        import mpmath  # a test-only dependency, declared in the test extra
 
-    def test_adjugate_inverse_matches_lapack(self):
-        rng = np.random.default_rng(22)
-        A = self._stack(rng, rng.uniform(0.1, 3.0, (400, 3)))
-        Ainv = tensor3d._require_pd(A)
-        ref = np.linalg.inv(A)
-        err = np.max(np.abs(Ainv - ref), axis=(-2, -1))
-        assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=(-2, -1)))
-        assert np.allclose(A @ Ainv, I3, rtol=0.0, atol=1e-13)
+        K = 10.0**log_k
+        B = np.zeros((3, 3))
+        B[np.triu_indices(3)] = upper
+        B += np.triu(B, 1).T
+        S = B - (np.linalg.eigvalsh(B)[0] + (1.0 - t) * 0.5 * K) * I3
+        margin = float(tensor3d.pd_margin(S, K))
+        assume(margin >= 0.0)
+        A = S + K * I3
+        assert np.linalg.eigvalsh(A)[0] > 0.0
+        nS = np.linalg.norm(S)
+        low = margin + 0.5 * K - 20.0 * U * (nS + K)
+        assert low > 0.0
+        with mpmath.workdps(50):
+            assert min(mpmath.eigsy(mpmath.matrix(A.tolist()), eigvals_only=True)) >= low
+        X = np.linalg.inv(A)
+        nX = np.linalg.norm(X)
+        res = np.linalg.norm(I3 - A @ X) + 8.0 * U * (2.0 + (nS + 2.0 * K) * nX)
+        a, x = ([[Fraction(v) for v in row] for row in M.tolist()] for M in (A, X))
+        residual = [[int(i == j) - sum(a[i][k] * x[k][j] for k in range(3))
+                     for j in range(3)] for i in range(3)]
+        assert sum(r * r for row in residual for r in row) <= Fraction(res) ** 2
+        # ||A^-1 - X||_F <= ||A^-1||_2 ||I - A X||_F <= res / low
+        error = [[e - Fraction(v) for e, v in zip(erow, xrow)]
+                 for erow, xrow in zip(_exact_inverse(A), X.tolist())]
+        assert sum(e * e for row in error for e in row) <= (Fraction(res) / Fraction(low)) ** 2
 
     @pytest.mark.parametrize("k", [-600, -300, 300, 600])
     def test_power_of_two_scale_is_exact(self, k):
-        # both kernels work on A / 2^e, so scaling A by 2^k changes neither
-        # the decision nor a bit of 2^k times the inverse; unscaled, the
-        # determinant would underflow at 2^-600 and overflow at 2^600
+        # scaling S and K by 2^k changes neither the decision pd_margin >= 0
+        # nor a bit of 2^k times LAPACK's inverse, so neither needs a range
+        # scaling at extreme Lame scales
         rng = np.random.default_rng(23)
         eigs = rng.uniform(0.1, 3.0, (400, 3))
         eigs[:100, 0] = -rng.uniform(1e-3, 2.0, 100)
         A = self._stack(rng, eigs)
-        assert np.array_equal(tensor3d.pd_mask(np.ldexp(A, k)), tensor3d.pd_mask(A))
+        S, K = A - I3, 1.0
+        decision = tensor3d.pd_margin(S, K) >= 0.0
+        assert 0 < np.count_nonzero(decision) < decision.size
+        scaled = tensor3d.pd_margin(np.ldexp(S, k), np.ldexp(K, k)) >= 0.0
+        assert np.array_equal(scaled, decision)
         pd = A[1:]
-        scaled_inverse = np.ldexp(tensor3d._require_pd(np.ldexp(pd, k)), k)
-        assert np.array_equal(scaled_inverse, tensor3d._require_pd(pd))
+        assert np.array_equal(np.ldexp(np.linalg.inv(np.ldexp(pd, k)), k), np.linalg.inv(pd))
 
     @pytest.mark.parametrize("k", [-1000, -600, -300, 0, 300, 600, 1000])
     def test_range_safe_norm_and_cube(self, k):
@@ -346,20 +380,6 @@ class TestConjugateDensities:
             1.5 / K
         )
 
-    def test_not_positive_definite(self):
-        # the hypothesis check on A = v2 + z + K*I that G*_K's A^-1 comes from
-        K = 1.0
-        with pytest.raises(NotPositiveDefinite):
-            tensor3d._require_pd(-2.0 * I3 + K * I3)
-        # a stack in which only point k is indefinite reports that point
-        k = 3
-        v2 = np.zeros((6, 3, 3))
-        v2[k] = -2.0 * I3
-        with pytest.raises(NotPositiveDefinite) as info:
-            tensor3d._require_pd(v2 + K * I3)
-        assert info.value.location == k
-        assert info.value.margin < 0.0
-
     def test_coordinate_ascent_does_not_exceed(self):
         rng = np.random.default_rng(12)
         p = P11
@@ -367,7 +387,7 @@ class TestConjugateDensities:
         g0 = 0.05 * rng.uniform(-1, 1, (3, 3))
         v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g0, tensor3d.stress(p, g0))
         s = v2 + z
-        closed = tensor3d.g_star_k_density(v1, v2, z, p, tensor3d._require_pd(s + K * I3))
+        closed = tensor3d.g_star_k_density(v1, v2, z, p, np.linalg.inv(s + K * I3))
 
         def phi(a, b):
             X = a + 0.5 * b.T @ b
@@ -412,11 +432,11 @@ class TestDstarHessianZ3D:
         K = 1.0
         g0 = 0.05 * rng.uniform(-1, 1, (3, 3))
         v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g0, tensor3d.stress(p, g0))
-        Ainv = tensor3d._require_pd(v2 + z + K * I3)
+        Ainv = np.linalg.inv(v2 + z + K * I3)
         hz = tensor3d.dstar_hessian_z_3d(v1, v2, z, p, K, Ainv)
 
         def density(zz):
-            Ainv = tensor3d._require_pd(v2 + zz + K * I3)
+            Ainv = np.linalg.inv(v2 + zz + K * I3)
             return tensor3d.f_star_3d_density(zz, K) - tensor3d.g_star_k_density(
                 v1, v2, zz, p, Ainv
             )
@@ -452,7 +472,7 @@ class TestDstarHessianZ3D:
             v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g0, tensor3d.stress(p, g0))
             if tensor3d.pd_margin(v2 + z, K) < 0:
                 continue
-            Ainv = tensor3d._require_pd(v2 + z + K * I3)
+            Ainv = np.linalg.inv(v2 + z + K * I3)
             hz = tensor3d.dstar_hessian_z_3d(v1, v2, z, p, K, Ainv)
             assert np.linalg.eigvalsh(hz)[0] >= m_eig - 1e-12
 
