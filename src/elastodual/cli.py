@@ -60,19 +60,18 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _number(kind: type, text: str):
-    """int or float of text; argparse prints a plain message if it is neither."""
+    """int or finite float of text; argparse prints a plain message if it is neither."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
-
-
-def _finite(text: str) -> float:
-    value = _number(float, text)
-    if not math.isfinite(value):
+    if kind is float and not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+_finite = functools.partial(_number, float)
 
 
 def _seed(text: str) -> int:
@@ -84,22 +83,17 @@ def _seed(text: str) -> int:
     return value
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [_finite(v) for v in text.split(",")] if text else []
+def _values(kind: type, count: int | None = None):
+    """Parser of comma-separated numbers of ``kind``, exactly ``count`` of
+    them if given; the empty string is no numbers."""
 
-
-def _parse_vec3(text: str) -> np.ndarray:
-    parts = _parse_floats(text)
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated values")
-    return np.array(parts)
-
-
-def _parse_int3(text: str) -> tuple[int, int, int]:
-    parts = [_number(int, v) for v in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated integers")
-    return tuple(parts)  # type: ignore[return-value]
+    def parse(text: str) -> list:
+        values = [_number(kind, v) for v in text.split(",")] if text else []
+        if count is not None and len(values) != count:
+            words = {3: "three"}.get(count, count)
+            raise argparse.ArgumentTypeError(f"expected {words} comma-separated values")
+        return values
+    return parse
 
 
 def _report_exit_code(report: dual1d.GapReport | fem3d.Gap3DReport) -> int:
@@ -118,15 +112,18 @@ def _bar_models(args: argparse.Namespace, amps: list[float]) -> list:
     return [dual1d.sine_load_model(args.E, args.A, args.L, a, args.n) for a in amps]
 
 
-def cmd_certify1d(args: argparse.Namespace, models: list) -> int:
-    report = dual1d.certify(models[0])
-    echo = {
-        "subcommand": "certify1d",
-        "E": args.E, "A": args.A, "L": args.L,
-        "amp": args.amp, "n": args.n, "seed": args.seed,
-    }
+def _solid_model(args: argparse.Namespace) -> fem3d.SolidModel:
+    lame = LameParams(args.lam, args.mu)
+    box = np.array(args.box)  # numpy: an underflowing mesh step warns, not raises
+    return fem3d.SolidModel(*box, *args.mesh, lame, args.body, args.traction)
+
+
+def cmd_certify(args: argparse.Namespace, model) -> int:
+    report = args.certify(args, model)
+    echo = {k: v for k, v in vars(args).items()
+            if k not in ("out", "func", "build", "certify")}
     _emit(report.to_json(config_echo=echo), args.out)
-    log.info("certify1d gap=%.3e passed=%s", report.gap, report.passed)
+    log.info("%s gap=%.3e passed=%s", args.subcommand, report.gap, report.passed)
     return _report_exit_code(report)
 
 
@@ -152,26 +149,6 @@ def cmd_sweep1d(args: argparse.Namespace, models: list) -> int:
     return worst
 
 
-def _solid_model(args: argparse.Namespace) -> fem3d.SolidModel:
-    lame = LameParams(args.lam, args.mu)
-    return fem3d.SolidModel(*args.box, *args.mesh, lame, args.body, args.traction)
-
-
-def cmd_certify3d(args: argparse.Namespace, model: fem3d.SolidModel) -> int:
-    report = fem3d.certify_3d(model, K=args.K, mode=args.mode)
-    echo = {
-        "subcommand": "certify3d",
-        "lam": args.lam, "mu": args.mu,
-        "box": list(map(float, args.box)), "mesh": list(args.mesh),
-        "body": list(map(float, args.body)),
-        "traction": list(map(float, args.traction)),
-        "K": args.K, "mode": args.mode, "seed": args.seed,
-    }
-    _emit(report.to_json(config_echo=echo), args.out)
-    log.info("certify3d gap=%.3e passed=%s", report.gap, report.passed)
-    return _report_exit_code(report)
-
-
 def cmd_ktensor(args: argparse.Namespace, lame: LameParams) -> int:
     doc: dict = {"lam": args.lam, "mu": args.mu, "modes": {}}
     for mode in tensor3d.M_TENSOR_MODES:
@@ -192,54 +169,51 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
 
 
-@functools.cache  # string defaults go through ``type``: fresh arrays per call
+@functools.cache  # string defaults go through ``type``: fresh lists per call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="elastodual",
         description="Duality-gap certification for 1D and 3D nonlinear elasticity",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # options shared by several subcommands, each declared once
+    shared = functools.partial(argparse.ArgumentParser, add_help=False)
+    report, bar, lame = shared(), shared(), shared()
+    report.add_argument("--out", default=None, help="report file (default stdout)")
+    certifying = shared(parents=[report])
+    certifying.add_argument("--seed", type=_seed, default=0, help=SEED_HELP)
+    for name in ("--E", "--A", "--L"):
+        bar.add_argument(name, type=_finite, default=1.0)
+    bar.add_argument("--n", type=functools.partial(_number, int), default=64,
+                     help="number of elements")
+    for name in ("--lam", "--mu"):
+        lame.add_argument(name, type=_finite, default=1.0)
 
-    p1 = sub.add_parser("certify1d", help="certify the 1D bar duality principle")
-    p1.add_argument("--E", type=_finite, default=1.0)
-    p1.add_argument("--A", type=_finite, default=1.0)
-    p1.add_argument("--L", type=_finite, default=1.0)
+    p1 = sub.add_parser("certify1d", parents=[bar, certifying],
+                        help="certify the 1D bar duality principle")
     p1.add_argument("--amp", type=_finite, default=0.1, help="sine load amplitude")
-    p1.add_argument("--n", type=int, default=64, help="number of elements")
-    p1.add_argument("--seed", type=_seed, default=0, help=SEED_HELP)
-    p1.add_argument("--out", default=None, help="report file (default stdout)")
-    p1.set_defaults(func=cmd_certify1d, build=lambda a: _bar_models(a, [a.amp]))
+    p1.set_defaults(func=cmd_certify, build=lambda a: _bar_models(a, [a.amp])[0],
+                    certify=lambda a, m: dual1d.certify(m))
 
-    ps = sub.add_parser("sweep1d", help="certification sweep over amplitudes")
-    ps.add_argument("--E", type=_finite, default=1.0)
-    ps.add_argument("--A", type=_finite, default=1.0)
-    ps.add_argument("--L", type=_finite, default=1.0)
-    ps.add_argument("--amps", type=_parse_floats, default="", help="e.g. 0,0.05,0.1")
-    ps.add_argument("--n", type=int, default=64)
-    ps.add_argument("--seed", type=_seed, default=0, help=SEED_HELP)
-    ps.add_argument("--out", default=None)
+    ps = sub.add_parser("sweep1d", parents=[bar, certifying],
+                        help="certification sweep over amplitudes")
+    ps.add_argument("--amps", type=_values(float), default="", help="e.g. 0,0.05,0.1")
     ps.set_defaults(func=cmd_sweep1d, build=lambda a: _bar_models(a, a.amps))
 
-    p3 = sub.add_parser("certify3d", help="certify the 3D solid duality principle")
-    p3.add_argument("--lam", type=_finite, default=1.0)
-    p3.add_argument("--mu", type=_finite, default=1.0)
-    p3.add_argument("--box", type=_parse_vec3, default="1,1,1")
-    p3.add_argument("--mesh", type=_parse_int3, default=(4, 4, 4))
-    p3.add_argument("--body", type=_parse_vec3, default="0,0,0")
-    p3.add_argument(
-        "--traction", type=_parse_vec3, default="0.02,0,0",
-        help="traction vector on the x = lx face",
-    )
+    p3 = sub.add_parser("certify3d", parents=[lame, certifying],
+                        help="certify the 3D solid duality principle")
+    p3.add_argument("--box", type=_values(float, 3), default="1,1,1")
+    p3.add_argument("--mesh", type=_values(int, 3), default="4,4,4")
+    p3.add_argument("--body", type=_values(float, 3), default="0,0,0")
+    p3.add_argument("--traction", type=_values(float, 3), default="0.02,0,0",
+                    help="traction vector on the x = lx face")
     p3.add_argument("--K", type=_finite, default=None)
     p3.add_argument("--mode", choices=tensor3d.M_TENSOR_MODES, default="identity")
-    p3.add_argument("--seed", type=_seed, default=0, help=SEED_HELP)
-    p3.add_argument("--out", default=None)
-    p3.set_defaults(func=cmd_certify3d, build=_solid_model)
+    p3.set_defaults(func=cmd_certify, build=_solid_model,
+                    certify=lambda a, m: fem3d.certify_3d(m, K=a.K, mode=a.mode))
 
-    pk = sub.add_parser("ktensor", help="explore the admissible K interval")
-    pk.add_argument("--lam", type=_finite, default=1.0)
-    pk.add_argument("--mu", type=_finite, default=1.0)
-    pk.add_argument("--out", default=None)
+    pk = sub.add_parser("ktensor", parents=[lame, report],
+                        help="explore the admissible K interval")
     pk.set_defaults(func=cmd_ktensor, build=lambda a: LameParams(a.lam, a.mu))
 
     return parser

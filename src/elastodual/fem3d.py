@@ -233,12 +233,6 @@ def _weak_residual(mesh: BoxMesh, flux: np.ndarray) -> np.ndarray:
     return R
 
 
-def residual_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
-    """Weak-form residual; clamped rows zeroed.  Returns (n_nodes, 3)."""
-    g = displacement_gradients(mesh, u)
-    return _weak_residual(mesh, (I3 + g) @ tensor3d.stress(m.lame, g))
-
-
 def _element_tangents(m: SolidModel, mesh: BoxMesh, g, sigma, material=None):
     """Element tangents at displacement gradients g, with sigma in the geometric
     term and ``material`` (else m.lame) in the material one; (n_elem, 24, 24)."""

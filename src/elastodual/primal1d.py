@@ -40,6 +40,8 @@ class BarModel:
     def __post_init__(self):
         if not (self.E > 0 and self.A > 0):
             raise ValueError("E and A must be positive")
+        if not 0 < self.EA < np.inf:
+            raise ValueError("E*A must be positive and finite")
         self.grid.check_elem(self.P)
 
     @property

@@ -92,6 +92,8 @@ class LameParams:
             raise ValueError("mu must be positive")
         if not 3.0 * self.lam + 2.0 * self.mu > 0:
             raise ValueError("3*lam + 2*mu must be positive")
+        if not math.isfinite((3.0 * abs(self.lam) + 2.0 * self.mu) / self.mu):
+            raise ValueError("(3*|lam| + 2*mu)/mu must be a finite double")
 
 
 def hooke_mandel(p: LameParams) -> np.ndarray:

@@ -225,11 +225,18 @@ def node_coords(m):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
+def residual_3d(m, mesh, u):
+    """Weak-form residual of the displacements u, (n_nodes, 3), clamped rows
+    zeroed: the residual that fem3d.solve_newton_3d forms at each iterate."""
+    g = fem3d.displacement_gradients(mesh, u)
+    return fem3d._weak_residual(mesh, (tensor3d.I3 + g) @ tensor3d.stress(m.lame, g))
+
+
 def newton_state(m, mesh, u):
     """The state (mesh, u, g, sigma, R) of the iterate u, formed from u alone,
     as fem3d.solve_newton_3d returns it at convergence."""
     g = fem3d.displacement_gradients(mesh, u)
-    R = fem3d.residual_3d(m, mesh, u).ravel()[mesh.free_dofs]
+    R = residual_3d(m, mesh, u).ravel()[mesh.free_dofs]
     return mesh, u, g, tensor3d.stress(m.lame, g), R
 
 

@@ -26,6 +26,7 @@ from conftest import (
     m_tensor_oracle,
     norm_U,
     random_rotation,
+    residual_3d,
     stationarity_residuals,
 )
 
@@ -194,7 +195,7 @@ def test_criterion_07_derivative_oracles(one_d_cases):
         phi.reshape(-1)[mesh.free_dofs] = rng.uniform(
             -1, 1, mesh.free_dofs.size
         )
-        dj = float(np.sum(fem3d.residual_3d(sm, mesh, u) * phi))
+        dj = float(np.sum(residual_3d(sm, mesh, u) * phi))
         fd = (
             fem3d.energy_3d(sm, mesh, u + eps * phi)
             - fem3d.energy_3d(sm, mesh, u - eps * phi)
@@ -203,8 +204,8 @@ def test_criterion_07_derivative_oracles(one_d_cases):
         Kg = dense_tangent_3d(sm, mesh, u)
         hv = (Kg @ phi.ravel())[mesh.free_dofs]
         fdh = (
-            fem3d.residual_3d(sm, mesh, u + eps * phi)
-            - fem3d.residual_3d(sm, mesh, u - eps * phi)
+            residual_3d(sm, mesh, u + eps * phi)
+            - residual_3d(sm, mesh, u - eps * phi)
         ).ravel()[mesh.free_dofs] / (2 * eps)
         ok = ok and np.max(np.abs(hv - fdh)) <= 1e-6 * (1 + np.max(np.abs(hv)))
     _report(7, "gradient/Hessian match central differences (1D and 3D)", ok)

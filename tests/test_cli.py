@@ -442,6 +442,14 @@ class TestDeterminism:
         "certify1d --seed -1",
         "certify3d --mesh 2,2,2 --seed -1",
         "sweep1d --amps 0.1 --seed -1",
+        # (3|lam| + 2 mu)/mu is not a finite double
+        "certify3d --lam=1e300 --mu=1e-300 --traction=0,0,0 --mesh=2,2,2",
+        "certify3d --lam=1e9 --mu=1e-300 --traction=0,0,0 --mesh=2,2,2",
+        "certify3d --lam=1e308 --mu=1 --traction=0,0,0 --mesh=2,2,2",
+        "ktensor --lam=1e308 --mu=1e308",
+        # E*A underflows to 0 or overflows to inf
+        "certify1d --E 1e-300 --A 1e-300",
+        "certify1d --E 1e308 --A 10",
     ],
 )
 def test_invalid_input_exit_code(args, capsys):
@@ -449,7 +457,7 @@ def test_invalid_input_exit_code(args, capsys):
         run_cli(args.split())
     captured = capsys.readouterr()
     assert exc.value.code == cli.EXIT_INVALID_INPUT
-    assert "NaN" not in captured.out and "Infinity" not in captured.out
+    assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "error:" in captured.err
 
@@ -462,6 +470,7 @@ def test_invalid_input_exit_code(args, capsys):
         ("sweep1d --amps 0.1,x", "argument --amps: expected a number, got 'x'"),
         ("certify3d --mesh 2,x,2", "argument --mesh: expected an integer, got 'x'"),
         ("certify3d --box 1,y,1", "argument --box: expected a number, got 'y'"),
+        ("certify1d --n x", "argument --n: expected an integer, got 'x'"),
     ],
 )
 def test_unparsable_number_message(args, message, capsys):
@@ -472,6 +481,30 @@ def test_unparsable_number_message(args, message, capsys):
     assert message in err
     # argparse's fallback "invalid <type name> value" would name a private parser
     assert "invalid" not in err and " _" not in err
+
+
+@pytest.mark.parametrize(
+    "args, echo",
+    [
+        (
+            "certify1d --n 8 --seed 3",
+            {"subcommand": "certify1d", "E": 1.0, "A": 1.0, "L": 1.0, "amp": 0.1,
+             "n": 8, "seed": 3},
+        ),
+        (
+            "certify3d --mesh 2,2,2 --K 0.3 --seed 4",
+            {"subcommand": "certify3d", "lam": 1.0, "mu": 1.0, "box": [1.0, 1.0, 1.0],
+             "mesh": [2, 2, 2], "body": [0.0, 0.0, 0.0], "traction": [0.02, 0.0, 0.0],
+             "K": 0.3, "mode": "identity", "seed": 4},
+        ),
+    ],
+)
+def test_config_echo_is_the_parsed_options(args, echo, tmp_path):
+    # the echo is every parsed option but --out: nothing the parser sets
+    # for its own use may reach the report
+    out = tmp_path / "report.json"
+    assert run_cli([*args.split(), "--out", str(out)]) == cli.EXIT_PASS
+    assert json.loads(out.read_text())["config_echo"] == echo
 
 
 def test_unwritable_out_exits_before_the_solve(tmp_path, monkeypatch, capsys):

@@ -16,7 +16,9 @@ from elastodual.errors import NonConvergence, SingularSystem
 from elastodual.fem3d import BoxMesh, SolidModel
 from elastodual.tensor3d import I3, LameParams
 
-from conftest import dense_tangent_3d, isotropic_tensor, newton_state, node_coords, on_sym
+from conftest import (
+    dense_tangent_3d, isotropic_tensor, newton_state, node_coords, on_sym, residual_3d,
+)
 
 P11 = LameParams(1.0, 1.0)
 
@@ -253,13 +255,13 @@ class TestResidual3D:
     def test_zero_state_no_load(self):
         m = _model(traction=(0.0, 0.0, 0.0))
         mesh = BoxMesh(m)
-        R = fem3d.residual_3d(m, mesh, np.zeros((mesh.n_nodes, 3)))
+        R = residual_3d(m, mesh, np.zeros((mesh.n_nodes, 3)))
         assert np.max(np.abs(R)) == 0.0
 
     def test_zero_state_equals_negative_load(self):
         m = _model(body=(0.3, -0.1, 0.2), traction=(0.0, 0.1, 0.0))
         mesh = BoxMesh(m)
-        R = fem3d.residual_3d(m, mesh, np.zeros((mesh.n_nodes, 3)))
+        R = residual_3d(m, mesh, np.zeros((mesh.n_nodes, 3)))
         L = fem3d._load_vector(m, mesh)
         L[mesh.clamped_nodes] = 0.0
         assert np.allclose(R, -L, atol=1e-14)
@@ -272,7 +274,7 @@ class TestResidual3D:
         for _ in range(5):
             u = _random_clamped_state(mesh, rng)
             phi = _random_clamped_state(mesh, rng, scale=1.0)
-            dj = float(np.sum(fem3d.residual_3d(m, mesh, u) * phi))
+            dj = float(np.sum(residual_3d(m, mesh, u) * phi))
             fd = (
                 fem3d.energy_3d(m, mesh, u + eps * phi)
                 - fem3d.energy_3d(m, mesh, u - eps * phi)
@@ -335,8 +337,8 @@ class TestHessian3D:
             Kg = dense_tangent_3d(m, mesh, u)
             hv = (Kg @ psi.ravel())[mesh.free_dofs]
             fd = (
-                fem3d.residual_3d(m, mesh, u + eps * psi)
-                - fem3d.residual_3d(m, mesh, u - eps * psi)
+                residual_3d(m, mesh, u + eps * psi)
+                - residual_3d(m, mesh, u - eps * psi)
             ).ravel()[mesh.free_dofs] / (2.0 * eps)
             assert np.max(np.abs(hv - fd)) <= 1e-6 * (1.0 + np.max(np.abs(hv)))
 
@@ -404,7 +406,7 @@ class TestBandTangent3D:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        R = fem3d.residual_3d(m, mesh, u).ravel()
+        R = residual_3d(m, mesh, u).ravel()
         assert np.max(np.abs(R[mesh.free_dofs])) <= 1e-11
         assert peak < 8 * n_dof**2
 
@@ -440,7 +442,7 @@ def continuation_newton(m, steps, tol=1e-11, max_iter=30):
             m, body_force=m.body_force * k / steps, traction=m.traction * k / steps
         )
         for it in range(max_iter + 1):
-            R = fem3d.residual_3d(mk, mesh, u).ravel()[free]
+            R = residual_3d(mk, mesh, u).ravel()[free]
             if np.max(np.abs(R)) <= tol:
                 break
             if it == max_iter:
@@ -487,7 +489,7 @@ class TestSolveNewton3D:
         # and it breaks the 1/8 gradient bound
         m = _model(nx=4, ny=4, nz=4, traction=(-0.5, 0.0, 0.0))
         mesh, u = fem3d.solve_newton_3d(m)[:2]
-        R = fem3d.residual_3d(m, mesh, u).ravel()[mesh.free_dofs]
+        R = residual_3d(m, mesh, u).ravel()[mesh.free_dofs]
         assert np.max(np.abs(R)) <= 1e-11
         assert np.max(np.abs(fem3d.displacement_gradients(mesh, u))) >= fem3d.GRADIENT_LIMIT
         _, u1 = continuation_newton(m, 1)
@@ -583,7 +585,7 @@ class TestSolveNewton3D:
     def test_small_traction_converges(self):
         m = _model()
         mesh, u = fem3d.solve_newton_3d(m)[:2]
-        R = fem3d.residual_3d(m, mesh, u).ravel()
+        R = residual_3d(m, mesh, u).ravel()
         assert np.max(np.abs(R[mesh.free_dofs])) <= 1e-11
         assert np.max(np.abs(fem3d.displacement_gradients(mesh, u))) < 0.125
 
@@ -593,7 +595,7 @@ class TestSolveNewton3D:
         u = np.zeros((mesh.n_nodes, 3))
         r_prev = s_prev = None
         for _ in range(20000):
-            r = fem3d.residual_3d(m, mesh, u).ravel()[mesh.free_dofs]
+            r = residual_3d(m, mesh, u).ravel()[mesh.free_dofs]
             if np.max(np.abs(r)) < 1e-10:
                 break
             if r_prev is None:
@@ -638,7 +640,7 @@ class TestCertify3D:
         ]
         flux = np.array([v1 + v2 for (v1, v2, _) in duals]).reshape(g_all.shape)
         Rd = fem3d._weak_residual(mesh, flux)
-        Rp = fem3d.residual_3d(m, mesh, u0)
+        Rp = residual_3d(m, mesh, u0)
         assert np.max(np.abs(Rd - Rp)) <= 1e-13
 
     def test_infeasible_k_path(self):
@@ -658,7 +660,7 @@ class TestCertify3D:
 class TestFormedOnce:
     """certify_3d forms each per-op quantity once: one mesh, one A^-1 that
     J*, the z-Hessian and bound 1 share, and the converged residual from
-    Newton's last pass, not residual_3d."""
+    Newton's last pass (src has no other residual function)."""
 
     def test_each_quantity_is_formed_once(self, monkeypatch):
         calls, states, inverses, passed = collections.Counter(), [], [], []
@@ -676,7 +678,6 @@ class TestFormedOnce:
             monkeypatch.setattr(module, name, counted)
 
         count(fem3d, "BoxMesh")
-        count(fem3d, "residual_3d")
         count(fem3d, "solve_newton_3d", states)
         count(np.linalg, "inv", inverses)
         for module, name, at in ((tensor3d, "g_star_k_density", 4),
@@ -695,7 +696,7 @@ class TestFormedOnce:
         assert calls == {"BoxMesh": 1, "solve_newton_3d": 1, "inv": 1}
         assert len(passed) == 3 and all(X is inverses[0] for X in passed)
         ((mesh, u0, _, _, R0),) = states
-        R = fem3d.residual_3d(m, mesh, u0)
+        R = residual_3d(m, mesh, u0)
         assert report.residual_norm == np.max(np.abs(R)) > 0.0
         assert np.array_equal(R0, R.ravel()[mesh.free_dofs])
 
@@ -775,7 +776,7 @@ class TestBounds3D:
         # and the energy does drop by more than the slack in the ball: the
         # Newton step of the dense tangent, back to u0, stays in it
         free = mesh.free_dofs
-        R = fem3d.residual_3d(m, mesh, moved).ravel()[free]
+        R = residual_3d(m, mesh, moved).ravel()[free]
         Kt = dense_tangent_3d(m, mesh, moved)[np.ix_(free, free)]
         delta = np.zeros(mesh.n_dof)
         delta[free] = -np.linalg.solve(Kt, R)
