@@ -16,8 +16,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import dual1d, fem3d, tensor3d
 from .tensor3d import LameParams
 
@@ -114,8 +112,7 @@ def _bar_models(args: argparse.Namespace, amps: list[float]) -> list:
 
 def _solid_model(args: argparse.Namespace) -> fem3d.SolidModel:
     lame = LameParams(args.lam, args.mu)
-    box = np.array(args.box)  # numpy: an underflowing mesh step warns, not raises
-    return fem3d.SolidModel(*box, *args.mesh, lame, args.body, args.traction)
+    return fem3d.SolidModel(*args.box, *args.mesh, lame, args.body, args.traction)
 
 
 def cmd_certify(args: argparse.Namespace, model) -> int:

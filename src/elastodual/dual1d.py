@@ -7,7 +7,9 @@ All dual fields are elementwise constant, so the conjugate integrals are exact
 under midpoint quadrature and the discrete duality gap reduces to the inner
 product of the displacement with the converged equilibrium residual.
 ``certify`` proves the saddle structure, local minimality and a positive
-second variation in closed form.
+second variation in closed form, forming each quantity once: Newton's state
+gives u_x, the residual and J, and one ``_stationarity`` call gives (s, den,
+a) and the parts to J*, the bounds and the warm KKT re-check.
 With J* = h sum f, f = z^2/(2K) - v1^2/(2 den) - (v2 + z)^2/(2 EA),
 den = v2 + z + K, and r_z = df/dz, r_vk = df/dvk + u_x (``_stationarity``)
 at the dual centre (v, z) and the primal state u, the radius r = min(1e-2, m/2),
@@ -94,9 +96,6 @@ class DualState1D:
     v2: np.ndarray
     z: np.ndarray
 
-    def positivity_margin(self, cfg: DualConfig) -> float:
-        return float(np.min(self.v2 + self.z + cfg.K))
-
 
 def _require_positivity(den: np.ndarray) -> np.ndarray:
     """den = v2 + z + K, checked positive."""
@@ -116,13 +115,20 @@ def F_star_density(z: np.ndarray, cfg: DualConfig) -> np.ndarray:
 
 def G_star_K_density(d: DualState1D, m: BarModel, cfg: DualConfig) -> np.ndarray:
     """v1^2 / (2 den) + (v2 + z)^2 / (2 EA), with den = v2 + z + K."""
-    s = d.v2 + d.z
-    return 0.5 * d.v1**2 / _require_positivity(s + cfg.K) + s**2 / (2.0 * m.EA)
+    return _g_star(d, m, *_den_a(d, cfg)[:2])
+
+
+def _g_star(d: DualState1D, m: BarModel, s: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return 0.5 * d.v1**2 / den + s**2 / (2.0 * m.EA)
 
 
 def dual_functional(d: DualState1D, m: BarModel, cfg: DualConfig) -> float | np.ndarray:
     """J*(v*, z*) = F*(z*) - G*_K(v*, z*), one value per state of a stack."""
-    f, g = F_star_density(d.z, cfg), G_star_K_density(d, m, cfg)
+    return _dual_functional(d, m, cfg, *_den_a(d, cfg)[:2])
+
+
+def _dual_functional(d: DualState1D, m: BarModel, cfg: DualConfig, s, den) -> float:
+    f, g = F_star_density(d.z, cfg), _g_star(d, m, s, den)
     return integrate(f, m.grid) - integrate(g, m.grid)
 
 
@@ -131,10 +137,10 @@ def construct_duals(m: BarModel, u0: PrimalState, cfg: DualConfig) -> DualState1
     value, ok = primal1d.condition_check(u0, m.grid)
     if not ok:
         raise ConditionViolated(f"||u_x||_inf = {value:.6f} >= 1/4")
-    ux = derivative(u0.u, m.grid)
-    z = cfg.K * ux
-    v2 = m.EA * (ux + 0.5 * ux**2) - z
-    v1 = (z + v2 + cfg.K) * ux
+    e = u0.terms(m.grid)
+    z = cfg.K * e.ux
+    v2 = m.EA * e.strain - z
+    v1 = (z + v2 + cfg.K) * e.ux
     return DualState1D(v1=v1, v2=v2, z=z)
 
 
@@ -142,7 +148,7 @@ def equilibrium_residual(d: DualState1D, m: BarModel) -> np.ndarray:
     """Weak form of (v1 + v2)_x + P = 0 against interior hat functions."""
     m.grid.check_elem(d.v1)
     m.grid.check_elem(d.v2)
-    return primal1d.weak_residual(m, d.v1 + d.v2)
+    return np.concatenate(([0.0], primal1d.weak_residual(m, d.v1 + d.v2), [0.0]))
 
 
 def _den_a(d: DualState1D, cfg: DualConfig) -> tuple:
@@ -155,22 +161,25 @@ def _den_a(d: DualState1D, cfg: DualConfig) -> tuple:
 def dstar_hessian_z(d: DualState1D, m: BarModel, cfg: DualConfig) -> np.ndarray:
     """Elementwise second z-derivative of the dual density,
     (1/K - 1/EA) - a^2/den."""
-    _, den, a = _den_a(d, cfg)
+    return _hessian_z(m, cfg, *_den_a(d, cfg)[1:])
+
+
+def _hessian_z(m: BarModel, cfg: DualConfig, den: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (1.0 / cfg.K - 1.0 / m.EA) - a * a / den
 
 
 def _stationarity(d: DualState1D, u: np.ndarray, m: BarModel, cfg: DualConfig):
     """Residuals (r_z, r_v1, r_v2, r_u at interior nodes) of the Lagrangian's
-    stationarity equations, den = v2 + z + K and a = v1/den: with q = a^2/2,
+    stationarity equations, and (s, den, a) of ``_den_a``: with q = a^2/2,
     r_z = q + (z/K - s/EA), r_v1 = u_x - a and r_v2 = (q - s/EA) + u_x."""
     s, den, a = _den_a(d, cfg)
     q, c, w = 0.5 * (a * a), s / m.EA, derivative(u, m.grid)
     r = (q + (d.z / cfg.K - c), w - a, q - c + w, equilibrium_residual(d, m)[1:-1])
-    return r, den, a
+    return r, (s, den, a)
 
 
 def _saddle_bounds(
-    d: DualState1D, u: np.ndarray, m: BarModel, cfg: DualConfig, r: float
+    d: DualState1D, ux: np.ndarray, m: BarModel, cfg: DualConfig, r: float, stat: tuple
 ) -> tuple[float, float, float]:
     """(z_curvature_floor, z_deficit, v_excess): proofs 1-3 of the module
     docstring on the r-ball around d.  Rounding, in units U of each term: den
@@ -180,10 +189,11 @@ def _saddle_bounds(
     1 + rel) and q = a^2/2 (by 3 + 2 rel), in r_z |z/K|, s/EA, q and r_z carry
     2, 3, 3 + 2 rel and 1, in r_v1 = u_x - a |a|, |u_x| and r_v1 1 + rel, 2
     and 1, and in r_v2 = (q - s/EA) + u_x q, s/EA, |u_x| and r_v2 4 + 2 rel,
-    3, 2 and 1.  h sum u_x is 0 for a clamped u."""
-    (r_z, r_v1, r_v2, _), den, a = _stationarity(d, u, m, cfg)
+    3, 2 and 1.  h sum u_x is 0 for a clamped u.  ux is its slope field and
+    stat its ``_stationarity``."""
+    (r_z, r_v1, r_v2, _), (s, den, a) = stat
     K, EA, h = cfg.K, m.EA, m.grid.h
-    ux, s = derivative(u, m.grid), np.abs(d.v2 + d.z)
+    s = np.abs(s)
     rel, b = (s + den) / den, den - 2.0 * r
     t = ((np.abs(d.v1) + r) / b) ** 2 / b
     kappa = (1.0 / K - 1.0 / EA) - t
@@ -204,15 +214,15 @@ def _saddle_bounds(
     return float(np.min(kappa)), z_deficit, v_excess
 
 
-def _energy_deficit(m: BarModel, u0: PrimalState, res: np.ndarray) -> float:
+def _energy_deficit(m: BarModel, ux: np.ndarray, res: np.ndarray) -> float:
     """energy_deficit, proof 4 of the module docstring, of the interior primal
-    residual res at u0.  Rounding: on |u_x| < 1/4 the force EA (e + e^2/2)(1 + e)
-    is off by 5 U |force| + 2 U |e| W'' <= 11 U EA |e|, a load half h P/2 by
-    U h |P|, and res by 2 U |res| more.  M^-1 is a positive Green's function,
-    applied to a >= |res|; it and the dot product of positive terms carry
-    (3n + 12) U."""
+    residual res at u0 of slopes ux.  Rounding: on |u_x| < 1/4 the force
+    EA (e + e^2/2)(1 + e) is off by 5 U |force| + 2 U |e| W'' <= 11 U EA |e|,
+    a load half h P/2 by U h |P|, and res by 2 U |res| more.  M^-1 is a
+    positive Green's function, applied to a >= |res|; it and the dot product
+    of positive terms carry (3n + 12) U."""
     h, n = m.grid.h, m.grid.n_elem
-    err = 11.0 * U * m.EA * np.abs(derivative(u0.u, m.grid))
+    err = 11.0 * U * m.EA * np.abs(ux)
     load = np.abs(m.P) * h
     a = np.abs(res) * (1.0 + 2.0 * U) + err[:-1] + err[1:]
     a += 1.5 * U * (load[:-1] + load[1:])
@@ -255,12 +265,18 @@ def kkt_solve(
     du is minus the clamped chain of c solved against r_u + g_l - g_r, by the
     prefix sums of ``primal1d.solve_spring_chain``: O(n) time and memory.
     """
-    h, K, EA = m.grid.h, cfg.K, m.EA
     d, u_full = init
     u = np.zeros(m.grid.n_elem + 1)
     u[1:-1] = u_full[1:-1]
+    return _kkt_newton(m, cfg, d, u, tol, _stationarity(d, u, m, cfg))
+
+
+def _kkt_newton(m: BarModel, cfg: DualConfig, d: DualState1D, u: np.ndarray,
+                tol: float, stat: tuple) -> tuple[DualState1D, np.ndarray, int]:
+    """``kkt_solve`` from d and u, clamped, whose ``_stationarity`` is stat."""
+    h, K, EA = m.grid.h, cfg.K, m.EA
     for it in range(KKT_MAX_ITER + 1):
-        parts, den, a = _stationarity(d, u, m, cfg)
+        parts, (s, den, a) = stat
         res = norm_V(np.concatenate(parts))
         if res <= tol:
             return d, u, it
@@ -271,7 +287,7 @@ def kkt_solve(
         r_z, r_v1, r_v2, r_u = parts
         rho = r_z - r_v2
         g = den * r_v1 + (1.0 + a) * EA * (a * r_v1 + r_v2) + K * rho
-        c = (d.v2 + d.z) + EA * (1.0 + a) ** 2
+        c = s + EA * (1.0 + a) ** 2
         du = np.zeros_like(u)
         try:
             du[1:-1] = -primal1d.solve_spring_chain(c, h, r_u + g[:-1] - g[1:])
@@ -283,6 +299,7 @@ def kkt_solve(
         dz = K * (dw - rho)
         d = DualState1D(d.v1 + (den * p + a * ds), d.v2 + (ds - dz), d.z + dz)
         u = u + du
+        stat = _stationarity(d, u, m, cfg)
     raise NonConvergence("unreachable")
 
 
@@ -374,8 +391,7 @@ def certify(m: BarModel) -> GapReport:
     finally:
         report.newton_iters = sum(iters)
 
-    res = primal1d.residual(m, u0)[1:-1]
-    report.residual_norm = norm_V(res)
+    report.residual_norm = u0.res
     report.J_primal = primal1d.energy(m, u0)
     report.condition_norm, report.condition_ok = primal1d.condition_check(u0, m.grid)
     if not report.condition_ok:
@@ -386,25 +402,25 @@ def certify(m: BarModel) -> GapReport:
         return report
 
     d_hat = construct_duals(m, u0, cfg)
-    report.J_dual = dual_functional(d_hat, m, cfg)
+    stat = _stationarity(d_hat, u0.u, m, cfg)
+    (_, _, _, r_u), (s, den, a) = stat
+    report.J_dual = _dual_functional(d_hat, m, cfg, s, den)
     report.gap = report.J_primal - report.J_dual
-    margin = report.min_positivity_margin = d_hat.positivity_margin(cfg)
-    report.min_hessian_z = float(np.min(dstar_hessian_z(d_hat, m, cfg)))
-    report.constraint_residual_norm = norm_V(
-        equilibrium_residual(d_hat, m)[1:-1]
-    )
+    margin = report.min_positivity_margin = float(np.min(den))
+    report.min_hessian_z = float(np.min(_hessian_z(m, cfg, den, a)))
+    report.constraint_residual_norm = norm_V(r_u)
     report.min_eig_floor = _min_eig_floor(m, report.condition_norm)
 
     r0 = min(1e-2, 0.5 * margin)
     r = 0.5 * r0 if 3.0 * r0 >= margin else r0  # then 3r <= 3 margin/4
     report.r, report.r1, report.r2 = r0 / cfg.K, r, r
-    bounds = _saddle_bounds(d_hat, u0.u, m, cfg, r)
+    bounds = _saddle_bounds(d_hat, u0.e.ux, m, cfg, r, stat)
     report.z_curvature_floor, report.z_deficit, report.v_excess = bounds
     report.slope_radius = 1.0 / 3.0 - report.condition_norm - 2.0 * U
-    report.energy_deficit = _energy_deficit(m, u0, res)
+    report.energy_deficit = _energy_deficit(m, u0.e.ux, u0.r)
 
-    try:
-        report.kkt_iters = kkt_solve(m, cfg, (d_hat, u0.u), tol=1e-11)[2]
+    try:  # the warm re-check: converged at iteration 0 if max|parts| <= 1e-11
+        report.kkt_iters = _kkt_newton(m, cfg, d_hat, u0.u, 1e-11, stat)[2]
         report.kkt_converged = True
     except (NonConvergence, SingularKKTMatrix) as exc:
         report.errors.append(f"kkt: {exc}")

@@ -115,6 +115,10 @@ class SolidModel:
                 )
         if np.shape(self.body_force) != (3,) or np.shape(self.traction) != (3,):
             raise ValueError("loads must be 3-vectors")
+        hx, hy, hz = (float(L) / n for L, n in
+                      ((self.lx, self.nx), (self.ly, self.ny), (self.lz, self.nz)))
+        if not (0 < hx * hy * hz / 8.0 < np.inf and 2.0 / min(hx, hy, hz) < np.inf):
+            raise ValueError("mesh steps must give finite 2/h and 0 < hx hy hz/8 < inf")
 
 
 # local corner signs c of the reference hex, node order fixed

@@ -32,6 +32,9 @@ class Grid1D:
             raise ValueError("bar length must be positive")
         if self.n_elem < 2:
             raise ValueError("need at least 2 elements")
+        h = float(self.h)  # a Python float: an overflowing 1/h is inf, not a warning
+        if not (h > 0 and 1.0 / h < np.inf):
+            raise ValueError(f"mesh step L/n = {h:.3e} needs a finite 1/h > 0")
         object.__setattr__(
             self, "nodes", np.linspace(0.0, self.length, self.n_elem + 1)
         )

@@ -5,13 +5,16 @@ chain, solved in closed form).
 
 The displacement is a piecewise-linear nodal field clamped at both ends.  With
 one-point quadrature every integrand below is elementwise constant, so all
-expressions are exact at the discrete level.  Newton forms the slope field
-once per iteration for the tangent and every line-search trial of its step.
+expressions are exact at the discrete level.  Newton forms each iterate's
+``SlopeTerms`` (u_x, 1 + u_x, u_x^2/2, the strain) once for its force,
+residual, springs and line-search trials, and the load half-sums once per
+model; the converged ``NewtonState`` hands them and its residual on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +39,7 @@ class BarModel:
     A: float
     grid: Grid1D
     P: np.ndarray
+    half_loads: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.E > 0 and self.A > 0):
@@ -43,10 +47,22 @@ class BarModel:
         if not 0 < self.EA < np.inf:
             raise ValueError("E*A must be positive and finite")
         self.grid.check_elem(self.P)
+        load = self.P * self.grid.h  # the work h (P_e + P_{e+1})/2 of each interior hat
+        object.__setattr__(self, "half_loads", 0.5 * (load[:-1] + load[1:]))
 
     @property
     def EA(self) -> float:
         return self.E * self.A
+
+
+#: elementwise terms of a slope field: u_x, 1 + u_x, u_x^2/2 and the Green strain
+SlopeTerms = namedtuple("SlopeTerms", "ux opx half_sq strain")
+
+
+def slope_terms(ux: np.ndarray) -> SlopeTerms:
+    """The ``SlopeTerms`` of the slope field ux."""
+    half_sq = 0.5 * ux**2
+    return SlopeTerms(ux, 1.0 + ux, half_sq, ux + half_sq)
 
 
 @dataclass(frozen=True)
@@ -59,42 +75,53 @@ class PrimalState:
         if np.count_nonzero(self.u[..., :: max(1, self.u.shape[-1] - 1)]):  # end nodes
             raise ValueError("displacement must vanish at both ends")
 
+    def terms(self, g: Grid1D) -> SlopeTerms:
+        """Slope terms of u on the grid g."""
+        return slope_terms(derivative(self.u, g))
 
-def _axial_force(m: BarModel, ux: np.ndarray) -> np.ndarray:
-    """Second Piola-like force EA*(u_x + u_x^2/2) per element."""
-    return m.EA * (ux + 0.5 * ux**2)
+
+@dataclass(frozen=True)
+class NewtonState(PrimalState):
+    """An iterate with its slope terms e, interior residual r and r's sup norm res."""
+
+    e: SlopeTerms
+    r: np.ndarray
+    res: float
+
+    def terms(self, g: Grid1D) -> SlopeTerms:
+        return self.e
 
 
 def energy(m: BarModel, s: PrimalState) -> float | np.ndarray:
     """Total potential energy J(u) under midpoint quadrature, one per field
     of a stacked state."""
     g = m.grid
-    ux = derivative(s.u, g)
-    density = 0.5 * m.EA * (0.5 * ux**2 + ux) ** 2 - average_to_midpoints(s.u, g) * m.P
+    density = 0.5 * m.EA * s.terms(g).strain ** 2 - average_to_midpoints(s.u, g) * m.P
     return integrate(density, g)
 
 
 def weak_residual(m: BarModel, force: np.ndarray) -> np.ndarray:
-    """Weak form of force_x + P = 0 for an element force, against the
-    interior nodal basis; boundary entries 0."""
-    g = m.grid
-    r = np.zeros(g.n_elem + 1)
-    # phi_i has slope +1/h on element i-1 and -1/h on element i
-    r[1:-1] = force[:-1] - force[1:]
-    load = m.P * g.h
-    r[1:-1] -= 0.5 * (load[:-1] + load[1:])
-    return r
+    """Weak form of force_x + P = 0 for an element force at the interior
+    nodes: phi_i has slope +1/h on element i-1 and -1/h on element i."""
+    return (force[:-1] - force[1:]) - m.half_loads
+
+
+def _iterate(m: BarModel, u: np.ndarray) -> tuple:
+    """u's slope terms e, the interior residual r of its force EA e (1 + u_x)
+    and the sup norm of r."""
+    e = slope_terms(derivative(u, m.grid))
+    r = weak_residual(m, m.EA * e.strain * e.opx)
+    return e, r, norm_V(r)
 
 
 def residual(m: BarModel, s: PrimalState) -> np.ndarray:
     """First variation against the interior nodal basis; boundary entries 0."""
-    ux = derivative(s.u, m.grid)
-    return weak_residual(m, _axial_force(m, ux) * (1.0 + ux))  # elementwise dJ/d(u_x)
+    return np.concatenate(([0.0], _iterate(m, s.u)[1], [0.0]))
 
 
-def _curvature(m: BarModel, ux: np.ndarray) -> np.ndarray:
+def _curvature(m: BarModel, e: SlopeTerms) -> np.ndarray:
     """Elementwise second-variation coefficient EA*((1+u_x)^2 + u_x + u_x^2/2)."""
-    return m.EA * ((1.0 + ux) ** 2 + ux + 0.5 * ux**2)
+    return m.EA * (e.opx**2 + e.ux + e.half_sq)
 
 
 def chain_is_positive_definite(c: np.ndarray) -> bool:
@@ -124,12 +151,12 @@ def solve_spring_chain(c: np.ndarray, h: float, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _change_along(m: BarModel, ux: np.ndarray, du: np.ndarray):
-    """t -> J(u + t du) - J(u) for u of slope field ux and a clamped nodal
+def _change_along(m: BarModel, e: SlopeTerms, du: np.ndarray):
+    """t -> J(u + t du) - J(u) for u of slope terms e and a clamped nodal
     increment du, summed per element: a plain difference of two energies
     loses the O(|du|^2) decrease of a Newton step near convergence to rounding."""
     d, load = derivative(du, m.grid), m.P * average_to_midpoints(du, m.grid)
-    opx, two_strain = 1.0 + ux, 2.0 * (ux + 0.5 * ux**2)
+    opx, two_strain = e.opx, 2.0 * e.strain
     td, s, w = (np.empty_like(d) for _ in range(3))
     def change(t: float) -> float:  # in place: three buffers, the same roundings
         np.multiply(t, d, out=td)
@@ -142,7 +169,7 @@ def _change_along(m: BarModel, ux: np.ndarray, du: np.ndarray):
     return change
 
 
-def solve_newton(m: BarModel, iteration_log: list | None = None) -> PrimalState:
+def solve_newton(m: BarModel, iteration_log: list | None = None) -> NewtonState:
     """Line-search Newton minimization of the energy from u = 0 at the full
     load (Nocedal & Wright, Numerical Optimization, section 3.4).
 
@@ -151,9 +178,10 @@ def solve_newton(m: BarModel, iteration_log: list | None = None) -> PrimalState:
     sum 1/c < 0 (Cauchy-Schwarz on the slopes, which sum to 0).  The step
     solves it, else the chain of c raised to 1e-2 max|c|, in closed form;
     Armijo backtracking (c1 = 1e-4) halves it.  Its trials t = 2^-k share
-    u_x and du's slope and load work: scaling by a power of two is exact (short
-    of underflow), so each equals the t = 1 trial of t du bit for bit.
-    On the small-strain branch every unit step is accepted.  ``iteration_log``,
+    the slope terms and du's slope and load work: scaling by a power of two
+    is exact (short of underflow), so each equals the t = 1 trial of t du bit
+    for bit.  On the small-strain branch every unit step is accepted.  The
+    converged iterate is returned as a ``NewtonState``; ``iteration_log``,
     if given, receives the number of steps taken, also when the solve fails.
     """
     g = m.grid
@@ -162,18 +190,16 @@ def solve_newton(m: BarModel, iteration_log: list | None = None) -> PrimalState:
     it = 0
     try:
         for it in range(NEWTON_MAX_ITER + 1):
-            r = residual(m, PrimalState(u))[1:-1]
-            res = norm_V(r)
+            e, r, res = _iterate(m, u)
             if res <= NEWTON_TOL:
-                return PrimalState(u)
+                return NewtonState(u, e, r, res)
             if it == NEWTON_MAX_ITER or not np.isfinite(res):
                 raise NonConvergence(f"residual {res:.3e} after {it} iterations")
-            ux = derivative(u, g)
-            c = _curvature(m, ux)
+            c = _curvature(m, e)
             if not chain_is_positive_definite(c):
                 c = np.maximum(c, 1e-2 * np.max(np.abs(c)))
             du[1:-1] = solve_spring_chain(c, g.h, -r)
-            change = _change_along(m, ux, du)
+            change = _change_along(m, e, du)
             slope, t = float(r @ du[1:-1]), 1.0
             while not change(t) <= 1e-4 * t * slope:
                 t *= 0.5
@@ -188,5 +214,5 @@ def solve_newton(m: BarModel, iteration_log: list | None = None) -> PrimalState:
 
 def condition_check(s: PrimalState, g: Grid1D) -> tuple[float, bool]:
     """Sup norm of u_x and whether it is strictly below the 1/4 threshold."""
-    value = norm_V(derivative(s.u, g))
+    value = norm_V(s.terms(g).ux)
     return value, value < SLOPE_LIMIT

@@ -15,7 +15,9 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from elastodual import dual1d, fem3d, primal1d, tensor3d
-from elastodual.mesh1d import Grid1D, derivative, norm_V
+from elastodual.errors import NonConvergence, SingularKKTMatrix
+from elastodual.mesh1d import Grid1D, average_to_midpoints, derivative, norm_V
+from elastodual.primal1d import PrimalState
 
 
 @pytest.fixture(scope="session")
@@ -191,19 +193,178 @@ def hessian(m, s):
     """Interior-node tridiagonal second variation of the bar, as (diagonal,
     off-diagonal): the clamped spring chain of the curvatures
     ``primal1d._curvature`` on the hat functions."""
-    c, h = primal1d._curvature(m, derivative(s.u, m.grid)), m.grid.h
+    c, h = primal1d._curvature(m, s.terms(m.grid)), m.grid.h
     return (c[:-1] + c[1:]) / h, -c[1:-1] / h
 
 
 def energy_change(m, s, du):
     """J(u + du) - J(u) for a clamped nodal increment du: the t = 1 trial of
     primal1d.solve_newton's line search."""
-    return primal1d._change_along(m, derivative(s.u, m.grid), du)(1.0)
+    return primal1d._change_along(m, s.terms(m.grid), du)(1.0)
+
+
+def bar_newton_state(m, u):
+    """The NewtonState of the clamped nodal field u, as primal1d.solve_newton
+    returns it at convergence, formed from u alone by the public helpers."""
+    r = primal1d.residual(m, PrimalState(u))[1:-1]
+    return primal1d.NewtonState(u, PrimalState(u).terms(m.grid), r, norm_V(r))
+
+
+def newton_iterates(monkeypatch):
+    """A list that receives the nodal field u of every iterate of each later
+    primal1d.solve_newton call (its converged one included)."""
+    seen, iterate = [], primal1d._iterate
+
+    def record(m, u):
+        seen.append(u)
+        return iterate(m, u)
+
+    monkeypatch.setattr(primal1d, "_iterate", record)
+    return seen
+
+
+def reference_newton(m, iteration_log=None, iterates=None):
+    """The bar's line-search Newton as it was written before its per-iterate
+    terms were shared: each iteration forms the residual, then u_x again for
+    the curvatures, then u_x's terms again for the line search, each from its
+    own formula.  The fused solver must match it bit for bit: the same
+    iterates (appended to ``iterates``), iteration count and failures."""
+    g = m.grid
+
+    def residual(u):
+        ux = derivative(u, g)
+        force = m.EA * (ux + 0.5 * ux**2) * (1.0 + ux)
+        r = np.zeros(g.n_elem + 1)
+        r[1:-1] = force[:-1] - force[1:]
+        load = m.P * g.h
+        r[1:-1] -= 0.5 * (load[:-1] + load[1:])
+        return r
+
+    def change_along(ux, du):
+        d, load = derivative(du, g), m.P * average_to_midpoints(du, g)
+        opx, two_strain = 1.0 + ux, 2.0 * (ux + 0.5 * ux**2)
+
+        td, s, w = (np.empty_like(d) for _ in range(3))
+
+        def change(t):
+            np.multiply(t, d, out=td)
+            np.add(opx, np.multiply(0.5, td, out=s), out=s)
+            np.multiply(td, s, out=s)
+            np.multiply(0.5 * m.EA, s, out=w)
+            np.multiply(w, np.add(two_strain, s, out=s), out=w)
+            np.subtract(w, np.multiply(t, load, out=td), out=w)
+            return float(np.sum(w) * g.h)
+        return change
+
+    u = np.zeros(g.n_elem + 1)
+    du = np.zeros(g.n_elem + 1)
+    it = 0
+    try:
+        for it in range(primal1d.NEWTON_MAX_ITER + 1):
+            if iterates is not None:
+                iterates.append(u)
+            r = residual(u)[1:-1]
+            res = norm_V(r)
+            if res <= primal1d.NEWTON_TOL:
+                return PrimalState(u)
+            if it == primal1d.NEWTON_MAX_ITER or not np.isfinite(res):
+                raise NonConvergence(f"residual {res:.3e} after {it} iterations")
+            ux = derivative(u, g)
+            c = m.EA * ((1.0 + ux) ** 2 + ux + 0.5 * ux**2)
+            if not primal1d.chain_is_positive_definite(c):
+                c = np.maximum(c, 1e-2 * np.max(np.abs(c)))
+            du[1:-1] = primal1d.solve_spring_chain(c, g.h, -r)
+            change = change_along(ux, du)
+            slope, t = float(r @ du[1:-1]), 1.0
+            while not change(t) <= 1e-4 * t * slope:
+                t *= 0.5
+                if t < 1e-15:
+                    raise NonConvergence(f"no descent at residual {res:.3e}")
+            u = u + t * du
+    finally:
+        if iteration_log is not None:
+            iteration_log.append(it)
+    raise NonConvergence("unreachable")
+
+
+def certify_reference(m):
+    """dual1d.certify assembled from the public helpers in the order it had
+    before its per-op quantities were shared: the residual, u_x, (s, den, a),
+    the equilibrium residual and the stationarity parts are formed anew by
+    each helper that reads them, and the KKT re-check starts from scratch."""
+    report = dual1d.GapReport()
+    cfg = dual1d.DualConfig(K=m.EA / 2.0)
+    iters = []
+    try:
+        u0 = PrimalState(primal1d.solve_newton(m, iteration_log=iters).u)
+    except NonConvergence as exc:
+        report.errors.append(f"newton: {exc}")
+        return report
+    finally:
+        report.newton_iters = sum(iters)
+    res = primal1d.residual(m, u0)[1:-1]
+    report.residual_norm = norm_V(res)
+    report.J_primal = primal1d.energy(m, u0)
+    report.condition_norm, report.condition_ok = primal1d.condition_check(u0, m.grid)
+    if not report.condition_ok:
+        report.errors.append(
+            f"hypothesis: ||u_x||_inf = {report.condition_norm:.6f} >= 1/4, "
+            "no certification claimed"
+        )
+        return report
+    d_hat = dual1d.construct_duals(m, u0, cfg)
+    report.J_dual = dual1d.dual_functional(d_hat, m, cfg)
+    report.gap = report.J_primal - report.J_dual
+    margin = report.min_positivity_margin = float(np.min(d_hat.v2 + d_hat.z + cfg.K))
+    report.min_hessian_z = float(np.min(dual1d.dstar_hessian_z(d_hat, m, cfg)))
+    report.constraint_residual_norm = norm_V(dual1d.equilibrium_residual(d_hat, m)[1:-1])
+    report.min_eig_floor = dual1d._min_eig_floor(m, report.condition_norm)
+    r0 = min(1e-2, 0.5 * margin)
+    r = 0.5 * r0 if 3.0 * r0 >= margin else r0
+    report.r, report.r1, report.r2 = r0 / cfg.K, r, r
+    ux = derivative(u0.u, m.grid)
+    bounds = dual1d._saddle_bounds(
+        d_hat, ux, m, cfg, r, dual1d._stationarity(d_hat, u0.u, m, cfg))
+    report.z_curvature_floor, report.z_deficit, report.v_excess = bounds
+    report.slope_radius = 1.0 / 3.0 - report.condition_norm - 2.0 * dual1d.U
+    report.energy_deficit = dual1d._energy_deficit(m, derivative(u0.u, m.grid), res)
+    try:
+        report.kkt_iters = dual1d.kkt_solve(m, cfg, (d_hat, u0.u), tol=1e-11)[2]
+        report.kkt_converged = True
+    except (NonConvergence, SingularKKTMatrix) as exc:
+        report.errors.append(f"kkt: {exc}")
+    gap_bound = dual1d.GAP_TOL * (1.0 + abs(report.J_primal))
+    hess_z = report.min_hessian_z
+    checks = (
+        (abs(report.gap) <= gap_bound,
+         f"gap: |gap| {abs(report.gap):.3e} > {gap_bound:.3e}"),
+        (report.constraint_residual_norm <= dual1d.CONSTRAINT_TOL,
+         f"constraint: residual {report.constraint_residual_norm:.3e}"
+         f" > {dual1d.CONSTRAINT_TOL:.3e}"),
+        (margin > (7.0 / 32.0) * m.EA - 1e-12,
+         f"positivity: min v2 + z + K {margin:.3e} <= 7 EA/32 = {7 * m.EA / 32:.3e}"),
+        (hess_z > 5.0 / (7.0 * m.EA) - 1e-12,
+         f"hessian: min z-Hessian {hess_z:.3e} <= 5/(7 EA) = {5 / (7 * m.EA):.3e}"),
+        (report.min_eig_floor > 0.0,
+         f"min_eig: second variation floor {report.min_eig_floor:.3e} <= 0"),
+        (report.z_curvature_floor > 0.0,
+         f"saddle_z: z-curvature floor {report.z_curvature_floor:.3e} <= 0 at r {r:.3e}"),
+        (report.z_deficit <= dual1d.SADDLE_TOL,
+         f"saddle_z: z deficit {report.z_deficit:.3e} > {dual1d.SADDLE_TOL:.3e}"),
+        (report.v_excess <= dual1d.SADDLE_TOL,
+         f"saddle_v: v excess {report.v_excess:.3e} > {dual1d.SADDLE_TOL:.3e}"),
+        (report.energy_deficit <= dual1d.LOCAL_MIN_TOL,
+         f"local_min: energy deficit {report.energy_deficit:.3e}"
+         f" > {dual1d.LOCAL_MIN_TOL:.3e}"),
+    )
+    report.errors += [msg for ok, msg in checks if not ok]
+    report.passed = not report.errors
+    return report
 
 
 def stationarity_residuals(d, u, m, cfg):
     """Max norms of the four stationarity equations of the Lagrangian."""
-    parts, _, _ = dual1d._stationarity(d, u, m, cfg)
+    parts, _ = dual1d._stationarity(d, u, m, cfg)
     return {k: norm_V(r) for k, r in zip(("z", "v1", "v2", "u"), parts)}
 
 

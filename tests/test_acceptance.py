@@ -85,7 +85,7 @@ def test_criterion_02_positivity_bound(one_d_cases):
     ok = True
     worst = np.inf
     for amp, (m, u0, d, cfg, report, _) in one_d_cases.items():
-        margin = d.positivity_margin(cfg)
+        margin = float(np.min(d.v2 + d.z + cfg.K))
         worst = min(worst, margin)
         ok = ok and margin > (7.0 / 32.0) * m.EA - 1e-12
     _report(2, "pointwise bound v2+z+EA/2 > (7/32) EA", ok,

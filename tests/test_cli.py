@@ -423,6 +423,14 @@ class TestDeterminism:
             assert getattr(a, name) is not getattr(b, name)
 
 
+MESH_STEP_OUT_OF_RANGE = (
+    "certify1d --L 1e-320 --n 64",  # 1/h overflows
+    "certify1d --L 5e-324 --n 64",  # h underflows to 0
+    "certify3d --box 5e-324,1,1 --mesh 2,2,2",  # hx underflows to 0
+    "certify3d --box 1e308,1e308,1e308 --mesh 2,2,2 --traction=0,0,0",  # volume overflows
+)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -450,6 +458,8 @@ class TestDeterminism:
         # E*A underflows to 0 or overflows to inf
         "certify1d --E 1e-300 --A 1e-300",
         "certify1d --E 1e308 --A 10",
+        # a mesh step whose 1/h, 2/h or volume leaves the double range
+        *MESH_STEP_OUT_OF_RANGE,
     ],
 )
 def test_invalid_input_exit_code(args, capsys):
@@ -460,6 +470,17 @@ def test_invalid_input_exit_code(args, capsys):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("args", MESH_STEP_OUT_OF_RANGE)
+def test_mesh_step_out_of_range_warns_nothing(args, capsys):
+    # rejected before numpy forms 1/h, 2/h or the volume, so nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args.split())
+    assert exc.value.code == cli.EXIT_INVALID_INPUT
+    assert "mesh step" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 identities, the saddle and local-minimality bounds against the samplers they
 replaced, the KKT solver, and certification."""
 
+import dataclasses
 import json
 import tracemalloc
 from unittest import mock
@@ -24,7 +25,8 @@ from elastodual.mesh1d import Grid1D, derivative, integrate, norm_V
 from elastodual.primal1d import BarModel, PrimalState
 
 from conftest import (
-    f_star_sup_oracle, g_star_k_sup_oracle, norm_U, stationarity_residuals,
+    bar_newton_state, certify_reference, f_star_sup_oracle, g_star_k_sup_oracle,
+    norm_U, stationarity_residuals,
 )
 
 
@@ -137,7 +139,7 @@ class TestConstructDuals:
             if not ok:
                 continue
             d = dual1d.construct_duals(m, s, cfg)
-            assert d.positivity_margin(cfg) > (7.0 / 32.0) * m.EA - 1e-12
+            assert np.min(d.v2 + d.z + cfg.K) > (7.0 / 32.0) * m.EA - 1e-12
 
     def test_total_stress_identity(self, bar_model, bar_solution, bar_duals):
         d, _ = bar_duals
@@ -296,7 +298,7 @@ class TestStationarityRounding:
         import mpmath  # a test-only dependency, declared in the test extra
 
         m, cfg, d, u = case
-        (_, r_v1, r_v2, _), den, a = dual1d._stationarity(d, u, m, cfg)
+        (_, r_v1, r_v2, _), (_, den, a) = dual1d._stationarity(d, u, m, cfg)
         ux, s = derivative(u, m.grid), np.abs(d.v2 + d.z)
         rel, q = (s + den) / den, 0.5 * a**2
         bound_v1 = dual1d.U * ((1.0 + rel) * np.abs(a) + 2.0 * np.abs(ux) + np.abs(r_v1))
@@ -435,7 +437,7 @@ def _certify_at(m, u0, shift=0.0, split=0.0):
         d = construct(m, u, cfg)
         return DualState1D(d.v1 + split, d.v2 - split, d.z + shift)
 
-    with mock.patch.object(primal1d, "solve_newton", lambda *a, **k: PrimalState(u0)):
+    with mock.patch.object(primal1d, "solve_newton", lambda *a, **k: bar_newton_state(m, u0)):
         with mock.patch.object(dual1d, "construct_duals", shifted):
             return dual1d.certify(m)
 
@@ -811,3 +813,61 @@ class TestCertify:
             assert J_star <= primal1d.energy(
                 bar_model, PrimalState(u)
             ) + 1e-12
+
+
+class TestFormedOnce:
+    """One certification solves once and forms each per-op quantity once:
+    Newton's converged state serves the residual norm, J, the slope check,
+    the duals and the local-minimality bound, and one set of stationarity
+    parts serves J*, the z-Hessian, the constraint, the saddle bounds and
+    the warm KKT re-check.  The report is the one the public helpers give
+    when each forms its own inputs."""
+
+    @pytest.mark.parametrize(
+        "E, A, L, amp, n",
+        [
+            (1.0, 1.0, 1.0, 0.1, 64),  # passes
+            (2.0, 0.5, 1.7, 0.4, 777),  # passes
+            (1.0, 1.0, 1.0, 0.3, 4096),  # passes at the CLI's mesh cap
+            (1.0, 1.0, 1.0, 0.0, 2),  # u = 0
+            (0.1, 1.0, 1.0, 0.03, 512),  # fails the z-curvature floor
+            (1.0, 1.0, 1.0, 10.0, 16),  # past the slope limit
+            (1.0, 1.0, 1.0, 10.0, 2048),  # Newton stops at the residual floor
+        ],
+    )
+    def test_calls_and_report(self, E, A, L, amp, n, monkeypatch):
+        m = dual1d.sine_load_model(E, A, L, amp, n)
+        want = certify_reference(m)
+        calls = {"solve_newton": 0, "residual": 0, "_stationarity": 0}
+        for module, name in ((primal1d, "solve_newton"), (primal1d, "residual"),
+                             (dual1d, "_stationarity")):
+            def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        report = dual1d.certify(m)
+        assert dataclasses.asdict(report) == dataclasses.asdict(want)
+        reached = report.condition_ok  # the certificate ran past the hypothesis
+        assert calls == {"solve_newton": 1, "residual": 0,
+                         "_stationarity": reached * (1 + report.kkt_iters)}
+        if reached:
+            assert report.kkt_converged and report.kkt_iters == 0
+
+    def test_warm_kkt_iterates_from_the_certificate_parts(self, monkeypatch):
+        # a centre moved off its stationary point: the re-check fails at
+        # iteration 0 on the certificate's own parts, and each Newton step
+        # forms its parts once, as a cold kkt_solve does
+        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, 64)
+        u0 = primal1d.solve_newton(m).u
+        want = _certify_at(m, u0, shift=1e-6)
+        stationarity, calls = dual1d._stationarity, []
+
+        def counted(*args):
+            calls.append(args)
+            return stationarity(*args)
+
+        monkeypatch.setattr(dual1d, "_stationarity", counted)
+        report = _certify_at(m, u0, shift=1e-6)
+        assert dataclasses.asdict(report) == dataclasses.asdict(want)
+        assert report.kkt_converged and report.kkt_iters >= 1
+        assert len(calls) == 1 + report.kkt_iters

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,7 +21,9 @@ from conftest import (
     energy_change,
     energy_oracle_1d,
     hessian,
+    newton_iterates,
     norm_U,
+    reference_newton,
 )
 
 
@@ -155,7 +157,7 @@ class TestHessian:
         assert np.array_equal(H, H.T)
         # H x against the element-wise weak form of the spring chain
         x = rng.standard_normal(n - 1)
-        c = primal1d._curvature(m, derivative(s.u, m.grid))
+        c = primal1d._curvature(m, s.terms(m.grid))
         w = c * np.diff(np.r_[0.0, x, 0.0]) / m.grid.h
         assert np.allclose(H @ x, w[:-1] - w[1:])
 
@@ -299,7 +301,7 @@ class TestSolveNewton:
 
     def test_line_search_gives_up(self, monkeypatch):
         # every Armijo trial of every step reports an energy increase
-        monkeypatch.setattr(primal1d, "_change_along", lambda m, ux, du: lambda t: 1.0)
+        monkeypatch.setattr(primal1d, "_change_along", lambda m, e, du: lambda t: 1.0)
         log = []
         with pytest.raises(NonConvergence, match="no descent"):
             primal1d.solve_newton(_model(P=np.ones(16)), iteration_log=log)
@@ -350,21 +352,13 @@ class TestLineSearchNewton:
 
     @pytest.mark.parametrize("amp,n", [(2.0, 64), (5.0, 16), (10.0, 128)])
     def test_every_step_decreases_the_stage_energy(self, amp, n, monkeypatch):
-        iterates = []
-        residual = primal1d.residual
-
-        def record(mk, s):
-            iterates.append((mk, s))
-            return residual(mk, s)
-
-        monkeypatch.setattr(primal1d, "residual", record)
-        primal1d.solve_newton(_sine_model(amp, n))
-        steps = 0
-        for (m0, s0), (m1, s1) in zip(iterates, iterates[1:]):
-            if m1 is m0:
-                steps += 1
-                assert energy_change(m0, s0, s1.u - s0.u) < 0.0
-        assert steps == len(iterates) - 1
+        iterates = newton_iterates(monkeypatch)
+        m = _sine_model(amp, n)
+        log = []
+        primal1d.solve_newton(m, iteration_log=log)
+        assert len(iterates) - 1 == log[0] > 0
+        for u0, u1 in zip(iterates, iterates[1:]):
+            assert energy_change(m, PrimalState(u0), u1 - u0) < 0.0
 
     @pytest.mark.parametrize("amp,n", [(10.0, 64), (2.0, 128), (3.0, 256)])
     def test_past_limit_point_is_local_minimum(self, amp, n):
@@ -372,7 +366,7 @@ class TestLineSearchNewton:
         s = primal1d.solve_newton(m)
         assert norm_V(primal1d.residual(m, s)[1:-1]) <= 1e-12
         assert not primal1d.condition_check(s, m.grid)[1]
-        c = primal1d._curvature(m, derivative(s.u, m.grid))
+        c = primal1d._curvature(m, s.terms(m.grid))
         assert bisection_min_eig(c, m.grid.h) > 0.0
 
     @pytest.mark.parametrize(
@@ -395,6 +389,39 @@ class TestLineSearchNewton:
         got = []
         primal1d.solve_newton(_sine_model(amp, n), iteration_log=got)
         assert got == log
+
+
+class TestFusedNewton:
+    """The solver forms each iterate's slope terms once for the residual,
+    the tangent and the line search; the loop that formed them per use is
+    kept in conftest.reference_newton.  Every operation and its order are
+    the same, so the two agree bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        E=st.floats(0.5, 2.0), A=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
+        load=st.floats(0.0, 10.0), n=st.integers(2, 4096),
+    )
+    @example(E=1.0, A=1.0, L=1.0, load=10.0, n=2048)  # stops at the residual floor
+    @example(E=1.0, A=1.0, L=1.0, load=1.0, n=4096)  # 16 damped iterations
+    def test_iterates_match_the_unfused_loop(self, E, A, L, load, n):
+        m = dual1d.sine_load_model(E, A, L, load * E * A / L, n)
+        want, want_log, want_error = [], [], None
+        try:
+            reference_newton(m, want_log, want)
+        except NonConvergence as exc:
+            want_error = str(exc)
+        got_log, got_error = [], None
+        with pytest.MonkeyPatch.context() as patch:
+            got = newton_iterates(patch)
+            try:
+                primal1d.solve_newton(m, iteration_log=got_log)
+            except NonConvergence as exc:
+                got_error = str(exc)
+        assert got_error == want_error
+        assert got_log == want_log
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @st.composite
@@ -423,7 +450,7 @@ class TestEnergyChange:
         # the line search only halves t from 1, and scaling by t = 2^-k is
         # exact, so each trial equals a fresh energy_change of t du bit for bit
         m, s, du = case
-        change = primal1d._change_along(m, np.diff(s.u) / m.grid.h, du)
+        change = primal1d._change_along(m, s.terms(m.grid), du)
         for k in range(50):
             t = 2.0**-k
             assert change(t) == energy_change(m, s, t * du)
@@ -530,7 +557,7 @@ class TestSecondVariationMinEig:
     @given(_in_hypothesis_slopes())
     def test_floor_below_bisection(self, bar):
         m, ux = bar
-        c, h = primal1d._curvature(m, ux), m.grid.h
+        c, h = primal1d._curvature(m, primal1d.slope_terms(ux)), m.grid.h
         want = bisection_min_eig(c, h)
         floor = _eig_floor(m, ux)
         assert 0.0 < floor <= want + EIG_ACCURACY * chain_matrix(c, h)[2]
@@ -540,7 +567,7 @@ class TestSecondVariationMinEig:
     @given(_in_hypothesis_slopes(max_n=256))
     def test_against_dense_eigensolver(self, bar):
         m, ux = bar
-        c, h = primal1d._curvature(m, ux), m.grid.h
+        c, h = primal1d._curvature(m, primal1d.slope_terms(ux)), m.grid.h
         want = np.linalg.eigvalsh(_dense_chain(c, h) / h)[0]
         floor = _eig_floor(m, ux)
         assert 0.0 < floor <= want + EIG_ACCURACY * chain_matrix(c, h)[2]
@@ -555,8 +582,8 @@ class TestSecondVariationMinEig:
             m = dual1d.sine_load_model(E, A, L, rng.uniform(0.05, 0.5) * E * A / L, n)
             report = dual1d.certify(m)
             assert report.passed
-            ux = derivative(primal1d.solve_newton(m).u, m.grid)
-            want = bisection_min_eig(primal1d._curvature(m, ux), m.grid.h)
+            s = primal1d.solve_newton(m)
+            want = bisection_min_eig(primal1d._curvature(m, s.terms(m.grid)), m.grid.h)
             assert 0.0 < report.min_eig_floor <= want <= 6.0 * report.min_eig_floor
 
     @pytest.mark.parametrize("n", [2, 3, 64, 4096])
