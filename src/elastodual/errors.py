@@ -13,16 +13,10 @@ class NonConvergence(ElastodualError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 
 
-class SingularHessian(ElastodualError):
-    """A spring-chain system has a zero spring or springs with sum(1/c) = 0."""
-
-
-class SingularKKTMatrix(ElastodualError):
-    """The KKT step's Schur complement, a spring chain in u, is singular."""
-
-
 class SingularSystem(ElastodualError):
-    """The 3D tangent stiffness could not be factorized."""
+    """A Newton step's linear system could not be solved: a spring chain (the
+    bar's tangent or the KKT step's Schur complement) with a zero spring or
+    sum(1/c) = 0, or a 3D tangent that could not be factorized."""
 
 
 class PositivityViolated(ElastodualError):

@@ -8,12 +8,12 @@ discrete duality gap reduces to the inner product of the displacement with
 the converged residual.
 
 Gradients and weak divergences are one matmul with the (8, 24) element
-gradient matrix.  Newton minimises the energy from u = 0 at the full load as
-the bar's solve does (Nocedal & Wright, Numerical Optimization, 3.4): a step
-solves the tangent's free block by banded Cholesky, or where it is indefinite
-the tangent of each point's tensile stress, and Armijo backtracking halves it.
-The band layout comes from the reference element's DOF offsets, the same in
-every element of the structured mesh.
+gradient matrix.  Newton minimises the energy from u = 0 at the full load by
+the bar's ``primal1d.line_search_newton``, with its cap and line search: a
+step solves the tangent's free block by banded Cholesky, or where it is
+indefinite the tangent of each point's tensile stress.  The band layout comes
+from the reference element's DOF offsets, the same in every element of the
+structured mesh.
 
 ``certify_3d`` proves two checks; each bound adds the first-order rounding of
 its evaluation, in U = eps/2 of the magnitudes of its terms:
@@ -70,7 +70,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from . import tensor3d
+from . import primal1d, tensor3d
 from .errors import NonConvergence, SingularSystem
 from .tensor3d import I3, LameParams
 
@@ -85,9 +85,8 @@ CONSTRAINT_TOL = 1e-9
 SADDLE_TOL = 1e-10
 LOCAL_MIN_TOL = 1e-12
 LOCAL_RADIUS = 1e-4
-#: Newton stops at max |R| <= NEWTON_TOL and fails after NEWTON_MAX_ITER steps
+#: Newton stops at max |R| <= NEWTON_TOL
 NEWTON_TOL = 1e-11
-NEWTON_MAX_ITER = 50
 U = 0.5 * float(np.finfo(float).eps)
 
 
@@ -299,34 +298,29 @@ def _energy_change(m: SolidModel, mesh: BoxMesh, g, sigma, du: np.ndarray):
     return change
 
 
+def _iterate_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> tuple:
+    """u's gradients and stress, formed once for its residual, tangent and
+    line search, its free residual R and max |R|."""
+    g = displacement_gradients(mesh, u)
+    sigma = tensor3d.stress(m.lame, g)
+    R = _weak_residual(mesh, (I3 + g) @ sigma).ravel()[mesh.free_dofs]
+    return (g, sigma), R, np.max(np.abs(R))
+
+
 def solve_newton_3d(
     m: SolidModel,
 ) -> tuple[BoxMesh, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The line-search Newton of the module docstring (c1 = 1e-4); an iterate's
-    gradients and stress serve its residual, tangent and line search.  Returns
-    (mesh, u, g, sigma, R): the converged u, (n_nodes, 3), its gradients, stress
-    and free residual.  Raises ``NonConvergence`` or ``SingularSystem``."""
+    """``primal1d.line_search_newton`` from u = 0 at the full load, each step
+    by ``_newton_step``, each trial by ``_energy_change``.  Returns (mesh, u,
+    g, sigma, R): the converged u, (n_nodes, 3), its gradients, stress and
+    free residual.  Raises ``NonConvergence`` or ``SingularSystem``."""
     mesh = BoxMesh(m)
-    free, u = mesh.free_dofs, np.zeros((mesh.n_nodes, 3))
-    for it in range(NEWTON_MAX_ITER + 1):
-        g = displacement_gradients(mesh, u)
-        sigma = tensor3d.stress(m.lame, g)
-        R = _weak_residual(mesh, (I3 + g) @ sigma).ravel()[free]
-        res = np.max(np.abs(R))
-        if res <= NEWTON_TOL:
-            return mesh, u, g, sigma, R
-        if it == NEWTON_MAX_ITER or not np.isfinite(res):
-            break
-        du = np.zeros_like(u)
-        du.reshape(-1)[free] = _newton_step(m, mesh, g, sigma, -R)
-        change = _energy_change(m, mesh, g, sigma, du)
-        slope, t = float(R @ du.ravel()[free]), 1.0
-        while not change(t) <= 1e-4 * t * slope:
-            t *= 0.5
-            if t < 1e-15:
-                raise NonConvergence(f"3D Newton: no descent at residual {res:.3e}")
-        u = u + t * du
-    raise NonConvergence(f"3D Newton: residual {res:.3e} after {it} iterations")
+    u, (g, sigma), R, _ = primal1d.line_search_newton(
+        functools.partial(_iterate_3d, m, mesh),
+        lambda gs, rhs: _newton_step(m, mesh, *gs, rhs),
+        lambda gs, du: _energy_change(m, mesh, *gs, du),
+        np.zeros((mesh.n_nodes, 3)), mesh.free_dofs, NEWTON_TOL)
+    return mesh, u, g, sigma, R
 
 
 def _z_side_bounds(v1, v2, z, p: LameParams, K: float, X, margin, r: float):

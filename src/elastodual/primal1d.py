@@ -15,15 +15,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import NonConvergence, SingularHessian
+from .errors import NonConvergence, SingularSystem
 from .mesh1d import Grid1D, average_to_midpoints, derivative, integrate, norm_V
 
 #: strict upper bound on ||u_x||_inf for the local duality construction
 SLOPE_LIMIT = 0.25
-#: Newton stops at ||r||_inf <= NEWTON_TOL and fails after NEWTON_MAX_ITER steps
+#: the bar's Newton stops at ||r||_inf <= NEWTON_TOL; every Newton (the bar's,
+#: the box's and the KKT re-check) fails after NEWTON_MAX_ITER steps
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
@@ -137,14 +139,14 @@ def solve_spring_chain(c: np.ndarray, h: float, b: np.ndarray) -> np.ndarray:
 
     With w = 1/c, W = sum(w) and wl_i, wr_i the compliance left and right of
     node i, the Green's function h wl_min(i,j) wr_max(i,j) / W gives x as four
-    prefix sums that cancel no more than b does.  ``SingularHessian`` if a
+    prefix sums that cancel no more than b does.  ``SingularSystem`` if a
     spring is zero or sum(1/c) = 0."""
     if not c.all():
-        raise SingularHessian("spring chain with a zero spring")
+        raise SingularSystem("spring chain with a zero spring")
     w = 1.0 / c
     wl, wr = np.cumsum(w), np.cumsum(w[::-1])[::-1]
     if wl[-1] == 0.0:
-        raise SingularHessian("spring chain with sum(1/c) = 0")
+        raise SingularSystem("spring chain with sum(1/c) = 0")
     x = wr[1:] * np.cumsum(wl[:-1] * b)
     x[:-1] += wl[:-2] * np.cumsum((wr[2:] * b[1:])[::-1])[::-1]
     x *= h / wl[-1]
@@ -169,38 +171,39 @@ def _change_along(m: BarModel, e: SlopeTerms, du: np.ndarray):
     return change
 
 
-def solve_newton(m: BarModel, iteration_log: list | None = None) -> NewtonState:
-    """Line-search Newton minimization of the energy from u = 0 at the full
-    load (Nocedal & Wright, Numerical Optimization, section 3.4).
+def _newton_step(m: BarModel, e: SlopeTerms, rhs: np.ndarray) -> np.ndarray:
+    """Solve the Hessian at slope terms e against rhs: the clamped spring chain
+    of the curvatures c, positive definite (no c zero) iff every c > 0, or
+    exactly one c < 0 and sum 1/c < 0 (Cauchy-Schwarz on the slopes, which sum
+    to 0); else the chain of c raised to 1e-2 max|c|."""
+    c = _curvature(m, e)
+    if not chain_is_positive_definite(c):
+        c = np.maximum(c, 1e-2 * np.max(np.abs(c)))
+    return solve_spring_chain(c, m.grid.h, rhs)
 
-    The Hessian is the clamped spring chain of the curvatures c, positive
-    definite (no c zero) iff every c > 0, or exactly one c < 0 and
-    sum 1/c < 0 (Cauchy-Schwarz on the slopes, which sum to 0).  The step
-    solves it, else the chain of c raised to 1e-2 max|c|, in closed form;
-    Armijo backtracking (c1 = 1e-4) halves it.  Its trials t = 2^-k share
-    the slope terms and du's slope and load work: scaling by a power of two
-    is exact (short of underflow), so each equals the t = 1 trial of t du bit
-    for bit.  On the small-strain branch every unit step is accepted.  The
-    converged iterate is returned as a ``NewtonState``; ``iteration_log``,
-    if given, receives the number of steps taken, also when the solve fails.
-    """
-    g = m.grid
-    u = np.zeros(g.n_elem + 1)
-    du = np.zeros(g.n_elem + 1)
+
+def line_search_newton(iterate, step, change_along, u, free, tol, iteration_log=None):
+    """Line-search Newton from u (Nocedal & Wright, Numerical Optimization,
+    section 3.4), the bar's and the box's.  ``iterate(u)`` gives u's state,
+    its residual r at the entries ``free`` of u flattened and r's sup norm;
+    ``step(state, -r)`` those entries of the step du, zero elsewhere;
+    ``change_along(state, du)`` the map t -> J(u + t du) - J(u).  Armijo
+    backtracking (c1 = 1e-4) halves t from 1 and gives up below 1e-15.
+    Returns (u, state, r, res) once res <= tol; ``NonConvergence`` at a
+    non-finite residual or after ``NEWTON_MAX_ITER`` steps.  ``iteration_log``,
+    if given, receives the number of steps taken, also when the solve fails."""
     it = 0
     try:
         for it in range(NEWTON_MAX_ITER + 1):
-            e, r, res = _iterate(m, u)
-            if res <= NEWTON_TOL:
-                return NewtonState(u, e, r, res)
+            state, r, res = iterate(u)
+            if res <= tol:
+                return u, state, r, res
             if it == NEWTON_MAX_ITER or not np.isfinite(res):
                 raise NonConvergence(f"residual {res:.3e} after {it} iterations")
-            c = _curvature(m, e)
-            if not chain_is_positive_definite(c):
-                c = np.maximum(c, 1e-2 * np.max(np.abs(c)))
-            du[1:-1] = solve_spring_chain(c, g.h, -r)
-            change = _change_along(m, e, du)
-            slope, t = float(r @ du[1:-1]), 1.0
+            du = np.zeros(u.shape)
+            du.reshape(-1)[free] = step(state, -r)
+            change = change_along(state, du)
+            slope, t = float(r @ du.reshape(-1)[free]), 1.0
             while not change(t) <= 1e-4 * t * slope:
                 t *= 0.5
                 if t < 1e-15:
@@ -210,6 +213,20 @@ def solve_newton(m: BarModel, iteration_log: list | None = None) -> NewtonState:
         if iteration_log is not None:
             iteration_log.append(it)
     raise NonConvergence("unreachable")
+
+
+def solve_newton(m: BarModel, iteration_log: list | None = None) -> NewtonState:
+    """``line_search_newton`` minimization of the energy from u = 0 at the
+    full load, each step by ``_newton_step`` in closed form.  The Armijo
+    trials t = 2^-k share the slope terms and du's slope and load work:
+    scaling by a power of two is exact (short of underflow), so each equals
+    the t = 1 trial of t du bit for bit.  On the small-strain branch every
+    unit step is accepted.  The converged iterate is returned as a
+    ``NewtonState``."""
+    u, e, r, res = line_search_newton(
+        partial(_iterate, m), partial(_newton_step, m), partial(_change_along, m),
+        np.zeros(m.grid.n_elem + 1), slice(1, -1), NEWTON_TOL, iteration_log)
+    return NewtonState(u, e, r, res)
 
 
 def condition_check(s: PrimalState, g: Grid1D) -> tuple[float, bool]:

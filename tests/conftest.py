@@ -15,7 +15,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from elastodual import dual1d, fem3d, primal1d, tensor3d
-from elastodual.errors import NonConvergence, SingularKKTMatrix
+from elastodual.errors import NonConvergence, SingularSystem
 from elastodual.mesh1d import Grid1D, average_to_midpoints, derivative, norm_V
 from elastodual.primal1d import PrimalState
 
@@ -331,7 +331,7 @@ def certify_reference(m):
     try:
         report.kkt_iters = dual1d.kkt_solve(m, cfg, (d_hat, u0.u), tol=1e-11)[2]
         report.kkt_converged = True
-    except (NonConvergence, SingularKKTMatrix) as exc:
+    except (NonConvergence, SingularSystem) as exc:
         report.errors.append(f"kkt: {exc}")
     gap_bound = dual1d.GAP_TOL * (1.0 + abs(report.J_primal))
     hess_z = report.min_hessian_z
@@ -399,6 +399,36 @@ def newton_state(m, mesh, u):
     g = fem3d.displacement_gradients(mesh, u)
     R = residual_3d(m, mesh, u).ravel()[mesh.free_dofs]
     return mesh, u, g, tensor3d.stress(m.lame, g), R
+
+
+def reference_newton_3d(m, iterates=None):
+    """The box's line-search Newton as it was written before the bar and the
+    box shared one solver loop, its failure messages without the former "3D
+    Newton: " prefix.  The shared loop must match it bit for bit: the same
+    iterates (appended to ``iterates``), (mesh, u, g, sigma, R) and failures."""
+    mesh = fem3d.BoxMesh(m)
+    free, u = mesh.free_dofs, np.zeros((mesh.n_nodes, 3))
+    for it in range(primal1d.NEWTON_MAX_ITER + 1):
+        if iterates is not None:
+            iterates.append(u)
+        g = fem3d.displacement_gradients(mesh, u)
+        sigma = tensor3d.stress(m.lame, g)
+        R = fem3d._weak_residual(mesh, (tensor3d.I3 + g) @ sigma).ravel()[free]
+        res = np.max(np.abs(R))
+        if res <= fem3d.NEWTON_TOL:
+            return mesh, u, g, sigma, R
+        if it == primal1d.NEWTON_MAX_ITER or not np.isfinite(res):
+            break
+        du = np.zeros_like(u)
+        du.reshape(-1)[free] = fem3d._newton_step(m, mesh, g, sigma, -R)
+        change = fem3d._energy_change(m, mesh, g, sigma, du)
+        slope, t = float(R @ du.ravel()[free]), 1.0
+        while not change(t) <= 1e-4 * t * slope:
+            t *= 0.5
+            if t < 1e-15:
+                raise NonConvergence(f"no descent at residual {res:.3e}")
+        u = u + t * du
+    raise NonConvergence(f"residual {res:.3e} after {it} iterations")
 
 
 def norm_U(u, g):

@@ -15,12 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from elastodual import cli, dual1d, primal1d
 from elastodual.dual1d import DualConfig, DualState1D
-from elastodual.errors import (
-    ConditionViolated,
-    PositivityViolated,
-    SingularHessian,
-    SingularKKTMatrix,
-)
+from elastodual.errors import ConditionViolated, PositivityViolated, SingularSystem
 from elastodual.mesh1d import Grid1D, derivative, integrate, norm_V
 from elastodual.primal1d import BarModel, PrimalState
 
@@ -731,13 +726,31 @@ class TestKKTSolve:
 
     def test_singular_schur_complement(self, monkeypatch):
         def singular(c, h, b):
-            raise SingularHessian("spring chain with sum(1/c) = 0")
+            raise SingularSystem("spring chain with sum(1/c) = 0")
 
         m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.1, 8)
         cfg, _, start = _perturbed_kkt_start(m, seed=1)
         monkeypatch.setattr(primal1d, "solve_spring_chain", singular)
-        with pytest.raises(SingularKKTMatrix):
+        with pytest.raises(SingularSystem, match=r"^spring chain with sum\(1/c\) = 0$"):
             dual1d.kkt_solve(m, cfg, start)
+
+    def test_singular_step_in_the_warm_recheck_is_recorded(self, monkeypatch):
+        # the spring chain's own SingularSystem reaches certify, which records
+        # its message as the KKT failure; the local-minimality bound's chain,
+        # EA/6 throughout, still solves
+        chain = primal1d.solve_spring_chain
+
+        def singular(c, h, b):
+            if np.all(c == c[0]):
+                return chain(c, h, b)
+            raise SingularSystem("spring chain with sum(1/c) = 0")
+
+        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, 64)
+        u0 = primal1d.solve_newton(m).u
+        monkeypatch.setattr(primal1d, "solve_spring_chain", singular)
+        report = _certify_at(m, u0, shift=1e-6)
+        assert not report.kkt_converged and not report.passed
+        assert "kkt: spring chain with sum(1/c) = 0" in report.errors
 
 
 class TestCertify:

@@ -17,7 +17,8 @@ from elastodual.fem3d import BoxMesh, SolidModel
 from elastodual.tensor3d import I3, LameParams
 
 from conftest import (
-    dense_tangent_3d, isotropic_tensor, newton_state, node_coords, on_sym, residual_3d,
+    dense_tangent_3d, isotropic_tensor, newton_state, node_coords, on_sym,
+    reference_newton_3d, residual_3d,
 )
 
 P11 = LameParams(1.0, 1.0)
@@ -611,6 +612,151 @@ class TestSolveNewton3D:
         else:
             raise AssertionError("BB descent oracle did not converge")
         assert np.max(np.abs(u - u_newton)) <= 1e-6
+
+
+class TestSharedNewton3D:
+    """solve_newton_3d runs primal1d.line_search_newton, the bar's loop;
+    the box's own loop is kept in conftest.reference_newton_3d.  Every
+    operation and its order are the same, so the two agree bit for bit."""
+
+    @pytest.mark.parametrize(
+        "dims, traction",
+        [
+            ((2, 2, 2), (0.02, 0.0, 0.0)),
+            ((3, 2, 2), (0.02, 0.0, 0.0)),
+            ((8, 2, 2), (0.02, 0.0, 0.0)),
+            ((4, 4, 2), (0.02, 0.0, 0.0)),
+            ((2, 2, 2), (-0.5, 0.0, 0.0)),  # steps on the tensile-stress tangent
+            ((8, 2, 2), (-0.5, 0.0, 0.0)),
+            ((8, 2, 2), (-0.2, 0.05, 0.0)),  # stops at the 50-step cap
+        ],
+        ids=["2x2x2", "3x2x2", "8x2x2", "4x4x2", "2x2x2-compressed", "8x2x2-compressed",
+             "8x2x2-capped"],
+    )
+    def test_iterates_match_the_box_loop(self, dims, traction, monkeypatch):
+        m = _model(*dims, traction=traction)
+        want, want_state, want_error = [], None, None
+        try:
+            want_state = reference_newton_3d(m, want)
+        except (NonConvergence, SingularSystem) as exc:
+            want_error = str(exc)
+        got, got_state, got_error, iterate = [], None, None, fem3d._iterate_3d
+
+        def record(m, mesh, u):
+            got.append(u)
+            return iterate(m, mesh, u)
+
+        monkeypatch.setattr(fem3d, "_iterate_3d", record)
+        try:
+            got_state = fem3d.solve_newton_3d(m)
+        except (NonConvergence, SingularSystem) as exc:
+            got_error = str(exc)
+        assert got_error == want_error
+        assert (got_state is None) == (want_state is None)
+        if want_state is not None:
+            assert all(np.array_equal(a, b) for a, b in zip(got_state[1:], want_state[1:]))
+        assert len(got) == len(want) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_line_search_gives_up(self, monkeypatch, capsys):
+        # every Armijo trial of every step reports an energy increase: the
+        # first step halves t from 1 until it falls below 1e-15, and the
+        # failure reaches the report and the exit code as the bar's does
+        trials = []
+        monkeypatch.setattr(fem3d, "_energy_change",
+                            lambda m, mesh, g, sigma, du: lambda t: trials.append(t) or 1.0)
+        m = _model()
+        with pytest.raises(NonConvergence, match=r"^no descent at residual \S+$") as exc:
+            fem3d.solve_newton_3d(m)
+        assert trials == [2.0**-k for k in range(50)]
+        assert fem3d.certify_3d(m).errors == [f"newton: {exc.value}"]
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        code = cli.main(["certify3d", "--mesh=2,2,2"])
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert code == cli.EXIT_SOLVER_ERROR and not doc["passed"]
+        assert len(doc["errors"]) == 1
+        assert doc["errors"][0].startswith("newton: no descent at residual ")
+
+
+# the box of the metamorphic relations below and two images of it: mirrored
+# in y (t_y and b_y flip) and with the y and z axes swapped (sides, mesh
+# counts and load components)
+METAMORPHIC_BOX = dict(box=(1.25, 0.8, 0.6), mesh=(4, 2, 3), lame=(1.7, 0.6),
+                       traction=(0.02, 0.008, -0.005), body=(0.004, 0.001, 0.002))
+
+
+def _box(box, mesh, lame, traction, body):
+    return SolidModel(*box, *mesh, LameParams(*lame), np.array(body, dtype=float),
+                      np.array(traction, dtype=float))
+
+
+def _mirrored_y(box, mesh, lame, traction, body):
+    flip = np.array([1.0, -1.0, 1.0])
+    return _box(box, mesh, lame, flip * traction, flip * body)
+
+
+def _swapped_yz(box, mesh, lame, traction, body):
+    yz = [0, 2, 1]
+    return _box(np.take(box, yz), np.take(mesh, yz), lame,
+                np.take(traction, yz), np.take(body, yz))
+
+
+class TestMetamorphic3D:
+    """A mirror image of the box, or the box with two axes renamed, is the
+    same problem in other coordinates: the verdict and every report field
+    that is not at rounding level agree.  The gap, the residual and the z
+    deficit are rounding-level (they differed by 0.2-70% between images), so
+    each is checked against its bound on both sides instead."""
+
+    #: the fields that agree to rounding of their own size
+    INVARIANT = ("J_primal", "J_dual", "condition_max", "z_curvature_floor",
+                 "min_hessian_z_eig", "energy_deficit")
+
+    def _check(self, case, mode="identity", K=None, rtol=None):
+        rtol = rtol or {}
+        want = fem3d.certify_3d(_box(**case), K, mode)
+        for image in (_mirrored_y, _swapped_yz):
+            got = fem3d.certify_3d(image(**case), K, mode)
+            assert got.passed == want.passed and got.errors == want.errors
+            for name in self.INVARIANT:
+                a, b = getattr(got, name), getattr(want, name)
+                assert abs(a - b) <= rtol.get(name, 1e-14) * abs(b), (image, name)
+            for r in (got, want):
+                assert abs(r.gap) <= fem3d.GAP_TOL * (1.0 + abs(r.J_primal))
+                assert r.residual_norm <= fem3d.NEWTON_TOL
+                assert r.z_deficit <= fem3d.SADDLE_TOL
+        return want
+
+    def test_mirror_and_axis_swap(self):
+        # measured agreement: 6.7e-16 relative at most
+        assert self._check(METAMORPHIC_BOX).passed
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        lam=st.floats(0.5, 3.0), mu=st.floats(0.5, 2.0),
+        box=st.tuples(*[st.floats(0.8, 1.25)] * 3),
+        mesh=st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (8, 2, 2),
+                              (4, 4, 2), (2, 4, 4)]),
+        tau=st.floats(0.005, 0.02),
+        shares=st.tuples(*[st.floats(-1.0, 1.0)] * 5),
+        mode=st.sampled_from(["identity", "spherical"]), k_share=st.floats(0.2, 0.3),
+    )
+    def test_benchmark_parameter_box(self, lam, mu, box, mesh, tau, shares, mode, k_share):
+        # the benchmark's box3d_certify draws: loads scale with mu, and
+        # spherical mode takes K well inside its admissible interval.  The
+        # energy deficit's ||R^-T R0||^2/2 is formed from the rounding-level
+        # residual: over 300 draws it moved by 1.3e-12 relative at most
+        tau *= mu
+        traction = (tau, 0.8 * tau * shares[0], 0.8 * tau * shares[1])
+        body = tuple(0.008 * mu * x for x in shares[2:])
+        K = None
+        if mode == "spherical":
+            K = k_share * min(2.0 * mu, (23.0 / 32.0) * (3.0 * lam + 2.0 * mu))
+        case = dict(box=box, mesh=mesh, lame=(lam, mu), traction=traction, body=body)
+        assert self._check(case, mode, K, {"energy_deficit": 1e-10}).passed
 
 
 class TestCertify3D:

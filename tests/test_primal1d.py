@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from elastodual import dual1d, primal1d
-from elastodual.errors import NonConvergence, SingularHessian
+from elastodual.errors import NonConvergence, SingularSystem
 from elastodual.mesh1d import Grid1D, derivative, norm_V
 from elastodual.primal1d import BarModel, PrimalState
 
@@ -270,7 +270,7 @@ class TestSolveSpringChain:
         c = np.array(c)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SingularHessian):
+            with pytest.raises(SingularSystem):
                 primal1d.solve_spring_chain(c, 0.5, np.ones(c.size - 1))
             assert not primal1d.chain_is_positive_definite(c)
 
