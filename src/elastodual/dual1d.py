@@ -47,7 +47,6 @@ at the float data (fields, u0, EA, K, h, P).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -57,8 +56,6 @@ from . import primal1d
 from .errors import ConditionViolated, NonConvergence, PositivityViolated, SingularSystem
 from .mesh1d import Grid1D, derivative, integrate, norm_V
 from .primal1d import NEWTON_MAX_ITER, BarModel, PrimalState
-
-SCHEMA_VERSION = "1.2"
 
 #: bounds of ``certify``: |gap| <= GAP_TOL (1 + |J|), and the caps on the
 #: equilibrium residual, z_deficit and v_excess, energy_deficit
@@ -278,7 +275,7 @@ def _kkt_newton(m: BarModel, cfg: DualConfig, d: DualState1D, u: np.ndarray,
         rho = r_z - r_v2
         g = den * r_v1 + (1.0 + a) * EA * (a * r_v1 + r_v2) + K * rho
         c = s + EA * (1.0 + a) ** 2
-        du = np.zeros_like(u)
+        du = np.zeros(u.shape)
         du[1:-1] = -primal1d.solve_spring_chain(c, h, r_u + g[:-1] - g[1:])
         dw = derivative(du, m.grid)
         p, q = r_v1 + dw, r_v2 + dw
@@ -290,66 +287,42 @@ def _kkt_newton(m: BarModel, cfg: DualConfig, d: DualState1D, u: np.ndarray,
     raise NonConvergence("unreachable")
 
 
+def _in(section: str, key: str, default=0.0):
+    """A ``GapReport`` field that the JSON report holds at [section][key]."""
+    return field(default=default, metadata={"json": (section, key)})
+
+
 @dataclass
 class GapReport:
-    """Machine-readable certification record for one bar problem."""
+    """Machine-readable certification record for one bar problem.  Each
+    field names its place in the JSON report (schema ``VERSION``);
+    ``passed`` and ``errors`` sit at its top level."""
 
-    J_primal: float = 0.0
-    J_dual: float = 0.0
-    gap: float = 0.0
-    min_positivity_margin: float = 0.0
-    min_hessian_z: float = 0.0
-    condition_norm: float = 0.0
-    condition_ok: bool = False
-    min_eig_floor: float = 0.0
-    residual_norm: float = 0.0
-    constraint_residual_norm: float = 0.0
-    z_curvature_floor: float = 0.0
-    z_deficit: float = 0.0
-    v_excess: float = 0.0
-    kkt_converged: bool = False
-    kkt_iters: int = 0
-    slope_radius: float = 0.0
-    energy_deficit: float = 0.0
-    newton_iters: int = 0
-    r: float = 0.0
-    r1: float = 0.0
-    r2: float = 0.0
+    VERSION = "1.2"
+
+    J_primal: float = _in("primal", "J")
+    J_dual: float = _in("dual", "J_star")
+    gap: float = _in("dual", "gap")
+    min_positivity_margin: float = _in("dual", "positivity_margin")
+    min_hessian_z: float = _in("dual", "hessian_z_min")
+    condition_norm: float = _in("primal", "condition_norm")
+    condition_ok: bool = _in("primal", "condition_ok", False)
+    min_eig_floor: float = _in("primal", "min_eig_floor")
+    residual_norm: float = _in("primal", "residual_norm")
+    constraint_residual_norm: float = _in("dual", "constraint_residual_norm")
+    z_curvature_floor: float = _in("saddle", "z_curvature_floor")
+    z_deficit: float = _in("saddle", "z_deficit")
+    v_excess: float = _in("saddle", "v_excess")
+    kkt_converged: bool = _in("kkt", "converged", False)
+    kkt_iters: int = _in("kkt", "iters", 0)
+    slope_radius: float = _in("local_min", "slope_radius")
+    energy_deficit: float = _in("local_min", "energy_deficit")
+    newton_iters: int = _in("primal", "newton_iters", 0)
+    r: float = _in("saddle", "r")
+    r1: float = _in("saddle", "r1")
+    r2: float = _in("saddle", "r2")
     passed: bool = False
     errors: list[str] = field(default_factory=list)
-
-    def to_json(self, config_echo: dict | None = None) -> str:
-        doc = {
-            "version": SCHEMA_VERSION,
-            "config_echo": config_echo or {},
-            "primal": {
-                "J": self.J_primal,
-                "residual_norm": self.residual_norm,
-                "min_eig_floor": self.min_eig_floor,
-                "newton_iters": self.newton_iters,
-                "condition_norm": self.condition_norm,
-                "condition_ok": self.condition_ok,
-            },
-            "dual": {
-                "J_star": self.J_dual,
-                "gap": self.gap,
-                "positivity_margin": self.min_positivity_margin,
-                "hessian_z_min": self.min_hessian_z,
-                "constraint_residual_norm": self.constraint_residual_norm,
-            },
-            "saddle": {
-                "r": self.r, "r1": self.r1, "r2": self.r2,
-                "z_curvature_floor": self.z_curvature_floor,
-                "z_deficit": self.z_deficit, "v_excess": self.v_excess,
-            },
-            "kkt": {"converged": self.kkt_converged, "iters": self.kkt_iters},
-            "local_min": {
-                "slope_radius": self.slope_radius, "energy_deficit": self.energy_deficit,
-            },
-            "passed": self.passed,
-            "errors": self.errors,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def sine_load_model(

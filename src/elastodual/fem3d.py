@@ -64,8 +64,7 @@ its evaluation, in U = eps/2 of the magnitudes of its terms:
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -380,6 +379,8 @@ def _local_min_bound(m: SolidModel, mesh: BoxMesh, u0, g0, sigma0, R0):
 class Gap3DReport:
     """Certification record of the 3D duality principle on one box problem."""
 
+    VERSION = "1.1"
+
     J_primal: float = 0.0
     J_dual: float = 0.0
     gap: float = 0.0
@@ -400,11 +401,6 @@ class Gap3DReport:
     local_min_shift: float = 0.0
     passed: bool = False
     errors: list[str] = field(default_factory=list)
-
-    def to_json(self, config_echo: dict | None = None) -> str:
-        doc = {"version": "1.1", "config_echo": config_echo or {}}
-        doc.update(asdict(self))
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def certify_3d(

@@ -8,6 +8,8 @@ of closed-form conjugates, and einsum-built 3x3x3x3 tensors, taken on a
 symmetric basis built here, instead of the closed-form isotropic tensors.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -360,6 +362,49 @@ def certify_reference(m):
     report.errors += [msg for ok, msg in checks if not ok]
     report.passed = not report.errors
     return report
+
+
+def reference_report_json(report, config_echo=None):
+    """The two reports' JSON as written before ``cli.report_json``: the bar's
+    ``GapReport.to_json`` with its hand mapping to the nested schema 1.2, and
+    the box's ``Gap3DReport.to_json``, a flat ``asdict`` under schema 1.1.
+    The one serializer must match them byte for byte."""
+    if isinstance(report, fem3d.Gap3DReport):
+        doc = {"version": "1.1", "config_echo": config_echo or {}}
+        doc.update(dataclasses.asdict(report))
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    self = report
+    doc = {
+        "version": "1.2",
+        "config_echo": config_echo or {},
+        "primal": {
+            "J": self.J_primal,
+            "residual_norm": self.residual_norm,
+            "min_eig_floor": self.min_eig_floor,
+            "newton_iters": self.newton_iters,
+            "condition_norm": self.condition_norm,
+            "condition_ok": self.condition_ok,
+        },
+        "dual": {
+            "J_star": self.J_dual,
+            "gap": self.gap,
+            "positivity_margin": self.min_positivity_margin,
+            "hessian_z_min": self.min_hessian_z,
+            "constraint_residual_norm": self.constraint_residual_norm,
+        },
+        "saddle": {
+            "r": self.r, "r1": self.r1, "r2": self.r2,
+            "z_curvature_floor": self.z_curvature_floor,
+            "z_deficit": self.z_deficit, "v_excess": self.v_excess,
+        },
+        "kkt": {"converged": self.kkt_converged, "iters": self.kkt_iters},
+        "local_min": {
+            "slope_radius": self.slope_radius, "energy_deficit": self.energy_deficit,
+        },
+        "passed": self.passed,
+        "errors": self.errors,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def stationarity_residuals(d, u, m, cfg):

@@ -2,7 +2,9 @@
 formats, and determinism."""
 
 import collections
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,9 +13,13 @@ from pathlib import Path
 
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastodual import cli, dual1d, fem3d, primal1d
 from elastodual.errors import NonConvergence
+
+from conftest import reference_report_json
 
 
 def run_cli(args):
@@ -421,6 +427,87 @@ class TestDeterminism:
         a, b = (parser.parse_args(certify3d) for _ in range(2))
         for name in ("box", "body", "traction"):
             assert getattr(a, name) is not getattr(b, name)
+
+
+# every value a report field can hold: finite floats (+-0.0 and subnormals
+# among them), bools, ints, strings and error lists
+_FIELD_VALUES = {
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "str": st.text(),
+    "list[str]": st.lists(st.text(), max_size=4),
+}
+_REPORTS = st.sampled_from([dual1d.GapReport, fem3d.Gap3DReport]).flatmap(
+    lambda cls: st.builds(
+        cls, **{f.name: _FIELD_VALUES[f.type] for f in dataclasses.fields(cls)}
+    )
+)
+
+
+class TestReportJson:
+    """``cli.report_json`` writes both reports as their former serializers
+    did (``conftest.reference_report_json``), byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("certify1d --n 64 --amp 0.1", cli.EXIT_PASS),
+            ("certify1d --amp 10 --n 2048", cli.EXIT_SOLVER_ERROR),  # Newton's cap
+            ("certify1d --amp 10 --n 1024", cli.EXIT_HYPOTHESIS_VIOLATED),  # past the limit
+            ("certify1d --E 0.1 --amp 0.03 --n 512", cli.EXIT_SOLVER_ERROR),
+            ("certify1d --E 1e-300 --amp 0", cli.EXIT_SOLVER_ERROR),
+            ("certify3d --mesh 2,2,2", cli.EXIT_PASS),
+            ("certify3d --mesh 2,2,2 --K=-1", cli.EXIT_NO_ADMISSIBLE_K),
+            ("certify3d --mesh 2,2,2 --traction=-0.5,0,0", cli.EXIT_HYPOTHESIS_VIOLATED),
+            ("certify3d --mesh=8,2,2 --traction=-0.2,0.05,0", cli.EXIT_SOLVER_ERROR),  # cap
+        ],
+    )
+    def test_cli_reports_match_the_reference(self, argv, code, monkeypatch, capsys):
+        seen, serialize = [], cli.report_json
+
+        def record(report, echo):
+            seen.append((report, echo))
+            return serialize(report, echo)
+
+        monkeypatch.setattr(cli, "report_json", record)
+        assert run_cli(argv.split()) == code
+        (report, echo), = seen
+        assert capsys.readouterr().out == reference_report_json(report, echo) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(report=_REPORTS, echo=st.dictionaries(st.text(), st.integers() | st.text()))
+    def test_drawn_reports_match_the_reference(self, report, echo):
+        assert cli.report_json(report, echo) == reference_report_json(report, echo)
+
+    @settings(max_examples=50, deadline=None)
+    @given(report=_REPORTS, value=st.sampled_from([math.nan, math.inf, -math.inf]),
+           data=st.data())
+    def test_non_finite_field_raises(self, report, value, data):
+        floats = [f.name for f in dataclasses.fields(report) if f.type == "float"]
+        setattr(report, data.draw(st.sampled_from(floats)), value)
+        with pytest.raises(ValueError):
+            cli.report_json(report, {})
+
+    @pytest.mark.parametrize("cls", [dual1d.GapReport, fem3d.Gap3DReport])
+    def test_each_field_once_at_its_place(self, cls):
+        fields = dataclasses.fields(cls)
+        # a distinct value per field shows one written twice or elsewhere
+        doc = json.loads(cli.report_json(cls(**{f.name: [f.name] for f in fields}), {}))
+        assert doc.pop("version") == cls.VERSION and doc.pop("config_echo") == {}
+        leaves = {}
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                leaves.update({(key, k): v for k, v in value.items()})
+            else:
+                leaves[(key,)] = value
+        places = {f.metadata.get("json", (f.name,)): [f.name] for f in fields}
+        assert len(places) == len(fields)
+        assert leaves == places
+        # an unset field is written as its default: an int as 0, not 0.0
+        for f in fields:
+            if f.default is not dataclasses.MISSING:
+                assert type(f.default).__name__ == f.type, f.name
 
 
 MESH_STEP_OUT_OF_RANGE = (

@@ -869,7 +869,7 @@ class TestBounds3D:
     """The closed-form z-side and local-minimality bounds of certify_3d."""
 
     def test_report_schema(self):
-        doc = json.loads(fem3d.certify_3d(_model()).to_json())
+        doc = json.loads(cli.report_json(fem3d.certify_3d(_model()), {}))
         assert doc["version"] == "1.1"
         for key in ("z_curvature_floor", "z_deficit", "energy_deficit", "local_min_shift"):
             assert np.isfinite(doc[key])
