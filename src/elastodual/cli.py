@@ -95,15 +95,21 @@ def _values(kind: type, count: int | None = None):
     return parse
 
 
+@functools.cache
+def _placements(cls: type) -> tuple:
+    """(name, section, key) of each field of a report class: the [section][key]
+    its declaration names, else (None, name), the top level."""
+    return tuple((f.name, *f.metadata.get("json", (None, f.name)))
+                 for f in dataclasses.fields(cls))
+
+
 def report_json(report: dual1d.GapReport | fem3d.Gap3DReport, echo: dict) -> str:
     """The certify report as JSON of its schema ``VERSION``, with the config
-    echo: each field at the [section][key] its declaration names, if any,
-    else at the top level under its own name."""
+    echo, each field at its class's ``_placements``."""
     doc = {"version": report.VERSION, "config_echo": echo}
-    for f in dataclasses.fields(report):
-        section, key = f.metadata.get("json", (None, f.name))
+    for name, section, key in _placements(type(report)):
         place = doc.setdefault(section, {}) if section else doc
-        place[key] = getattr(report, f.name)
+        place[key] = getattr(report, name)
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 

@@ -11,6 +11,7 @@ symmetric basis built here, instead of the closed-form isotropic tensors.
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -367,10 +368,11 @@ def certify_reference(m):
 def reference_report_json(report, config_echo=None):
     """The two reports' JSON as written before ``cli.report_json``: the bar's
     ``GapReport.to_json`` with its hand mapping to the nested schema 1.2, and
-    the box's ``Gap3DReport.to_json``, a flat ``asdict`` under schema 1.1.
-    The one serializer must match them byte for byte."""
+    the box's ``Gap3DReport.to_json``, a flat ``asdict`` (schema 1.2 since
+    the box's report dropped ``min_hessian_z_eig``, 1.1 before).  The one
+    serializer must match them byte for byte."""
     if isinstance(report, fem3d.Gap3DReport):
-        doc = {"version": "1.1", "config_echo": config_echo or {}}
+        doc = {"version": "1.2", "config_echo": config_echo or {}}
         doc.update(dataclasses.asdict(report))
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     self = report
@@ -474,6 +476,72 @@ def reference_newton_3d(m, iterates=None):
                 raise NonConvergence(f"no descent at residual {res:.3e}")
         u = u + t * du
     raise NonConvergence(f"residual {res:.3e} after {it} iterations")
+
+
+def certify_3d_recorded(m, K=None, mode="identity"):
+    """fem3d.certify_3d(m, K, mode) and the per-point state its z-side bound
+    saw: (report, state), state a dict of v1, v2, z, lame, K, the inverse X
+    of A and kappa, or None where certify_3d stops before bound 1."""
+    state, bounds = {}, fem3d._z_side_bounds
+
+    def record(v1, v2, z, lame, K, X, margin, r):
+        kappa, drop = bounds(v1, v2, z, lame, K, X, margin, r)
+        state.update(v1=v1, v2=v2, z=z, lame=lame, K=K, X=X, kappa=kappa)
+        return kappa, drop
+
+    with mock.patch.object(fem3d, "_z_side_bounds", record):
+        report = fem3d.certify_3d(m, K, mode)
+    return report, state or None
+
+
+def reference_hessian_certificate(m, K=None, mode="identity"):
+    """certify_3d with the Hessian-versus-M check it made before bound 3 of
+    fem3d settled points from the z-curvature floor: the Mandel z-Hessian and
+    its eigvalsh at every Gauss point, their minimum against m_min_eig -
+    1e-10.  Returns (report, errors, min eig): certify_3d's own report, the
+    errors with that check in place of certify_3d's, and the minimum (None
+    where certify_3d stops before the check)."""
+    report, state = certify_3d_recorded(m, K, mode)
+    errors = [e for e in report.errors if not e.startswith("hessian:")]
+    if state is None:
+        return report, errors, None
+    hessian = tensor3d.dstar_hessian_z_3d(*(state[k] for k in ("v1", "v2", "z", "lame", "K", "X")))
+    min_eig = float(np.min(np.linalg.eigvalsh(hessian)[..., 0]))
+    if not min_eig >= report.m_min_eig - 1e-10:
+        at = sum(e.startswith(("gap:", "constraint:")) for e in errors)
+        errors.insert(at, f"hessian: min z-Hessian eig {min_eig:.3e}"
+                          f" < M min eig {report.m_min_eig:.3e}")
+    return report, errors, min_eig
+
+
+def mp_hessian_z_min_eig(v1, v2, z, p, K):
+    """50-digit smallest eigenvalue of the z-Hessian of the dual density at
+    one point on symmetric arguments, from the float v1, v2, z (3x3), Lame
+    parameters p and K, with A = v2 + z + K I inverted at 50 digits: the
+    Mandel matrix H_ab = d_ab/K - (tr(E_a X E_b Y) + tr(E_b X E_a Y))/2 -
+    E_a:Hbar:E_b, X = A^-1, Y = X v1^T v1 X, on the orthonormal symmetric
+    basis E_a, with Hbar's Lame parameters -lam/(2 mu (3 lam + 2 mu)), 1/(4 mu)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        mat = lambda a: mpmath.matrix(np.asarray(a, dtype=float).tolist())  # noqa: E731
+        K, lam, mu = (mpmath.mpf(float(x)) for x in (K, p.lam, p.mu))
+        X = mpmath.inverse(mat(v2) + mat(z) + K * mpmath.eye(3))
+        Y = X * mat(v1).T * mat(v1) * X
+        lam_c, mu_c = -lam / (2 * mu * (3 * lam + 2 * mu)), 1 / (4 * mu)
+        basis = []
+        for i, j in ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)):
+            E = mpmath.zeros(3, 3)
+            E[i, j] = E[j, i] = 1 if i == j else 1 / mpmath.sqrt(2)
+            basis.append(E)
+        tr = lambda B: B[0, 0] + B[1, 1] + B[2, 2]  # noqa: E731
+        H = mpmath.matrix(6, 6)
+        for a, Ea in enumerate(basis):
+            for b, Eb in enumerate(basis):
+                T = (tr(Ea * X * Eb * Y) + tr(Eb * X * Ea * Y)) / 2
+                H[a, b] = (a == b) * (1 / K - 2 * mu_c) - T - lam_c * tr(Ea) * tr(Eb)
+        eigs = mpmath.eigsy(H, eigvals_only=True)
+        return min(eigs[k] for k in range(6))
 
 
 def norm_U(u, g):

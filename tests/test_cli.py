@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from elastodual import cli, dual1d, fem3d, primal1d
 from elastodual.errors import NonConvergence
 
-from conftest import reference_report_json
+from conftest import reference_hessian_certificate, reference_report_json
 
 
 def run_cli(args):
@@ -217,18 +217,21 @@ class TestCertify3D:
 
     def test_spherical_corner_case_passes(self, capsys):
         # inside the benchmark's parameter box, with z_curvature_floor 2.2585
-        # < m_min_eig 2.2958 < min_hessian_z_eig 2.3004: a check of the
-        # z-curvature floor against the M tensor would fail this case
-        code = run_cli(
-            ["certify3d", "--lam=3", "--mu=0.5", "--box=1.25,0.8,0.8",
-             "--mesh=3,2,2", "--traction=0.01,0.008,0.008",
-             "--body=0.004,0.004,0.004", "--mode=spherical", "--K=0.3"]
-        )
+        # < m_min_eig 2.2958 < the z-Hessian's smallest eigenvalue 2.3004: a
+        # check of the z-curvature floor alone against the M tensor would fail
+        # this case, so bound 3 leaves points open and eigensolves them
+        argv = ["certify3d", "--lam=3", "--mu=0.5", "--box=1.25,0.8,0.8",
+                "--mesh=3,2,2", "--traction=0.01,0.008,0.008",
+                "--body=0.004,0.004,0.004", "--mode=spherical", "--K=0.3"]
+        code = run_cli(argv)
         doc = json.loads(capsys.readouterr().out)
         assert code == cli.EXIT_PASS
         assert doc["passed"] is True and doc["errors"] == []
-        assert (doc["z_curvature_floor"] < doc["m_min_eig"]
-                < doc["min_hessian_z_eig"])
+        args = cli.build_parser().parse_args(argv)
+        _, errors, min_eig = reference_hessian_certificate(
+            cli._solid_model(args), args.K, args.mode)
+        assert errors == []
+        assert doc["z_curvature_floor"] < doc["m_min_eig"] < min_eig
 
     @pytest.mark.parametrize(
         "scale, exit_code",

@@ -4,11 +4,12 @@ import collections
 import dataclasses
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from elastodual import cli, fem3d, tensor3d
@@ -17,8 +18,8 @@ from elastodual.fem3d import BoxMesh, SolidModel
 from elastodual.tensor3d import I3, LameParams
 
 from conftest import (
-    dense_tangent_3d, isotropic_tensor, newton_state, node_coords, on_sym,
-    reference_newton_3d, residual_3d,
+    certify_3d_recorded, dense_tangent_3d, isotropic_tensor, newton_state, node_coords,
+    on_sym, reference_hessian_certificate, reference_newton_3d, residual_3d,
 )
 
 P11 = LameParams(1.0, 1.0)
@@ -704,26 +705,61 @@ def _swapped_yz(box, mesh, lame, traction, body):
                 np.take(traction, yz), np.take(body, yz))
 
 
+def _benchmark_case(lam, mu, box, mesh, tau, shares, mode, k_share):
+    """(case, K, mode) of one of the benchmark's box3d_certify draws: loads
+    scale with mu, and spherical mode takes K well inside its admissible
+    interval (identity mode its default 0.999 K_max)."""
+    tau *= mu
+    traction = (tau, 0.8 * tau * shares[0], 0.8 * tau * shares[1])
+    body = tuple(0.008 * mu * x for x in shares[2:])
+    K = None
+    if mode == "spherical":
+        K = k_share * min(2.0 * mu, (23.0 / 32.0) * (3.0 * lam + 2.0 * mu))
+    case = dict(box=box, mesh=mesh, lame=(lam, mu), traction=traction, body=body)
+    return case, K, mode
+
+
+def benchmark_cases(meshes):
+    """Draws of ``_benchmark_case`` on the given meshes."""
+    return st.builds(
+        _benchmark_case, lam=st.floats(0.5, 3.0), mu=st.floats(0.5, 2.0),
+        box=st.tuples(*[st.floats(0.8, 1.25)] * 3), mesh=st.sampled_from(meshes),
+        tau=st.floats(0.005, 0.02), shares=st.tuples(*[st.floats(-1.0, 1.0)] * 5),
+        mode=st.sampled_from(["identity", "spherical"]), k_share=st.floats(0.2, 0.3),
+    )
+
+
+#: inside the benchmark's parameter box, with z_curvature_floor 2.2585 <
+#: m_min_eig 2.2958 < the z-Hessian's smallest eigenvalue 2.3004: bound 3
+#: leaves points open here, and their eigensolve passes the check
+SPHERICAL_CORNER = (dict(box=(1.25, 0.8, 0.8), mesh=(3, 2, 2), lame=(3.0, 0.5),
+                         traction=(0.01, 0.008, 0.008), body=(0.004, 0.004, 0.004)),
+                    0.3, "spherical")
+
+
 class TestMetamorphic3D:
     """A mirror image of the box, or the box with two axes renamed, is the
     same problem in other coordinates: the verdict and every report field
-    that is not at rounding level agree.  The gap, the residual and the z
-    deficit are rounding-level (they differed by 0.2-70% between images), so
-    each is checked against its bound on both sides instead."""
+    that is not at rounding level agree, as does the z-Hessian's smallest
+    eigenvalue over all points (``conftest.reference_hessian_certificate``).
+    The gap, the residual and the z deficit are rounding-level (they differed
+    by 0.2-70% between images), so each is checked against its bound on both
+    sides instead."""
 
     #: the fields that agree to rounding of their own size
     INVARIANT = ("J_primal", "J_dual", "condition_max", "z_curvature_floor",
-                 "min_hessian_z_eig", "energy_deficit")
+                 "energy_deficit")
 
     def _check(self, case, mode="identity", K=None, rtol=None):
         rtol = rtol or {}
-        want = fem3d.certify_3d(_box(**case), K, mode)
+        want, _, want_eig = reference_hessian_certificate(_box(**case), K, mode)
         for image in (_mirrored_y, _swapped_yz):
-            got = fem3d.certify_3d(image(**case), K, mode)
+            got, _, got_eig = reference_hessian_certificate(image(**case), K, mode)
             assert got.passed == want.passed and got.errors == want.errors
             for name in self.INVARIANT:
                 a, b = getattr(got, name), getattr(want, name)
                 assert abs(a - b) <= rtol.get(name, 1e-14) * abs(b), (image, name)
+            assert abs(got_eig - want_eig) <= 1e-14 * abs(want_eig), (image, "min eig")
             for r in (got, want):
                 assert abs(r.gap) <= fem3d.GAP_TOL * (1.0 + abs(r.J_primal))
                 assert r.residual_norm <= fem3d.NEWTON_TOL
@@ -745,17 +781,10 @@ class TestMetamorphic3D:
         mode=st.sampled_from(["identity", "spherical"]), k_share=st.floats(0.2, 0.3),
     )
     def test_benchmark_parameter_box(self, lam, mu, box, mesh, tau, shares, mode, k_share):
-        # the benchmark's box3d_certify draws: loads scale with mu, and
-        # spherical mode takes K well inside its admissible interval.  The
-        # energy deficit's ||R^-T R0||^2/2 is formed from the rounding-level
-        # residual: over 300 draws it moved by 1.3e-12 relative at most
-        tau *= mu
-        traction = (tau, 0.8 * tau * shares[0], 0.8 * tau * shares[1])
-        body = tuple(0.008 * mu * x for x in shares[2:])
-        K = None
-        if mode == "spherical":
-            K = k_share * min(2.0 * mu, (23.0 / 32.0) * (3.0 * lam + 2.0 * mu))
-        case = dict(box=box, mesh=mesh, lame=(lam, mu), traction=traction, body=body)
+        # the benchmark's box3d_certify draws.  The energy deficit's
+        # ||R^-T R0||^2/2 is formed from the rounding-level residual: over 300
+        # draws it moved by 1.3e-12 relative at most
+        case, K, mode = _benchmark_case(lam, mu, box, mesh, tau, shares, mode, k_share)
         assert self._check(case, mode, K, {"energy_deficit": 1e-10}).passed
 
 
@@ -805,11 +834,16 @@ class TestCertify3D:
 
 class TestFormedOnce:
     """certify_3d forms each per-op quantity once: one mesh, one A^-1 that
-    J*, the z-Hessian and bound 1 share, and the converged residual from
-    Newton's last pass (src has no other residual function)."""
+    J*, bound 1 and the z-Hessian of the points bound 3 leaves open share, and
+    the converged residual from Newton's last pass (src has no other residual
+    function)."""
 
-    def test_each_quantity_is_formed_once(self, monkeypatch):
-        calls, states, inverses, passed = collections.Counter(), [], [], []
+    def _certify_counted(self, monkeypatch, m, K=None, mode="identity"):
+        """Run certify_3d with its calls counted, check that it passes, the
+        counts, that J* and bound 1 receive the one A^-1, and the converged
+        residual; return that A^-1 and what any other A^-1 taker received,
+        by name."""
+        calls, states, inverses, passed = collections.Counter(), [], [], {}
 
         def count(module, name, record=None):
             original = getattr(module, name)
@@ -831,20 +865,36 @@ class TestFormedOnce:
                                  (fem3d, "_z_side_bounds", 5)):
             original = getattr(module, name)
 
-            def taking(*args, _original=original, _at=at):
-                passed.append(args[_at])
+            def taking(*args, _original=original, _at=at, _name=name):
+                assert _name not in passed
+                passed[_name] = args[_at]
                 return _original(*args)
 
             monkeypatch.setattr(module, name, taking)
-        m = _model(nx=4, ny=4, nz=2, traction=(0.03, 0.01, -0.01), body=(0.0, 0.02, 0.0))
-        report = fem3d.certify_3d(m)
+        report = fem3d.certify_3d(m, K, mode)
         assert report.passed, report.errors
         assert calls == {"BoxMesh": 1, "solve_newton_3d": 1, "inv": 1}
-        assert len(passed) == 3 and all(X is inverses[0] for X in passed)
+        X = inverses[0]
+        assert passed.pop("g_star_k_density") is X and passed.pop("_z_side_bounds") is X
         ((mesh, u0, _, _, R0),) = states
         R = residual_3d(m, mesh, u0)
         assert report.residual_norm == np.max(np.abs(R)) > 0.0
         assert np.array_equal(R0, R.ravel()[mesh.free_dofs])
+        return X, passed
+
+    def test_each_quantity_is_formed_once(self, monkeypatch):
+        m = _model(nx=4, ny=4, nz=2, traction=(0.03, 0.01, -0.01), body=(0.0, 0.02, 0.0))
+        # bound 3 settles every point: the z-Hessian is not formed
+        _, passed = self._certify_counted(monkeypatch, m)
+        assert passed == {}
+
+    def test_open_points_take_rows_of_the_one_inverse(self, monkeypatch):
+        case, K, mode = SPHERICAL_CORNER
+        X, passed = self._certify_counted(monkeypatch, _box(**case), K, mode)
+        rows, points = passed.pop("dstar_hessian_z_3d"), X.reshape(-1, 3, 3)
+        taken = np.array([any(np.array_equal(p, r) for r in rows) for p in points])
+        assert 0 < len(rows) < len(points) and np.array_equal(points[taken], rows)
+        assert passed == {}
 
 
 def _certify_at(monkeypatch, m, mesh, u0, shift=None):
@@ -870,11 +920,11 @@ class TestBounds3D:
 
     def test_report_schema(self):
         doc = json.loads(cli.report_json(fem3d.certify_3d(_model()), {}))
-        assert doc["version"] == "1.1"
+        assert doc["version"] == "1.2"
         for key in ("z_curvature_floor", "z_deficit", "energy_deficit", "local_min_shift"):
             assert np.isfinite(doc[key])
         for key in ("seed", "local_min_passed", "local_min_total",
-                    "z_convex_passed", "z_convex_total"):
+                    "z_convex_passed", "z_convex_total", "min_hessian_z_eig"):
             assert key not in doc
         assert 0.0 < doc["local_min_shift"] < 1e-9
         assert doc["z_curvature_floor"] > 0.0 and doc["z_deficit"] <= 1e-30
@@ -986,6 +1036,79 @@ class TestBounds3D:
         m = _model(nx=4, ny=4, nz=2)
         report = fem3d.certify_3d(m, K=0.3, mode="spherical")
         assert report.passed, report.errors
+
+
+#: the meshes of the bound-3 tests: the benchmark's smallest two
+SMALL_MESHES = [(2, 2, 2), (3, 2, 2)]
+
+
+class TestHessianVersusM:
+    """Bound 3 of fem3d: the z-curvature floor kappa settles the Hessian-
+    versus-M check at each point where kappa >= m_min_eig + e_m, and only the
+    other points are eigensolved.  Checked against the z-Hessian's smallest
+    eigenvalue at 50 digits, and against the check that eigensolves every
+    point (``conftest.reference_hessian_certificate``)."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(drawn=benchmark_cases(SMALL_MESHES))
+    @example(drawn=SPHERICAL_CORNER)
+    def test_floor_below_exact_min_eig(self, drawn):
+        # tens of ms per point at 50 digits: four points per draw, the
+        # floor's smallest among them
+        from conftest import mp_hessian_z_min_eig
+
+        case, K, mode = drawn
+        report, state = certify_3d_recorded(_box(**case), K, mode)
+        assert report.passed, report.errors
+        v1, v2, z, X = (state[k].reshape(-1, 3, 3) for k in ("v1", "v2", "z", "X"))
+        kappa, lame, K = state["kappa"].ravel(), state["lame"], state["K"]
+        eig = np.linalg.eigvalsh(tensor3d.dstar_hessian_z_3d(v1, v2, z, lame, K, X))[:, 0]
+        for q in {int(np.argmin(kappa)), 0, kappa.size // 2, kappa.size - 1}:
+            exact = mp_hessian_z_min_eig(v1[q], v2[q], z[q], lame, K)
+            assert kappa[q] <= exact, (q, kappa[q], exact)
+            # the eigensolve of the points bound 3 leaves open
+            assert abs(eig[q] - exact) <= 1e-12 * abs(exact), (q, eig[q], exact)
+
+    @settings(max_examples=15, deadline=None)
+    @given(drawn=benchmark_cases(SMALL_MESHES))
+    @example(drawn=SPHERICAL_CORNER)
+    def test_same_verdicts_as_full_eigensolve(self, drawn):
+        case, K, mode = drawn
+        report, errors, min_eig = reference_hessian_certificate(_box(**case), K, mode)
+        assert report.errors == errors and report.passed == (not errors)
+        assert min_eig >= report.m_min_eig
+
+    @pytest.mark.parametrize("mesh, K, traction", [
+        ((2, 2, 2), None, (0.02, 0.0, 0.0)),  # certify3d --mesh 2,2,2 --mode spherical
+        ((3, 2, 2), 1.2, (0.02, 0.01, 0.0)),
+        ((3, 2, 2), 1.3, (0.02, 0.01, 0.0)),
+    ])
+    def test_same_failures_as_full_eigensolve(self, mesh, K, traction):
+        # near spherical mode's K_max the z-Hessian's smallest eigenvalue is
+        # below M's: the open points carry the failure and its message
+        m = _model(*mesh, traction=traction)
+        report, errors, min_eig = reference_hessian_certificate(m, K, "spherical")
+        assert min_eig < report.m_min_eig - 1e-10
+        assert report.errors == errors and not report.passed
+        assert [e.split(":")[0] for e in errors] == ["hessian"]
+
+    @settings(max_examples=15, deadline=None)
+    @given(drawn=benchmark_cases(SMALL_MESHES))
+    def test_kernel_skipped_where_floor_settles(self, drawn):
+        # e_m <= U (3/K + 5 hbar) on this parameter box, far below the
+        # 1e-12 (1/K + 1/mu) taken here; identity mode's floor exceeded
+        # m_min_eig more than 80-fold on the benchmark's draws
+        case, K, mode = drawn
+        kernel = tensor3d.dstar_hessian_z_3d
+        with mock.patch.object(tensor3d, "dstar_hessian_z_3d", wraps=kernel) as spy:
+            report = fem3d.certify_3d(_box(**case), K, mode)
+        m_min, floor = report.m_min_eig, report.z_curvature_floor
+        if floor >= m_min + 1e-12 * (1.0 / report.K_used + 1.0 / case["lame"][1]):
+            assert spy.call_count == 0
+        if spy.call_count == 0:
+            assert floor >= m_min
+        if mode == "identity":
+            assert spy.call_count == 0
 
 
 N_SAMPLES = 50  # per check, as the samplers that the bounds replaced drew
