@@ -73,6 +73,14 @@ def _number(kind: type, text: str):
 _finite = functools.partial(_number, float)
 
 
+def _modulus(text: str) -> float:
+    """A finite K, with a finite 4/K if K > 0 (the box forms 29/(32K) and 3/K)."""
+    value = _finite(text)
+    if value > 0.0 and not 4.0 / value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a K with a finite 4/K, got {text!r}")
+    return value
+
+
 def _seed(text: str) -> int:
     value = _number(int, text)
     if value < 0:
@@ -223,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p3.add_argument("--body", type=_values(float, 3), default="0,0,0")
     p3.add_argument("--traction", type=_values(float, 3), default="0.02,0,0",
                     help="traction vector on the x = lx face")
-    p3.add_argument("--K", type=_finite, default=None)
+    p3.add_argument("--K", type=_modulus, default=None)
     p3.add_argument("--mode", choices=tensor3d.M_TENSOR_MODES, default="identity")
     p3.set_defaults(func=cmd_certify, build=_solid_model,
                     certify=lambda a, m: fem3d.certify_3d(m, K=a.K, mode=a.mode))

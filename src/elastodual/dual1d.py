@@ -7,13 +7,15 @@ All dual fields are elementwise constant, so the conjugate integrals are exact
 under midpoint quadrature and the discrete duality gap reduces to the inner
 product of the displacement with the converged equilibrium residual.
 ``certify`` proves the saddle structure, local minimality and a positive
-second variation in closed form, forming each quantity once: Newton's state
-gives u_x, the residual and J, and one ``_stationarity`` call gives (s, den,
-a) and the parts to J*, the bounds and the warm KKT re-check.
+second variation in closed form, forming each quantity once: the force
+solve's state gives the slopes u_x (its data), the residual at them and J,
+and one ``_stationarity`` call gives (s, den, a) and the parts to J*, the
+bounds and the warm KKT re-check.  Past the limit point it reports the
+solve's proven ||u_x||_inf >= 1 - 1/sqrt(3) and claims nothing.
 With J* = h sum f, f = z^2/(2K) - v1^2/(2 den) - (v2 + z)^2/(2 EA),
 den = v2 + z + K, and r_z = df/dz, r_vk = df/dvk + u_x (``_stationarity``)
-at the dual centre (v, z) and the primal state u, the radius r = min(1e-2, m/2),
-m = min den, is halved once if 3r >= m, so den - 2r > r on the ball:
+at the dual centre (v, z) and the primal slopes u_x, the radius r = min(1e-2,
+m/2), m = min den, is halved once if 3r >= m, so den - 2r > r on the ball:
 
 1. z-convexity.  On the product ball |dv1|, |dv2|, |dz| <= r, d2f/dz2 =
    1/K - 1/EA - v1^2/den^3 >= k_e = 1/K - 1/EA - (|v1_e| + r)^2/(den_e - 2r)^3,
@@ -24,16 +26,19 @@ m = min den, is halved once if 3r >= m, so den - 2r > r on the ball:
    -r_z/k_e leaves the ball; summed, ``z_deficit`` bounds the drop of J*.
 3. v-side.  v1^2/(2 den) is the perspective of v1^2/2 (Boyd & Vandenberghe,
    Convex Optimization, 3.2.6), so f(., z) is concave in (v1, v2) on the ball,
-   with gradient (r_v1 - u_x, r_v2 - u_x).  Equilibrated perturbations have
-   dv1 + dv2 = c constant over the bar, |c| <= 2r, so in the ball
-   min_z' J*(v', z') <= J*(v', z) <= J*(v, z) + ``v_excess`` for each v',
-   v_excess = r (h sum(|r_v1| + |r_v2|) + 2 |h sum u_x|).
-4. Local minimality.  W = EA/2 (e + e^2/2)^2 has W'' = EA (1 + 3e + 3e^2/2)
-   >= EA/6 on |e| <= 1/3, which holds the slope ball of radius
-   ``slope_radius`` = 1/3 - ||u0_x||_inf > 1/12.  There the Hessian of J is at
-   least M = (EA/6)(1/h) D^T D, so J(u) >= J(u0) + r.du + du.M du/2
-   >= J(u0) - ``energy_deficit``, r.M^-1 r/2 for the primal residual r.
-5. Second variation.  Its chain T = (1/h^2) D^T diag(c) D, against the
+   with gradient (r_v1 - u_x, r_v2 - u_x) for any slope field u_x.
+   Equilibrated perturbations have dv1 + dv2 = c constant over the bar,
+   |c| <= 2r, so in the ball min_z' J*(v', z') <= J*(v', z) <= J*(v, z) +
+   ``v_excess`` for each v', v_excess = r (h sum(|r_v1| + |r_v2|) +
+   2 |h sum u_x|).
+4. Local minimality at u0, the clamped field of slopes u_x - mean u_x, so
+   ||u0_x||_inf <= ||u_x||_inf + shift (``NewtonState``).  W = EA/2 (e +
+   e^2/2)^2 has W'' = EA (1 + 3e + 3e^2/2) >= EA/6 on |e| <= 1/3, holding the
+   slope ball of radius ``slope_radius`` = 1/3 - ||u0_x||_inf > 1/12.  There
+   the Hessian of J is at least M = (EA/6)(1/h) D^T D, so J(u) >= J(u0) +
+   r.du + du.M du/2 >= J(u0) - ``energy_deficit``, r.M^-1 r/2 for u0's
+   residual r, within 4 EA shift of the one at u_x.
+5. Second variation at u0.  Its chain T = (1/h^2) D^T diag(c) D, against the
    discrete L2 inner product, has springs c = W''(u0_x), and W'' rises for
    e > -1, so with s = ||u0_x||_inf < 1/4 every c >= EA g, g = 1 - 3s + 3s^2/2
    > 0.34.  By the Rayleigh quotient lambda_1(T) >= EA g lambda_1 of the
@@ -42,7 +47,7 @@ m = min den, is halved once if 3r >= m, so den - 2r > r on the ball:
 
 Each bound adds the first-order rounding error of its evaluation, counted per
 operation in units U = eps/2 of each term, so it bounds the exact quantity
-at the float data (fields, u0, EA, K, h, P).
+at the float data (fields, slopes, EA, K, h, P).
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import numpy as np
 from . import primal1d
 from .errors import ConditionViolated, NonConvergence, PositivityViolated, SingularSystem
 from .mesh1d import Grid1D, derivative, integrate, norm_V
-from .primal1d import NEWTON_MAX_ITER, BarModel, PrimalState
+from .primal1d import NEWTON_MAX_ITER, U, BarModel, PrimalState
 
 #: bounds of ``certify``: |gap| <= GAP_TOL (1 + |J|), and the caps on the
 #: equilibrium residual, z_deficit and v_excess, energy_deficit
@@ -63,7 +68,6 @@ GAP_TOL = 1e-10
 CONSTRAINT_TOL = 1e-9
 SADDLE_TOL = 1e-10
 LOCAL_MIN_TOL = 1e-12
-U = 0.5 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -157,13 +161,14 @@ def _hessian_z(m: BarModel, cfg: DualConfig, den: np.ndarray, a: np.ndarray) -> 
     return (1.0 / cfg.K - 1.0 / m.EA) - a * a / den
 
 
-def _stationarity(d: DualState1D, u: np.ndarray, m: BarModel, cfg: DualConfig):
+def _stationarity(d: DualState1D, ux: np.ndarray, m: BarModel, cfg: DualConfig):
     """Residuals (r_z, r_v1, r_v2, r_u at interior nodes) of the Lagrangian's
-    stationarity equations, and (s, den, a) of ``_den_a``: with q = a^2/2,
-    r_z = q + (z/K - s/EA), r_v1 = u_x - a and r_v2 = (q - s/EA) + u_x."""
+    stationarity equations at the slopes ux, and (s, den, a) of ``_den_a``:
+    with q = a^2/2, r_z = q + (z/K - s/EA), r_v1 = u_x - a and
+    r_v2 = (q - s/EA) + u_x."""
     s, den, a = _den_a(d, cfg)
-    q, c, w = 0.5 * (a * a), s / m.EA, derivative(u, m.grid)
-    r = (q + (d.z / cfg.K - c), w - a, q - c + w, equilibrium_residual(d, m)[1:-1])
+    q, c = 0.5 * (a * a), s / m.EA
+    r = (q + (d.z / cfg.K - c), ux - a, q - c + ux, equilibrium_residual(d, m)[1:-1])
     return r, (s, den, a)
 
 
@@ -178,8 +183,7 @@ def _saddle_bounds(
     1 + rel) and q = a^2/2 (by 3 + 2 rel), in r_z |z/K|, s/EA, q and r_z carry
     2, 3, 3 + 2 rel and 1, in r_v1 = u_x - a |a|, |u_x| and r_v1 1 + rel, 2
     and 1, and in r_v2 = (q - s/EA) + u_x q, s/EA, |u_x| and r_v2 4 + 2 rel,
-    3, 2 and 1.  h sum u_x is 0 for a clamped u.  ux is its slope field and
-    stat its ``_stationarity``."""
+    3, 2 and 1.  ux is the slope field and stat its ``_stationarity``."""
     (r_z, r_v1, r_v2, _), (s, den, a) = stat
     K, EA, h = cfg.K, m.EA, m.grid.h
     s = np.abs(s)
@@ -203,9 +207,10 @@ def _saddle_bounds(
     return float(np.min(kappa)), z_deficit, v_excess
 
 
-def _energy_deficit(m: BarModel, ux: np.ndarray, res: np.ndarray) -> float:
+def _energy_deficit(m: BarModel, ux: np.ndarray, res: np.ndarray, shift: float) -> float:
     """energy_deficit, proof 4 of the module docstring, of the interior primal
-    residual res at u0 of slopes ux.  Rounding: on |u_x| < 1/4 the force
+    residual res at the slopes ux, within shift of u0's, whose residual is
+    within 4 EA shift of res (g' < 2).  Rounding: on |u_x| < 1/4 the force
     EA (e + e^2/2)(1 + e) is off by 5 U |force| + 2 U |e| W'' <= 11 U EA |e|,
     a load half h P/2 by U h |P|, and res by 2 U |res| more.  M^-1 is a
     positive Green's function, applied to a >= |res|; it and the dot product
@@ -214,7 +219,7 @@ def _energy_deficit(m: BarModel, ux: np.ndarray, res: np.ndarray) -> float:
     err = 11.0 * U * m.EA * np.abs(ux)
     load = np.abs(m.P) * h
     a = np.abs(res) * (1.0 + 2.0 * U) + err[:-1] + err[1:]
-    a += 1.5 * U * (load[:-1] + load[1:])
+    a += 1.5 * U * (load[:-1] + load[1:]) + 4.0 * m.EA * shift
     x = primal1d.solve_spring_chain(np.full(n, m.EA / 6.0), h, a)
     return 0.5 * float(a @ x) * (1.0 + (3 * n + 12) * U)
 
@@ -257,12 +262,13 @@ def kkt_solve(
     d, u_full = init
     u = np.zeros(m.grid.n_elem + 1)
     u[1:-1] = u_full[1:-1]
-    return _kkt_newton(m, cfg, d, u, tol, _stationarity(d, u, m, cfg))
+    return _kkt_newton(m, cfg, d, u, tol, _stationarity(d, derivative(u, m.grid), m, cfg))
 
 
 def _kkt_newton(m: BarModel, cfg: DualConfig, d: DualState1D, u: np.ndarray,
                 tol: float, stat: tuple) -> tuple[DualState1D, np.ndarray, int]:
-    """``kkt_solve`` from d and u, clamped, whose ``_stationarity`` is stat."""
+    """``kkt_solve`` from d and u, clamped, whose ``_stationarity`` is stat
+    (at u's slopes, or at the slopes that u was summed from)."""
     h, K, EA = m.grid.h, cfg.K, m.EA
     for it in range(NEWTON_MAX_ITER + 1):
         parts, (s, den, a) = stat
@@ -283,7 +289,7 @@ def _kkt_newton(m: BarModel, cfg: DualConfig, d: DualState1D, u: np.ndarray,
         dz = K * (dw - rho)
         d = DualState1D(d.v1 + (den * p + a * ds), d.v2 + (ds - dz), d.z + dz)
         u = u + du
-        stat = _stationarity(d, u, m, cfg)
+        stat = _stationarity(d, derivative(u, m.grid), m, cfg)
     raise NonConvergence("unreachable")
 
 
@@ -296,7 +302,9 @@ def _in(section: str, key: str, default=0.0):
 class GapReport:
     """Machine-readable certification record for one bar problem.  Each
     field names its place in the JSON report (schema ``VERSION``);
-    ``passed`` and ``errors`` sit at its top level."""
+    ``passed`` and ``errors`` sit at its top level.  ``newton_iters`` counts
+    the force solve's steps (0 without a stable root); ``residual_norm``
+    is its ``NewtonState.res``."""
 
     VERSION = "1.2"
 
@@ -345,6 +353,10 @@ def certify(m: BarModel) -> GapReport:
     iters: list[int] = []
     try:
         u0 = primal1d.solve_newton(m, iteration_log=iters)
+    except ConditionViolated as exc:  # no stable root: a proven slope bound
+        report.condition_norm = primal1d.FAR_SLOPE
+        report.errors.append(f"hypothesis: {exc}, no certification claimed")
+        return report
     except NonConvergence as exc:
         report.errors.append(f"newton: {exc}")
         return report
@@ -361,23 +373,24 @@ def certify(m: BarModel) -> GapReport:
         )
         return report
 
+    ux, shift = u0.e.ux, u0.shift
     d_hat = construct_duals(m, u0, cfg)
-    stat = _stationarity(d_hat, u0.u, m, cfg)
+    stat = _stationarity(d_hat, ux, m, cfg)
     (_, _, _, r_u), (s, den, a) = stat
     report.J_dual = _dual_functional(d_hat, m, cfg, s, den)
     report.gap = report.J_primal - report.J_dual
     margin = report.min_positivity_margin = float(np.min(den))
     report.min_hessian_z = float(np.min(_hessian_z(m, cfg, den, a)))
     report.constraint_residual_norm = norm_V(r_u)
-    report.min_eig_floor = _min_eig_floor(m, report.condition_norm)
+    report.min_eig_floor = _min_eig_floor(m, report.condition_norm + shift)
 
     r0 = min(1e-2, 0.5 * margin)
     r = 0.5 * r0 if 3.0 * r0 >= margin else r0  # then 3r <= 3 margin/4
     report.r, report.r1, report.r2 = r0 / cfg.K, r, r
-    bounds = _saddle_bounds(d_hat, u0.e.ux, m, cfg, r, stat)
+    bounds = _saddle_bounds(d_hat, ux, m, cfg, r, stat)
     report.z_curvature_floor, report.z_deficit, report.v_excess = bounds
-    report.slope_radius = 1.0 / 3.0 - report.condition_norm - 2.0 * U
-    report.energy_deficit = _energy_deficit(m, u0.e.ux, u0.r)
+    report.slope_radius = 1.0 / 3.0 - (report.condition_norm + shift) - 2.0 * U
+    report.energy_deficit = _energy_deficit(m, ux, u0.r, shift)
 
     try:  # the warm re-check: converged at iteration 0 if max|parts| <= 1e-11
         report.kkt_iters = _kkt_newton(m, cfg, d_hat, u0.u, 1e-11, stat)[2]

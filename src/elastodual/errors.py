@@ -15,8 +15,8 @@ class NonConvergence(ElastodualError):
 
 class SingularSystem(ElastodualError):
     """A Newton step's linear system could not be solved: a spring chain (the
-    bar's tangent or the KKT step's Schur complement) with a zero spring or
-    sum(1/c) = 0, or a 3D tangent that could not be factorized."""
+    bar's KKT step's Schur complement) with a zero spring or sum(1/c) = 0, or
+    a 3D tangent that could not be factorized."""
 
 
 class PositivityViolated(ElastodualError):
@@ -32,4 +32,4 @@ class PositivityViolated(ElastodualError):
 
 
 class ConditionViolated(ElastodualError):
-    """The displacement-gradient smallness hypothesis fails at the given state."""
+    """The gradient smallness hypothesis fails at the state, or at every equilibrium."""

@@ -8,12 +8,11 @@ discrete duality gap reduces to the inner product of the displacement with
 the converged residual.
 
 Gradients and weak divergences are one matmul with the (8, 24) element
-gradient matrix.  Newton minimises the energy from u = 0 at the full load by
-the bar's ``primal1d.line_search_newton``, with its cap and line search: a
-step solves the tangent's free block by banded Cholesky, or where it is
-indefinite the tangent of each point's tensile stress.  The band layout comes
-from the reference element's DOF offsets, the same in every element of the
-structured mesh.
+gradient matrix.  A line-search Newton minimises the energy from u = 0 at
+the full load: a step solves the tangent's free block by banded Cholesky, or
+where it is indefinite the tangent of each point's tensile stress.  The band
+layout comes from the reference element's DOF offsets, the same in every
+element of the structured mesh.
 
 ``certify_3d`` proves three checks; each bound adds the first-order rounding
 of its evaluation, in U = eps/2 of the magnitudes of its terms:
@@ -78,8 +77,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from . import primal1d, tensor3d
+from . import tensor3d
 from .errors import NonConvergence, SingularSystem
+from .primal1d import NEWTON_MAX_ITER, U
 from .tensor3d import I3, LameParams
 
 MAX_ELEMS_PER_AXIS = 8
@@ -95,7 +95,6 @@ LOCAL_MIN_TOL = 1e-12
 LOCAL_RADIUS = 1e-4
 #: Newton stops at max |R| <= NEWTON_TOL
 NEWTON_TOL = 1e-11
-U = 0.5 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -318,17 +317,29 @@ def _iterate_3d(m: SolidModel, mesh: BoxMesh, u: np.ndarray) -> tuple:
 def solve_newton_3d(
     m: SolidModel,
 ) -> tuple[BoxMesh, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``primal1d.line_search_newton`` from u = 0 at the full load, each step
-    by ``_newton_step``, each trial by ``_energy_change``.  Returns (mesh, u,
-    g, sigma, R): the converged u, (n_nodes, 3), its gradients, stress and
-    free residual.  Raises ``NonConvergence`` or ``SingularSystem``."""
+    """Line-search Newton (Nocedal & Wright, Numerical Optimization, 3.4) from
+    u = 0 at the full load: steps by ``_newton_step``, Armijo trials (c1 =
+    1e-4, t halved from 1 down to 1e-15) by ``_energy_change``.  Returns
+    (mesh, u, g, sigma, R), the converged u, (n_nodes, 3), its gradients,
+    stress and free residual; ``NonConvergence`` or ``SingularSystem``."""
     mesh = BoxMesh(m)
-    u, (g, sigma), R, _ = primal1d.line_search_newton(
-        functools.partial(_iterate_3d, m, mesh),
-        lambda gs, rhs: _newton_step(m, mesh, *gs, rhs),
-        lambda gs, du: _energy_change(m, mesh, *gs, du),
-        np.zeros((mesh.n_nodes, 3)), mesh.free_dofs, NEWTON_TOL)
-    return mesh, u, g, sigma, R
+    free, u = mesh.free_dofs, np.zeros((mesh.n_nodes, 3))
+    for it in range(NEWTON_MAX_ITER + 1):
+        (g, sigma), R, res = _iterate_3d(m, mesh, u)
+        if res <= NEWTON_TOL:
+            return mesh, u, g, sigma, R
+        if it == NEWTON_MAX_ITER or not np.isfinite(res):
+            raise NonConvergence(f"residual {res:.3e} after {it} iterations")
+        du = np.zeros(u.shape)
+        du.reshape(-1)[free] = _newton_step(m, mesh, g, sigma, -R)
+        change = _energy_change(m, mesh, g, sigma, du)
+        slope, t = float(R @ du.reshape(-1)[free]), 1.0
+        while not change(t) <= 1e-4 * t * slope:
+            t *= 0.5
+            if t < 1e-15:
+                raise NonConvergence(f"no descent at residual {res:.3e}")
+        u = u + t * du
+    raise NonConvergence("unreachable")
 
 
 def _z_side_bounds(v1, v2, z, p: LameParams, K: float, X, margin, r: float):

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they are meant to check:
 high-resolution quadrature instead of the package's midpoint rule, dense
 eigensolvers and LAPACK bisection instead of the closed-form eigenvalue floor,
-Barzilai-Borwein descent instead of Newton, brute-force grid search instead
+Barzilai-Borwein descent and a line-search Newton over the nodal
+displacements instead of the force solve, brute-force grid search instead
 of closed-form conjugates, and einsum-built 3x3x3x3 tensors, taken on a
 symmetric basis built here, instead of the closed-form isotropic tensors.
 """
@@ -18,7 +19,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from elastodual import dual1d, fem3d, primal1d, tensor3d
-from elastodual.errors import NonConvergence, SingularSystem
+from elastodual.errors import ConditionViolated, NonConvergence, SingularSystem
 from elastodual.mesh1d import Grid1D, average_to_midpoints, derivative, norm_V
 from elastodual.primal1d import PrimalState
 
@@ -192,73 +193,75 @@ def bisection_min_eig(c, h):
     return float(vals[0])
 
 
+def curvature(m, e):
+    """Elementwise second-variation coefficient EA*((1+u_x)^2 + u_x + u_x^2/2)
+    of the slope terms e: the springs of the bar's Hessian."""
+    return m.EA * (e.opx**2 + e.ux + e.half_sq)
+
+
+def chain_is_positive_definite(c):
+    """Whether the clamped spring chain of c has no zero spring and is positive
+    definite: every c > 0, or exactly one c < 0 and sum 1/c < 0."""
+    neg = np.count_nonzero(c < 0.0)
+    return bool(c.all() and (neg == 0 or neg == 1 and np.sum(1.0 / c) < 0.0))
+
+
+def change_along(m, e, du):
+    """t -> J(u + t du) - J(u) for u of slope terms e and a clamped nodal
+    increment du, summed per element: a plain difference of two energies
+    loses the O(|du|^2) decrease of a Newton step near convergence to rounding."""
+    d, load = derivative(du, m.grid), m.P * average_to_midpoints(du, m.grid)
+    opx, two_strain = e.opx, 2.0 * e.strain
+    td, s, w = (np.empty_like(d) for _ in range(3))
+
+    def change(t):  # in place: three buffers, the same roundings
+        np.multiply(t, d, out=td)
+        np.add(opx, np.multiply(0.5, td, out=s), out=s)
+        np.multiply(td, s, out=s)  # the strain change
+        np.multiply(0.5 * m.EA, s, out=w)
+        np.multiply(w, np.add(two_strain, s, out=s), out=w)
+        np.subtract(w, np.multiply(t, load, out=td), out=w)
+        return float(np.sum(w) * m.grid.h)
+    return change
+
+
 def hessian(m, s):
     """Interior-node tridiagonal second variation of the bar, as (diagonal,
-    off-diagonal): the clamped spring chain of the curvatures
-    ``primal1d._curvature`` on the hat functions."""
-    c, h = primal1d._curvature(m, s.terms(m.grid)), m.grid.h
+    off-diagonal): the clamped spring chain of the curvatures on the hat
+    functions."""
+    c, h = curvature(m, s.terms(m.grid)), m.grid.h
     return (c[:-1] + c[1:]) / h, -c[1:-1] / h
 
 
 def energy_change(m, s, du):
     """J(u + du) - J(u) for a clamped nodal increment du: the t = 1 trial of
-    primal1d.solve_newton's line search."""
-    return primal1d._change_along(m, s.terms(m.grid), du)(1.0)
+    reference_newton's line search."""
+    return change_along(m, s.terms(m.grid), du)(1.0)
 
 
 def bar_newton_state(m, u):
-    """The NewtonState of the clamped nodal field u, as primal1d.solve_newton
-    returns it at convergence, formed from u alone by the public helpers."""
+    """The NewtonState of the clamped nodal field u, formed from u alone by
+    the public helpers: its slopes u_x, the residual at them and its norm, and
+    the shift of the exact mean of the slopes, whose float sum is 0 only to
+    rounding."""
+    e = PrimalState(u).terms(m.grid)
     r = primal1d.residual(m, PrimalState(u))[1:-1]
-    return primal1d.NewtonState(u, PrimalState(u).terms(m.grid), r, norm_V(r))
-
-
-def newton_iterates(monkeypatch):
-    """A list that receives the nodal field u of every iterate of each later
-    primal1d.solve_newton call (its converged one included)."""
-    seen, iterate = [], primal1d._iterate
-
-    def record(m, u):
-        seen.append(u)
-        return iterate(m, u)
-
-    monkeypatch.setattr(primal1d, "_iterate", record)
-    return seen
+    n = m.grid.n_elem
+    shift = abs(float(np.sum(e.ux))) / n + primal1d.U * float(np.sum(np.abs(e.ux)))
+    return primal1d.NewtonState(u, e, r, norm_V(r) + 4.0 * m.EA * shift, shift)
 
 
 def reference_newton(m, iteration_log=None, iterates=None):
-    """The bar's line-search Newton as it was written before its per-iterate
-    terms were shared: each iteration forms the residual, then u_x again for
-    the curvatures, then u_x's terms again for the line search, each from its
-    own formula.  The fused solver must match it bit for bit: the same
-    iterates (appended to ``iterates``), iteration count and failures."""
+    """The bar's line-search Newton over the nodal displacements, as the bar
+    was solved before its force solve: an oracle for primal1d.solve_newton
+    that shares none of its steps.  From u = 0 each iteration forms the
+    residual from u, the clamped spring chain of the curvatures (raised to
+    1e-2 max|c| where it is not positive definite) and an Armijo line search
+    (c1 = 1e-4, t halved from 1 and given up below 1e-15) on change_along.
+    Appends each iterate to ``iterates`` and the number of steps taken to
+    ``iteration_log``; NonConvergence at a non-finite residual or after
+    NEWTON_MAX_ITER steps, where its residual stops at the rounding of u."""
     g = m.grid
-
-    def residual(u):
-        ux = derivative(u, g)
-        force = m.EA * (ux + 0.5 * ux**2) * (1.0 + ux)
-        r = np.zeros(g.n_elem + 1)
-        r[1:-1] = force[:-1] - force[1:]
-        load = m.P * g.h
-        r[1:-1] -= 0.5 * (load[:-1] + load[1:])
-        return r
-
-    def change_along(ux, du):
-        d, load = derivative(du, g), m.P * average_to_midpoints(du, g)
-        opx, two_strain = 1.0 + ux, 2.0 * (ux + 0.5 * ux**2)
-
-        td, s, w = (np.empty_like(d) for _ in range(3))
-
-        def change(t):
-            np.multiply(t, d, out=td)
-            np.add(opx, np.multiply(0.5, td, out=s), out=s)
-            np.multiply(td, s, out=s)
-            np.multiply(0.5 * m.EA, s, out=w)
-            np.multiply(w, np.add(two_strain, s, out=s), out=w)
-            np.subtract(w, np.multiply(t, load, out=td), out=w)
-            return float(np.sum(w) * g.h)
-        return change
-
     u = np.zeros(g.n_elem + 1)
     du = np.zeros(g.n_elem + 1)
     it = 0
@@ -266,18 +269,18 @@ def reference_newton(m, iteration_log=None, iterates=None):
         for it in range(primal1d.NEWTON_MAX_ITER + 1):
             if iterates is not None:
                 iterates.append(u)
-            r = residual(u)[1:-1]
+            e = PrimalState(u).terms(g)
+            r = primal1d.weak_residual(m, m.EA * e.strain * e.opx)
             res = norm_V(r)
             if res <= primal1d.NEWTON_TOL:
                 return PrimalState(u)
             if it == primal1d.NEWTON_MAX_ITER or not np.isfinite(res):
                 raise NonConvergence(f"residual {res:.3e} after {it} iterations")
-            ux = derivative(u, g)
-            c = m.EA * ((1.0 + ux) ** 2 + ux + 0.5 * ux**2)
-            if not primal1d.chain_is_positive_definite(c):
+            c = curvature(m, e)
+            if not chain_is_positive_definite(c):
                 c = np.maximum(c, 1e-2 * np.max(np.abs(c)))
             du[1:-1] = primal1d.solve_spring_chain(c, g.h, -r)
-            change = change_along(ux, du)
+            change = change_along(m, e, du)
             slope, t = float(r @ du[1:-1]), 1.0
             while not change(t) <= 1e-4 * t * slope:
                 t *= 0.5
@@ -292,21 +295,29 @@ def reference_newton(m, iteration_log=None, iterates=None):
 
 def certify_reference(m):
     """dual1d.certify assembled from the public helpers in the order it had
-    before its per-op quantities were shared: the residual, u_x, (s, den, a),
-    the equilibrium residual and the stationarity parts are formed anew by
-    each helper that reads them, and the KKT re-check starts from scratch."""
+    before its per-op quantities were shared: the residual at the solved
+    slopes, their clamp shift, (s, den, a), the equilibrium residual and the
+    stationarity parts are formed anew by each helper that reads them, and
+    the KKT re-check starts from scratch at the differenced u."""
     report = dual1d.GapReport()
     cfg = dual1d.DualConfig(K=m.EA / 2.0)
     iters = []
     try:
-        u0 = PrimalState(primal1d.solve_newton(m, iteration_log=iters).u)
+        state = primal1d.solve_newton(m, iteration_log=iters)
+    except ConditionViolated as exc:
+        report.condition_norm = primal1d.FAR_SLOPE
+        report.errors.append(f"hypothesis: {exc}, no certification claimed")
+        return report
     except NonConvergence as exc:
         report.errors.append(f"newton: {exc}")
         return report
     finally:
         report.newton_iters = sum(iters)
+    u0, ux, n = state, state.e.ux, m.grid.n_elem
     res = primal1d.residual(m, u0)[1:-1]
-    report.residual_norm = norm_V(res)
+    total = float(np.sum(ux))
+    shift = abs(total) / n + primal1d.U * float(np.sum(np.abs(ux)))
+    report.residual_norm = norm_V(res) + 4.0 * m.EA * abs(total) / n
     report.J_primal = primal1d.energy(m, u0)
     report.condition_norm, report.condition_ok = primal1d.condition_check(u0, m.grid)
     if not report.condition_ok:
@@ -321,16 +332,15 @@ def certify_reference(m):
     margin = report.min_positivity_margin = float(np.min(d_hat.v2 + d_hat.z + cfg.K))
     report.min_hessian_z = float(np.min(dual1d.dstar_hessian_z(d_hat, m, cfg)))
     report.constraint_residual_norm = norm_V(dual1d.equilibrium_residual(d_hat, m)[1:-1])
-    report.min_eig_floor = dual1d._min_eig_floor(m, report.condition_norm)
+    report.min_eig_floor = dual1d._min_eig_floor(m, report.condition_norm + shift)
     r0 = min(1e-2, 0.5 * margin)
     r = 0.5 * r0 if 3.0 * r0 >= margin else r0
     report.r, report.r1, report.r2 = r0 / cfg.K, r, r
-    ux = derivative(u0.u, m.grid)
     bounds = dual1d._saddle_bounds(
-        d_hat, ux, m, cfg, r, dual1d._stationarity(d_hat, u0.u, m, cfg))
+        d_hat, ux, m, cfg, r, dual1d._stationarity(d_hat, ux, m, cfg))
     report.z_curvature_floor, report.z_deficit, report.v_excess = bounds
-    report.slope_radius = 1.0 / 3.0 - report.condition_norm - 2.0 * dual1d.U
-    report.energy_deficit = dual1d._energy_deficit(m, derivative(u0.u, m.grid), res)
+    report.slope_radius = 1.0 / 3.0 - (report.condition_norm + shift) - 2.0 * dual1d.U
+    report.energy_deficit = dual1d._energy_deficit(m, ux, res, shift)
     try:
         report.kkt_iters = dual1d.kkt_solve(m, cfg, (d_hat, u0.u), tol=1e-11)[2]
         report.kkt_converged = True
@@ -410,8 +420,9 @@ def reference_report_json(report, config_echo=None):
 
 
 def stationarity_residuals(d, u, m, cfg):
-    """Max norms of the four stationarity equations of the Lagrangian."""
-    parts, _ = dual1d._stationarity(d, u, m, cfg)
+    """Max norms of the four stationarity equations of the Lagrangian at the
+    slopes of the nodal field u."""
+    parts, _ = dual1d._stationarity(d, derivative(u, m.grid), m, cfg)
     return {k: norm_V(r) for k, r in zip(("z", "v1", "v2", "u"), parts)}
 
 

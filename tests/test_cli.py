@@ -75,8 +75,8 @@ class TestCertify1D:
 
     @pytest.mark.parametrize("n", ["2048", "4096"])
     def test_far_branch_exit_code(self, n, capsys):
-        # Newton at the full load crosses the limit point; the line search
-        # needs 14 of its 50 iterations.
+        # past the limit point: no equilibrium has every slope on the stable
+        # branch, which the force solve proves before any Newton step
         code = run_cli(["certify1d", "--amp", "1.5", "--n", n])
         doc = json.loads(capsys.readouterr().out)
         assert code == cli.EXIT_HYPOTHESIS_VIOLATED
@@ -86,11 +86,37 @@ class TestCertify1D:
         "amp,n", [("10", "1024"), ("1.5", "4"), ("2", "4"), ("3", "4")]
     )
     def test_past_limit_point_exit_code(self, amp, n, capsys):
+        # no stable root: the report carries the proven bound 1 - 1/sqrt(3)
+        # on the slopes of every equilibrium, and no solved state
         code = run_cli(["certify1d", "--amp", amp, "--n", n])
         doc = json.loads(capsys.readouterr().out)
         assert code == cli.EXIT_HYPOTHESIS_VIOLATED
         assert doc["primal"]["condition_ok"] is False
-        assert doc["primal"]["residual_norm"] <= 1e-12
+        assert doc["primal"]["condition_norm"] == primal1d.FAR_SLOPE
+        assert doc["primal"]["newton_iters"] == 0
+        assert doc["primal"]["residual_norm"] == 0.0
+        assert len(doc["errors"]) == 1
+        assert doc["errors"][0].startswith("hypothesis: no equilibrium on the stable branch")
+
+    @pytest.mark.parametrize(
+        "E, amp, n, code",
+        [
+            ("1e-300", "1e-10", "4096", cli.EXIT_HYPOTHESIS_VIOLATED),  # a traceback before
+            ("1e-150", "1", "64", cli.EXIT_HYPOTHESIS_VIOLATED),
+            ("1", "1e150", "64", cli.EXIT_HYPOTHESIS_VIOLATED),
+        ],
+    )
+    def test_extreme_scales(self, E, amp, n, code, capsys):
+        # loads far past the limit for their E*A are proven to have no stable
+        # root, within the double range and without a warning
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["certify1d", "--E", E, "--amp", amp, "--n", n]) == code
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["primal"]["condition_norm"] == primal1d.FAR_SLOPE
 
     def test_small_ea_fails_on_curvature(self, capsys):
         # the 1e-2 ball is wide against den ~ EA/2: it holds points where the
@@ -156,14 +182,14 @@ class TestSweep1D:
         assert lines[1].endswith("OK") and lines[3].endswith("OK")
 
     def test_past_limit_statuses(self, tmp_path):
-        # the CI sweep: one pass, two far-branch minima and one solve stopped
-        # at the residual floor after all 50 Newton iterations
+        # the CI sweep: one pass in two force-solve steps, and three bars
+        # past the limit point, proven to have no stable root before any step
         out = tmp_path / "sweep.csv"
         code = run_cli(["sweep1d", "--amps=0.3,1,1.5,3", "--n=4096", "--out", str(out)])
         assert code == cli.EXIT_HYPOTHESIS_VIOLATED
         rows = [row.split(",") for row in out.read_text().strip().split("\n")[1:]]
-        assert [row[-1] for row in rows] == ["OK", "HYPOTHESIS", "HYPOTHESIS", "FAILED"]
-        assert [row[-2] for row in rows] == ["4", "16", "14", "50"]
+        assert [row[-1] for row in rows] == ["OK", "HYPOTHESIS", "HYPOTHESIS", "HYPOTHESIS"]
+        assert [row[-2] for row in rows] == ["2", "0", "0", "0"]
 
     def test_solver_failure_row(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -456,7 +482,7 @@ class TestReportJson:
         "argv, code",
         [
             ("certify1d --n 64 --amp 0.1", cli.EXIT_PASS),
-            ("certify1d --amp 10 --n 2048", cli.EXIT_SOLVER_ERROR),  # Newton's cap
+            ("certify1d --amp 10 --n 2048", cli.EXIT_HYPOTHESIS_VIOLATED),  # no stable root
             ("certify1d --amp 10 --n 1024", cli.EXIT_HYPOTHESIS_VIOLATED),  # past the limit
             ("certify1d --E 0.1 --amp 0.03 --n 512", cli.EXIT_SOLVER_ERROR),
             ("certify1d --E 1e-300 --amp 0", cli.EXIT_SOLVER_ERROR),
@@ -545,6 +571,9 @@ MESH_STEP_OUT_OF_RANGE = (
         "certify3d --lam=1e9 --mu=1e-300 --traction=0,0,0 --mesh=2,2,2",
         "certify3d --lam=1e308 --mu=1 --traction=0,0,0 --mesh=2,2,2",
         "ktensor --lam=1e308 --mu=1e308",
+        # 4/K is not a finite double: M's 29/(32K) or the bounds' 3/K overflow
+        "certify3d --mesh=2,2,2 --K=1e-320",
+        "certify3d --mesh=2,2,2 --K=6e-309 --traction=0,0,0",
         # E*A underflows to 0 or overflows to inf
         "certify1d --E 1e-300 --A 1e-300",
         "certify1d --E 1e308 --A 10",
@@ -571,6 +600,26 @@ def test_mesh_step_out_of_range_warns_nothing(args, capsys):
             run_cli(args.split())
     assert exc.value.code == cli.EXIT_INVALID_INPUT
     assert "mesh step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("traction", ["0,0,0", "0.02,0,0"])
+def test_smallest_k_warns_nothing(traction, capsys):
+    # the least K with a finite 4/K: the box certifies unloaded and refuses
+    # the K-feasibility gate loaded, and neither warns or leaves strict JSON
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    K = 4.0 / sys.float_info.max  # 2.225073858507202e-308; below it 4/K rounds to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["certify3d", "--mesh=2,2,2", f"--K={K!r}", f"--traction={traction}"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == (cli.EXIT_PASS if traction == "0,0,0" else cli.EXIT_NO_ADMISSIBLE_K)
+    assert doc["K_used"] == K
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["certify3d", "--mesh=2,2,2", f"--K={math.nextafter(K, 0.0)!r}"])
+    assert exc.value.code == cli.EXIT_INVALID_INPUT
+    assert "argument --K: expected a K with a finite 4/K" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

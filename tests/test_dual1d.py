@@ -251,7 +251,7 @@ class TestZKernel:
         curv_bound = u * (6.0 / K + 11.0 * d.v1**2 / den_t**3 + 5.0 / EA)
         # r_z of _stationarity, one state of the stack at a time
         rows = np.stack([d.v1, d.v2, d.z], axis=-2).reshape(-1, 3, 6)
-        grad = np.reshape([dual1d._stationarity(DualState1D(*f), np.zeros(7), m, cfg)[0][0]
+        grad = np.reshape([dual1d._stationarity(DualState1D(*f), np.zeros(6), m, cfg)[0][0]
                            for f in rows], grad_t.shape)
         _, den, _ = dual1d._den_a(d, cfg)
         curv = dual1d.dstar_hessian_z(d, m, cfg)
@@ -293,8 +293,8 @@ class TestStationarityRounding:
         import mpmath  # a test-only dependency, declared in the test extra
 
         m, cfg, d, u = case
-        (_, r_v1, r_v2, _), (_, den, a) = dual1d._stationarity(d, u, m, cfg)
         ux, s = derivative(u, m.grid), np.abs(d.v2 + d.z)
+        (_, r_v1, r_v2, _), (_, den, a) = dual1d._stationarity(d, ux, m, cfg)
         rel, q = (s + den) / den, 0.5 * a**2
         bound_v1 = dual1d.U * ((1.0 + rel) * np.abs(a) + 2.0 * np.abs(ux) + np.abs(r_v1))
         bound_v2 = dual1d.U * ((4.0 + 2.0 * rel) * q + 3.0 * s / m.EA
@@ -376,7 +376,7 @@ class TestBoundsExact:
         u[1:-1] += bump * L * np.random.default_rng(seed).uniform(-1.0, 1.0, n - 1)
         assume(primal1d.condition_check(PrimalState(u), m.grid)[1])
         state = bar_newton_state(m, u)
-        deficit = dual1d._energy_deficit(m, state.e.ux, state.r)
+        deficit = dual1d._energy_deficit(m, state.e.ux, state.r, state.shift)
         assert deficit >= self._exact_energy_deficit(m, u)
 
     @pytest.mark.xfail(strict=True, reason="relative rounding terms miss underflow")
@@ -386,7 +386,7 @@ class TestBoundsExact:
         # exact 7.0e-574
         m = dual1d.sine_load_model(1.0, 1.0, 1.0, 8.665953337600734e-287, 2)
         state = primal1d.solve_newton(m)
-        deficit = dual1d._energy_deficit(m, state.e.ux, state.r)
+        deficit = dual1d._energy_deficit(m, state.e.ux, state.r, state.shift)
         assert deficit >= self._exact_energy_deficit(m, state.u)
 
 
@@ -782,14 +782,16 @@ class TestKKTSolve:
         seen = []
         stationarity = dual1d._stationarity
 
-        def record(d, u, m, cfg):
-            seen.append((d, u))
-            return stationarity(d, u, m, cfg)
+        def record(d, ux, m, cfg):
+            seen.append((d, ux))
+            return stationarity(d, ux, m, cfg)
 
         monkeypatch.setattr(dual1d, "_stationarity", record)
         d_end, u_end, iters = dual1d.kkt_solve(m, cfg, start, tol=1e-12)
         assert iters == len(states) - 1 == len(seen) - 1
         # every iterate, and the returned state is the last one
+        # (each recorded with its slopes, the nodal u summed back from them)
+        seen = [(d2, np.concatenate(([0.0], np.cumsum(w2) * m.grid.h))) for d2, w2 in seen]
         for (d2, u2), (dk, uk) in zip(seen + [(d_end, u_end)], states + states[-1:]):
             for got, want in ((d2.z, dk.z), (d2.v1, dk.v1), (d2.v2, dk.v2), (u2, uk)):
                 assert np.max(np.abs(got - want)) <= 1e-13
@@ -844,9 +846,10 @@ class TestCertify:
         assert abs(report.gap) <= 1e-10 * (1.0 + abs(report.J_primal))
         assert report.gap == report.J_primal - report.J_dual
 
-    def test_failed_check_is_named(self, bar_model, monkeypatch):
+    def test_failed_check_is_named(self, monkeypatch):
+        # a bar whose gap is not 0 in floating point (the canonical one's is)
         monkeypatch.setattr(dual1d, "GAP_TOL", 0.0)
-        report = dual1d.certify(bar_model)
+        report = dual1d.certify(dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, 1024))
         assert report.gap != 0.0
         assert not report.passed
         assert len(report.errors) == 1
@@ -855,14 +858,15 @@ class TestCertify:
     @pytest.mark.parametrize("n", [64, 1024, 4096])
     @pytest.mark.parametrize("amp", [0.05, 0.2, 0.5])
     def test_newton_iterations_inside_hypothesis(self, amp, n):
-        # one line-search Newton stage at the full load: 3-5 unit steps
+        # the force solve: 2-3 Newton steps on the force constant
         report = dual1d.certify(dual1d.sine_load_model(1.0, 1.0, 1.0, amp, n))
         assert report.passed
         assert 1 <= report.newton_iters <= 5
 
-    def test_failed_newton_reports_its_iterations(self):
-        report = dual1d.certify(dual1d.sine_load_model(1.0, 1.0, 1.0, 10.0, 2048))
-        # the residual floor of ROADMAP item 8 stops all 50 iterations
+    def test_failed_newton_reports_its_iterations(self, monkeypatch):
+        # a tolerance that no residual meets stops all 50 iterations
+        monkeypatch.setattr(primal1d, "NEWTON_TOL", -1.0)
+        report = dual1d.certify(dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, 2048))
         assert len(report.errors) == 1
         assert report.errors[0].startswith("newton: residual ")
         assert report.errors[0].endswith(" after 50 iterations")
@@ -875,6 +879,18 @@ class TestCertify:
         assert not report.passed
         assert not report.condition_ok
         assert any(e.startswith("hypothesis") for e in report.errors)
+
+    @pytest.mark.parametrize("amp, n", [(10.0, 2048), (1.0, 4096), (2.0, 128)])
+    def test_no_stable_root_report(self, amp, n):
+        # past the limit point: no Newton step, the proven slope bound as the
+        # condition's value, and a hypothesis error, never a solver error
+        report = dual1d.certify(dual1d.sine_load_model(1.0, 1.0, 1.0, amp, n))
+        assert not report.passed and not report.condition_ok
+        assert report.condition_norm == primal1d.FAR_SLOPE > primal1d.SLOPE_LIMIT
+        assert report.newton_iters == 0 and report.residual_norm == 0.0
+        assert report.errors == [
+            "hypothesis: no equilibrium on the stable branch: ||u_x||_inf >= "
+            "1 - 1/sqrt(3) = 0.422650 at every equilibrium, no certification claimed"]
 
     def test_memory_is_bounded(self):
         # peak traced allocation of one n = 4096 certification: 0.96 MB of
@@ -923,7 +939,7 @@ class TestFormedOnce:
             (1.0, 1.0, 1.0, 0.0, 2),  # u = 0
             (0.1, 1.0, 1.0, 0.03, 512),  # fails the z-curvature floor
             (1.0, 1.0, 1.0, 10.0, 16),  # past the slope limit
-            (1.0, 1.0, 1.0, 10.0, 2048),  # Newton stops at the residual floor
+            (1.0, 1.0, 1.0, 10.0, 2048),  # no stable root
         ],
     )
     def test_calls_and_report(self, E, A, L, amp, n, monkeypatch):

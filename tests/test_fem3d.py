@@ -616,9 +616,9 @@ class TestSolveNewton3D:
 
 
 class TestSharedNewton3D:
-    """solve_newton_3d runs primal1d.line_search_newton, the bar's loop;
-    the box's own loop is kept in conftest.reference_newton_3d.  Every
-    operation and its order are the same, so the two agree bit for bit."""
+    """solve_newton_3d, the line-search Newton that the bar and the box once
+    shared, against the box's own loop kept in conftest.reference_newton_3d.
+    Every operation and its order are the same, so the two agree bit for bit."""
 
     @pytest.mark.parametrize(
         "dims, traction",

@@ -1,27 +1,31 @@
-"""Unit tests for the 1D primal energy, variations, Newton solver, and the
+"""Unit tests for the 1D primal energy, variations, force solve, and the
 second-order condition, each checked against an independent oracle."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from elastodual import dual1d, primal1d
-from elastodual.errors import NonConvergence, SingularSystem
+from elastodual.errors import ConditionViolated, NonConvergence, SingularSystem
 from elastodual.mesh1d import Grid1D, derivative, norm_V
 from elastodual.primal1d import BarModel, PrimalState
 
+import conftest
 from conftest import (
     bb_minimize_1d,
     bisection_min_eig,
+    chain_is_positive_definite,
     chain_matrix,
+    change_along,
+    curvature,
     energy_change,
     energy_oracle_1d,
     hessian,
-    newton_iterates,
     norm_U,
     reference_newton,
 )
@@ -157,7 +161,7 @@ class TestHessian:
         assert np.array_equal(H, H.T)
         # H x against the element-wise weak form of the spring chain
         x = rng.standard_normal(n - 1)
-        c = primal1d._curvature(m, s.terms(m.grid))
+        c = curvature(m, s.terms(m.grid))
         w = c * np.diff(np.r_[0.0, x, 0.0]) / m.grid.h
         assert np.allclose(H @ x, w[:-1] - w[1:])
 
@@ -253,7 +257,7 @@ class TestSolveSpringChain:
             cholesky = True
         except np.linalg.LinAlgError:
             cholesky = False
-        assert primal1d.chain_is_positive_definite(c) == cholesky
+        assert chain_is_positive_definite(c) == cholesky
 
     @pytest.mark.parametrize(
         "c",
@@ -272,7 +276,7 @@ class TestSolveSpringChain:
             warnings.simplefilter("error")
             with pytest.raises(SingularSystem):
                 primal1d.solve_spring_chain(c, 0.5, np.ones(c.size - 1))
-            assert not primal1d.chain_is_positive_definite(c)
+            assert not chain_is_positive_definite(c)
 
 
 class TestSolveNewton:
@@ -300,19 +304,43 @@ class TestSolveNewton:
             primal1d.solve_newton(_model(P=np.full(16, np.nan)))
 
     def test_line_search_gives_up(self, monkeypatch):
-        # every Armijo trial of every step reports an energy increase
-        monkeypatch.setattr(primal1d, "_change_along", lambda m, e, du: lambda t: 1.0)
+        # the oracle's failure path: every Armijo trial of every step of
+        # reference_newton reports an energy increase
+        monkeypatch.setattr(conftest, "change_along", lambda m, e, du: lambda t: 1.0)
         log = []
         with pytest.raises(NonConvergence, match="no descent"):
-            primal1d.solve_newton(_model(P=np.ones(16)), iteration_log=log)
+            reference_newton(_model(P=np.ones(16)), iteration_log=log)
         assert log == [0]
 
-    def test_failed_solve_logs_its_iterations(self):
-        # at the residual floor (ROADMAP item 8) all 50 iterations run
+    def test_failed_solve_logs_its_iterations(self, monkeypatch):
+        # a tolerance no residual meets: all 50 Newton steps run and are logged
+        monkeypatch.setattr(primal1d, "NEWTON_TOL", -1.0)
         log = []
         with pytest.raises(NonConvergence, match=r"^residual .* after 50 iterations$"):
-            primal1d.solve_newton(_sine_model(10.0, 2048), iteration_log=log)
+            primal1d.solve_newton(_sine_model(0.3, 2048), iteration_log=log)
         assert log == [50]
+
+    @pytest.mark.parametrize("amp,n", [(10.0, 2048), (1.0, 4096), (0.8, 64)])
+    def test_no_stable_root(self, amp, n):
+        # past the limit point: decided in closed form, before any Newton step
+        log = []
+        with pytest.raises(ConditionViolated, match="no equilibrium on the stable branch"):
+            primal1d.solve_newton(_sine_model(amp, n), iteration_log=log)
+        assert log == [0]
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 4096])
+    def test_residual_at_the_slopes(self, n):
+        # the solve stops at its residual, and the residual it reports is the
+        # one at the slopes it returns; u sums them, its end node set to 0
+        m = _sine_model(0.5, n)
+        s = primal1d.solve_newton(m)
+        r = primal1d.residual(m, s)[1:-1]
+        assert np.array_equal(r, s.r)
+        total = float(np.sum(s.e.ux))
+        assert s.res == norm_V(r) + 4.0 * m.EA * abs(total) / n <= primal1d.NEWTON_TOL
+        assert s.shift == abs(total) / n + primal1d.U * float(np.sum(np.abs(s.e.ux)))
+        assert np.array_equal(s.u[1:-1], np.cumsum(s.e.ux[:-1] - total / n) * m.grid.h)
+        assert s.u[0] == s.u[-1] == 0.0
 
 
 def _sine_model(amp, n):
@@ -339,23 +367,32 @@ def _undamped_newton(m, tol=1e-12, max_iter=50):
 
 
 class TestLineSearchNewton:
+    """conftest.reference_newton, the line-search Newton over the nodal
+    displacements that solved the bar before the force method, and the
+    far-branch minima that it finds past the limit point."""
+
     @pytest.mark.parametrize("n", [8, 64, 1024])
     @pytest.mark.parametrize("amp", [0.05, 0.2, 0.5])
     def test_unit_steps_inside_hypothesis(self, amp, n):
         m = _sine_model(amp, n)
         log = []
-        s = primal1d.solve_newton(m, iteration_log=log)
+        ref = reference_newton(m, iteration_log=log)
         oracle, oracle_iters = _undamped_newton(m)
+        s = primal1d.solve_newton(m)
         assert primal1d.condition_check(s, m.grid)[1]
         assert log == [oracle_iters]
-        assert np.max(np.abs(s.u - oracle.u)) <= 1e-13
+        assert np.max(np.abs(ref.u - oracle.u)) <= 1e-13
+        r1 = primal1d.residual(m, PrimalState(s.u))[1:-1]
+        r2 = primal1d.residual(m, oracle)[1:-1]
+        bound = _clamped_distance_bound(m, r1, r2, 64.0 * primal1d.U * m.EA)
+        assert np.max(np.abs(s.u - oracle.u)) <= bound
 
     @pytest.mark.parametrize("amp,n", [(2.0, 64), (5.0, 16), (10.0, 128)])
-    def test_every_step_decreases_the_stage_energy(self, amp, n, monkeypatch):
-        iterates = newton_iterates(monkeypatch)
+    def test_every_step_decreases_the_stage_energy(self, amp, n):
+        iterates = []
         m = _sine_model(amp, n)
         log = []
-        primal1d.solve_newton(m, iteration_log=log)
+        reference_newton(m, iteration_log=log, iterates=iterates)
         assert len(iterates) - 1 == log[0] > 0
         for u0, u1 in zip(iterates, iterates[1:]):
             assert energy_change(m, PrimalState(u0), u1 - u0) < 0.0
@@ -363,10 +400,10 @@ class TestLineSearchNewton:
     @pytest.mark.parametrize("amp,n", [(10.0, 64), (2.0, 128), (3.0, 256)])
     def test_past_limit_point_is_local_minimum(self, amp, n):
         m = _sine_model(amp, n)
-        s = primal1d.solve_newton(m)
+        s = reference_newton(m)
         assert norm_V(primal1d.residual(m, s)[1:-1]) <= 1e-12
         assert not primal1d.condition_check(s, m.grid)[1]
-        c = primal1d._curvature(m, s.terms(m.grid))
+        c = curvature(m, s.terms(m.grid))
         assert bisection_min_eig(c, m.grid.h) > 0.0
 
     @pytest.mark.parametrize(
@@ -384,44 +421,174 @@ class TestLineSearchNewton:
     )
     def test_past_limit_iteration_logs(self, amp, n, log):
         # every past-limit case of the benchmark's bar1d_recover mix, solved
-        # in one stage at the full load: neither how the step's linear system
-        # is solved nor how its Armijo trials are formed may move the counts
+        # by the reference line-search Newton in one stage at the full load
         got = []
-        primal1d.solve_newton(_sine_model(amp, n), iteration_log=got)
+        reference_newton(_sine_model(amp, n), iteration_log=got)
         assert got == log
 
 
-class TestFusedNewton:
-    """The solver forms each iterate's slope terms once for the residual,
-    the tangent and the line search; the loop that formed them per use is
-    kept in conftest.reference_newton.  Every operation and its order are
-    the same, so the two agree bit for bit."""
+def _clamped_distance_bound(m, r1, r2, scale):
+    """Bound on max |u1 - u2| for two clamped fields whose slopes lie in
+    |x| <= 1/4, of residuals r1 and r2: there J's Hessian is at least
+    M = (c/h) D^T D, c = EA g'(-1/4) = 0.34375 EA, so (r1 - r2).(u1 - u2) >=
+    |u1 - u2|_M^2, and a clamped v has |v|_inf^2 <= (L/4) h sum v_x^2 =
+    (L/4) |v|_M^2/c.  ``scale`` widens |r1| + |r2| by the rounding of the
+    residuals themselves."""
+    c, h = 0.34375 * m.EA, m.grid.h
+    a = np.abs(r1) + np.abs(r2) + scale
+    energy = float(a @ primal1d.solve_spring_chain(np.full(m.grid.n_elem, c), h, a))
+    return math.sqrt(m.grid.length / 4.0 * energy / c)
+
+
+class TestForceSolve:
+    """The force solve against conftest.reference_newton, the line-search
+    Newton over the nodal displacements: the same equilibrium inside the
+    hypothesis, and past the limit point no equilibrium on the stable branch."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         E=st.floats(0.5, 2.0), A=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
-        load=st.floats(0.0, 10.0), n=st.integers(2, 4096),
+        load=st.floats(0.0, 0.5), n=st.integers(2, 4096),
     )
-    @example(E=1.0, A=1.0, L=1.0, load=10.0, n=2048)  # stops at the residual floor
-    @example(E=1.0, A=1.0, L=1.0, load=1.0, n=4096)  # 16 damped iterations
-    def test_iterates_match_the_unfused_loop(self, E, A, L, load, n):
+    @example(E=1.0, A=1.0, L=1.0, load=0.5, n=4096)
+    @example(E=1.0, A=1.0, L=1.0, load=0.3, n=2)
+    def test_u_matches_reference_newton(self, E, A, L, load, n):
+        # both u are clamped fields of slopes below 1/4; the residuals are
+        # recomputed from each u, so the bound holds for the floats themselves
         m = dual1d.sine_load_model(E, A, L, load * E * A / L, n)
-        want, want_log, want_error = [], [], None
+        s, ref = primal1d.solve_newton(m), reference_newton(m)
+        r1 = primal1d.residual(m, PrimalState(s.u))[1:-1]
+        r2 = primal1d.residual(m, ref)[1:-1]
+        assert max(norm_V(derivative(s.u, m.grid)), norm_V(derivative(ref.u, m.grid))) < 0.25
+        scale = 64.0 * primal1d.U * (m.EA + m.grid.h * np.max(np.abs(m.P)))
+        bound = _clamped_distance_bound(m, r1, r2, scale)
+        assert np.max(np.abs(s.u - ref.u)) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(EA=st.floats(1e-3, 1e3), L=st.floats(0.1, 10.0), load=st.floats(0.0, 1.0),
+           n=st.integers(2, 1024), seed=st.integers(0, 2**16))
+    def test_random_loads_match_reference_newton(self, EA, L, load, n, seed):
+        # any load, not only the sine: where the force solve finds slopes
+        # below 1/4, the same bound to the reference Newton's u holds
+        P = load * EA / L * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        m = BarModel(EA, 1.0, Grid1D(L, n), P)
         try:
-            reference_newton(m, want_log, want)
-        except NonConvergence as exc:
-            want_error = str(exc)
-        got_log, got_error = [], None
-        with pytest.MonkeyPatch.context() as patch:
-            got = newton_iterates(patch)
-            try:
-                primal1d.solve_newton(m, iteration_log=got_log)
-            except NonConvergence as exc:
-                got_error = str(exc)
-        assert got_error == want_error
-        assert got_log == want_log
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            s = primal1d.solve_newton(m)
+        except ConditionViolated:
+            assume(False)
+        assume(primal1d.condition_check(s, m.grid)[1])
+        try:
+            ref = reference_newton(m)
+        except NonConvergence:  # the oracle's own residual floor, ulp(u)/h
+            assume(False)
+        r1 = primal1d.residual(m, PrimalState(s.u))[1:-1]
+        r2 = primal1d.residual(m, ref)[1:-1]
+        assume(norm_V(derivative(ref.u, m.grid)) < 0.25)
+        scale = 64.0 * primal1d.U * (m.EA + m.grid.h * np.max(np.abs(m.P)))
+        assert np.max(np.abs(s.u - ref.u)) <= _clamped_distance_bound(m, r1, r2, scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        E=st.floats(0.5, 2.0), A=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
+        load=st.floats(0.5, 10.0), n=st.integers(2, 512),
+    )
+    @example(E=1.0, A=1.0, L=1.0, load=10.0, n=64)
+    @example(E=1.0, A=1.0, L=1.0, load=2.0, n=128)
+    def test_no_stable_root_bounds_the_reference_slopes(self, E, A, L, load, n):
+        # where the force solve proves that no stable root exists and the
+        # reference Newton finds an equilibrium, that equilibrium has a slope
+        # at or beyond the limit point
+        m = dual1d.sine_load_model(E, A, L, load * E * A / L, n)
+        try:
+            primal1d.solve_newton(m)
+            return
+        except ConditionViolated:
+            pass
+        try:
+            ref = reference_newton(m)
+        except NonConvergence:
+            return
+        assert primal1d.condition_check(ref, m.grid)[0] >= primal1d.FAR_SLOPE
+
+    @settings(max_examples=20, deadline=None)
+    @given(E=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0), n=st.integers(2, 24))
+    @example(E=1.0, L=1.0, n=8)
+    def test_no_stable_root_decision_is_sharp(self, E, L, n):
+        # S(N_lo) rises with the load, from below 0 to above it at the limit
+        # load.  Just below that load (where S(N_lo) at 50 digits from the
+        # float data is < 0) the decision must not claim a proof, and just
+        # above it, a rounding term too coarse would stop it proving one
+        import mpmath
+
+        def model(load):
+            return dual1d.sine_load_model(E, 1.0, L, load * E / L, n)
+
+        def float_sum(m):
+            C = m.prefix_loads
+            return float(np.sum(primal1d._stable_slopes(
+                (np.max(C) + m.EA * primal1d.G_STAR - C) / m.EA)))
+
+        def exact_sum(m):
+            with mpmath.workdps(50):
+                C = [mpmath.mpf(0)]
+                for half in m.half_loads:
+                    C.append(C[-1] + mpmath.mpf(float(half)))
+                EA, total = mpmath.mpf(m.EA), 0
+                n_lo = max(C) - EA / (3 * mpmath.sqrt(3))
+                for c in C:
+                    w = max(mpmath.re(w) for w in mpmath.polyroots(
+                        [1, 0, -1, -2 * (n_lo - c) / EA], maxsteps=200, extraprec=200)
+                        if abs(mpmath.im(w)) < 1e-15)
+                    total += w - 1
+                return total
+
+        def decided(m):
+            C = m.prefix_loads
+            return primal1d._no_stable_root(m, float(np.max(C)) + m.EA * primal1d.G_STAR)
+
+        lo, hi = 0.1, 10.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if float_sum(model(mid)) <= 0.0 else (lo, mid)
+        below, above = model(lo * (1.0 - 1e-6)), model(hi * (1.0 + 1e-3))
+        assert exact_sum(below) < 0 < exact_sum(above)
+        assert not decided(below)
+        assert decided(above)
+
+    def test_far_slope_below_exact(self):
+        import mpmath  # a test-only dependency, declared in the test extra
+
+        with mpmath.workdps(50):
+            exact = 1 - 1 / mpmath.sqrt(3)
+            assert primal1d.FAR_SLOPE < exact
+            assert primal1d.FAR_SLOPE > 0.25
+            x_star = -exact
+            g_star = x_star * (1 + x_star) * (2 + x_star) / 2
+            assert abs(primal1d.G_STAR - g_star) <= 4 * primal1d.U * abs(g_star)
+
+    @settings(max_examples=100, deadline=None)
+    @given(y=st.floats(primal1d.G_STAR, 1e6), n=st.integers(1, 8))
+    @example(y=0.0, n=1)
+    @example(y=float(np.nextafter(primal1d.G_STAR, 0.0)), n=1)
+    @example(y=1.0 / (3.0 * math.sqrt(3.0)), n=1)  # t = 1, the branches meet
+    def test_stable_slopes_closed_form(self, y, n):
+        # g(x) = y on the stable branch: x = w - 1 for the largest root w of
+        # w^3 - w = 2y at 50 digits, to a relative error of a few U where g'
+        # is not small (near the limit point, to sqrt(U)); exactly 0 at y = 0
+        import mpmath
+
+        x = primal1d._stable_slopes(np.full(n, y))
+        assert np.all(x == x[0])
+        with mpmath.workdps(50):
+            y_mp = mpmath.mpf(y)
+            assume(y_mp >= -1 / (3 * mpmath.sqrt(3)))  # the float G_STAR may lie below
+            roots = mpmath.polyroots([1, 0, -1, -2 * y_mp], maxsteps=200, extraprec=200)
+            w = max(mpmath.re(w) for w in roots if abs(mpmath.im(w)) < 1e-20)
+            x_exact = 2 * y_mp / (w * (1 + w))  # w - 1, without its cancellation
+            gp = 1 + 3 * x_exact + mpmath.mpf(1.5) * x_exact**2
+            tol = 64 * primal1d.U * abs(x_exact) + (0 if gp > 0.1 else mpmath.mpf("1e-7"))
+            assert abs(mpmath.mpf(float(x[0])) - x_exact) <= tol
+        assert (x[0] == 0.0) == (y == 0.0)
 
 
 @st.composite
@@ -450,7 +617,7 @@ class TestEnergyChange:
         # the line search only halves t from 1, and scaling by t = 2^-k is
         # exact, so each trial equals a fresh energy_change of t du bit for bit
         m, s, du = case
-        change = primal1d._change_along(m, s.terms(m.grid), du)
+        change = change_along(m, s.terms(m.grid), du)
         for k in range(50):
             t = 2.0**-k
             assert change(t) == energy_change(m, s, t * du)
@@ -482,7 +649,7 @@ class TestEnergyChange:
         # ½ r·du is the decrease a Newton step makes to second order; at a
         # residual near 1e-8 the energies themselves differ only in rounding.
         m = _sine_model(10.0, 16)
-        u = primal1d.solve_newton(m).u.copy()
+        u = reference_newton(m).u.copy()
         u[1:-1] += 1e-10 * np.random.default_rng(8).uniform(-1.0, 1.0, 15)
         s = PrimalState(u)
         r = primal1d.residual(m, s)[1:-1]
@@ -557,7 +724,7 @@ class TestSecondVariationMinEig:
     @given(_in_hypothesis_slopes())
     def test_floor_below_bisection(self, bar):
         m, ux = bar
-        c, h = primal1d._curvature(m, primal1d.slope_terms(ux)), m.grid.h
+        c, h = curvature(m, primal1d.slope_terms(ux)), m.grid.h
         want = bisection_min_eig(c, h)
         floor = _eig_floor(m, ux)
         assert 0.0 < floor <= want + EIG_ACCURACY * chain_matrix(c, h)[2]
@@ -567,7 +734,7 @@ class TestSecondVariationMinEig:
     @given(_in_hypothesis_slopes(max_n=256))
     def test_against_dense_eigensolver(self, bar):
         m, ux = bar
-        c, h = primal1d._curvature(m, primal1d.slope_terms(ux)), m.grid.h
+        c, h = curvature(m, primal1d.slope_terms(ux)), m.grid.h
         want = np.linalg.eigvalsh(_dense_chain(c, h) / h)[0]
         floor = _eig_floor(m, ux)
         assert 0.0 < floor <= want + EIG_ACCURACY * chain_matrix(c, h)[2]
@@ -583,7 +750,7 @@ class TestSecondVariationMinEig:
             report = dual1d.certify(m)
             assert report.passed
             s = primal1d.solve_newton(m)
-            want = bisection_min_eig(primal1d._curvature(m, s.terms(m.grid)), m.grid.h)
+            want = bisection_min_eig(curvature(m, s.terms(m.grid)), m.grid.h)
             assert 0.0 < report.min_eig_floor <= want <= 6.0 * report.min_eig_floor
 
     @pytest.mark.parametrize("n", [2, 3, 64, 4096])
