@@ -1,8 +1,9 @@
 """Command-line front end: runs the 1D/3D certifications, amplitude sweeps,
 and the K-feasibility exploration, emitting machine-readable JSON/CSV.
 
-Exit codes: 0 all checks pass, 1 solver error, 2 hypothesis violated,
-3 no admissible K, 4 invalid input.  stdout carries data only; DUALITY_LOG
+Exit codes: 0 all checks pass, 1 solver error (or a numpy whose libraries
+lack the box's LAPACK routines), 2 hypothesis violated, 3 no admissible K,
+4 invalid input.  stdout carries data only; DUALITY_LOG
 (quiet | info | debug) controls stderr verbosity.
 """
 
@@ -18,6 +19,7 @@ import os
 import sys
 
 from . import dual1d, fem3d, tensor3d
+from .errors import MissingRoutine
 from .tensor3d import LameParams
 
 EXIT_PASS = 0
@@ -256,7 +258,11 @@ def main(argv: list[str] | None = None) -> int:
             open(args.out, "a").close()
         except OSError as exc:
             parser.error(f"cannot write --out: {exc}")
-    return args.func(args, model)
+    try:
+        return args.func(args, model)
+    except MissingRoutine as exc:  # a numpy without the bundled LAPACK
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_ERROR
 
 
 if __name__ == "__main__":

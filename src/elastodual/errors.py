@@ -33,3 +33,7 @@ class PositivityViolated(ElastodualError):
 
 class ConditionViolated(ElastodualError):
     """The gradient smallness hypothesis fails at the state, or at every equilibrium."""
+
+
+class MissingRoutine(ElastodualError):
+    """numpy's libraries do not export a LAPACK routine the box needs."""

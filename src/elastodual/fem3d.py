@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from . import tensor3d
+from . import banded, tensor3d
 from .errors import NonConvergence, SingularSystem
 from .primal1d import NEWTON_MAX_ITER, U
 from .tensor3d import I3, LameParams
@@ -275,20 +275,18 @@ def _newton_step(m: SolidModel, mesh: BoxMesh, g, sigma, rhs: np.ndarray) -> np.
     """Banded Cholesky solve of the tangent at (g, sigma), else of the tangent
     with tensile stress Q max(L, 0) Q^T, positive semi-definite term by term and
     shifted as in bound 2 against rounding (lam >> mu); else ``SingularSystem``."""
-    # scipy loads here, on the first 3D solve: the bar and ktensor never need it
-    from scipy.linalg import cho_solve_banded, cholesky_banded
     try:
-        cho = cholesky_banded(band_tangent_3d(m, mesh, g, sigma), check_finite=False)
+        cho = banded.factor(band_tangent_3d(m, mesh, g, sigma))
     except LinAlgError:
         w, Q = np.linalg.eigh(sigma)
         tensile = (Q * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(Q, -1, -2)
         ab = band_tangent_3d(m, mesh, g, tensile)
         ab[-1] += 2.0 * U * (2 * mesh.band + 1) * (3 * mesh.band + 5) * np.max(ab[-1])
         try:
-            cho = cholesky_banded(ab, check_finite=False)
+            cho = banded.factor(ab)
         except LinAlgError as exc:
             raise SingularSystem(str(exc)) from exc
-    return cho_solve_banded((cho, False), rhs, check_finite=False)
+    return banded.solve(cho, rhs)
 
 
 def _energy_change(m: SolidModel, mesh: BoxMesh, g, sigma, du: np.ndarray):
@@ -383,13 +381,11 @@ def _local_min_bound(m: SolidModel, mesh: BoxMesh, u0, g0, sigma0, R0):
     shift = 2.0 * U * (2 * w + 1) * float(
         (3 * w + 5) * np.max(np.abs(ab[w])) + 880.0 * beta * np.max(np.diag(Ge)))
     ab[w] -= shift
-    from scipy.linalg import cholesky_banded
-    from scipy.linalg.lapack import dtbtrs
     try:
-        cho = cholesky_banded(ab, check_finite=False)
+        cho = banded.factor(ab)
     except LinAlgError:
         return np.inf, shift
-    y = dtbtrs(cho, R0[:, None], uplo="U", trans="T")[0][:, 0]
+    y = banded.solve_transposed(cho, R0)
     nq = np.max(np.linalg.norm(mesh.dN, axis=-1).sum(0))
     e = 60.0 * U * (np.max(np.abs(mesh.load)) + 8.0 * mesh.detJ * phi * sa * nq)
     return (0.5 * (y @ y) + LOCAL_RADIUS * y.size * e) * (1 + (y.size + 8) * U), shift

@@ -94,6 +94,10 @@ class LameParams:
             raise ValueError("3*lam + 2*mu must be positive")
         if not math.isfinite((3.0 * abs(self.lam) + 2.0 * self.mu) / self.mu):
             raise ValueError("(3*|lam| + 2*mu)/mu must be a finite double")
+        lam, mu = _compliance(self.lam, self.mu)
+        if not math.isfinite(2.0 * mu) or not math.isfinite(3.0 * lam + 2.0 * mu):
+            raise ValueError("the compliance moduli 1/(2*mu) and 1/(3*lam + 2*mu)"
+                             " must be finite doubles")
 
 
 def hooke_mandel(p: LameParams) -> np.ndarray:
@@ -109,11 +113,20 @@ def compliance_params(p: LameParams) -> LameParams:
     formed from lam / 2^e and mu / 2^e past mu = m 2^e, |e| > _SCALE_FREE_EXP.
     Past lam/mu ~ 2e15 the rounding of lam' swallows 3 lam' + 2 mu' > 0, so
     lam' stays at least the next double above -2 mu'/3."""
-    e = int(_range_exponent(p.mu))
-    lam, mu = math.ldexp(p.lam, -e), math.ldexp(p.mu, -e)
-    lam = math.ldexp(-lam / (2.0 * mu * (3.0 * lam + 2.0 * mu)), -e)
-    mu = math.ldexp(0.25 / mu, -e)
+    lam, mu = _compliance(p.lam, p.mu)
     return LameParams(max(lam, float(np.nextafter(-2.0 * mu / 3.0, 0.0))), mu)
+
+
+def _compliance(lam: float, mu: float) -> tuple[float, float]:
+    """(lam', mu') of ``compliance_params`` before its clamp; (inf, inf) if
+    either leaves the double range."""
+    e = int(_range_exponent(mu))
+    lam, mu = math.ldexp(lam, -e), math.ldexp(mu, -e)
+    try:
+        return (math.ldexp(-lam / (2.0 * mu * (3.0 * lam + 2.0 * mu)), -e),
+                math.ldexp(0.25 / mu, -e))
+    except OverflowError:
+        return math.inf, math.inf
 
 
 def hooke_apply(p: LameParams, M: np.ndarray) -> np.ndarray:

@@ -11,12 +11,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastodual import cli, dual1d, fem3d, primal1d
+from elastodual import banded, cli, dual1d, fem3d, primal1d
 from elastodual.errors import NonConvergence
 
 from conftest import reference_hessian_certificate, reference_report_json
@@ -324,16 +324,16 @@ class TestCertify3D:
         # a compressive load makes the tangent indefinite on some Newton
         # steps; banded Cholesky fails there and the step solves the
         # tensile-stress tangent instead
-        cholesky, failures = scipy.linalg.cholesky_banded, []
+        cholesky, failures = banded.factor, []
 
         def counted(*args, **kwargs):
             try:
                 return cholesky(*args, **kwargs)
-            except scipy.linalg.LinAlgError:
+            except np.linalg.LinAlgError:
                 failures.append(mesh)
                 raise
 
-        monkeypatch.setattr(scipy.linalg, "cholesky_banded", counted)
+        monkeypatch.setattr(banded, "factor", counted)
         code = run_cli(["certify3d", f"--mesh={mesh}", "--traction=-0.5,0,0"])
         json.loads(capsys.readouterr().out)
         assert code == exit_code
@@ -571,6 +571,9 @@ MESH_STEP_OUT_OF_RANGE = (
         "certify3d --lam=1e9 --mu=1e-300 --traction=0,0,0 --mesh=2,2,2",
         "certify3d --lam=1e308 --mu=1 --traction=0,0,0 --mesh=2,2,2",
         "ktensor --lam=1e308 --mu=1e308",
+        # the compliance's 1/(3 lam + 2 mu) leaves the double range
+        "certify3d --mu=1e-300 --lam=-6.66666666666e-301 --traction=0,0,0 --mesh=2,2,2",
+        "ktensor --mu=1e-300 --lam=-6.66666666666e-301",
         # 4/K is not a finite double: M's 29/(32K) or the bounds' 3/K overflow
         "certify3d --mesh=2,2,2 --K=1e-320",
         "certify3d --mesh=2,2,2 --K=6e-309 --traction=0,0,0",
@@ -683,25 +686,25 @@ def test_unwritable_out_exits_before_the_solve(tmp_path, monkeypatch, capsys):
 
 
 class TestColdStart:
-    """The bar and ktensor run on numpy alone; scipy's banded Cholesky loads
-    on the first 3D solve.  Each case runs in a fresh interpreter, because
-    pytest has imported scipy already."""
+    """Every subcommand runs on numpy alone: the box's banded Cholesky calls
+    the LAPACK that numpy bundles.  Each case runs in a fresh interpreter,
+    because pytest has imported scipy already."""
 
     @pytest.mark.parametrize(
-        "args, exit_code, scipy_loaded",
+        "args, exit_code",
         [
-            (["certify1d", "--n", "64"], cli.EXIT_PASS, False),
-            (["sweep1d", "--amps=0.1,3"], cli.EXIT_HYPOTHESIS_VIOLATED, False),
-            (["ktensor"], cli.EXIT_PASS, False),
-            (["certify3d", "--mesh", "2,2,2"], cli.EXIT_PASS, True),
+            (["certify1d", "--n", "64"], cli.EXIT_PASS),
+            (["sweep1d", "--amps=0.1,3"], cli.EXIT_HYPOTHESIS_VIOLATED),
+            (["ktensor"], cli.EXIT_PASS),
+            (["certify3d", "--mesh", "2,2,2"], cli.EXIT_PASS),
         ],
         ids=["certify1d", "sweep1d", "ktensor", "certify3d"],
     )
-    def test_scipy_loads_only_for_3d(self, args, exit_code, scipy_loaded, tmp_path):
+    def test_scipy_never_loads(self, args, exit_code, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         out = ["--out", str(tmp_path / "report")]
         run = subprocess.run(
             [sys.executable, "-c", COLD_START, *args, *out],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        assert run.stdout.split() == [str(exit_code), str(scipy_loaded)]
+        assert run.stdout.split() == [str(exit_code), "False"]

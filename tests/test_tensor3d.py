@@ -86,6 +86,10 @@ class TestHooke:
             LameParams(1.0, 0.0)
         with pytest.raises(ValueError):
             LameParams(-1.0, 1.0)
+        # the compliance's moduli 1/(3 lam + 2 mu) and 1/(2 mu) overflow
+        for lam, mu in ((-6.66666666666e-301, 1e-300), (0.0, 2e-309)):
+            with pytest.raises(ValueError, match="compliance moduli"):
+                LameParams(lam, mu)
 
 
 class TestHookeInverse:
