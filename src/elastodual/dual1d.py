@@ -60,7 +60,7 @@ import numpy as np
 from . import primal1d
 from .errors import ConditionViolated, NonConvergence, PositivityViolated, SingularSystem
 from .mesh1d import Grid1D, derivative, integrate, norm_V
-from .primal1d import NEWTON_MAX_ITER, U, BarModel, PrimalState
+from .primal1d import NEWTON_MAX_ITER, NEWTON_TOL, U, BarModel, PrimalState
 
 #: bounds of ``certify``: |gap| <= GAP_TOL (1 + |J|), and the caps on the
 #: equilibrium residual, z_deficit and v_excess, energy_deficit
@@ -83,7 +83,7 @@ class DualConfig:
 
 @dataclass(frozen=True)
 class DualState1D:
-    """The dual triple (v1, v2, z) as elementwise fields or broadcastable stacks."""
+    """The dual triple (v1, v2, z) of elementwise fields."""
 
     v1: np.ndarray
     v2: np.ndarray
@@ -92,12 +92,9 @@ class DualState1D:
 
 def _require_positivity(den: np.ndarray) -> np.ndarray:
     """den = v2 + z + K, checked positive."""
-    i = np.unravel_index(np.argmin(den), den.shape)  # (sample, element) of a stack
-    if den[i] <= 0.0:
-        e, margin = int(i[-1]), float(den[i])
-        raise PositivityViolated(
-            f"v2 + z + K = {margin:.6e} <= 0 at element {e}", location=e, margin=margin
-        )
+    e = int(np.argmin(den))
+    if den[e] <= 0.0:
+        raise PositivityViolated(f"v2 + z + K = {den[e]:.6e} <= 0 at element {e}")
     return den
 
 
@@ -115,8 +112,8 @@ def _g_star(d: DualState1D, m: BarModel, s: np.ndarray, den: np.ndarray) -> np.n
     return 0.5 * d.v1**2 / den + s**2 / (2.0 * m.EA)
 
 
-def dual_functional(d: DualState1D, m: BarModel, cfg: DualConfig) -> float | np.ndarray:
-    """J*(v*, z*) = F*(z*) - G*_K(v*, z*), one value per state of a stack."""
+def dual_functional(d: DualState1D, m: BarModel, cfg: DualConfig) -> float:
+    """J*(v*, z*) = F*(z*) - G*_K(v*, z*)."""
     return _dual_functional(d, m, cfg, *_den_a(d, cfg)[:2])
 
 
@@ -236,12 +233,9 @@ def _min_eig_floor(m: BarModel, s: float) -> float:
 
 
 def kkt_solve(
-    m: BarModel,
-    cfg: DualConfig,
-    init: tuple[DualState1D, np.ndarray],
-    tol: float = 1e-12,
+    m: BarModel, cfg: DualConfig, init: tuple[DualState1D, np.ndarray]
 ) -> tuple[DualState1D, np.ndarray, int]:
-    """Newton solve of the full stationarity system of the Lagrangian.
+    """Newton solve of the Lagrangian's full stationarity system, to NEWTON_TOL.
 
     Unknowns are (z, v1, v2) per element plus the multiplier u at interior
     nodes; the converged multiplier is the primal critical point.  Returns the
@@ -262,7 +256,8 @@ def kkt_solve(
     d, u_full = init
     u = np.zeros(m.grid.n_elem + 1)
     u[1:-1] = u_full[1:-1]
-    return _kkt_newton(m, cfg, d, u, tol, _stationarity(d, derivative(u, m.grid), m, cfg))
+    stat = _stationarity(d, derivative(u, m.grid), m, cfg)
+    return _kkt_newton(m, cfg, d, u, NEWTON_TOL, stat)
 
 
 def _kkt_newton(m: BarModel, cfg: DualConfig, d: DualState1D, u: np.ndarray,

@@ -20,15 +20,8 @@ class SingularSystem(ElastodualError):
 
 
 class PositivityViolated(ElastodualError):
-    """The denominator of the bar's perturbed conjugate lost positivity.
-
-    Carries the offending location and the (negative) margin.
-    """
-
-    def __init__(self, message, location=None, margin=None):
-        super().__init__(message)
-        self.location = location
-        self.margin = margin
+    """The denominator of the bar's perturbed conjugate lost positivity; the
+    message names the element and the margin."""
 
 
 class ConditionViolated(ElastodualError):

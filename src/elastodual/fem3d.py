@@ -479,8 +479,8 @@ def certify_3d(
     Rdual = _weak_residual(mesh, v1 + v2).ravel()[mesh.free_dofs]
     report.constraint_residual_norm = float(np.max(np.abs(Rdual)))
 
-    # a bound with no proof (inf) is reported as the largest double; a sum of
-    # n positive terms of k roundings each is off by (n + k) U
+    # a bound with no proof (inf or NaN) is reported as the largest double; a
+    # sum of n positive terms of k roundings each is off by (n + k) U
     r = min(1e-3, 0.25 * report.min_pd_margin + 1e-12 * K)
     kappa, drop = _z_side_bounds(v1, v2, z, lame, K, Ainv, margin, r)
     report.z_curvature_floor = float(np.nan_to_num(np.min(kappa)))
@@ -491,10 +491,10 @@ def certify_3d(
     if open_points.any():
         hess_min = float(np.min(np.linalg.eigvalsh(tensor3d.dstar_hessian_z_3d(
             *(x[open_points] for x in (v1, v2, z)), lame, K, Ainv[open_points]))[..., 0]))
-    up = 1.0 + (drop.size + 8) * U
-    report.z_deficit = float(np.nan_to_num(np.sum(drop) * mesh.detJ * up))
+    up, big = 1.0 + (drop.size + 8) * U, np.finfo(float).max
+    report.z_deficit = float(np.nan_to_num(np.sum(drop) * mesh.detJ * up, nan=big))
     deficit, report.local_min_shift = _local_min_bound(m, mesh, u0, g0, sigma0, R0)
-    report.energy_deficit = float(np.nan_to_num(deficit))
+    report.energy_deficit = float(np.nan_to_num(deficit, nan=big))
 
     # every earlier failure returned with its own message, so the report
     # passes exactly when all of these hold

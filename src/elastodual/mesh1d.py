@@ -6,8 +6,7 @@ Nodal fields are plain numpy arrays of length ``n_elem + 1`` (continuous,
 piecewise linear); element fields have length ``n_elem`` and represent values
 at element midpoints.  One-point midpoint quadrature is exact for elementwise
 constant integrands, which is what makes every discrete duality identity in
-this package close to rounding.  The field operations below also take stacks
-of fields, one field per row of the last axis, and reduce each row on its own.
+this package close to rounding.
 """
 
 from __future__ import annotations
@@ -48,43 +47,40 @@ class Grid1D:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
     def check_nodal(self, u: np.ndarray) -> None:
-        if u.shape[-1:] != (self.n_elem + 1,):
+        if u.shape != (self.n_elem + 1,):
             raise SizeMismatch(
-                f"nodal field has {u.shape[-1]} values, expected {self.n_elem + 1}"
+                f"nodal field has {u.size} values, expected {self.n_elem + 1}"
             )
 
     def check_elem(self, f: np.ndarray) -> None:
-        if f.shape[-1:] != (self.n_elem,):
+        if f.shape != (self.n_elem,):
             raise SizeMismatch(
-                f"element field has {f.shape[-1]} values, expected {self.n_elem}"
+                f"element field has {f.size} values, expected {self.n_elem}"
             )
 
 
 def derivative(u: np.ndarray, g: Grid1D) -> np.ndarray:
     """Elementwise slope of a piecewise-linear nodal field."""
     g.check_nodal(u)
-    ux = u[..., 1:] - u[..., :-1]
+    ux = u[1:] - u[:-1]
     ux /= g.h
     return ux
 
 
-def integrate(f: np.ndarray, g: Grid1D) -> float | np.ndarray:
-    """Midpoint-rule integral over [0, L]: a float per field, one per row of a stack."""
+def integrate(f: np.ndarray, g: Grid1D) -> float:
+    """Midpoint-rule integral over [0, L]."""
     g.check_elem(f)
-    x = np.sum(f, axis=-1) * g.h
-    return float(x) if np.ndim(x) == 0 else x
+    return float(np.sum(f) * g.h)
 
 
 def average_to_midpoints(u: np.ndarray, g: Grid1D) -> np.ndarray:
     """Midpoint values of a piecewise-linear nodal field."""
     g.check_nodal(u)
-    mid = u[..., :-1] + u[..., 1:]
+    mid = u[:-1] + u[1:]
     mid *= 0.5
     return mid
 
 
 def norm_V(f: np.ndarray) -> float:
     """Sup norm of an element field."""
-    if f.size == 0:
-        return 0.0
     return float(np.max(np.abs(f)))

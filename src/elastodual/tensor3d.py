@@ -155,8 +155,6 @@ def construct_duals_pointwise(
     z = K*g0, v2 = sigma - z, v1 = g0 @ (sigma + K*I).  The identities
     z + v2 = sigma and v1 + v2 = (I + g0) sigma hold to rounding.
     """
-    if not K > 0:
-        raise ValueError("K must be positive")
     z = K * g0
     v2 = sigma - z
     v1 = g0 @ (sigma + K * I3)
@@ -196,8 +194,6 @@ def pd_margin(S: np.ndarray, K: float) -> np.ndarray:
 
 def f_star_3d_density(z: np.ndarray, K: float) -> np.ndarray:
     """Conjugate density z:z / (2K)."""
-    if not K > 0:
-        raise ValueError("K must be positive")
     return np.sum(z * z, axis=(-2, -1)) / (2.0 * K)
 
 
@@ -245,8 +241,6 @@ def m_tensor_eigs(
     arguments; Hbar has eigenvalues 1/(2 mu) and 1/(3 lam + 2 mu) there, and
     ``mode`` picks the delta term (``M_TENSOR_MODES``)."""
     dev, bulk = _mode_shares(mode)
-    if not K > 0:
-        raise ValueError("K must be positive")
     return dev / K - 0.5 / p.mu, bulk / K - 1.0 / (3.0 * p.lam + 2.0 * p.mu)
 
 

@@ -342,7 +342,9 @@ def certify_reference(m):
     report.slope_radius = 1.0 / 3.0 - (report.condition_norm + shift) - 2.0 * dual1d.U
     report.energy_deficit = dual1d._energy_deficit(m, ux, res, shift)
     try:
-        report.kkt_iters = dual1d.kkt_solve(m, cfg, (d_hat, u0.u), tol=1e-11)[2]
+        # u0.u is clamped (PrimalState), so it is kkt_solve's start as it is
+        stat = dual1d._stationarity(d_hat, derivative(u0.u, m.grid), m, cfg)
+        report.kkt_iters = dual1d._kkt_newton(m, cfg, d_hat, u0.u, 1e-11, stat)[2]
         report.kkt_converged = True
     except (NonConvergence, SingularSystem) as exc:
         report.errors.append(f"kkt: {exc}")
@@ -556,12 +558,11 @@ def mp_hessian_z_min_eig(v1, v2, z, p, K):
 
 
 def norm_U(u, g):
-    """Discrete max over the bar of |u| + |u_x|, one value per field of a
-    stack: per element, max(|u| at the two endpoints) + |slope|."""
+    """Discrete max over the bar of |u| + |u_x|: per element, max(|u| at
+    the two endpoints) + |slope|."""
     slope = derivative(u, g)
     np.abs(slope, out=slope)
     size = np.abs(u)
-    size = np.maximum(size[..., :-1], size[..., 1:])  # endpoint max
+    size = np.maximum(size[:-1], size[1:])  # endpoint max
     size += slope
-    x = np.max(size, axis=-1)
-    return float(x) if np.ndim(x) == 0 else x
+    return float(np.max(size))

@@ -69,6 +69,22 @@ def test_illegal_argument_is_a_value_error(capfd):
     capfd.readouterr()  # LAPACK's xerbla writes its own line
 
 
+def test_shapes_are_checked_before_lapack(monkeypatch):
+    ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0]])
+    c = banded.factor(ab)
+
+    def unreachable(*args):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(banded, "_lapack", unreachable)
+    with pytest.raises(ValueError, match=r"^expected a band of shape \(band \+ 1, n\)$"):
+        banded.factor(ab[1])
+    for solve in (banded.solve, banded.solve_transposed):
+        for b in (np.ones(2), np.ones(4), np.ones((3, 1))):
+            with pytest.raises(ValueError, match="^shapes of the factor and the right-hand"):
+                solve(c, b)
+
+
 @pytest.fixture
 def no_lapack(monkeypatch):
     """A numpy whose extension's libraries export no LAPACK: the lookup goes

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -230,6 +231,20 @@ class TestCertify3D:
         assert code == cli.EXIT_NO_ADMISSIBLE_K
         assert doc["k_feasible"] is False
         assert doc["errors"] == ["K hypotheses infeasible: K must be positive"]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_bound_fails(self, capsys):
+        # at mu = 3e-308 the z-side bound's rounding term 12 (3|lam'| + 2 mu')
+        # ||S|| is inf * 0 at every point: a NaN z deficit proves nothing, so
+        # it is reported as the largest double and fails its check
+        argv = "certify3d --mu=3e-308 --lam=0 --traction=0,0,0 --mesh=2,2,2".split()
+        code = run_cli(argv)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert "NaN" not in out and "Infinity" not in out
+        assert doc["z_deficit"] == np.finfo(float).max
+        assert doc["errors"] == ["z_convex: z deficit 1.798e+308 > 1.000e-10"]
 
     def test_failed_check_is_named(self, capsys):
         # the default K (0.999 K_max) fails the Hessian-versus-M check here
@@ -558,6 +573,7 @@ MESH_STEP_OUT_OF_RANGE = (
         "sweep1d --amps 0.1,x",
         "sweep1d --amps 0.1 --n 1",
         "certify3d --mesh 9,9,9",
+        "certify3d --mesh 2,2",  # expected three comma-separated values
         "certify3d --K nan --mesh 2,2,2",
         "certify3d --lam inf --mesh 2,2,2",
         "certify3d --box 1,0,1 --mesh 2,2,2",
@@ -683,6 +699,27 @@ def test_unwritable_out_exits_before_the_solve(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in captured.err
     assert "error:" in captured.err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "level, lines",
+    [(None, 0), ("quiet", 0), ("1", 0), ("INFO", 0), ("info", 1), ("debug", 1)],
+)
+def test_logging_switch(level, lines):
+    # a fresh interpreter: in-process, pytest's handler on the root logger
+    # makes logging.basicConfig a no-op
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("DUALITY_LOG", None)
+    if level is not None:
+        env["DUALITY_LOG"] = level
+    run = subprocess.run(
+        [sys.executable, "-m", "elastodual.cli", "certify1d", "--n", "8"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(run.stdout)["passed"] is True
+    err = run.stderr.splitlines()
+    assert len(err) == lines
+    assert all(re.fullmatch(r"INFO elastodual: certify1d gap=\S+ passed=True", e) for e in err)
 
 
 class TestColdStart:

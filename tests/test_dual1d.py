@@ -15,7 +15,9 @@ from hypothesis.extra import numpy as hnp
 
 from elastodual import cli, dual1d, primal1d
 from elastodual.dual1d import DualConfig, DualState1D
-from elastodual.errors import ConditionViolated, PositivityViolated, SingularSystem
+from elastodual.errors import (
+    ConditionViolated, NonConvergence, PositivityViolated, SingularSystem,
+)
 from elastodual.mesh1d import Grid1D, derivative, integrate, norm_V
 from elastodual.primal1d import BarModel, PrimalState
 
@@ -30,6 +32,13 @@ def _model(n=16, P=None, E=1.0, A=1.0, L=1.0):
     if P is None:
         P = np.zeros(n)
     return BarModel(E, A, g, P)
+
+
+@pytest.mark.parametrize("K", [0.0, -1.0, float("nan")])
+def test_dual_config_needs_positive_k(K):
+    # the bar's one statement of the rule K > 0
+    with pytest.raises(ValueError, match="^K must be positive$"):
+        DualConfig(K)
 
 
 class TestFStar:
@@ -81,10 +90,9 @@ class TestGStarK:
     def test_positivity_violation(self):
         m = _model(n=4)
         d = DualState1D(np.zeros(4), np.full(4, -2.0), np.zeros(4))
-        with pytest.raises(PositivityViolated) as exc:
+        message = r"^v2 \+ z \+ K = -1\.000000e\+00 <= 0 at element 0$"
+        with pytest.raises(PositivityViolated, match=message):
             integrate(dual1d.G_star_K_density(d, m, DualConfig(1.0)), m.grid)
-        assert exc.value.margin <= 0.0
-        assert exc.value.location == 0
 
     def test_brute_force_sup_oracle(self, bar_model, bar_duals):
         d, cfg = bar_duals
@@ -221,13 +229,11 @@ class TestDstarHessianZ:
 
 @st.composite
 def _admissible_states(draw):
-    """(model, cfg, state) with den = v2 + z + K of at least 1e-2: one state
-    or a stack of them."""
-    shape = draw(st.sampled_from([(6,), (1, 6), (4, 6)]))
+    """(model, cfg, state) with den = v2 + z + K of at least 1e-2."""
     E, K = draw(st.floats(0.05, 20.0)), draw(st.floats(0.05, 20.0))
-    field = hnp.arrays(np.float64, shape, elements=st.floats(-2.0, 2.0))
+    field = hnp.arrays(np.float64, 6, elements=st.floats(-2.0, 2.0))
     v1, z = draw(field), draw(field)
-    margin = draw(hnp.arrays(np.float64, shape, elements=st.floats(1e-2, 4.0)))
+    margin = draw(hnp.arrays(np.float64, 6, elements=st.floats(1e-2, 4.0)))
     return _model(n=6, E=E), DualConfig(K), DualState1D(v1, margin - K - z, z)
 
 
@@ -249,10 +255,7 @@ class TestZKernel:
         a, b, c = np.abs(d.z / K), 0.5 * d.v1**2 / den_t**2, np.abs(d.v2 + d.z) / EA
         grad_bound = u * (6.0 * a + 9.0 * b + 5.0 * c)
         curv_bound = u * (6.0 / K + 11.0 * d.v1**2 / den_t**3 + 5.0 / EA)
-        # r_z of _stationarity, one state of the stack at a time
-        rows = np.stack([d.v1, d.v2, d.z], axis=-2).reshape(-1, 3, 6)
-        grad = np.reshape([dual1d._stationarity(DualState1D(*f), np.zeros(6), m, cfg)[0][0]
-                           for f in rows], grad_t.shape)
+        grad = dual1d._stationarity(d, np.zeros(6), m, cfg)[0][0]  # r_z
         _, den, _ = dual1d._den_a(d, cfg)
         curv = dual1d.dstar_hessian_z(d, m, cfg)
         assert np.array_equal(den, den_t)
@@ -388,6 +391,75 @@ class TestBoundsExact:
         state = primal1d.solve_newton(m)
         deficit = dual1d._energy_deficit(m, state.e.ux, state.r, state.shift)
         assert deficit >= self._exact_energy_deficit(m, state.u)
+
+
+@st.composite
+def _saddle_cases(draw):
+    """(model, cfg, duals, slopes, r) for ``_saddle_bounds``, weighted to the
+    corners: EA from 0.05 to 20, the largest slope up to or just below 1/4,
+    K = EA/2, the duals constructed at the slopes or moved off them by up to
+    1e-2 EA, and r at ``certify``'s radius or with min den - 2r down to
+    1e-9 min den."""
+    n = draw(st.integers(2, 16))
+    E = draw(st.sampled_from([0.05, 20.0]) | st.floats(0.05, 20.0))
+    m = _model(n=n, E=E)
+    raw = draw(hnp.arrays(np.int64, n, elements=st.integers(-1000, 1000)))
+    assume(np.max(np.abs(raw)) > 0)
+    top = draw(st.floats(0.249, 0.25, exclude_max=True)
+               | st.floats(1e-3, 0.25, exclude_max=True))
+    ux = raw * (top / np.max(np.abs(raw)))
+    cfg = DualConfig(m.EA / 2.0)
+    e = primal1d.slope_terms(ux)
+    z = cfg.K * ux
+    v2 = m.EA * e.strain - z
+    v1 = (z + v2 + cfg.K) * ux
+    scale = draw(st.sampled_from([0.0, 1e-6, 1e-2])) * m.EA
+    dv = scale * 1e-3 * draw(hnp.arrays(np.int64, (3, n), elements=st.integers(-1000, 1000)))
+    d = DualState1D(v1 + dv[0], v2 + dv[1], z + dv[2])
+    margin = float(np.min(d.v2 + d.z + cfg.K))
+    assume(margin > 0.0)
+    gap = draw(st.sampled_from([None, 1e-1, 1e-3, 1e-6, 1e-9]))
+    if gap is None:  # certify's radius
+        r0 = min(1e-2, 0.5 * margin)
+        r = 0.5 * r0 if 3.0 * r0 >= margin else r0
+    else:
+        r = 0.5 * margin * (1.0 - gap)
+    return m, cfg, d, ux, r
+
+
+class TestSaddleBoundsExact:
+    """Proofs 1-3 of ``dual1d``: the float bounds of ``_saddle_bounds``
+    against the formulas they bound, evaluated at 50 digits from the same
+    float data (duals, slopes, EA, K, h, r)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_saddle_cases())
+    def test_bounds_hold_at_the_exact_data(self, case):
+        import mpmath  # a test-only dependency, declared in the test extra
+
+        m, cfg, d, ux, r = case
+        stat = dual1d._stationarity(d, ux, m, cfg)
+        floor, z_deficit, v_excess = dual1d._saddle_bounds(d, ux, m, cfg, r, stat)
+        with mpmath.workdps(50):
+            mpf = mpmath.mpf
+            EA, K, h, R = mpf(m.EA), mpf(cfg.K), mpf(m.grid.h), mpf(r)
+            kappas, drop, rv = [], mpf(0), mpf(0)
+            for v1, v2, z, w in zip(d.v1, d.v2, d.z, ux):
+                v1, z, w = mpf(v1), mpf(z), mpf(w)
+                s = mpf(v2) + z
+                den = s + K
+                a = v1 / den
+                k = 1 / K - 1 / EA - (abs(v1) + R) ** 2 / (den - 2 * R) ** 3
+                g = abs(a**2 / 2 + z / K - s / EA)  # |r_z|
+                # the largest drop g dz - k dz^2/2 over 0 <= dz <= r
+                dz = min(R, g / k) if k > 0 else R
+                drop += dz * (g - k * dz / 2)
+                rv += abs(w - a) + abs(a**2 / 2 - s / EA + w)  # |r_v1| + |r_v2|
+                kappas.append(k)
+            total = sum(mpf(w) for w in ux)
+            assert mpf(floor) <= min(kappas)
+            assert mpf(z_deficit) >= h * drop
+            assert mpf(v_excess) >= R * (h * rv + 2 * abs(h * total))
 
 
 class TestSaddleVerify:
@@ -751,9 +823,7 @@ class TestKKTSolve:
         v2p = d.v2 + 1e-3 * rng.uniform(-1, 1, n)
         up = bar_solution.u.copy()
         up[1:-1] += 1e-3 * rng.uniform(-1, 1, n - 1)
-        d2, u2, iters = dual1d.kkt_solve(
-            bar_model, cfg, (DualState1D(v1p, v2p, zp), up), tol=1e-12
-        )
+        d2, u2, iters = dual1d.kkt_solve(bar_model, cfg, (DualState1D(v1p, v2p, zp), up))
         assert iters <= 10
         assert norm_V(d2.v1 - d.v1) <= 1e-8
         assert norm_V(d2.v2 - d.v2) <= 1e-8
@@ -787,7 +857,7 @@ class TestKKTSolve:
             return stationarity(d, ux, m, cfg)
 
         monkeypatch.setattr(dual1d, "_stationarity", record)
-        d_end, u_end, iters = dual1d.kkt_solve(m, cfg, start, tol=1e-12)
+        d_end, u_end, iters = dual1d.kkt_solve(m, cfg, start)
         assert iters == len(states) - 1 == len(seen) - 1
         # every iterate, and the returned state is the last one
         # (each recorded with its slopes, the nodal u summed back from them)
@@ -799,10 +869,25 @@ class TestKKTSolve:
     def test_reconvergence_at_cli_mesh_cap(self):
         m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.1, 4096)
         cfg, (d, u), start = _perturbed_kkt_start(m, seed=11)
-        d2, u2, iters = dual1d.kkt_solve(m, cfg, start, tol=1e-12)
+        d2, u2, iters = dual1d.kkt_solve(m, cfg, start)
         assert iters <= 10
         for got, want in ((d2.z, d.z), (d2.v1, d.v1), (d2.v2, d.v2), (u2, u)):
             assert np.max(np.abs(got - want)) <= 1e-8
+
+    def test_non_convergence_after_the_iteration_cap(self, monkeypatch):
+        # r_u held at 1e-6: every step moves u, and the cap stops the solve
+        stationarity = dual1d._stationarity
+
+        def stuck(d, ux, m, cfg):
+            (r_z, r_v1, r_v2, r_u), rest = stationarity(d, ux, m, cfg)
+            return (r_z, r_v1, r_v2, np.full_like(r_u, 1e-6)), rest
+
+        m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.1, 8)
+        cfg, _, start = _perturbed_kkt_start(m, seed=1)
+        monkeypatch.setattr(dual1d, "_stationarity", stuck)
+        with pytest.raises(NonConvergence,
+                           match=r"^KKT Newton: residual 1\.000e-06 after 50 iterations$"):
+            dual1d.kkt_solve(m, cfg, start)
 
     def test_singular_schur_complement(self, monkeypatch):
         def singular(c, h, b):

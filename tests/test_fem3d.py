@@ -1030,6 +1030,18 @@ class TestBounds3D:
         assert doc["energy_deficit"] == np.finfo(float).max
         assert [e.split(":")[0] for e in doc["errors"]] == ["local_min"]
 
+    def test_nan_local_min_bound_fails_as_the_largest_double(self, monkeypatch, capsys):
+        # a NaN deficit proves nothing: reported as the largest double, as an
+        # inf one is, it fails its check
+        monkeypatch.setattr(fem3d, "_local_min_bound", lambda *args: (np.nan, 0.0))
+        code = cli.main(["certify3d", "--mesh", "2,2,2"])
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert "Infinity" not in out and "NaN" not in out
+        assert doc["energy_deficit"] == np.finfo(float).max
+        assert [e.split(":")[0] for e in doc["errors"]] == ["local_min"]
+
     def test_spherical_mode_inside_admissible_k(self):
         # spherical mode at K = 0.3, about 0.21 K_max: the bounds pass
         m = _model(nx=4, ny=4, nz=2)

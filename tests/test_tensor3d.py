@@ -237,10 +237,6 @@ class TestConstructDualsPointwise:
         )
         assert v1[0, 0] == pytest.approx((z[0, 0] + v2[0, 0] + K) * ux)
 
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            tensor3d.construct_duals_pointwise(P11, 0.0, np.zeros((3, 3)), np.zeros((3, 3)))
-
 
 class TestPdMargin:
     def test_zero(self):
