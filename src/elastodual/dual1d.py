@@ -53,6 +53,7 @@ at the float data (fields, slopes, EA, K, h, P).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -382,10 +383,15 @@ def certify(m: BarModel) -> GapReport:
     r0 = min(1e-2, 0.5 * margin)
     r = 0.5 * r0 if 3.0 * r0 >= margin else r0  # then 3r <= 3 margin/4
     report.r, report.r1, report.r2 = r0 / cfg.K, r, r
-    bounds = _saddle_bounds(d_hat, ux, m, cfg, r, stat)
-    report.z_curvature_floor, report.z_deficit, report.v_excess = bounds
+    floor, z_deficit, v_excess = _saddle_bounds(d_hat, ux, m, cfg, r, stat)
     report.slope_radius = 1.0 / 3.0 - (report.condition_norm + shift) - 2.0 * U
-    report.energy_deficit = _energy_deficit(m, ux, u0.r, shift)
+    deficit = _energy_deficit(m, ux, u0.r, shift)
+    # a bound with no proof (inf or NaN) is reported as the largest double, a
+    # floor as its negative, as in fem3d: each then fails its check
+    big = sys.float_info.max
+    report.z_curvature_floor = floor if math.isfinite(floor) else -big
+    report.z_deficit, report.v_excess, report.energy_deficit = (
+        x if math.isfinite(x) else big for x in (z_deficit, v_excess, deficit))
 
     try:  # the warm re-check: converged at iteration 0 if max|parts| <= 1e-11
         report.kkt_iters = _kkt_newton(m, cfg, d_hat, u0.u, 1e-11, stat)[2]

@@ -12,7 +12,9 @@ gradient matrix.  A line-search Newton minimises the energy from u = 0 at
 the full load: a step solves the tangent's free block by banded Cholesky, or
 where it is indefinite the tangent of each point's tensile stress.  The band
 layout comes from the reference element's DOF offsets, the same in every
-element of the structured mesh.
+element of the structured mesh.  The first iterate is closed-form: at u = 0,
+g = sigma = 0, so the residual is -L and every element's tangent is the linear
+stiffness K0, formed from one element and scattered into the band.
 
 ``certify_3d`` proves three checks; each bound adds the first-order rounding
 of its evaluation, in U = eps/2 of the magnitudes of its terms:
@@ -52,12 +54,14 @@ of its evaluation, in U = eps/2 of the magnitudes of its terms:
    and Stability of Numerical Algorithms, Thms 8.5, 10.3) factor and solve
    are exact for a matrix (3w + 5) U (2w + 1) max|M_ii| from M - s I (w the
    half-bandwidth, |R^T||R|_ij <= max M_ii), and M's assembly from u0, 110
-   operations deep, adds 110 U (2w + 1) beta max G_ii, beta = 3 (3|lam_k| +
-   2 mu) phi^2 + s_a + c from the absolute terms phi = sqrt 3 + g_a >= |F0|
-   and s_a = (3|lam| + 2 mu)(g_a + g_a^2/2) >= |sigma0|; ``local_min_shift``
-   s is twice their sum.  Each entry of R0 is off by at most e = 60 U (max|L|
-   + 8 detJ phi s_a max_n sum_q |grad N_qn|), which moves J by n e |delta|_inf
-   more, so ``energy_deficit`` = ||R^-T R0||^2/2 + n e ``LOCAL_RADIUS``.
+   operations deep (c G's part 35: a sum of 24 products over (q, a), detJ, c,
+   the subtraction, the sum over 8 elements and the shift), adds 110 U
+   (2w + 1) beta max G_ii, beta = 3 (3|lam_k| + 2 mu) phi^2 + s_a + c from the
+   absolute terms phi = sqrt 3 + g_a >= |F0| and s_a = (3|lam| + 2 mu)(g_a +
+   g_a^2/2) >= |sigma0|; ``local_min_shift`` s is twice their sum.  Each entry
+   of R0 is off by at most e = 60 U (max|L| + 8 detJ phi s_a max_n sum_q
+   |grad N_qn|), which moves J by n e |delta|_inf more, so ``energy_deficit``
+   = ||R^-T R0||^2/2 + n e ``LOCAL_RADIUS``.
 3. Hessian versus M, per point.  Bound 1's ball contains its centre z, and the
    Mandel basis is orthonormal on symmetric D, so the exact z-Hessian H at the
    float data has D:H:D = f'' >= kappa ||D||_F^2 there: lmin(H) >= kappa.  M's
@@ -95,6 +99,11 @@ LOCAL_MIN_TOL = 1e-12
 LOCAL_RADIUS = 1e-4
 #: Newton stops at max |R| <= NEWTON_TOL
 NEWTON_TOL = 1e-11
+#: elements per block of the tangent kernel: its transient (block, 24, 48)
+#: arrays stay at 74 KB on any mesh, below glibc's default 128 KB mmap
+#: threshold; whole-mesh ones (295 KB at 32 elements) made glibc map, or grow
+#: and trim its heap, on every call, a page fault per 4 KB
+TANGENT_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -244,16 +253,17 @@ def _weak_residual(mesh: BoxMesh, flux: np.ndarray) -> np.ndarray:
 
 
 def _element_tangents(m: SolidModel, mesh: BoxMesh, g, sigma, material=None):
-    """Element tangents at displacement gradients g, with sigma in the geometric
-    term and ``material`` (else m.lame) in the material one; (n_elem, 24, 24)."""
-    ne = mesh.n_elem
+    """Element tangents at displacement gradients g, (ne, 8, 3, 3), with sigma
+    in the geometric term and ``material`` (else m.lame) in the material one;
+    (ne, 24, 24), ne = n_elem, or 1 for the one tangent every element shares."""
+    ne, H = g.shape[0], tensor3d.hooke_mandel(material or m.lame)
+    Ke = np.empty((ne, 8, 3, 8, 3))
     # B[e, (n, I), (q, M)]: Mandel row M of sym(F^T (e_I x dN_n)) at point q
-    B = ((I3 + g) @ mesh.strain_op).reshape(ne, 8, 3, 8, 6)
-    B = B.transpose(0, 3, 2, 1, 4).reshape(ne, 24, 48)
-    H = tensor3d.hooke_mandel(material or m.lame)
-    BH = (B.reshape(-1, 6) @ H).reshape(ne, 24, 48)
-    Ke = (BH @ B.transpose(0, 2, 1)).reshape(ne, 8, 3, 8, 3)
-    del B, BH  # before the geometric term: the transient peak stays one Ke lower
+    for s in range(0, ne, TANGENT_BLOCK):
+        B = ((I3 + g[s:s + TANGENT_BLOCK]) @ mesh.strain_op).reshape(-1, 8, 3, 8, 6)
+        B = B.transpose(0, 3, 2, 1, 4).reshape(-1, 24, 48)
+        BH = (B.reshape(-1, 6) @ H).reshape(B.shape)
+        np.matmul(BH, B.transpose(0, 2, 1), out=Ke[s:s + TANGENT_BLOCK].reshape(-1, 24, 24))
     Ke *= mesh.detJ
     G = mesh.detJ * (sigma.reshape(ne, 72) @ mesh.geometric_op).reshape(ne, 8, 8)
     # the geometric term adds to the I == J diagonal (a writeable view)
@@ -263,10 +273,12 @@ def _element_tangents(m: SolidModel, mesh: BoxMesh, g, sigma, material=None):
 
 def band_tangent_3d(m: SolidModel, mesh: BoxMesh, g, sigma, material=None, less=0.0):
     """Free block of the tangent less the element matrix ``less`` per element
-    in LAPACK upper band storage, (band + 1, n_free), as Cholesky reads it."""
+    in LAPACK upper band storage, (band + 1, n_free), as Cholesky reads it.
+    g and sigma of one element, (1, 8, 3, 3), are every element's state."""
     n_free = mesh.free_dofs.size
     Ke = _element_tangents(m, mesh, g, sigma, material)
     Ke -= less
+    Ke = np.broadcast_to(Ke, (mesh.n_elem, 24, 24))
     ab = np.bincount(mesh.band_index, Ke.ravel(), (mesh.band + 1) * n_free + 1)
     return ab[:-1].reshape(-1, n_free)
 
@@ -322,14 +334,21 @@ def solve_newton_3d(
     stress and free residual; ``NonConvergence`` or ``SingularSystem``."""
     mesh = BoxMesh(m)
     free, u = mesh.free_dofs, np.zeros((mesh.n_nodes, 3))
+    # u = 0 in closed form: g = sigma = 0 at every point, so R = -L, and the
+    # step's tangent is K0, formed from the first element (elems) for all
+    g = sigma = np.zeros((mesh.n_elem, 8, 3, 3))
+    R = -mesh.load.ravel()[free]
+    res, elems = np.max(np.abs(R)), slice(1)
     for it in range(NEWTON_MAX_ITER + 1):
-        (g, sigma), R, res = _iterate_3d(m, mesh, u)
+        if it:
+            (g, sigma), R, res = _iterate_3d(m, mesh, u)
+            elems = slice(None)
         if res <= NEWTON_TOL:
             return mesh, u, g, sigma, R
         if it == NEWTON_MAX_ITER or not np.isfinite(res):
             raise NonConvergence(f"residual {res:.3e} after {it} iterations")
         du = np.zeros(u.shape)
-        du.reshape(-1)[free] = _newton_step(m, mesh, g, sigma, -R)
+        du.reshape(-1)[free] = _newton_step(m, mesh, g[elems], sigma[elems], -R)
         change = _energy_change(m, mesh, g, sigma, du)
         slope, t = float(R @ du.reshape(-1)[free]), 1.0
         while not change(t) <= 1e-4 * t * slope:
@@ -363,6 +382,13 @@ def _z_side_bounds(v1, v2, z, p: LameParams, K: float, X, margin, r: float):
     return kappa, t * (g - 0.5 * kappa * t)
 
 
+def _gradient_gram(mesh: BoxMesh) -> np.ndarray:
+    """Element matrix of detJ sum_q ||grad v||_F^2, (24, 24): the Gram matrix
+    of the rows of grad_matrix, one sum of 24 products over (q, a), times I3."""
+    gm = mesh.grad_matrix
+    return np.einsum("nm,ij->nimj", mesh.detJ * (gm @ gm.T), I3).reshape(24, 24)
+
+
 def _local_min_bound(m: SolidModel, mesh: BoxMesh, u0, g0, sigma0, R0):
     """(energy_deficit, local_min_shift) at u0 with gradients g0, stress sigma0
     and free residual R0, bound 2 of the module docstring; energy_deficit is
@@ -373,7 +399,7 @@ def _local_min_bound(m: SolidModel, mesh: BoxMesh, u0, g0, sigma0, R0):
     ga = np.max(np.abs(u0)) * nd
     c = 2.0 * p.mu * (1.0 + ga) * LOCAL_RADIUS * nd * (1.0 + 4.0 * U)
     # G has one element matrix, and a node lies in at most 8 elements
-    Ge = mesh.detJ * np.einsum("qna,qma,ij->nimj", mesh.dN, mesh.dN, I3).reshape(24, 24)
+    Ge = _gradient_gram(mesh)
     kept = LameParams(min(p.lam, 0.0), p.mu)
     ab = band_tangent_3d(m, mesh, g0, sigma0, kept, c * Ge)
     phi, sa = np.sqrt(3.0) + ga, (3.0 * abs(p.lam) + 2.0 * p.mu) * (ga + 0.5 * ga**2)
@@ -468,33 +494,41 @@ def certify_3d(
         )
         return report
 
+    # a value with no proof or no finite value (inf or NaN: 1/K past the double
+    # range at K ~ 5e-309) is reported as the largest double, a floor as its
+    # negative, and fails its check
+    big = np.finfo(float).max
     # J* = F*(z) - G*_K(v1, v2, z) under 2x2x2 Gauss quadrature; G*_K, the
     # z-Hessian and bound 1 share one A^-1 (sym A > 0: the gate, then bound 1)
     Ainv = np.linalg.inv(S + K * I3)
-    report.J_dual = float(np.sum(
+    J_dual = float(np.sum(
         tensor3d.f_star_3d_density(z, K) - tensor3d.g_star_k_density(v1, v2, z, lame, Ainv)
     )) * mesh.detJ
-    report.gap = report.J_primal - report.J_dual
+    report.J_dual, report.gap = (
+        float(np.nan_to_num(x, nan=big)) for x in (J_dual, report.J_primal - J_dual))
 
     Rdual = _weak_residual(mesh, v1 + v2).ravel()[mesh.free_dofs]
     report.constraint_residual_norm = float(np.max(np.abs(Rdual)))
 
-    # a bound with no proof (inf or NaN) is reported as the largest double; a
-    # sum of n positive terms of k roundings each is off by (n + k) U
+    # a sum of n positive terms of k roundings each is off by (n + k) U
     r = min(1e-3, 0.25 * report.min_pd_margin + 1e-12 * K)
     kappa, drop = _z_side_bounds(v1, v2, z, lame, K, Ainv, margin, r)
-    report.z_curvature_floor = float(np.nan_to_num(np.min(kappa)))
-    # bound 3: the z-Hessian is eigensolved only where kappa < m_min_eig + e_m
+    report.z_curvature_floor = float(np.nan_to_num(np.min(kappa), nan=-big))
+    # bound 3: the z-Hessian is eigensolved only where kappa < m_min_eig + e_m,
+    # and only if finite: one that is not has no proven eigenvalue (-inf)
     c = 3.0 * lame.lam + 2.0 * lame.mu
     e_m = U * (3.0 / K + (4.0 + 3.0 * abs(lame.lam) / c) * max(0.5 / lame.mu, 1.0 / c))
     open_points, hess_min = ~(kappa >= report.m_min_eig + e_m), np.inf
     if open_points.any():
-        hess_min = float(np.min(np.linalg.eigvalsh(tensor3d.dstar_hessian_z_3d(
-            *(x[open_points] for x in (v1, v2, z)), lame, K, Ainv[open_points]))[..., 0]))
-    up, big = 1.0 + (drop.size + 8) * U, np.finfo(float).max
+        H = tensor3d.dstar_hessian_z_3d(
+            *(x[open_points] for x in (v1, v2, z)), lame, K, Ainv[open_points])
+        finite = np.isfinite(H).all()
+        hess_min = float(np.min(np.linalg.eigvalsh(H)[..., 0])) if finite else -np.inf
+    up = 1.0 + (drop.size + 8) * U
     report.z_deficit = float(np.nan_to_num(np.sum(drop) * mesh.detJ * up, nan=big))
-    deficit, report.local_min_shift = _local_min_bound(m, mesh, u0, g0, sigma0, R0)
-    report.energy_deficit = float(np.nan_to_num(deficit, nan=big))
+    bounds = _local_min_bound(m, mesh, u0, g0, sigma0, R0)
+    report.energy_deficit, report.local_min_shift = (
+        float(np.nan_to_num(x, nan=big)) for x in bounds)
 
     # every earlier failure returned with its own message, so the report
     # passes exactly when all of these hold

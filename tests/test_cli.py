@@ -136,6 +136,22 @@ class TestCertify1D:
             assert {e.split(":")[0] for e in doc["errors"]} == {"saddle_z"}
             assert doc["errors"][0].startswith("saddle_z: z-curvature floor")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_bounds_fail_as_the_largest_double(self, capsys):
+        # at E = 1e-307 the saddle and local-minimality bounds overflow (inf
+        # floor and deficit, NaN energy deficit): a bound with no proof is
+        # reported as the largest double, a floor as its negative, and fails
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        code = run_cli(["certify1d", "--E", "1e-307", "--amp", "0"])
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        big = np.finfo(float).max
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert doc["saddle"]["z_curvature_floor"] == -big
+        assert doc["saddle"]["z_deficit"] == doc["local_min"]["energy_deficit"] == big
+        assert [e.split(":")[0] for e in doc["errors"]] == ["saddle_z", "saddle_z", "local_min"]
+
     def test_mesh_cap(self):
         with pytest.raises(SystemExit):
             run_cli(["certify1d", "--n", "5000"])
@@ -245,6 +261,30 @@ class TestCertify3D:
         assert "NaN" not in out and "Infinity" not in out
         assert doc["z_deficit"] == np.finfo(float).max
         assert doc["errors"] == ["z_convex: z deficit 1.798e+308 > 1.000e-10"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv, fields, failed", [
+        # the default K ~ 5.4e-309 has 1/K past the double range: J*, the
+        # z-Hessians and kappa are not finite, and no z-Hessian is eigensolved
+        ("--mu=3e-309", {"J_dual": 1, "gap": 1, "z_curvature_floor": -1, "z_deficit": 1},
+         ["gap", "hessian", "z_convex", "z_convex"]),
+        # bound 2's shift overflows, and the shifted Cholesky fails
+        ("--mu=1e307", {"local_min_shift": 1, "energy_deficit": 1}, ["local_min"]),
+    ])
+    def test_non_finite_values_fail_as_the_largest_double(self, argv, fields, failed, capsys):
+        # a value with no proof or no finite value is reported as the largest
+        # double, a floor as its negative: strict JSON, and its check fails
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        code = run_cli(["certify3d", argv, "--lam=0", "--traction=0,0,0", "--mesh=2,2,2"])
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert {k: doc[k] for k in fields} == {
+            k: sign * np.finfo(float).max for k, sign in fields.items()}
+        assert [e.split(":")[0] for e in doc["errors"]] == failed
+        if "hessian" in failed:
+            assert doc["errors"][1].startswith("hessian: min z-Hessian eig -inf < M min eig ")
 
     def test_failed_check_is_named(self, capsys):
         # the default K (0.999 K_max) fails the Hessian-versus-M check here

@@ -395,6 +395,50 @@ class TestBandTangent3D:
             widest = max(widest, max(dofs) - min(dofs))
         assert mesh.band == widest
 
+    @pytest.mark.parametrize("dims", [(8, 2, 2), (3, 2, 2), (3, 3, 3), (4, 4, 4)])
+    def test_blocks_equal_the_whole_mesh_kernel(self, dims, monkeypatch):
+        # the kernel forms TANGENT_BLOCK elements at a time, the last block
+        # short on 12 and 27 elements: bit for bit the tangents of one block
+        # of all elements, in the material term of either Lame pair
+        m = _model(*dims)
+        mesh = BoxMesh(m)
+        u = _random_clamped_state(mesh, np.random.default_rng(5), scale=0.05)
+        g, sigma = _gradients_and_stress(m, mesh, u)
+        assert mesh.n_elem > fem3d.TANGENT_BLOCK
+        for material in (None, LameParams(-0.3, 0.6)):
+            Ke = fem3d._element_tangents(m, mesh, g, sigma, material)
+            with monkeypatch.context() as whole:
+                whole.setattr(fem3d, "TANGENT_BLOCK", mesh.n_elem)
+                assert np.array_equal(Ke, fem3d._element_tangents(m, mesh, g, sigma, material))
+
+    @pytest.mark.parametrize("dims, box", list(zip(BAND_MESHES, BAND_BOXES)))
+    def test_first_iterate_in_closed_form(self, dims, box, monkeypatch):
+        # at u = 0 the Newton step takes R = -L and the band of one element's
+        # tangent at g = sigma = 0: the general residual and the band of the
+        # ne-element state there, bit for bit
+        m = SolidModel(*box, *dims, lame=LameParams(1.7, 0.6),
+                       body_force=np.array([0.01, -0.02, 0.005]),
+                       traction=np.array([0.02, 0.01, -0.01]))
+        steps, bands, step, band = [], [], fem3d._newton_step, fem3d.band_tangent_3d
+
+        def recorded_step(m, mesh, g, sigma, rhs):
+            steps.append((g, sigma, rhs))
+            return step(m, mesh, g, sigma, rhs)
+
+        def recorded_band(*args):
+            bands.append(band(*args))
+            return bands[-1]
+
+        monkeypatch.setattr(fem3d, "_newton_step", recorded_step)
+        monkeypatch.setattr(fem3d, "band_tangent_3d", recorded_band)
+        mesh = fem3d.solve_newton_3d(m)[0]
+        (g, sigma, rhs), (ab, *_) = steps[0], bands
+        assert g.shape == sigma.shape == (1, 8, 3, 3) and not g.any() and not sigma.any()
+        zero = np.zeros((mesh.n_nodes, 3))
+        assert np.array_equal(-rhs, residual_3d(m, mesh, zero).ravel()[mesh.free_dofs])
+        assert np.array_equal(ab, band(m, mesh, *_gradients_and_stress(m, mesh, zero)))
+        assert all(g.shape[0] == mesh.n_elem for g, _, _ in steps[1:])
+
     def test_newton_forms_no_dense_tangent(self):
         # src has no dense tangent (the oracle lives in conftest), and the
         # solve's traced peak stays below one n_dof^2 array: 8.5 MB at 6^3
@@ -617,7 +661,9 @@ class TestSolveNewton3D:
 class TestSharedNewton3D:
     """solve_newton_3d, the line-search Newton that the bar and the box once
     shared, against the box's own loop kept in conftest.reference_newton_3d.
-    Every operation and its order are the same, so the two agree bit for bit."""
+    Every operation and its order are the same, so the two agree bit for bit.
+    solve_newton_3d takes u = 0 in closed form, so its _iterate_3d sees every
+    reference iterate but the first."""
 
     @pytest.mark.parametrize(
         "dims, traction",
@@ -655,8 +701,8 @@ class TestSharedNewton3D:
         assert (got_state is None) == (want_state is None)
         if want_state is not None:
             assert all(np.array_equal(a, b) for a, b in zip(got_state[1:], want_state[1:]))
-        assert len(got) == len(want) > 1
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert not want[0].any() and len(got) == len(want) - 1 >= 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, want[1:]))
 
     def test_line_search_gives_up(self, monkeypatch, capsys):
         # every Armijo trial of every step reports an energy increase: the
@@ -833,9 +879,10 @@ class TestCertify3D:
 
 class TestFormedOnce:
     """certify_3d forms each per-op quantity once: one mesh, one A^-1 that
-    J*, bound 1 and the z-Hessian of the points bound 3 leaves open share, and
-    the converged residual from Newton's last pass (src has no other residual
-    function)."""
+    J*, bound 1 and the z-Hessian of the points bound 3 leaves open share, the
+    converged residual from Newton's last pass (src has no other residual
+    function), and the ne-element tangent kernel once per Newton step after
+    the first (one element's at u = 0) and once for bound 2."""
 
     def _certify_counted(self, monkeypatch, m, K=None, mode="identity"):
         """Run certify_3d with its calls counted, check that it passes, the
@@ -843,6 +890,9 @@ class TestFormedOnce:
         residual; return that A^-1 and what any other A^-1 taker received,
         by name."""
         calls, states, inverses, passed = collections.Counter(), [], [], {}
+        kernels, tangents = [], fem3d._element_tangents
+        monkeypatch.setattr(fem3d, "_element_tangents", lambda m, mesh, g, *args: (
+            kernels.append(g.shape[0]) or tangents(m, mesh, g, *args)))
 
         def count(module, name, record=None):
             original = getattr(module, name)
@@ -858,6 +908,7 @@ class TestFormedOnce:
 
         count(fem3d, "BoxMesh")
         count(fem3d, "solve_newton_3d", states)
+        count(fem3d, "_newton_step")
         count(np.linalg, "inv", inverses)
         for module, name, at in ((tensor3d, "g_star_k_density", 4),
                                  (tensor3d, "dstar_hessian_z_3d", 5),
@@ -872,7 +923,9 @@ class TestFormedOnce:
             monkeypatch.setattr(module, name, taking)
         report = fem3d.certify_3d(m, K, mode)
         assert report.passed, report.errors
+        steps = calls.pop("_newton_step")
         assert calls == {"BoxMesh": 1, "solve_newton_3d": 1, "inv": 1}
+        assert steps >= 2 and kernels == [1] + [m.nx * m.ny * m.nz] * steps
         X = inverses[0]
         assert passed.pop("g_star_k_density") is X and passed.pop("_z_side_bounds") is X
         ((mesh, u0, _, _, R0),) = states
@@ -1019,6 +1072,21 @@ class TestBounds3D:
             assert dense <= deficit <= dense + 1e-15
         else:
             assert low < 0.0 and deficit == np.inf
+
+    @pytest.mark.parametrize("dims, box", list(zip(BAND_MESHES, BAND_BOXES)))
+    def test_gradient_gram_matches_three_operand_einsum(self, dims, box):
+        # entry (n, i, m, i) is detJ S, S a sum of 24 products dN_qna dN_qma
+        # with T = sum |dN_qna dN_qma|: to first order either evaluation is
+        # within 24 U T of S (an inner product, Higham Thm 3.1) and its detJ
+        # product 1 U more, so the two differ by at most 50 U detJ T (52 for
+        # the second-order terms); the i != j entries are 0
+        m = SolidModel(*box, *dims, lame=P11, body_force=np.zeros(3), traction=np.zeros(3))
+        mesh = BoxMesh(m)
+        old = mesh.detJ * np.einsum("qna,qma,ij->nimj", mesh.dN, mesh.dN, I3).reshape(24, 24)
+        T = np.einsum("qna,qma,ij->nimj", np.abs(mesh.dN), np.abs(mesh.dN), I3).reshape(24, 24)
+        new = fem3d._gradient_gram(mesh)
+        assert not new[T == 0.0].any() and np.array_equal(new, new.T)
+        assert np.all(np.abs(new - old) <= 52.0 * fem3d.U * mesh.detJ * T)
 
     def test_failed_factorisation_reports_finite_values(self, monkeypatch, capsys):
         monkeypatch.setattr(fem3d, "LOCAL_RADIUS", 0.3)
