@@ -9,8 +9,9 @@ product of the displacement with the converged equilibrium residual.
 ``certify`` proves the saddle structure, local minimality and a positive
 second variation in closed form, forming each quantity once: the force
 solve's state gives the slopes u_x (its data), the residual at them and J,
-and one ``_stationarity`` call gives (s, den, a) and the parts to J*, the
-bounds and the warm KKT re-check.  Past the limit point it reports the
+and one ``_stationarity`` call gives (s, den, a) and the parts to J* and
+the bounds, which prove stationarity without a KKT solve (``kkt_solve`` is
+the tests' oracle of it).  Past the limit point it reports the
 solve's proven ||u_x||_inf >= 1 - 1/sqrt(3) and claims nothing.
 With J* = h sum f, f = z^2/(2K) - v1^2/(2 den) - (v2 + z)^2/(2 EA),
 den = v2 + z + K, and r_z = df/dz, r_vk = df/dvk + u_x (``_stationarity``)
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import primal1d
-from .errors import ConditionViolated, NonConvergence, PositivityViolated, SingularSystem
+from .errors import ConditionViolated, NonConvergence, PositivityViolated
 from .mesh1d import Grid1D, derivative, integrate, norm_V
 from .primal1d import NEWTON_MAX_ITER, NEWTON_TOL, U, BarModel, PrimalState
 
@@ -255,21 +256,13 @@ def kkt_solve(
     prefix sums of ``primal1d.solve_spring_chain``: O(n) time and memory.
     """
     d, u_full = init
+    h, K, EA = m.grid.h, cfg.K, m.EA
     u = np.zeros(m.grid.n_elem + 1)
     u[1:-1] = u_full[1:-1]
-    stat = _stationarity(d, derivative(u, m.grid), m, cfg)
-    return _kkt_newton(m, cfg, d, u, NEWTON_TOL, stat)
-
-
-def _kkt_newton(m: BarModel, cfg: DualConfig, d: DualState1D, u: np.ndarray,
-                tol: float, stat: tuple) -> tuple[DualState1D, np.ndarray, int]:
-    """``kkt_solve`` from d and u, clamped, whose ``_stationarity`` is stat
-    (at u's slopes, or at the slopes that u was summed from)."""
-    h, K, EA = m.grid.h, cfg.K, m.EA
     for it in range(NEWTON_MAX_ITER + 1):
-        parts, (s, den, a) = stat
+        parts, (s, den, a) = _stationarity(d, derivative(u, m.grid), m, cfg)
         res = norm_V(np.concatenate(parts))
-        if res <= tol:
+        if res <= NEWTON_TOL:
             return d, u, it
         if it == NEWTON_MAX_ITER:
             raise NonConvergence(f"KKT Newton: residual {res:.3e} after {it} iterations")
@@ -285,7 +278,6 @@ def _kkt_newton(m: BarModel, cfg: DualConfig, d: DualState1D, u: np.ndarray,
         dz = K * (dw - rho)
         d = DualState1D(d.v1 + (den * p + a * ds), d.v2 + (ds - dz), d.z + dz)
         u = u + du
-        stat = _stationarity(d, derivative(u, m.grid), m, cfg)
     raise NonConvergence("unreachable")
 
 
@@ -302,7 +294,7 @@ class GapReport:
     the force solve's steps (0 without a stable root); ``residual_norm``
     is its ``NewtonState.res``."""
 
-    VERSION = "1.2"
+    VERSION = "1.3"
 
     J_primal: float = _in("primal", "J")
     J_dual: float = _in("dual", "J_star")
@@ -317,8 +309,6 @@ class GapReport:
     z_curvature_floor: float = _in("saddle", "z_curvature_floor")
     z_deficit: float = _in("saddle", "z_deficit")
     v_excess: float = _in("saddle", "v_excess")
-    kkt_converged: bool = _in("kkt", "converged", False)
-    kkt_iters: int = _in("kkt", "iters", 0)
     slope_radius: float = _in("local_min", "slope_radius")
     energy_deficit: float = _in("local_min", "energy_deficit")
     newton_iters: int = _in("primal", "newton_iters", 0)
@@ -392,12 +382,6 @@ def certify(m: BarModel) -> GapReport:
     report.z_curvature_floor = floor if math.isfinite(floor) else -big
     report.z_deficit, report.v_excess, report.energy_deficit = (
         x if math.isfinite(x) else big for x in (z_deficit, v_excess, deficit))
-
-    try:  # the warm re-check: converged at iteration 0 if max|parts| <= 1e-11
-        report.kkt_iters = _kkt_newton(m, cfg, d_hat, u0.u, 1e-11, stat)[2]
-        report.kkt_converged = True
-    except (NonConvergence, SingularSystem) as exc:
-        report.errors.append(f"kkt: {exc}")
 
     # the slope condition and every solver failure were recorded above
     gap_bound = GAP_TOL * (1.0 + abs(report.J_primal))

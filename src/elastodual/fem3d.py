@@ -481,7 +481,7 @@ def certify_3d(
     report.m_min_eig = min(tensor3d.m_tensor_eigs(lame, K, mode))
 
     # dual fields at every quadrature point, (n_elem, 8, 3, 3) each
-    v1, v2, z = tensor3d.construct_duals_pointwise(lame, K, g0, sigma0)
+    v1, v2, z = tensor3d.construct_duals_pointwise(K, g0, sigma0)
 
     S = v2 + z
     margin = tensor3d.pd_margin(S, K)

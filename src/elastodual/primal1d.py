@@ -20,7 +20,7 @@ slopes that sum to 0, so every equilibrium has a slope <= x* and
 ||u_x||_inf >= 1 - 1/sqrt(3) > 1/4 (``_no_stable_root``).
 The slopes are the data: the certificate proves the clamped field of slopes
 x - mean x, within ``NewtonState.shift`` of x, whose nodal values serve only
-J's load work, the report and the KKT seam.
+J's load work and the nodal multiplier that ``dual1d.kkt_solve`` starts from.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .mesh1d import Grid1D, average_to_midpoints, derivative, integrate, norm_V
 #: strict upper bound on ||u_x||_inf for the local duality construction
 SLOPE_LIMIT = 0.25
 #: the force solve stops at ``NewtonState.res`` <= NEWTON_TOL; every Newton
-#: (the bar's, the box's and the KKT re-check) fails after NEWTON_MAX_ITER steps
+#: (the bar's, the box's and ``dual1d.kkt_solve``) fails after NEWTON_MAX_ITER steps
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 U = 0.5 * float(np.finfo(float).eps)
@@ -65,8 +65,9 @@ class BarModel:
     def __post_init__(self):
         if not (self.E > 0 and self.A > 0):
             raise ValueError("E and A must be positive")
-        if not 0 < self.EA < np.inf:
-            raise ValueError("E*A must be positive and finite")
+        # the certificate's K = EA/2 is held to the rule of --K, a finite 4/K
+        if not (0 < self.EA < np.inf and 8.0 / float(self.EA) < np.inf):
+            raise ValueError("E*A must be positive and finite, with a finite 8/(E*A)")
         self.grid.check_elem(self.P)
         load = self.P * self.grid.h  # the work h (P_e + P_{e+1})/2 of each interior hat
         half = 0.5 * (load[:-1] + load[1:])

@@ -147,10 +147,10 @@ def stress(p: LameParams, g: np.ndarray) -> np.ndarray:
 
 
 def construct_duals_pointwise(
-    p: LameParams, K: float, g0: np.ndarray, sigma: np.ndarray
+    K: float, g0: np.ndarray, sigma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dual triple (v1, v2, z) at each displacement gradient g0 of stress
-    sigma = stress(p, g0).
+    """Dual triple (v1, v2, z) at each displacement gradient g0 with its
+    ``stress`` sigma.
 
     z = K*g0, v2 = sigma - z, v1 = g0 @ (sigma + K*I).  The identities
     z + v2 = sigma and v1 + v2 = (I + g0) sigma hold to rounding.

@@ -19,7 +19,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from elastodual import dual1d, fem3d, primal1d, tensor3d
-from elastodual.errors import ConditionViolated, NonConvergence, SingularSystem
+from elastodual.errors import ConditionViolated, NonConvergence
 from elastodual.mesh1d import Grid1D, average_to_midpoints, derivative, norm_V
 from elastodual.primal1d import PrimalState
 
@@ -297,8 +297,7 @@ def certify_reference(m):
     """dual1d.certify assembled from the public helpers in the order it had
     before its per-op quantities were shared: the residual at the solved
     slopes, their clamp shift, (s, den, a), the equilibrium residual and the
-    stationarity parts are formed anew by each helper that reads them, and
-    the KKT re-check starts from scratch at the differenced u."""
+    stationarity parts are formed anew by each helper that reads them."""
     report = dual1d.GapReport()
     cfg = dual1d.DualConfig(K=m.EA / 2.0)
     iters = []
@@ -341,13 +340,6 @@ def certify_reference(m):
     report.z_curvature_floor, report.z_deficit, report.v_excess = bounds
     report.slope_radius = 1.0 / 3.0 - (report.condition_norm + shift) - 2.0 * dual1d.U
     report.energy_deficit = dual1d._energy_deficit(m, ux, res, shift)
-    try:
-        # u0.u is clamped (PrimalState), so it is kkt_solve's start as it is
-        stat = dual1d._stationarity(d_hat, derivative(u0.u, m.grid), m, cfg)
-        report.kkt_iters = dual1d._kkt_newton(m, cfg, d_hat, u0.u, 1e-11, stat)[2]
-        report.kkt_converged = True
-    except (NonConvergence, SingularSystem) as exc:
-        report.errors.append(f"kkt: {exc}")
     gap_bound = dual1d.GAP_TOL * (1.0 + abs(report.J_primal))
     hess_z = report.min_hessian_z
     checks = (
@@ -379,7 +371,8 @@ def certify_reference(m):
 
 def reference_report_json(report, config_echo=None):
     """The two reports' JSON as written before ``cli.report_json``: the bar's
-    ``GapReport.to_json`` with its hand mapping to the nested schema 1.2, and
+    ``GapReport.to_json`` with its hand mapping to the nested schema (1.3
+    since the bar's report dropped its ``kkt`` section, 1.2 before), and
     the box's ``Gap3DReport.to_json``, a flat ``asdict`` (schema 1.2 since
     the box's report dropped ``min_hessian_z_eig``, 1.1 before).  The one
     serializer must match them byte for byte."""
@@ -389,7 +382,7 @@ def reference_report_json(report, config_echo=None):
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     self = report
     doc = {
-        "version": "1.2",
+        "version": "1.3",
         "config_echo": config_echo or {},
         "primal": {
             "J": self.J_primal,
@@ -411,7 +404,6 @@ def reference_report_json(report, config_echo=None):
             "z_curvature_floor": self.z_curvature_floor,
             "z_deficit": self.z_deficit, "v_excess": self.v_excess,
         },
-        "kkt": {"converged": self.kkt_converged, "iters": self.kkt_iters},
         "local_min": {
             "slope_radius": self.slope_radius, "energy_deficit": self.energy_deficit,
         },

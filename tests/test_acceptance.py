@@ -231,7 +231,7 @@ def test_criterion_08_conjugate_oracles(one_d_cases):
     p = LameParams(1.0, 1.0)
     K = 1.0
     g0 = 0.05 * rng.uniform(-1, 1, (3, 3))
-    v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g0, tensor3d.stress(p, g0))
+    v1, v2, z = tensor3d.construct_duals_pointwise(K, g0, tensor3d.stress(p, g0))
     s = v2 + z
     closed3 = tensor3d.g_star_k_density(v1, v2, z, p, np.linalg.inv(s + K * I3))
 

@@ -45,9 +45,9 @@ class TestCertify1D:
         doc = json.loads(out.read_text())
         assert doc["passed"] is True
         assert abs(doc["dual"]["gap"]) <= 1e-10
-        for key in ("version", "config_echo", "primal", "dual", "saddle", "kkt"):
+        for key in ("version", "config_echo", "primal", "dual", "saddle"):
             assert key in doc
-        assert doc["version"] == "1.2" and "seed" not in doc
+        assert doc["version"] == "1.3" and "seed" not in doc
         assert doc["config_echo"]["seed"] == 7
         assert set(doc["primal"]) == {
             "J", "residual_norm", "min_eig_floor", "newton_iters",
@@ -636,12 +636,17 @@ MESH_STEP_OUT_OF_RANGE = (
         # E*A underflows to 0 or overflows to inf
         "certify1d --E 1e-300 --A 1e-300",
         "certify1d --E 1e308 --A 10",
+        # 8/(E*A) overflows: K = EA/2 breaks the --K rule, a finite 4/K
+        "certify1d --E 1e-308 --amp 0",
+        "certify1d --E 1e-309 --amp 0",
+        "certify1d --E 1e-323 --amp 0",
         # a mesh step whose 1/h, 2/h or volume leaves the double range
         *MESH_STEP_OUT_OF_RANGE,
     ],
 )
 def test_invalid_input_exit_code(args, capsys):
-    with pytest.raises(SystemExit) as exc:
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("error")
         run_cli(args.split())
     captured = capsys.readouterr()
     assert exc.value.code == cli.EXIT_INVALID_INPUT

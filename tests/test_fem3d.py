@@ -855,7 +855,7 @@ class TestCertify3D:
         g_all = fem3d.displacement_gradients(mesh, u0)
         flat = g_all.reshape(-1, 3, 3)
         duals = [
-            tensor3d.construct_duals_pointwise(m.lame, K, gq, tensor3d.stress(m.lame, gq))
+            tensor3d.construct_duals_pointwise(K, gq, tensor3d.stress(m.lame, gq))
             for gq in flat
         ]
         flux = np.array([v1 + v2 for (v1, v2, _) in duals]).reshape(g_all.shape)
@@ -1002,7 +1002,7 @@ class TestBounds3D:
         assert report.z_curvature_floor > 0.0 and report.z_deficit > 1e-10
         K = report.K_used
         g0 = fem3d.displacement_gradients(mesh, u0)
-        v1, v2, z = tensor3d.construct_duals_pointwise(m.lame, K, g0, tensor3d.stress(m.lame, g0))
+        v1, v2, z = tensor3d.construct_duals_pointwise(K, g0, tensor3d.stress(m.lame, g0))
 
         def J_star(zz):
             Ainv = np.linalg.inv(v2 + zz + K * I3)
@@ -1265,7 +1265,7 @@ class TestBatchedSamples3D:
         mesh, u0 = fem3d.solve_newton_3d(m)[:2]
         K = 0.999 * tensor3d.admissible_k_max(m.lame)
         g0 = fem3d.displacement_gradients(mesh, u0)
-        v1, v2, z = tensor3d.construct_duals_pointwise(m.lame, K, g0, tensor3d.stress(m.lame, g0))
+        v1, v2, z = tensor3d.construct_duals_pointwise(K, g0, tensor3d.stress(m.lame, g0))
         radius = min(1e-3, 0.25 * float(np.min(tensor3d.pd_margin(v2 + z, K))) + 1e-12)
         if case == "perturbed":
             # a bump alternating from DOF to DOF moves u0 off the minimum, and
@@ -1275,9 +1275,7 @@ class TestBatchedSamples3D:
                 mesh.free_dofs.size
             )
             g0 = fem3d.displacement_gradients(mesh, u0)
-            v1, v2, z = tensor3d.construct_duals_pointwise(
-                m.lame, K, g0, tensor3d.stress(m.lame, g0)
-            )
+            v1, v2, z = tensor3d.construct_duals_pointwise(K, g0, tensor3d.stress(m.lame, g0))
             z = z + 4e-3 * I3
         if case == "indefinite":
             # v2 + z + K*I = 1e-3 I at one point only, with z stationary
@@ -1319,7 +1317,7 @@ class TestBatchedSamples3D:
         g0 = fem3d.displacement_gradients(mesh, u0)
         assume(np.max(np.abs(g0)) < fem3d.GRADIENT_LIMIT)
         K = 0.999 * tensor3d.admissible_k_max(lame)
-        duals = tensor3d.construct_duals_pointwise(lame, K, g0, tensor3d.stress(lame, g0))
+        duals = tensor3d.construct_duals_pointwise(K, g0, tensor3d.stress(lame, g0))
         margin = float(np.min(tensor3d.pd_margin(duals[1] + duals[2], K)))
         assume(margin >= 0.0)
         radius = min(1e-3, 0.25 * margin + 1e-12)

@@ -307,6 +307,14 @@ class TestSolveNewton:
             primal1d.solve_newton(_sine_model(0.3, 2048), iteration_log=log)
         assert log == [50]
 
+    @pytest.mark.xfail(strict=True, raises=NonConvergence,
+                       reason="NEWTON_TOL is absolute, below the rounding floor U EA n")
+    def test_in_hypothesis_bar_at_large_ea(self):
+        # slopes up to 0.19, but at EA ~ 1e4 the residual stalls at 1.326e-12
+        # and the solve stops after 50 iterations
+        m = dual1d.sine_load_model(9821.718891880379, 1.0, 10.0, -491.08594459401894, 14)
+        primal1d.solve_newton(m)
+
     @pytest.mark.parametrize("amp,n", [(10.0, 2048), (1.0, 4096), (0.8, 64)])
     def test_no_stable_root(self, amp, n):
         # past the limit point: decided in closed form, before any Newton step

@@ -206,7 +206,7 @@ class TestStress:
 class TestConstructDualsPointwise:
     def test_zero(self):
         Z = np.zeros((3, 3))
-        v1, v2, z = tensor3d.construct_duals_pointwise(P11, 0.5, Z, Z)
+        v1, v2, z = tensor3d.construct_duals_pointwise(0.5, Z, Z)
         assert np.all(v1 == 0) and np.all(v2 == 0) and np.all(z == 0)
 
     def test_identities(self):
@@ -214,11 +214,11 @@ class TestConstructDualsPointwise:
         gs = 0.1 * rng.uniform(-1, 1, (20, 3, 3))
         for g in gs:
             sigma = tensor3d.stress(P11, g)
-            v1, v2, z = tensor3d.construct_duals_pointwise(P11, 0.8, g, sigma)
+            v1, v2, z = tensor3d.construct_duals_pointwise(0.8, g, sigma)
             assert np.max(np.abs(z + v2 - sigma)) <= 1e-14
             assert np.max(np.abs(v1 + v2 - (I3 + g) @ sigma)) <= 1e-13
         # one stacked call, each point against its own stress
-        v1, v2, z = tensor3d.construct_duals_pointwise(P11, 0.8, gs, tensor3d.stress(P11, gs))
+        v1, v2, z = tensor3d.construct_duals_pointwise(0.8, gs, tensor3d.stress(P11, gs))
         for k, g in enumerate(gs):
             sigma = tensor3d.stress(P11, g)
             assert np.max(np.abs(z[k] + v2[k] - sigma)) <= 1e-14
@@ -230,7 +230,7 @@ class TestConstructDualsPointwise:
         p = LameParams(0.0, E_mod / 2.0)
         ux, K = 0.1, 0.5
         g = np.diag([ux, 0.0, 0.0])
-        v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g, tensor3d.stress(p, g))
+        v1, v2, z = tensor3d.construct_duals_pointwise(K, g, tensor3d.stress(p, g))
         assert z[0, 0] == pytest.approx(K * ux)
         assert v2[0, 0] == pytest.approx(
             E_mod * (ux + 0.5 * ux**2) - K * ux
@@ -385,7 +385,7 @@ class TestConjugateDensities:
         p = P11
         K = 1.0
         g0 = 0.05 * rng.uniform(-1, 1, (3, 3))
-        v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g0, tensor3d.stress(p, g0))
+        v1, v2, z = tensor3d.construct_duals_pointwise(K, g0, tensor3d.stress(p, g0))
         s = v2 + z
         closed = tensor3d.g_star_k_density(v1, v2, z, p, np.linalg.inv(s + K * I3))
 
@@ -431,7 +431,7 @@ class TestDstarHessianZ3D:
         p = P11
         K = 1.0
         g0 = 0.05 * rng.uniform(-1, 1, (3, 3))
-        v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g0, tensor3d.stress(p, g0))
+        v1, v2, z = tensor3d.construct_duals_pointwise(K, g0, tensor3d.stress(p, g0))
         Ainv = np.linalg.inv(v2 + z + K * I3)
         hz = tensor3d.dstar_hessian_z_3d(v1, v2, z, p, K, Ainv)
 
@@ -469,7 +469,7 @@ class TestDstarHessianZ3D:
             # bound is an operator-norm consequence of the hypotheses
             smax = float(np.linalg.norm(g0, 2))
             g0 *= min(1.0, np.sqrt(3.0 / 64.0) / smax)
-            v1, v2, z = tensor3d.construct_duals_pointwise(p, K, g0, tensor3d.stress(p, g0))
+            v1, v2, z = tensor3d.construct_duals_pointwise(K, g0, tensor3d.stress(p, g0))
             if tensor3d.pd_margin(v2 + z, K) < 0:
                 continue
             Ainv = np.linalg.inv(v2 + z + K * I3)
