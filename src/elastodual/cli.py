@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import logging
 import math
 import os
 import sys
@@ -31,19 +30,6 @@ SWEEP_STATUS = {EXIT_PASS: "OK", EXIT_HYPOTHESIS_VIOLATED: "HYPOTHESIS"}
 
 MAX_ELEMS_1D = 4096
 SEED_HELP = "echoed in the report; the certificates draw no samples"
-
-log = logging.getLogger("elastodual")
-
-
-def _setup_logging() -> None:
-    level = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    verbosity = os.environ.get("DUALITY_LOG", "quiet")
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=level.get(verbosity, logging.ERROR),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-
 
 def _fmt(x: float) -> str:
     """Locale-free scientific notation with 17 significant digits."""
@@ -149,7 +135,9 @@ def cmd_certify(args: argparse.Namespace, model) -> int:
     echo = {k: v for k, v in vars(args).items()
             if k not in ("out", "func", "build", "certify")}
     _emit(report_json(report, echo), args.out)
-    log.info("%s gap=%.3e passed=%s", args.subcommand, report.gap, report.passed)
+    if os.environ.get("DUALITY_LOG") in ("info", "debug"):
+        print(f"INFO elastodual: {args.subcommand} gap={report.gap:.3e}"
+              f" passed={report.passed}", file=sys.stderr)
     return _report_exit_code(report)
 
 
@@ -246,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:  # the models check the parsed values; the solve runs outside

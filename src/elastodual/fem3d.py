@@ -14,7 +14,10 @@ where it is indefinite the tangent of each point's tensile stress.  The band
 layout comes from the reference element's DOF offsets, the same in every
 element of the structured mesh.  The first iterate is closed-form: at u = 0,
 g = sigma = 0, so the residual is -L and every element's tangent is the linear
-stiffness K0, formed from one element and scattered into the band.
+stiffness K0, formed from one element and scattered into the band.  Each mesh
+shape's topology (connectivity, DOF maps, band layout) is built once and
+shared read-only by every mesh of that shape; each op forms its compliance
+and the per-point terms that J*, bound 1 and bound 3 share once.
 
 ``certify_3d`` proves three checks; each bound adds the first-order rounding
 of its evaluation, in U = eps/2 of the magnitudes of its terms:
@@ -76,6 +79,7 @@ of its evaluation, in U = eps/2 of the magnitudes of its terms:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,35 +170,59 @@ def _reference_element() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.prod(t, axis=-1) / 8.0, dN, np.prod(face, axis=-1) / 8.0
 
 
+# an LRU smaller than the number of shapes a caller cycles through misses on
+# every op; 16 holds the 7 of perfbench's box3d_certify
+@functools.lru_cache(maxsize=16)
+def _topology(nx: int, ny: int, nz: int) -> tuple:
+    """(conn, dofs, component_dofs, clamped_nodes, free_dofs, band, band_index,
+    face_elems) of the mesh shape, each array read-only: every BoxMesh of the
+    shape shares them."""
+    # elements and nodes are numbered x-major, z fastest; corner c of
+    # element (i, j, k) is node (i, j, k) + (_CORNERS[c] + 1) / 2
+    i, j, k = np.indices((nx, ny, nz)).reshape(3, -1, 1)
+    ci, cj, ck = (_CORNERS > 0).astype(int).T
+    conn = ((i + ci) * (ny + 1) + j + cj) * (nz + 1) + k + ck
+    # element DOF map, DOF 3 n + i of each corner node n
+    dofs = (3 * conn[:, :, None] + np.arange(3)).reshape(-1, 24)
+    # the same DOFs with row (e, I) over the corners n: the row order of the
+    # gradient matmul, so gathers and scatters need no transposed copy
+    component_dofs = dofs.reshape(-1, 8, 3).transpose(0, 2, 1).reshape(-1, 8)
+
+    # clamped x = 0 nodes first: the free DOFs are a trailing slice; free
+    # entry (r, c), r <= c, goes to upper band storage row band + r - c,
+    # column c.  Element e's DOFs are dofs[e, 0] + off, off = dofs[0]: c - r
+    # = off[b] - off[a] in every element, and band = max(off)
+    clamped_nodes = np.arange((ny + 1) * (nz + 1))
+    free_dofs = np.arange(3 * clamped_nodes.size, 3 * (nx + 1) * (ny + 1) * (nz + 1))
+    off, c, n_free = dofs[0], dofs - free_dofs[0], free_dofs.size
+    band = int(off.max())
+    upper = (c[:, :, None] >= 0) & (off[:, None] <= off)
+    index = (band + off[:, None] - off) * n_free + c[:, None, :]
+    # int32 (below 2^31 far past the 8^3 cap: 536544 there) halves what the
+    # cache holds, 4.6 KB per element; bincount widens it per call (~3 us at
+    # 32 elements)
+    band_index = np.where(upper, index, (band + 1) * n_free).ravel().astype(np.int32)
+
+    # traction face x = lx: the last ny * nz elements (i = nx - 1)
+    face_elems = np.arange((nx - 1) * ny * nz, conn.shape[0])
+    for a in (conn, dofs, component_dofs, clamped_nodes, free_dofs, band_index, face_elems):
+        a.flags.writeable = False
+    return (conn, dofs, component_dofs, clamped_nodes, free_dofs, band, band_index,
+            face_elems)
+
+
 class BoxMesh:
-    """Uniform hex mesh of the box with precomputed quadrature data."""
+    """Uniform hex mesh of the box with precomputed quadrature data; its
+    topology arrays are ``_topology``'s, shared and read-only."""
 
     def __init__(self, m: SolidModel):
         nx, ny, nz = m.nx, m.ny, m.nz
         self.hx, self.hy, self.hz = m.lx / nx, m.ly / ny, m.lz / nz
         self.n_nodes = (nx + 1) * (ny + 1) * (nz + 1)
         self.n_dof = 3 * self.n_nodes
-
-        # elements and nodes are numbered x-major, z fastest; corner c of
-        # element (i, j, k) is node (i, j, k) + (_CORNERS[c] + 1) / 2
-        i, j, k = np.indices((nx, ny, nz)).reshape(3, -1, 1)
-        ci, cj, ck = (_CORNERS > 0).astype(int).T
-        self.conn = ((i + ci) * (ny + 1) + j + cj) * (nz + 1) + k + ck
+        (self.conn, self.dofs, self.component_dofs, self.clamped_nodes, self.free_dofs,
+         self.band, self.band_index, self.face_elems) = _topology(nx, ny, nz)
         self.n_elem = self.conn.shape[0]
-        # element DOF map, DOF 3 n + i of each corner node n
-        dofs = self.dofs = (3 * self.conn[:, :, None] + np.arange(3)).reshape(-1, 24)
-
-        # clamped x = 0 nodes first: the free DOFs are a trailing slice; free
-        # entry (r, c), r <= c, goes to upper band storage row band + r - c,
-        # column c.  Element e's DOFs are dofs[e, 0] + off, off = dofs[0]: c - r
-        # = off[b] - off[a] in every element, and band = max(off)
-        self.clamped_nodes = np.arange((ny + 1) * (nz + 1))
-        self.free_dofs = np.arange(3 * self.clamped_nodes.size, self.n_dof)
-        off, c, n_free = dofs[0], dofs - self.free_dofs[0], self.free_dofs.size
-        self.band = int(off.max())
-        upper = (c[:, :, None] >= 0) & (off[:, None] <= off)
-        index = (self.band + off[:, None] - off) * n_free + c[:, None, :]
-        self.band_index = np.where(upper, index, (self.band + 1) * n_free).ravel()
 
         # 2x2x2 Gauss points; uniform box makes the Jacobian constant diagonal
         self.N, dN, self.face_N = _reference_element()
@@ -210,9 +238,7 @@ class BoxMesh:
         self.geometric_op = np.einsum("qna,qmb->qabnm", dN, dN).reshape(72, 64)
         self.detJ = self.hx * self.hy * self.hz / 8.0
 
-        # traction face x = lx: the last ny * nz elements (i = nx - 1), local
-        # face xi_1 = +1
-        self.face_elems = np.arange((nx - 1) * ny * nz, self.n_elem)
+        # the traction face's elements integrate on their local face xi_1 = +1
         self.face_detJ = self.hy * self.hz / 4.0
 
         self.load = _load_vector(m, self)  # (n_nodes, 3), loads of `model`
@@ -221,8 +247,8 @@ class BoxMesh:
 def displacement_gradients(mesh: BoxMesh, u: np.ndarray) -> np.ndarray:
     """Displacement gradient at all quadrature points, (n_elem, 8, 3, 3), of
     the displacements u, (n_nodes, 3)."""
-    ue = np.swapaxes(u[mesh.conn], 1, 2)  # (ne, 3I, 8n)
-    g = ue.reshape(-1, 8) @ mesh.grad_matrix  # rows (e, I), columns (q, J)
+    ue = u.reshape(-1)[mesh.component_dofs]  # rows (e, I), columns n
+    g = ue @ mesh.grad_matrix  # rows (e, I), columns (q, J)
     return np.swapaxes(g.reshape(-1, 3, 8, 3), 1, 2)
 
 
@@ -245,8 +271,9 @@ def _weak_residual(mesh: BoxMesh, flux: np.ndarray) -> np.ndarray:
     """Weak divergence of a per-quadrature-point tensor field less the mesh's
     load vector; clamped rows zeroed."""
     fq = np.swapaxes(flux, -3, -2).reshape(-1, 24)  # rows (e, I), columns (q, J)
-    Rel = mesh.detJ * np.swapaxes((fq @ mesh.grad_matrix.T).reshape(-1, 3, 8), -1, -2)
-    R = np.bincount(mesh.dofs.ravel(), Rel.ravel(), mesh.n_dof).reshape(-1, 3)
+    # rows (e, I), columns n: each DOF still sums its elements in increasing order
+    Rel = mesh.detJ * (fq @ mesh.grad_matrix.T)
+    R = np.bincount(mesh.component_dofs.ravel(), Rel.ravel(), mesh.n_dof).reshape(-1, 3)
     R -= mesh.load
     R[mesh.clamped_nodes] = 0.0
     return R
@@ -359,20 +386,23 @@ def solve_newton_3d(
     raise NonConvergence("unreachable")
 
 
-def _z_side_bounds(v1, v2, z, p: LameParams, K: float, X, margin, r: float):
+def _z_side_bounds(v1, z, S, gram, hbar_S, A, X, p: LameParams, cp: LameParams,
+                   K: float, margin, r: float):
     """Per-point z-curvature floor kappa and drop of the dual density on the
-    r-ball around z, bound 1 of the module docstring; X is the computed
-    inverse of A = v2 + z + K I that J* uses, margin is pd_margin."""
-    norm = lambda M: np.linalg.norm(M, axis=(-2, -1))  # noqa: E731
-    S, A, rho = v2 + z, v2 + z + K * I3, 3.0 * r
+    r-ball around z, bound 1 of the module docstring, from the per-point terms
+    that J* shares: S = v2 + z, gram = v1^T v1, hbar_S = Hbar:sym S (cp the
+    compliance of p), A = S + K I and X its computed inverse; margin is
+    pd_margin."""
+    norm = lambda M: np.sqrt(np.sum(M * M, axis=(-2, -1)))  # noqa: E731
+    rho = 3.0 * r
     l0, nS, v1sq = margin + 0.5 * K, norm(S), norm(v1) ** 2
     low = l0 - rho - 20.0 * U * (nS + K + rho)
     hbar = max(0.5 / p.mu, 1.0 / (3.0 * p.lam + 2.0 * p.mu))
     q = tensor3d.over_cube(v1sq, low)  # low^3 leaves the range at extreme Lame scales
     kappa = (1.0 / K - hbar) - q
     kappa -= U * (2.0 / K + 4.0 * hbar + 13.0 * q + np.abs(kappa))
-    P, cp = X @ (np.swapaxes(v1, -1, -2) @ v1) @ X, tensor3d.compliance_params(p)
-    g = norm(tensor3d.sym(z / K + 0.5 * P - tensor3d.hooke_apply(cp, tensor3d.sym(S))))
+    P = X @ gram @ X
+    g = norm(tensor3d.sym(z / K + 0.5 * P - hbar_S))
     g += U * (6.0 * g + 3.0 * norm(z) / K + 3.0 * norm(P)
               + 12.0 * (3.0 * abs(cp.lam) + 2.0 * cp.mu) * nS)
     nX = tensor3d.frobenius_norm(X)  # and so do the squares of X ~ 1/K
@@ -415,6 +445,21 @@ def _local_min_bound(m: SolidModel, mesh: BoxMesh, u0, g0, sigma0, R0):
     nq = np.max(np.linalg.norm(mesh.dN, axis=-1).sum(0))
     e = 60.0 * U * (np.max(np.abs(mesh.load)) + 8.0 * mesh.detJ * phi * sa * nq)
     return (0.5 * (y @ y) + LOCAL_RADIUS * y.size * e) * (1 + (y.size + 8) * U), shift
+
+
+# a value with no proof or no finite value (inf or NaN: 1/K past the double
+# range at K ~ 5e-309) is reported as the largest double, a floor as its
+# negative, and fails its check
+_BIG = float(np.finfo(float).max)
+
+
+def _finite(x: float, nan: float = _BIG) -> float:
+    """x as a float, NaN as ``nan`` and +-inf as +-the largest double: the
+    mapping of np.nan_to_num(x, nan=nan), without its array round trip."""
+    x = float(x)
+    if math.isnan(x):
+        return nan
+    return x if math.isfinite(x) else math.copysign(_BIG, x)
 
 
 @dataclass
@@ -494,26 +539,24 @@ def certify_3d(
         )
         return report
 
-    # a value with no proof or no finite value (inf or NaN: 1/K past the double
-    # range at K ~ 5e-309) is reported as the largest double, a floor as its
-    # negative, and fails its check
-    big = np.finfo(float).max
-    # J* = F*(z) - G*_K(v1, v2, z) under 2x2x2 Gauss quadrature; G*_K, the
-    # z-Hessian and bound 1 share one A^-1 (sym A > 0: the gate, then bound 1)
-    Ainv = np.linalg.inv(S + K * I3)
+    # J* = F*(z) - G*_K(v1, v2, z) under 2x2x2 Gauss quadrature; J*, bound 1
+    # and the open points' z-Hessians share S, A, one A^-1 (sym A > 0: the
+    # gate, then bound 1), v1^T v1 and Hbar:sym S, each formed once here
+    A, gram = S + K * I3, np.swapaxes(v1, -1, -2) @ v1
+    Ainv, cp = np.linalg.inv(A), tensor3d.compliance_params(lame)
+    hbar_S = tensor3d.hooke_apply(cp, tensor3d.sym(S))
     J_dual = float(np.sum(
-        tensor3d.f_star_3d_density(z, K) - tensor3d.g_star_k_density(v1, v2, z, lame, Ainv)
+        tensor3d.f_star_3d_density(z, K) - tensor3d.g_star_k_density(S, gram, hbar_S, Ainv)
     )) * mesh.detJ
-    report.J_dual, report.gap = (
-        float(np.nan_to_num(x, nan=big)) for x in (J_dual, report.J_primal - J_dual))
+    report.J_dual, report.gap = _finite(J_dual), _finite(report.J_primal - J_dual)
 
     Rdual = _weak_residual(mesh, v1 + v2).ravel()[mesh.free_dofs]
     report.constraint_residual_norm = float(np.max(np.abs(Rdual)))
 
     # a sum of n positive terms of k roundings each is off by (n + k) U
     r = min(1e-3, 0.25 * report.min_pd_margin + 1e-12 * K)
-    kappa, drop = _z_side_bounds(v1, v2, z, lame, K, Ainv, margin, r)
-    report.z_curvature_floor = float(np.nan_to_num(np.min(kappa), nan=-big))
+    kappa, drop = _z_side_bounds(v1, z, S, gram, hbar_S, A, Ainv, lame, cp, K, margin, r)
+    report.z_curvature_floor = _finite(np.min(kappa), nan=-_BIG)
     # bound 3: the z-Hessian is eigensolved only where kappa < m_min_eig + e_m,
     # and only if finite: one that is not has no proven eigenvalue (-inf)
     c = 3.0 * lame.lam + 2.0 * lame.mu
@@ -521,14 +564,13 @@ def certify_3d(
     open_points, hess_min = ~(kappa >= report.m_min_eig + e_m), np.inf
     if open_points.any():
         H = tensor3d.dstar_hessian_z_3d(
-            *(x[open_points] for x in (v1, v2, z)), lame, K, Ainv[open_points])
+            v1[open_points], A[open_points], Ainv[open_points], cp, K)
         finite = np.isfinite(H).all()
         hess_min = float(np.min(np.linalg.eigvalsh(H)[..., 0])) if finite else -np.inf
     up = 1.0 + (drop.size + 8) * U
-    report.z_deficit = float(np.nan_to_num(np.sum(drop) * mesh.detJ * up, nan=big))
-    bounds = _local_min_bound(m, mesh, u0, g0, sigma0, R0)
-    report.energy_deficit, report.local_min_shift = (
-        float(np.nan_to_num(x, nan=big)) for x in bounds)
+    report.z_deficit = _finite(np.sum(drop) * mesh.detJ * up)
+    report.energy_deficit, report.local_min_shift = map(
+        _finite, _local_min_bound(m, mesh, u0, g0, sigma0, R0))
 
     # every earlier failure returned with its own message, so the report
     # passes exactly when all of these hold

@@ -31,6 +31,7 @@ chain all close exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,10 +101,17 @@ class LameParams:
                              " must be finite doubles")
 
 
+# bounded: every op draws new Lame parameters, so an unbounded cache would
+# grow by one entry per op; 4 holds an op's stiffness, its bound-2 stiffness
+# and its compliance
+@functools.lru_cache(maxsize=4)
 def hooke_mandel(p: LameParams) -> np.ndarray:
     """6x6 Mandel matrix of the isotropic stiffness, lam e e^T + 2 mu I6 with
-    e the Mandel vector of I."""
-    return p.lam * np.outer(_MANDEL_I3, _MANDEL_I3) + 2.0 * p.mu * np.eye(6)
+    e the Mandel vector of I; read-only, shared by the calls with equal p (a
+    zero lam's sign does not reach it: -0 + 0 = 0)."""
+    H = p.lam * np.outer(_MANDEL_I3, _MANDEL_I3) + 2.0 * p.mu * np.eye(6)
+    H.flags.writeable = False
+    return H
 
 
 def compliance_params(p: LameParams) -> LameParams:
@@ -176,7 +184,8 @@ def frobenius_norm(A: np.ndarray) -> np.ndarray:
     """Frobenius norm of each 3x3, (...): in range wherever the norm is,
     though the squares of A may not be."""
     e = _range_exponent(np.max(np.abs(A), axis=(-2, -1)))
-    return np.ldexp(np.linalg.norm(np.ldexp(A, -e[..., None, None]), axis=(-2, -1)), e)
+    A = np.ldexp(A, -e[..., None, None])
+    return np.ldexp(np.sqrt(np.sum(A * A, axis=(-2, -1))), e)
 
 
 def over_cube(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,33 +207,32 @@ def f_star_3d_density(z: np.ndarray, K: float) -> np.ndarray:
 
 
 def g_star_k_density(
-    v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, Ainv: np.ndarray
+    S: np.ndarray, gram: np.ndarray, hbar_S: np.ndarray, Ainv: np.ndarray
 ) -> np.ndarray:
     """Closed-form density of the perturbed conjugate:
     1/2 tr(A^-1 v1^T v1) + 1/2 (v2+z) : Hbar : (v2+z), A = v2 + z + K*I, from
-    Ainv = A^-1; the caller has checked that sym(A) is positive definite
-    (``pd_margin`` >= 0), which makes A invertible."""
-    gram = _t(v1) @ v1
-    S = v2 + z
+    the per-point terms S = v2 + z, gram = v1^T v1, hbar_S = Hbar : sym(S)
+    (``hooke_apply`` with ``compliance_params``) and Ainv = A^-1, which the
+    caller forms once and shares with its z-side bound; it has checked that
+    sym(A) is positive definite (``pd_margin`` >= 0), which makes A invertible."""
     return 0.5 * np.sum(Ainv * _t(gram), axis=(-2, -1)) + 0.5 * np.sum(
-        S * hooke_apply(compliance_params(p), sym(S)), axis=(-2, -1)
+        S * hbar_S, axis=(-2, -1)
     )
 
 
 def dstar_hessian_z_3d(
-    v1: np.ndarray, v2: np.ndarray, z: np.ndarray, p: LameParams, K: float,
-    Ainv: np.ndarray,
+    v1: np.ndarray, A: np.ndarray, Ainv: np.ndarray, c: LameParams, K: float
 ) -> np.ndarray:
     """6x6 Mandel second derivative of the dual density in z on symmetric
     arguments, (..., 6, 6): I6/K - sym(T) - Hbar, T_ijkl = A^-1_jk Y_li with
-    Y = A^-1 v1^T v1 A^-1; A^-1 as in ``g_star_k_density``."""
-    A = v2 + z + K * I3
+    Y = A^-1 v1^T v1 A^-1; A = v2 + z + K*I and A^-1 as in
+    ``g_star_k_density``, c the compliance, ``compliance_params``."""
     if np.max(np.abs(A - _t(A))) > 1e-9:
         raise ValueError("Hessian assembly expects a symmetric denominator")
     Y = Ainv @ _t(v1) @ v1 @ Ainv
     T = np.einsum("...jk,...li->...ijkl", Ainv, Y).reshape(A.shape[:-2] + (9, 9))
     T = MANDEL_BASIS_9.T @ T @ MANDEL_BASIS_9
-    return np.eye(6) / K - sym(T) - hooke_mandel(compliance_params(p))
+    return np.eye(6) / K - sym(T) - hooke_mandel(c)
 
 
 def _mode_shares(mode: str) -> tuple[float, float]:

@@ -483,20 +483,52 @@ def reference_newton_3d(m, iterates=None):
     raise NonConvergence(f"residual {res:.3e} after {it} iterations")
 
 
+def dual_terms(v1, v2, z, p):
+    """The per-point terms of G*_K at (v1, v2, z) that fem3d.certify_3d forms
+    once for J* and its z-side bound: S = v2 + z, v1^T v1 and Hbar:sym S."""
+    S = v2 + z
+    hbar_S = tensor3d.hooke_apply(tensor3d.compliance_params(p), tensor3d.sym(S))
+    return S, np.swapaxes(v1, -1, -2) @ v1, hbar_S
+
+
+def g_star_density(v1, v2, z, p, Ainv):
+    """tensor3d.g_star_k_density at (v1, v2, z) with Lame parameters p."""
+    return tensor3d.g_star_k_density(*dual_terms(v1, v2, z, p), Ainv)
+
+
+def hessian_z(v1, v2, z, p, K, Ainv):
+    """tensor3d.dstar_hessian_z_3d at (v1, v2, z) with Lame parameters p."""
+    A = v2 + z + K * tensor3d.I3
+    return tensor3d.dstar_hessian_z_3d(v1, A, Ainv, tensor3d.compliance_params(p), K)
+
+
+def z_side_bounds(v1, v2, z, p, K, X, margin, r):
+    """fem3d._z_side_bounds at (v1, v2, z) with Lame parameters p."""
+    S, gram, hbar_S = dual_terms(v1, v2, z, p)
+    return fem3d._z_side_bounds(v1, z, S, gram, hbar_S, S + K * tensor3d.I3, X, p,
+                                tensor3d.compliance_params(p), K, margin, r)
+
+
 def certify_3d_recorded(m, K=None, mode="identity"):
     """fem3d.certify_3d(m, K, mode) and the per-point state its z-side bound
     saw: (report, state), state a dict of v1, v2, z, lame, K, the inverse X
     of A and kappa, or None where certify_3d stops before bound 1."""
-    state, bounds = {}, fem3d._z_side_bounds
+    state, duals, bounds = {}, tensor3d.construct_duals_pointwise, fem3d._z_side_bounds
 
-    def record(v1, v2, z, lame, K, X, margin, r):
-        kappa, drop = bounds(v1, v2, z, lame, K, X, margin, r)
-        state.update(v1=v1, v2=v2, z=z, lame=lame, K=K, X=X, kappa=kappa)
+    def construct(*args):
+        v1, v2, z = duals(*args)
+        state.update(v1=v1, v2=v2, z=z)
+        return v1, v2, z
+
+    def record(v1, z, S, gram, hbar_S, A, X, lame, cp, K, margin, r):
+        kappa, drop = bounds(v1, z, S, gram, hbar_S, A, X, lame, cp, K, margin, r)
+        state.update(lame=lame, K=K, X=X, kappa=kappa)
         return kappa, drop
 
-    with mock.patch.object(fem3d, "_z_side_bounds", record):
+    with mock.patch.object(tensor3d, "construct_duals_pointwise", construct), \
+            mock.patch.object(fem3d, "_z_side_bounds", record):
         report = fem3d.certify_3d(m, K, mode)
-    return report, state or None
+    return report, state if "kappa" in state else None
 
 
 def reference_hessian_certificate(m, K=None, mode="identity"):
@@ -510,7 +542,7 @@ def reference_hessian_certificate(m, K=None, mode="identity"):
     errors = [e for e in report.errors if not e.startswith("hessian:")]
     if state is None:
         return report, errors, None
-    hessian = tensor3d.dstar_hessian_z_3d(*(state[k] for k in ("v1", "v2", "z", "lame", "K", "X")))
+    hessian = hessian_z(*(state[k] for k in ("v1", "v2", "z", "lame", "K", "X")))
     min_eig = float(np.min(np.linalg.eigvalsh(hessian)[..., 0]))
     if not min_eig >= report.m_min_eig - 1e-10:
         at = sum(e.startswith(("gap:", "constraint:")) for e in errors)

@@ -20,6 +20,7 @@ from elastodual.tensor3d import I3, LameParams
 from conftest import (
     dense_tangent_3d,
     f_star_sup_oracle,
+    g_star_density,
     g_star_k_sup_oracle,
     golden_max,
     hessian,
@@ -233,7 +234,7 @@ def test_criterion_08_conjugate_oracles(one_d_cases):
     g0 = 0.05 * rng.uniform(-1, 1, (3, 3))
     v1, v2, z = tensor3d.construct_duals_pointwise(K, g0, tensor3d.stress(p, g0))
     s = v2 + z
-    closed3 = tensor3d.g_star_k_density(v1, v2, z, p, np.linalg.inv(s + K * I3))
+    closed3 = g_star_density(v1, v2, z, p, np.linalg.inv(s + K * I3))
 
     def phi(a, b):
         X = a + 0.5 * b.T @ b

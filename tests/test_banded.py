@@ -50,6 +50,25 @@ def test_matches_scipy_bit_for_bit(bands, which):
     assert np.array_equal(ab, abs_[which])  # the inputs are copied, not overwritten
 
 
+def test_alternating_band_shapes_match_scipy():
+    # the routines' integer arguments are built once per band shape: each call
+    # here follows one on the other shape, and must get its own shape's
+    cases = [_bands(dims) for dims in ((2, 2, 2), (2, 4, 4))] * 2
+    bands, rhs = [abs_["tangent"] for abs_, _ in cases], [R0 for _, R0 in cases]
+    assert bands[0].shape != bands[1].shape
+    kept = [(ab.copy(), b.copy()) for ab, b in zip(bands, rhs)]
+    factors = [banded.factor(ab) for ab in bands]
+    solved = [banded.solve(c, b) for c, b in zip(factors, rhs)]
+    transposed = [banded.solve_transposed(c, b) for c, b in zip(factors, rhs)]
+    for ab, b, c, x, y, (kept_ab, kept_b) in zip(bands, rhs, factors, solved, transposed, kept):
+        reference = scipy.linalg.cholesky_banded(ab, check_finite=False)
+        assert np.array_equal(c, reference)
+        want = scipy.linalg.cho_solve_banded((reference, False), b, check_finite=False)
+        assert np.array_equal(x, want)
+        assert np.array_equal(y, dtbtrs(reference, b[:, None], uplo="U", trans="T")[0][:, 0])
+        assert np.array_equal(ab, kept_ab) and np.array_equal(b, kept_b)
+
+
 @pytest.mark.parametrize("k", [0, 7, -1])
 def test_indefinite_band_raises_scipys_error(bands, k):
     ab = bands[0]["tangent"].copy()
@@ -65,7 +84,7 @@ def test_indefinite_band_raises_scipys_error(bands, k):
 def test_illegal_argument_is_a_value_error(capfd):
     c = np.ones((1, 1), order="F")
     with pytest.raises(ValueError, match=r"^illegal value in -2-th argument of internal pbtrf$"):
-        banded._lapack("dpbtrf", b"U", -1, 0, c, 1)
+        banded._lapack("dpbtrf", (b"U", -1, 0, 1), c)
     capfd.readouterr()  # LAPACK's xerbla writes its own line
 
 

@@ -29,9 +29,9 @@ def run_cli(args):
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # runs cli.main in a fresh interpreter, then prints its exit code and whether
-# scipy was imported
+# scipy and logging were imported
 COLD_START = ("import sys; from elastodual import cli; code = cli.main(sys.argv[1:]); "
-              "print(code, 'scipy' in sys.modules)")
+              "print(code, 'scipy' in sys.modules, 'logging' in sys.modules)")
 
 
 class TestCertify1D:
@@ -769,8 +769,9 @@ def test_logging_switch(level, lines):
 
 class TestColdStart:
     """Every subcommand runs on numpy alone: the box's banded Cholesky calls
-    the LAPACK that numpy bundles.  Each case runs in a fresh interpreter,
-    because pytest has imported scipy already."""
+    the LAPACK that numpy bundles; and none imports logging, whose import
+    took 3 ms of a cold start for one stderr line.  Each case runs in a fresh
+    interpreter, because pytest has imported scipy and logging already."""
 
     @pytest.mark.parametrize(
         "args, exit_code",
@@ -789,4 +790,39 @@ class TestColdStart:
             [sys.executable, "-c", COLD_START, *args, *out],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        assert run.stdout.split() == [str(exit_code), "False"]
+        assert run.stdout.split() == [str(exit_code), "False", "False"]
+
+
+class TestSharedTopology:
+    """Mesh topology is cached per shape across ops in one process: each op
+    prints exactly the bytes that a fresh interpreter prints for it, whatever
+    the shapes before it."""
+
+    BENCHMARK_MESHES = ["2,2,2", "3,2,2", "2,3,2", "2,2,3", "8,2,2", "4,4,2", "2,4,4"]
+
+    def test_ops_print_what_a_fresh_interpreter_prints(self, capsys):
+        meshes, others = self.BENCHMARK_MESHES, ["3,3,2", "2,2,5", "5,2,3"]
+        # one op per shape with Lame parameters of its own, every other one
+        # in spherical mode with its own box and loads; run in two orders,
+        # each interleaved with other shapes
+        ops = {}
+        for k, mesh in enumerate(meshes + others):
+            ops[mesh] = ("certify3d", f"--mesh={mesh}", f"--lam={1.0 + 0.125 * k}")
+            if k % 2:
+                ops[mesh] += (f"--mu={0.8 + 0.0625 * k}", "--box=1.1,0.9,1.2",
+                              "--traction=0.012,0.004,-0.003", "--body=0.002,0,0.001",
+                              "--mode=spherical", "--K=0.3")
+        first = [x for pair in zip(meshes, others * 3) for x in pair]
+        second = [x for pair in zip(meshes[::-1], others[::-1] * 3) for x in pair]
+        printed = {}
+        for mesh in first + second:
+            assert run_cli(list(ops[mesh])) == cli.EXIT_PASS
+            printed.setdefault(ops[mesh], set()).add(capsys.readouterr().out)
+        assert len(printed) == len(ops)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for argv, outs in printed.items():
+            fresh = subprocess.run(
+                [sys.executable, "-m", "elastodual.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            assert outs == {fresh.stdout}, argv

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import json
+import math
 import tracemalloc
 from unittest import mock
 
@@ -17,8 +18,9 @@ from elastodual.fem3d import BoxMesh, SolidModel
 from elastodual.tensor3d import I3, LameParams
 
 from conftest import (
-    certify_3d_recorded, dense_tangent_3d, isotropic_tensor, newton_state, node_coords,
-    on_sym, reference_hessian_certificate, reference_newton_3d, residual_3d,
+    certify_3d_recorded, dense_tangent_3d, g_star_density, hessian_z, isotropic_tensor,
+    newton_state, node_coords, on_sym, reference_hessian_certificate, reference_newton_3d,
+    residual_3d, z_side_bounds,
 )
 
 P11 = LameParams(1.0, 1.0)
@@ -180,6 +182,41 @@ class TestBoxMesh:
         # corners 1, 2, 5, 6 span the local xi_1 = +1 face
         face_nodes = np.unique(mesh.conn[face][:, [1, 2, 5, 6]])
         assert np.all(node_coords(m)[face_nodes, 0] == 1.0)
+
+    TOPOLOGY = ("conn", "dofs", "component_dofs", "clamped_nodes", "free_dofs",
+                "band_index", "face_elems")
+
+    def test_topology_is_shared_and_read_only(self):
+        a = BoxMesh(_model(3, 2, 2))
+        b = BoxMesh(dataclasses.replace(_model(3, 2, 2), lx=1.25, lame=LameParams(2.0, 0.5)))
+        assert a.band == b.band and a.hx != b.hx
+        for name in self.TOPOLOGY:
+            shared = getattr(a, name)
+            assert getattr(b, name) is shared, name
+            with pytest.raises(ValueError, match="read-only"):
+                shared[...] = shared.copy()
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 4)])
+    def test_component_dofs_are_the_dofs_by_component(self, dims):
+        mesh = BoxMesh(_model(*dims))
+        e, i, n = np.indices((mesh.n_elem, 3, 8)).reshape(3, -1)
+        assert np.array_equal(mesh.component_dofs.ravel(), mesh.dofs[e, 3 * n + i])
+
+    def test_topology_cache_is_bounded(self):
+        maxsize = fem3d._topology.cache_info().maxsize
+        # a workload cycling through 7 shapes must hit, not miss every op
+        assert maxsize >= 16
+        shapes = [(nx, ny, nz) for nx in range(2, 9) for ny in (2, 3, 4) for nz in (2, 5)]
+        assert len(shapes) > maxsize + 1
+        first = BoxMesh(_model(*shapes[0]))
+        for dims in shapes[1:]:
+            BoxMesh(_model(*dims))
+        assert fem3d._topology.cache_info().currsize == maxsize
+        # the first shape was evicted: a new mesh of it builds equal arrays
+        again = BoxMesh(_model(*shapes[0]))
+        assert again.conn is not first.conn
+        for name in self.TOPOLOGY:
+            assert np.array_equal(getattr(again, name), getattr(first, name)), name
 
     def test_shape_function_partition_of_unity(self):
         mesh = BoxMesh(_model())
@@ -878,17 +915,18 @@ class TestCertify3D:
 
 
 class TestFormedOnce:
-    """certify_3d forms each per-op quantity once: one mesh, one A^-1 that
-    J*, bound 1 and the z-Hessian of the points bound 3 leaves open share, the
-    converged residual from Newton's last pass (src has no other residual
-    function), and the ne-element tangent kernel once per Newton step after
-    the first (one element's at u = 0) and once for bound 2."""
+    """certify_3d forms each per-op quantity once: one mesh, one compliance,
+    one A and A^-1, and one S = v2 + z, v1^T v1 and Hbar:sym S that J* and
+    bound 1 share, rows of which the z-Hessian of the points bound 3 leaves
+    open takes; the converged residual from Newton's last pass (src has no
+    other residual function), and the ne-element tangent kernel once per
+    Newton step after the first (one element's at u = 0) and once for bound 2."""
 
     def _certify_counted(self, monkeypatch, m, K=None, mode="identity"):
         """Run certify_3d with its calls counted, check that it passes, the
-        counts, that J* and bound 1 receive the one A^-1, and the converged
-        residual; return that A^-1 and what any other A^-1 taker received,
-        by name."""
+        counts, that J* and bound 1 receive the one A^-1 and the same per-point
+        terms, and the converged residual; return the arguments bound 1
+        received and what any other term taker received, by name."""
         calls, states, inverses, passed = collections.Counter(), [], [], {}
         kernels, tangents = [], fem3d._element_tangents
         monkeypatch.setattr(fem3d, "_element_tangents", lambda m, mesh, g, *args: (
@@ -910,29 +948,38 @@ class TestFormedOnce:
         count(fem3d, "solve_newton_3d", states)
         count(fem3d, "_newton_step")
         count(np.linalg, "inv", inverses)
-        for module, name, at in ((tensor3d, "g_star_k_density", 4),
-                                 (tensor3d, "dstar_hessian_z_3d", 5),
-                                 (fem3d, "_z_side_bounds", 5)):
+        count(tensor3d, "compliance_params")
+        for module, name in ((tensor3d, "g_star_k_density"),
+                             (tensor3d, "dstar_hessian_z_3d"),
+                             (fem3d, "_z_side_bounds")):
             original = getattr(module, name)
 
-            def taking(*args, _original=original, _at=at, _name=name):
+            def taking(*args, _original=original, _name=name):
                 assert _name not in passed
-                passed[_name] = args[_at]
+                passed[_name] = args
                 return _original(*args)
 
             monkeypatch.setattr(module, name, taking)
         report = fem3d.certify_3d(m, K, mode)
         assert report.passed, report.errors
         steps = calls.pop("_newton_step")
-        assert calls == {"BoxMesh": 1, "solve_newton_3d": 1, "inv": 1}
+        assert calls == {"BoxMesh": 1, "solve_newton_3d": 1, "inv": 1, "compliance_params": 1}
         assert steps >= 2 and kernels == [1] + [m.nx * m.ny * m.nz] * steps
-        X = inverses[0]
-        assert passed.pop("g_star_k_density") is X and passed.pop("_z_side_bounds") is X
+        # J* takes (S, v1^T v1, Hbar:sym S, A^-1); bound 1 (v1, z, S, v1^T v1,
+        # Hbar:sym S, A, A^-1, lame, compliance, ...): the same arrays
+        terms, bound1 = passed.pop("g_star_k_density"), passed.pop("_z_side_bounds")
+        assert terms[3] is inverses[0] and bound1[6] is inverses[0]
+        assert all(a is b for a, b in zip(terms[:3], bound1[2:5]))
+        S, gram, hbar_S = terms[:3]
+        v1, z = bound1[:2]
+        assert np.array_equal(bound1[5], S + bound1[9] * I3)
+        assert np.array_equal(gram, np.swapaxes(v1, -1, -2) @ v1)
+        assert np.array_equal(hbar_S, tensor3d.hooke_apply(bound1[8], tensor3d.sym(S)))
         ((mesh, u0, _, _, R0),) = states
         R = residual_3d(m, mesh, u0)
         assert report.residual_norm == np.max(np.abs(R)) > 0.0
         assert np.array_equal(R0, R.ravel()[mesh.free_dofs])
-        return X, passed
+        return bound1, passed
 
     def test_each_quantity_is_formed_once(self, monkeypatch):
         m = _model(nx=4, ny=4, nz=2, traction=(0.03, 0.01, -0.01), body=(0.0, 0.02, 0.0))
@@ -942,11 +989,33 @@ class TestFormedOnce:
 
     def test_open_points_take_rows_of_the_one_inverse(self, monkeypatch):
         case, K, mode = SPHERICAL_CORNER
-        X, passed = self._certify_counted(monkeypatch, _box(**case), K, mode)
-        rows, points = passed.pop("dstar_hessian_z_3d"), X.reshape(-1, 3, 3)
-        taken = np.array([any(np.array_equal(p, r) for r in rows) for p in points])
-        assert 0 < len(rows) < len(points) and np.array_equal(points[taken], rows)
+        bound1, passed = self._certify_counted(monkeypatch, _box(**case), K, mode)
+        v1, A, X = (bound1[k].reshape(-1, 3, 3) for k in (0, 5, 6))
+        rows_v1, rows_A, rows_X, c, K = passed.pop("dstar_hessian_z_3d")
+        taken = np.array([any(np.array_equal(p, r) for r in rows_X) for p in X])
+        assert 0 < len(rows_X) < len(X) and np.array_equal(X[taken], rows_X)
+        assert np.array_equal(A[taken], rows_A) and np.array_equal(v1[taken], rows_v1)
+        assert c is bound1[8] and K == bound1[9]
         assert passed == {}
+
+
+class TestFiniteEpilogue:
+    """The report's epilogue maps NaN to the given fill and +-inf to +-the
+    largest double, as np.nan_to_num did, and returns Python floats."""
+
+    BIG = float(np.finfo(float).max)
+
+    @pytest.mark.parametrize("x", [1.5, -2e-300, 0.0, -0.0, np.float64(-3.25),
+                                   math.nan, math.inf, -math.inf, np.float64(np.nan)])
+    @pytest.mark.parametrize("fill", ["big", "-big"])
+    def test_maps_as_nan_to_num(self, x, fill):
+        fill = self.BIG if fill == "big" else -self.BIG
+        got, want = fem3d._finite(x, nan=fill), float(np.nan_to_num(x, nan=fill))
+        assert type(got) is float
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_fill_defaults_to_the_largest_double(self):
+        assert fem3d._finite(math.nan) == self.BIG and type(fem3d._finite(math.nan)) is float
 
 
 def _certify_at(monkeypatch, m, mesh, u0, shift=None):
@@ -1008,7 +1077,7 @@ class TestBounds3D:
             Ainv = np.linalg.inv(v2 + zz + K * I3)
             return float(np.sum(
                 tensor3d.f_star_3d_density(zz, K)
-                - tensor3d.g_star_k_density(v1, v2, zz, m.lame, Ainv)
+                - g_star_density(v1, v2, zz, m.lame, Ainv)
             )) * mesh.detJ
 
         assert J_star(z - 3e-5 * I3) < J_star(z) - 1e-10
@@ -1141,7 +1210,7 @@ class TestHessianVersusM:
         assert report.passed, report.errors
         v1, v2, z, X = (state[k].reshape(-1, 3, 3) for k in ("v1", "v2", "z", "X"))
         kappa, lame, K = state["kappa"].ravel(), state["lame"], state["K"]
-        eig = np.linalg.eigvalsh(tensor3d.dstar_hessian_z_3d(v1, v2, z, lame, K, X))[:, 0]
+        eig = np.linalg.eigvalsh(hessian_z(v1, v2, z, lame, K, X))[:, 0]
         for q in {int(np.argmin(kappa)), 0, kappa.size // 2, kappa.size - 1}:
             exact = mp_hessian_z_min_eig(v1[q], v2[q], z[q], lame, K)
             assert kappa[q] <= exact, (q, kappa[q], exact)
@@ -1215,7 +1284,7 @@ def _sample_counts_per_sample(m, mesh, u0, duals, K, radius, seed, n=N_SAMPLES):
         Ainv = np.linalg.inv(v2 + zz + K * I3)
         return np.sum(
             tensor3d.f_star_3d_density(zz, K)
-            - tensor3d.g_star_k_density(v1, v2, zz, m.lame, Ainv)
+            - g_star_density(v1, v2, zz, m.lame, Ainv)
         ) * mesh.detJ
 
     Jc = dual_functional(z)
@@ -1238,7 +1307,7 @@ def _bound_verdicts(m, mesh, u0, duals, K, radius):
     deficit, _ = fem3d._local_min_bound(m, *newton_state(m, mesh, u0))
     margin = tensor3d.pd_margin(v2 + z, K)
     X = np.linalg.inv(v2 + z + K * I3)
-    kappa, drop = fem3d._z_side_bounds(v1, v2, z, m.lame, K, X, margin, radius)
+    kappa, drop = z_side_bounds(v1, v2, z, m.lame, K, X, margin, radius)
     z_ok = np.min(kappa) > 0.0 and np.sum(drop) * mesh.detJ <= fem3d.SADDLE_TOL
     return deficit <= fem3d.LOCAL_MIN_TOL, z_ok
 

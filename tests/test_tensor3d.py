@@ -11,7 +11,9 @@ from elastodual import tensor3d
 from elastodual.tensor3d import I3, LameParams
 
 from conftest import (
+    g_star_density,
     golden_max,
+    hessian_z,
     isotropic_tensor,
     m_tensor_oracle,
     on_sym,
@@ -57,6 +59,19 @@ class TestHooke:
         assert H[0, 0] == pytest.approx(p.lam + 2 * p.mu)
         assert H[0, 1] == pytest.approx(p.lam)
         assert H[5, 5] == pytest.approx(2 * p.mu)  # Mandel shear: 2 C_0101
+
+    def test_table_is_shared_read_only_and_bounded(self):
+        # one table per equal LameParams, whatever the sign of a zero lam
+        H = tensor3d.hooke_mandel(LameParams(-0.0, 0.7))
+        assert tensor3d.hooke_mandel(LameParams(0.0, 0.7)) is H
+        assert np.array_equal(H, 1.4 * np.eye(6))
+        assert not np.signbit(H).any()
+        with pytest.raises(ValueError, match="read-only"):
+            H[...] = H.copy()
+        for mu in np.linspace(0.5, 2.0, 9):
+            tensor3d.hooke_mandel(LameParams(1.0, float(mu)))
+        info = tensor3d.hooke_mandel.cache_info()
+        assert info.currsize <= info.maxsize <= 4
 
     def test_mandel_spd(self):
         H = tensor3d.hooke_mandel(P11)
@@ -374,9 +389,9 @@ class TestConjugateDensities:
 
     def test_g_star_zero_and_identity(self):
         Z = np.zeros((3, 3))
-        assert tensor3d.g_star_k_density(Z, Z, Z, P11, I3) == 0.0
+        assert g_star_density(Z, Z, Z, P11, I3) == 0.0
         K = 0.5
-        assert tensor3d.g_star_k_density(I3, Z, Z, P11, I3 / K) == pytest.approx(
+        assert g_star_density(I3, Z, Z, P11, I3 / K) == pytest.approx(
             1.5 / K
         )
 
@@ -387,7 +402,7 @@ class TestConjugateDensities:
         g0 = 0.05 * rng.uniform(-1, 1, (3, 3))
         v1, v2, z = tensor3d.construct_duals_pointwise(K, g0, tensor3d.stress(p, g0))
         s = v2 + z
-        closed = tensor3d.g_star_k_density(v1, v2, z, p, np.linalg.inv(s + K * I3))
+        closed = g_star_density(v1, v2, z, p, np.linalg.inv(s + K * I3))
 
         def phi(a, b):
             X = a + 0.5 * b.T @ b
@@ -422,7 +437,7 @@ class TestDstarHessianZ3D:
     def test_v1_zero(self):
         Z = np.zeros((3, 3))
         K = 0.5
-        hz = tensor3d.dstar_hessian_z_3d(Z, Z, Z, P11, K, I3 / K)
+        hz = hessian_z(Z, Z, Z, P11, K, I3 / K)
         expected = np.eye(6) / K - np.linalg.inv(on_sym(isotropic_tensor(1.0, 1.0)))
         assert np.max(np.abs(hz - expected)) <= 1e-14
 
@@ -433,13 +448,11 @@ class TestDstarHessianZ3D:
         g0 = 0.05 * rng.uniform(-1, 1, (3, 3))
         v1, v2, z = tensor3d.construct_duals_pointwise(K, g0, tensor3d.stress(p, g0))
         Ainv = np.linalg.inv(v2 + z + K * I3)
-        hz = tensor3d.dstar_hessian_z_3d(v1, v2, z, p, K, Ainv)
+        hz = hessian_z(v1, v2, z, p, K, Ainv)
 
         def density(zz):
             Ainv = np.linalg.inv(v2 + zz + K * I3)
-            return tensor3d.f_star_3d_density(zz, K) - tensor3d.g_star_k_density(
-                v1, v2, zz, p, Ainv
-            )
+            return tensor3d.f_star_3d_density(zz, K) - g_star_density(v1, v2, zz, p, Ainv)
 
         # the Hessian acts on symmetric arguments: differentiate along an
         # orthonormal symmetric basis
@@ -473,7 +486,7 @@ class TestDstarHessianZ3D:
             if tensor3d.pd_margin(v2 + z, K) < 0:
                 continue
             Ainv = np.linalg.inv(v2 + z + K * I3)
-            hz = tensor3d.dstar_hessian_z_3d(v1, v2, z, p, K, Ainv)
+            hz = hessian_z(v1, v2, z, p, K, Ainv)
             assert np.linalg.eigvalsh(hz)[0] >= m_eig - 1e-12
 
 
