@@ -2,7 +2,7 @@
 elasticity: a 1D bar and a 3D solid with quadratic-in-Green-strain energy."""
 
 from .mesh1d import Grid1D
-from .primal1d import BarModel, PrimalState
+from .primal1d import BarModel
 from .dual1d import DualConfig, DualState1D, GapReport
 from .tensor3d import LameParams
 from .fem3d import SolidModel, Gap3DReport
@@ -10,7 +10,6 @@ from .fem3d import SolidModel, Gap3DReport
 __all__ = [
     "Grid1D",
     "BarModel",
-    "PrimalState",
     "DualConfig",
     "DualState1D",
     "GapReport",

@@ -2,9 +2,9 @@
 and the K-feasibility exploration, emitting machine-readable JSON/CSV.
 
 Exit codes: 0 all checks pass, 1 solver error (or a numpy whose libraries
-lack the box's LAPACK routines), 2 hypothesis violated, 3 no admissible K,
-4 invalid input.  stdout carries data only; DUALITY_LOG
-(quiet | info | debug) controls stderr verbosity.
+lack the box's LAPACK routines, or a report that could not be written),
+2 hypothesis violated, 3 no admissible K, 4 invalid input.  stdout carries
+data only; DUALITY_LOG (quiet | info | debug) controls stderr verbosity.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import os
 import sys
 
 from . import dual1d, fem3d, tensor3d
-from .errors import MissingRoutine
+from .errors import MissingRoutine, ReportNotWritten
+from .primal1d import reported
 from .tensor3d import LameParams
 
 EXIT_PASS = 0
@@ -37,13 +38,18 @@ def _fmt(x: float) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    try:
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        else:  # flushed here, so that a failure is raised here, not at exit
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out_path:  # send what a buffered stdout kept to devnull, or the
+            # flush at exit retries it, prints "Exception ignored", exits 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ReportNotWritten(f"cannot write the report: {exc}") from None
 
 
 def _number(kind: type, text: str):
@@ -171,8 +177,8 @@ def cmd_ktensor(args: argparse.Namespace, lame: LameParams) -> int:
         for frac in (0.25, 0.5, 0.75, 0.9, 1.1, 2.0):
             K = k_max * frac
             eig = min(tensor3d.m_tensor_eigs(lame, K, mode))
-            samples.append({"K": K, "min_eig_sym": eig})
-        doc["modes"][mode] = {"K_max": k_max, "samples": samples}
+            samples.append({"K": reported(K), "min_eig_sym": reported(eig)})
+        doc["modes"][mode] = {"K_max": reported(k_max), "samples": samples}
     _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), args.out)
     return EXIT_PASS
 
@@ -247,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"cannot write --out: {exc}")
     try:
         return args.func(args, model)
-    except MissingRoutine as exc:  # a numpy without the bundled LAPACK
+    except (MissingRoutine, ReportNotWritten) as exc:  # no LAPACK; no report
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ERROR
 

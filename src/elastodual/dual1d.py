@@ -54,7 +54,6 @@ at the float data (fields, slopes, EA, K, h, P).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +61,7 @@ import numpy as np
 from . import primal1d
 from .errors import ConditionViolated, NonConvergence, PositivityViolated
 from .mesh1d import Grid1D, derivative, integrate, norm_V
-from .primal1d import NEWTON_MAX_ITER, NEWTON_TOL, U, BarModel, PrimalState
+from .primal1d import BIG, NEWTON_MAX_ITER, NEWTON_TOL, U, BarModel, NewtonState, reported
 
 #: bounds of ``certify``: |gap| <= GAP_TOL (1 + |J|), and the caps on the
 #: equilibrium residual, z_deficit and v_excess, energy_deficit
@@ -100,74 +99,29 @@ def _require_positivity(den: np.ndarray) -> np.ndarray:
     return den
 
 
-def F_star_density(z: np.ndarray, cfg: DualConfig) -> np.ndarray:
-    """Conjugate density z^2 / (2K)."""
-    return z**2 / (2.0 * cfg.K)
-
-
-def G_star_K_density(d: DualState1D, m: BarModel, cfg: DualConfig) -> np.ndarray:
-    """v1^2 / (2 den) + (v2 + z)^2 / (2 EA), with den = v2 + z + K."""
-    return _g_star(d, m, *_den_a(d, cfg)[:2])
-
-
-def _g_star(d: DualState1D, m: BarModel, s: np.ndarray, den: np.ndarray) -> np.ndarray:
-    return 0.5 * d.v1**2 / den + s**2 / (2.0 * m.EA)
-
-
-def dual_functional(d: DualState1D, m: BarModel, cfg: DualConfig) -> float:
-    """J*(v*, z*) = F*(z*) - G*_K(v*, z*)."""
-    return _dual_functional(d, m, cfg, *_den_a(d, cfg)[:2])
-
-
-def _dual_functional(d: DualState1D, m: BarModel, cfg: DualConfig, s, den) -> float:
-    f, g = F_star_density(d.z, cfg), _g_star(d, m, s, den)
-    return integrate(f, m.grid) - integrate(g, m.grid)
-
-
-def construct_duals(m: BarModel, u0: PrimalState, cfg: DualConfig) -> DualState1D:
-    """Closed-form dual triple at a primal state inside the slope condition."""
-    value, ok = primal1d.condition_check(u0, m.grid)
+def construct_duals(m: BarModel, u0: NewtonState, cfg: DualConfig) -> DualState1D:
+    """Closed-form dual triple at the slopes of a state inside the slope condition."""
+    e = u0.e
+    value, ok = primal1d.condition_check(e.ux)
     if not ok:
         raise ConditionViolated(f"||u_x||_inf = {value:.6f} >= 1/4")
-    e = u0.terms(m.grid)
     z = cfg.K * e.ux
     v2 = m.EA * e.strain - z
     v1 = (z + v2 + cfg.K) * e.ux
     return DualState1D(v1=v1, v2=v2, z=z)
 
 
-def equilibrium_residual(d: DualState1D, m: BarModel) -> np.ndarray:
-    """Weak form of (v1 + v2)_x + P = 0 against interior hat functions."""
-    m.grid.check_elem(d.v1)
-    m.grid.check_elem(d.v2)
-    return np.concatenate(([0.0], primal1d.weak_residual(m, d.v1 + d.v2), [0.0]))
-
-
-def _den_a(d: DualState1D, cfg: DualConfig) -> tuple:
-    """s = v2 + z, checked den = s + K and a = v1/den."""
-    s = d.v2 + d.z
-    den = _require_positivity(s + cfg.K)
-    return s, den, d.v1 / den
-
-
-def dstar_hessian_z(d: DualState1D, m: BarModel, cfg: DualConfig) -> np.ndarray:
-    """Elementwise second z-derivative of the dual density,
-    (1/K - 1/EA) - a^2/den."""
-    return _hessian_z(m, cfg, *_den_a(d, cfg)[1:])
-
-
-def _hessian_z(m: BarModel, cfg: DualConfig, den: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return (1.0 / cfg.K - 1.0 / m.EA) - a * a / den
-
-
 def _stationarity(d: DualState1D, ux: np.ndarray, m: BarModel, cfg: DualConfig):
     """Residuals (r_z, r_v1, r_v2, r_u at interior nodes) of the Lagrangian's
-    stationarity equations at the slopes ux, and (s, den, a) of ``_den_a``:
-    with q = a^2/2, r_z = q + (z/K - s/EA), r_v1 = u_x - a and
-    r_v2 = (q - s/EA) + u_x."""
-    s, den, a = _den_a(d, cfg)
+    stationarity equations at the slopes ux, and (s, den, a) = (v2 + z,
+    s + K checked positive, v1/den): with q = a^2/2, r_z = q + (z/K - s/EA),
+    r_v1 = u_x - a, r_v2 = (q - s/EA) + u_x, and r_u the weak form of
+    (v1 + v2)_x + P = 0 against the interior hat functions."""
+    s = d.v2 + d.z
+    den = _require_positivity(s + cfg.K)
+    a = d.v1 / den
     q, c = 0.5 * (a * a), s / m.EA
-    r = (q + (d.z / cfg.K - c), ux - a, q - c + ux, equilibrium_residual(d, m)[1:-1])
+    r = (q + (d.z / cfg.K - c), ux - a, q - c + ux, primal1d.weak_residual(m, d.v1 + d.v2))
     return r, (s, den, a)
 
 
@@ -212,15 +166,16 @@ def _energy_deficit(m: BarModel, ux: np.ndarray, res: np.ndarray, shift: float) 
     within 4 EA shift of res (g' < 2).  Rounding: on |u_x| < 1/4 the force
     EA (e + e^2/2)(1 + e) is off by 5 U |force| + 2 U |e| W'' <= 11 U EA |e|,
     a load half h P/2 by U h |P|, and res by 2 U |res| more.  M^-1 is a
-    positive Green's function, applied to a >= |res|; it and the dot product
-    of positive terms carry (3n + 12) U."""
+    positive Green's function, applied to a >= |res|; it and the sum of the
+    n - 1 positive products a x, in any order, carry (3n + 12) U.  The sum is
+    numpy's, not a BLAS dot product, so no BLAS kernel moves the report."""
     h, n = m.grid.h, m.grid.n_elem
     err = 11.0 * U * m.EA * np.abs(ux)
     load = np.abs(m.P) * h
     a = np.abs(res) * (1.0 + 2.0 * U) + err[:-1] + err[1:]
     a += 1.5 * U * (load[:-1] + load[1:]) + 4.0 * m.EA * shift
     x = primal1d.solve_spring_chain(np.full(n, m.EA / 6.0), h, a)
-    return 0.5 * float(a @ x) * (1.0 + (3 * n + 12) * U)
+    return 0.5 * float(np.sum(a * x)) * (1.0 + (3 * n + 12) * U)
 
 
 def _min_eig_floor(m: BarModel, s: float) -> float:
@@ -228,10 +183,14 @@ def _min_eig_floor(m: BarModel, s: float) -> float:
     s < 1/4.  Rounding: the exact slopes exceed s by 2 U s, which lowers g by
     6 U s, and g is off by U (1 + 3s^2 + g), so g less 4 U bounds the exact
     g; pi/(2n) carries 2 U, its sine 4 U, the unit eigenvalue 11 U, and with
-    the subtraction and the two products the floor 14 U."""
+    the subtraction and the two products the floor 14 U.  The factors are
+    Python floats, so past the double range (1/h above 1e154) the floor is
+    inf, not an OverflowError.  Its check floor > 0 needs only the sign, and
+    g > 0.34, EA and the unit eigenvalue are positive: so an inf floor,
+    reported as the largest double, still proves it."""
     g = 1.0 - 3.0 * s + 1.5 * s * s - 4.0 * U
-    unit = (2.0 * math.sin(math.pi / (2 * m.grid.n_elem)) / m.grid.h) ** 2
-    return m.EA * g * unit * (1.0 - 15.0 * U)  # this product 1 U more
+    root = 2.0 * math.sin(math.pi / (2 * m.grid.n_elem)) / m.grid.h
+    return m.EA * g * (root * root) * (1.0 - 15.0 * U)  # this product 1 U more
 
 
 def kkt_solve(
@@ -351,7 +310,7 @@ def certify(m: BarModel) -> GapReport:
 
     report.residual_norm = u0.res
     report.J_primal = primal1d.energy(m, u0)
-    report.condition_norm, report.condition_ok = primal1d.condition_check(u0, m.grid)
+    report.condition_norm, report.condition_ok = primal1d.condition_check(u0.e.ux)
     if not report.condition_ok:
         report.errors.append(
             f"hypothesis: ||u_x||_inf = {report.condition_norm:.6f} >= 1/4, "
@@ -359,29 +318,27 @@ def certify(m: BarModel) -> GapReport:
         )
         return report
 
-    ux, shift = u0.e.ux, u0.shift
+    ux, shift, K, EA = u0.e.ux, u0.shift, cfg.K, m.EA
     d_hat = construct_duals(m, u0, cfg)
     stat = _stationarity(d_hat, ux, m, cfg)
     (_, _, _, r_u), (s, den, a) = stat
-    report.J_dual = _dual_functional(d_hat, m, cfg, s, den)
+    # J* = F*(z) - G*_K(v, z): z^2/(2K) less v1^2/(2 den) + s^2/(2 EA)
+    g_star = 0.5 * d_hat.v1**2 / den + s**2 / (2.0 * EA)
+    report.J_dual = integrate(d_hat.z**2 / (2.0 * K), m.grid) - integrate(g_star, m.grid)
     report.gap = report.J_primal - report.J_dual
     margin = report.min_positivity_margin = float(np.min(den))
-    report.min_hessian_z = float(np.min(_hessian_z(m, cfg, den, a)))
+    report.min_hessian_z = float(np.min((1.0 / K - 1.0 / EA) - a * a / den))
     report.constraint_residual_norm = norm_V(r_u)
-    report.min_eig_floor = _min_eig_floor(m, report.condition_norm + shift)
+    report.min_eig_floor = reported(_min_eig_floor(m, report.condition_norm + shift), -BIG)
 
     r0 = min(1e-2, 0.5 * margin)
     r = 0.5 * r0 if 3.0 * r0 >= margin else r0  # then 3r <= 3 margin/4
     report.r, report.r1, report.r2 = r0 / cfg.K, r, r
     floor, z_deficit, v_excess = _saddle_bounds(d_hat, ux, m, cfg, r, stat)
     report.slope_radius = 1.0 / 3.0 - (report.condition_norm + shift) - 2.0 * U
-    deficit = _energy_deficit(m, ux, u0.r, shift)
-    # a bound with no proof (inf or NaN) is reported as the largest double, a
-    # floor as its negative, as in fem3d: each then fails its check
-    big = sys.float_info.max
-    report.z_curvature_floor = floor if math.isfinite(floor) else -big
-    report.z_deficit, report.v_excess, report.energy_deficit = (
-        x if math.isfinite(x) else big for x in (z_deficit, v_excess, deficit))
+    report.z_curvature_floor = reported(floor, -BIG)
+    report.z_deficit, report.v_excess, report.energy_deficit = map(
+        reported, (z_deficit, v_excess, _energy_deficit(m, ux, u0.r, shift)))
 
     # the slope condition and every solver failure were recorded above
     gap_bound = GAP_TOL * (1.0 + abs(report.J_primal))

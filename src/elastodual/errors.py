@@ -30,3 +30,7 @@ class ConditionViolated(ElastodualError):
 
 class MissingRoutine(ElastodualError):
     """numpy's libraries do not export a LAPACK routine the box needs."""
+
+
+class ReportNotWritten(ElastodualError):
+    """The report could not be written: a closed stdout pipe, a full disk."""

@@ -79,7 +79,6 @@ of its evaluation, in U = eps/2 of the magnitudes of its terms:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +86,7 @@ from numpy.linalg import LinAlgError
 
 from . import banded, tensor3d
 from .errors import NonConvergence, SingularSystem
-from .primal1d import NEWTON_MAX_ITER, U
+from .primal1d import BIG, NEWTON_MAX_ITER, U, reported
 from .tensor3d import I3, LameParams
 
 MAX_ELEMS_PER_AXIS = 8
@@ -447,21 +446,6 @@ def _local_min_bound(m: SolidModel, mesh: BoxMesh, u0, g0, sigma0, R0):
     return (0.5 * (y @ y) + LOCAL_RADIUS * y.size * e) * (1 + (y.size + 8) * U), shift
 
 
-# a value with no proof or no finite value (inf or NaN: 1/K past the double
-# range at K ~ 5e-309) is reported as the largest double, a floor as its
-# negative, and fails its check
-_BIG = float(np.finfo(float).max)
-
-
-def _finite(x: float, nan: float = _BIG) -> float:
-    """x as a float, NaN as ``nan`` and +-inf as +-the largest double: the
-    mapping of np.nan_to_num(x, nan=nan), without its array round trip."""
-    x = float(x)
-    if math.isnan(x):
-        return nan
-    return x if math.isfinite(x) else math.copysign(_BIG, x)
-
-
 @dataclass
 class Gap3DReport:
     """Certification record of the 3D duality principle on one box problem."""
@@ -548,7 +532,7 @@ def certify_3d(
     J_dual = float(np.sum(
         tensor3d.f_star_3d_density(z, K) - tensor3d.g_star_k_density(S, gram, hbar_S, Ainv)
     )) * mesh.detJ
-    report.J_dual, report.gap = _finite(J_dual), _finite(report.J_primal - J_dual)
+    report.J_dual, report.gap = reported(J_dual), reported(report.J_primal - J_dual)
 
     Rdual = _weak_residual(mesh, v1 + v2).ravel()[mesh.free_dofs]
     report.constraint_residual_norm = float(np.max(np.abs(Rdual)))
@@ -556,7 +540,7 @@ def certify_3d(
     # a sum of n positive terms of k roundings each is off by (n + k) U
     r = min(1e-3, 0.25 * report.min_pd_margin + 1e-12 * K)
     kappa, drop = _z_side_bounds(v1, z, S, gram, hbar_S, A, Ainv, lame, cp, K, margin, r)
-    report.z_curvature_floor = _finite(np.min(kappa), nan=-_BIG)
+    report.z_curvature_floor = reported(np.min(kappa), nan=-BIG)
     # bound 3: the z-Hessian is eigensolved only where kappa < m_min_eig + e_m,
     # and only if finite: one that is not has no proven eigenvalue (-inf)
     c = 3.0 * lame.lam + 2.0 * lame.mu
@@ -568,9 +552,9 @@ def certify_3d(
         finite = np.isfinite(H).all()
         hess_min = float(np.min(np.linalg.eigvalsh(H)[..., 0])) if finite else -np.inf
     up = 1.0 + (drop.size + 8) * U
-    report.z_deficit = _finite(np.sum(drop) * mesh.detJ * up)
+    report.z_deficit = reported(np.sum(drop) * mesh.detJ * up)
     report.energy_deficit, report.local_min_shift = map(
-        _finite, _local_min_bound(m, mesh, u0, g0, sigma0, R0))
+        reported, _local_min_bound(m, mesh, u0, g0, sigma0, R0))
 
     # every earlier failure returned with its own message, so the report
     # passes exactly when all of these hold

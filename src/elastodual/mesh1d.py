@@ -73,14 +73,6 @@ def integrate(f: np.ndarray, g: Grid1D) -> float:
     return float(np.sum(f) * g.h)
 
 
-def average_to_midpoints(u: np.ndarray, g: Grid1D) -> np.ndarray:
-    """Midpoint values of a piecewise-linear nodal field."""
-    g.check_nodal(u)
-    mid = u[:-1] + u[1:]
-    mid *= 0.5
-    return mid
-
-
 def norm_V(f: np.ndarray) -> float:
     """Sup norm of an element field."""
     return float(np.max(np.abs(f)))

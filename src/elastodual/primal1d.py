@@ -19,8 +19,9 @@ stable branch, and one iff S(N_lo) <= 0.  If S(N_lo) > 0, no N0 gives stable
 slopes that sum to 0, so every equilibrium has a slope <= x* and
 ||u_x||_inf >= 1 - 1/sqrt(3) > 1/4 (``_no_stable_root``).
 The slopes are the data: the certificate proves the clamped field of slopes
-x - mean x, within ``NewtonState.shift`` of x, whose nodal values serve only
-J's load work and the nodal multiplier that ``dual1d.kkt_solve`` starts from.
+x - mean x, within ``NewtonState.shift`` of x, and J is formed from them and
+C alone (``energy``); the nodal values serve only the nodal multiplier that
+``dual1d.kkt_solve`` starts from.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditionViolated, NonConvergence, SingularSystem
-from .mesh1d import Grid1D, average_to_midpoints, derivative, integrate, norm_V
+from .mesh1d import Grid1D, integrate, norm_V
 
 #: strict upper bound on ||u_x||_inf for the local duality construction
 SLOPE_LIMIT = 0.25
@@ -46,6 +47,18 @@ G_STAR = -1.0 / (3.0 * math.sqrt(3.0))
 #: 1 - 1/sqrt(3) rounded down: a proven lower bound of ||u_x||_inf at every
 #: equilibrium of a bar without a stable root
 FAR_SLOPE = (1.0 - 1.0 / math.sqrt(3.0)) * (1.0 - 4.0 * U)
+#: a report value with no proof or no finite value (inf or NaN) is written as
+#: the largest double, a floor as its negative, and fails its check
+BIG = float(np.finfo(float).max)
+
+
+def reported(x: float, nan: float = BIG) -> float:
+    """x as a float, NaN as ``nan`` and +-inf as +-BIG: the mapping of
+    np.nan_to_num(x, nan=nan), without its array round trip."""
+    x = float(x)
+    if math.isnan(x):
+        return nan
+    return x if math.isfinite(x) else math.copysign(BIG, x)
 
 
 @dataclass(frozen=True)
@@ -91,55 +104,35 @@ def slope_terms(ux: np.ndarray) -> SlopeTerms:
 
 
 @dataclass(frozen=True)
-class PrimalState:
-    """Clamped nodal displacement field (u[0] = u[-1] = 0)."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        if self.u[0] or self.u[-1]:
-            raise ValueError("displacement must vanish at both ends")
-
-    def terms(self, g: Grid1D) -> SlopeTerms:
-        """Slope terms of u on the grid g."""
-        return slope_terms(derivative(self.u, g))
-
-
-@dataclass(frozen=True)
-class NewtonState(PrimalState):
+class NewtonState:
     """The force solve's equilibrium: the slope terms e of its slopes x, its
     data; u = h cumsum(x - mean x), the end node set to 0; the interior
     residual r at the slopes; res = ||r||_inf + 4 EA |mean x|, to first order
     the sup residual of the clamped field of slopes x - mean x (g' < 2 on the
     slope ball); and shift >= |mean x|, the exact mean of the float slopes."""
 
+    u: np.ndarray
     e: SlopeTerms
     r: np.ndarray
     res: float
     shift: float
 
-    def terms(self, g: Grid1D) -> SlopeTerms:
-        return self.e
 
-
-def energy(m: BarModel, s: PrimalState) -> float:
-    """Total potential energy J(u) under midpoint quadrature."""
-    g = m.grid
-    density = 0.5 * m.EA * s.terms(g).strain ** 2 - average_to_midpoints(s.u, g) * m.P
-    return integrate(density, g)
+def energy(m: BarModel, s: NewtonState) -> float:
+    """Total potential energy J under midpoint quadrature of the clamped
+    field of s's slopes x, by summation by parts: its nodes u_i = h sum_{e<i}
+    (x_e - mean x) do the load work sum_i u_i h (P_{i-1} + P_i)/2 =
+    -h sum_e (x_e - mean x) C_e, so J = h sum_e (EA e_e^2/2 + (x_e - mean x)
+    C_e), e the Green strain of x and C ``BarModel.prefix_loads``."""
+    e = s.e
+    clamped = e.ux - float(np.sum(e.ux)) / m.grid.n_elem
+    return integrate(0.5 * m.EA * e.strain**2 + clamped * m.prefix_loads, m.grid)
 
 
 def weak_residual(m: BarModel, force: np.ndarray) -> np.ndarray:
     """Weak form of force_x + P = 0 for an element force at the interior
     nodes: phi_i has slope +1/h on element i-1 and -1/h on element i."""
     return (force[:-1] - force[1:]) - m.half_loads
-
-
-def residual(m: BarModel, s: PrimalState) -> np.ndarray:
-    """First variation against the interior nodal basis, at the slopes of s
-    (a ``NewtonState``'s own); boundary entries 0."""
-    e = s.terms(m.grid)
-    return np.concatenate(([0.0], weak_residual(m, m.EA * e.strain * e.opx), [0.0]))
 
 
 def solve_spring_chain(c: np.ndarray, h: float, b: np.ndarray) -> np.ndarray:
@@ -246,7 +239,7 @@ def solve_newton(m: BarModel, iteration_log: list | None = None) -> NewtonState:
     raise NonConvergence("unreachable")
 
 
-def condition_check(s: PrimalState, g: Grid1D) -> tuple[float, bool]:
-    """Sup norm of u_x and whether it is strictly below the 1/4 threshold."""
-    value = norm_V(s.terms(g).ux)
+def condition_check(ux: np.ndarray) -> tuple[float, bool]:
+    """Sup norm of the slopes ux and whether it is strictly below the 1/4 threshold."""
+    value = norm_V(ux)
     return value, value < SLOPE_LIMIT

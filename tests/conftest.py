@@ -1,12 +1,14 @@
 """Shared fixtures and independent oracles used across the test suite.
 
 The oracles here deliberately avoid the code paths they are meant to check:
-high-resolution quadrature instead of the package's midpoint rule, dense
-eigensolvers and LAPACK bisection instead of the closed-form eigenvalue floor,
-Barzilai-Borwein descent and a line-search Newton over the nodal
-displacements instead of the force solve, brute-force grid search instead
-of closed-form conjugates, and einsum-built 3x3x3x3 tensors, taken on a
-symmetric basis built here, instead of the closed-form isotropic tensors.
+high-resolution quadrature instead of the package's midpoint rule, the
+textbook nodal energy and residual and the bar's dual densities instead of
+the slope forms the certificate shares, dense eigensolvers and LAPACK
+bisection instead of the closed-form eigenvalue floor, Barzilai-Borwein
+descent and a line-search Newton over the nodal displacements instead of
+the force solve, brute-force grid search instead of closed-form conjugates,
+and einsum-built 3x3x3x3 tensors, taken on a symmetric basis built here,
+instead of the closed-form isotropic tensors.
 """
 
 import dataclasses
@@ -20,8 +22,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from elastodual import dual1d, fem3d, primal1d, tensor3d
 from elastodual.errors import ConditionViolated, NonConvergence
-from elastodual.mesh1d import Grid1D, average_to_midpoints, derivative, norm_V
-from elastodual.primal1d import PrimalState
+from elastodual.mesh1d import Grid1D, derivative, integrate, norm_V
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +40,86 @@ def bar_solution(bar_model):
 def bar_duals(bar_model, bar_solution):
     cfg = dual1d.DualConfig(K=bar_model.EA / 2.0)
     return dual1d.construct_duals(bar_model, bar_solution, cfg), cfg
+
+
+@dataclasses.dataclass(frozen=True)
+class PrimalState:
+    """Clamped nodal displacement field (u[0] = u[-1] = 0) of the bar: the
+    nodal state the oracles below take; the package works on the force
+    solve's slopes (``primal1d.NewtonState``) instead."""
+
+    u: np.ndarray
+
+    def __post_init__(self):
+        if self.u[0] or self.u[-1]:
+            raise ValueError("displacement must vanish at both ends")
+
+    def terms(self, g: Grid1D):
+        """Slope terms of u on the grid g."""
+        return primal1d.slope_terms(derivative(self.u, g))
+
+
+def state_terms(m, s):
+    """Slope terms of a state: a NewtonState's own slopes, a PrimalState's
+    the slopes of its u."""
+    return s.e if isinstance(s, primal1d.NewtonState) else s.terms(m.grid)
+
+
+def average_to_midpoints(u, g):
+    """Midpoint values of a piecewise-linear nodal field."""
+    g.check_nodal(u)
+    return 0.5 * (u[:-1] + u[1:])
+
+
+def nodal_energy(m, s):
+    """Total potential energy J(u) of the nodal state s under midpoint
+    quadrature, its load work from the midpoint values of u: the textbook
+    form of ``primal1d.energy``'s summation by parts."""
+    g = m.grid
+    density = 0.5 * m.EA * state_terms(m, s).strain ** 2 - average_to_midpoints(s.u, g) * m.P
+    return integrate(density, g)
+
+
+def nodal_residual(m, s):
+    """First variation of J against the interior nodal basis, at the slopes
+    of s (a NewtonState's own); boundary entries 0."""
+    e = state_terms(m, s)
+    return np.concatenate(([0.0], primal1d.weak_residual(m, m.EA * e.strain * e.opx), [0.0]))
+
+
+def f_star_density_1d(z, cfg):
+    """Conjugate density z^2 / (2K) of the bar."""
+    return z**2 / (2.0 * cfg.K)
+
+
+def g_star_k_density_1d(d, m, cfg):
+    """v1^2 / (2 den) + (v2 + z)^2 / (2 EA) of the bar, den = v2 + z + K
+    checked positive."""
+    s = d.v2 + d.z
+    den = dual1d._require_positivity(s + cfg.K)
+    return 0.5 * d.v1**2 / den + s**2 / (2.0 * m.EA)
+
+
+def dual_functional_1d(d, m, cfg):
+    """J*(v, z) = F*(z) - G*_K(v, z) of the bar under midpoint quadrature."""
+    return integrate(f_star_density_1d(d.z, cfg), m.grid) - integrate(
+        g_star_k_density_1d(d, m, cfg), m.grid)
+
+
+def hessian_z_1d(d, m, cfg):
+    """Elementwise second z-derivative of the bar's dual density,
+    (1/K - 1/EA) - a^2/den with a = v1/den."""
+    den = dual1d._require_positivity(d.v2 + d.z + cfg.K)
+    a = d.v1 / den
+    return (1.0 / cfg.K - 1.0 / m.EA) - a * a / den
+
+
+def equilibrium_residual_1d(d, m):
+    """Weak form of (v1 + v2)_x + P = 0 against the interior hat functions;
+    boundary entries 0."""
+    m.grid.check_elem(d.v1)
+    m.grid.check_elem(d.v2)
+    return np.concatenate(([0.0], primal1d.weak_residual(m, d.v1 + d.v2), [0.0]))
 
 
 def interp_linear(u: np.ndarray, g: Grid1D, x: np.ndarray):
@@ -72,9 +153,9 @@ def bb_minimize_1d(m, tol=1e-11, max_iter=50_000):
     u = np.zeros(m.grid.n_elem + 1)
     r_prev = s_prev = None
     for _ in range(max_iter):
-        r = primal1d.residual(m, primal1d.PrimalState(u))[1:-1]
+        r = nodal_residual(m, PrimalState(u))[1:-1]
         if np.max(np.abs(r)) < tol:
-            return primal1d.PrimalState(u)
+            return PrimalState(u)
         if r_prev is None:
             step = 1e-2
         else:
@@ -241,11 +322,11 @@ def energy_change(m, s, du):
 
 def bar_newton_state(m, u):
     """The NewtonState of the clamped nodal field u, formed from u alone by
-    the public helpers: its slopes u_x, the residual at them and its norm, and
-    the shift of the exact mean of the slopes, whose float sum is 0 only to
-    rounding."""
+    the nodal oracles: its slopes u_x, the residual at them and its norm,
+    and the shift of the exact mean of the slopes, whose float sum is 0 only
+    to rounding."""
     e = PrimalState(u).terms(m.grid)
-    r = primal1d.residual(m, PrimalState(u))[1:-1]
+    r = nodal_residual(m, PrimalState(u))[1:-1]
     n = m.grid.n_elem
     shift = abs(float(np.sum(e.ux))) / n + primal1d.U * float(np.sum(np.abs(e.ux)))
     return primal1d.NewtonState(u, e, r, norm_V(r) + 4.0 * m.EA * shift, shift)
@@ -294,10 +375,10 @@ def reference_newton(m, iteration_log=None, iterates=None):
 
 
 def certify_reference(m):
-    """dual1d.certify assembled from the public helpers in the order it had
-    before its per-op quantities were shared: the residual at the solved
-    slopes, their clamp shift, (s, den, a), the equilibrium residual and the
-    stationarity parts are formed anew by each helper that reads them."""
+    """dual1d.certify assembled from the oracles in the order it had before
+    its per-op quantities were shared: the residual at the solved slopes,
+    their clamp shift, J*, the z-Hessian, the equilibrium residual and the
+    stationarity parts are formed anew by each oracle that reads them."""
     report = dual1d.GapReport()
     cfg = dual1d.DualConfig(K=m.EA / 2.0)
     iters = []
@@ -313,12 +394,12 @@ def certify_reference(m):
     finally:
         report.newton_iters = sum(iters)
     u0, ux, n = state, state.e.ux, m.grid.n_elem
-    res = primal1d.residual(m, u0)[1:-1]
+    res = nodal_residual(m, u0)[1:-1]
     total = float(np.sum(ux))
     shift = abs(total) / n + primal1d.U * float(np.sum(np.abs(ux)))
     report.residual_norm = norm_V(res) + 4.0 * m.EA * abs(total) / n
     report.J_primal = primal1d.energy(m, u0)
-    report.condition_norm, report.condition_ok = primal1d.condition_check(u0, m.grid)
+    report.condition_norm, report.condition_ok = primal1d.condition_check(ux)
     if not report.condition_ok:
         report.errors.append(
             f"hypothesis: ||u_x||_inf = {report.condition_norm:.6f} >= 1/4, "
@@ -326,12 +407,13 @@ def certify_reference(m):
         )
         return report
     d_hat = dual1d.construct_duals(m, u0, cfg)
-    report.J_dual = dual1d.dual_functional(d_hat, m, cfg)
+    report.J_dual = dual_functional_1d(d_hat, m, cfg)
     report.gap = report.J_primal - report.J_dual
     margin = report.min_positivity_margin = float(np.min(d_hat.v2 + d_hat.z + cfg.K))
-    report.min_hessian_z = float(np.min(dual1d.dstar_hessian_z(d_hat, m, cfg)))
-    report.constraint_residual_norm = norm_V(dual1d.equilibrium_residual(d_hat, m)[1:-1])
-    report.min_eig_floor = dual1d._min_eig_floor(m, report.condition_norm + shift)
+    report.min_hessian_z = float(np.min(hessian_z_1d(d_hat, m, cfg)))
+    report.constraint_residual_norm = norm_V(equilibrium_residual_1d(d_hat, m)[1:-1])
+    report.min_eig_floor = primal1d.reported(
+        dual1d._min_eig_floor(m, report.condition_norm + shift), -primal1d.BIG)
     r0 = min(1e-2, 0.5 * margin)
     r = 0.5 * r0 if 3.0 * r0 >= margin else r0
     report.r, report.r1, report.r2 = r0 / cfg.K, r, r

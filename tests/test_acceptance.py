@@ -14,17 +14,23 @@ from elastodual import cli, dual1d, fem3d, primal1d, tensor3d
 from elastodual.dual1d import DualConfig, DualState1D
 from elastodual.fem3d import BoxMesh, SolidModel
 from elastodual.mesh1d import Grid1D, norm_V
-from elastodual.primal1d import BarModel, PrimalState
+from elastodual.primal1d import BarModel
 from elastodual.tensor3d import I3, LameParams
 
 from conftest import (
+    PrimalState,
     dense_tangent_3d,
+    f_star_density_1d,
     f_star_sup_oracle,
     g_star_density,
+    g_star_k_density_1d,
     g_star_k_sup_oracle,
     golden_max,
     hessian,
+    hessian_z_1d,
     m_tensor_oracle,
+    nodal_energy,
+    nodal_residual,
     norm_U,
     random_rotation,
     residual_3d,
@@ -97,8 +103,9 @@ def test_criterion_03_hessian_bound(one_d_cases):
     ok = True
     worst = np.inf
     for amp, (m, u0, d, cfg, report, _) in one_d_cases.items():
-        hz = float(np.min(dual1d.dstar_hessian_z(d, m, cfg)))
+        hz = report.min_hessian_z
         worst = min(worst, hz)
+        ok = ok and hz == float(np.min(hessian_z_1d(d, m, cfg)))
         ok = ok and hz > 5.0 / (7.0 * m.EA) - 1e-12
     _report(3, "dual z-Hessian > 5/(7 EA) elementwise", ok,
             f"min {worst:.6f} vs 5/7 = {5 / 7:.6f}")
@@ -166,17 +173,17 @@ def test_criterion_07_derivative_oracles(one_d_cases):
         s = PrimalState(u)
         phi = np.zeros(n + 1)
         phi[1:-1] = rng.uniform(-1, 1, n - 1)
-        dj = float(primal1d.residual(m, s) @ phi)
+        dj = float(nodal_residual(m, s) @ phi)
         fd = (
-            primal1d.energy(m, PrimalState(u + eps * phi))
-            - primal1d.energy(m, PrimalState(u - eps * phi))
+            nodal_energy(m, PrimalState(u + eps * phi))
+            - nodal_energy(m, PrimalState(u - eps * phi))
         ) / (2 * eps)
         ok = ok and abs(dj - fd) <= 1e-6 * (1.0 + abs(dj))
         diag, off = hessian(m, s)
         hv = (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)) @ phi[1:-1]
         fdh = (
-            primal1d.residual(m, PrimalState(u + eps * phi))
-            - primal1d.residual(m, PrimalState(u - eps * phi))
+            nodal_residual(m, PrimalState(u + eps * phi))
+            - nodal_residual(m, PrimalState(u - eps * phi))
         )[1:-1] / (2 * eps)
         ok = ok and np.max(np.abs(hv - fdh)) <= 1e-6 * (1 + np.max(np.abs(hv)))
 
@@ -217,10 +224,10 @@ def test_criterion_08_conjugate_oracles(one_d_cases):
     ok = True
     # 1D F*: grid-search sup
     for z in d.z[::16]:
-        closed = float(dual1d.F_star_density(np.array([z]), cfg)[0])
+        closed = float(f_star_density_1d(np.array([z]), cfg)[0])
         ok = ok and abs(closed - f_star_sup_oracle(float(z), cfg.K)) <= 1e-3
     # 1D G*_K: two-stage grid search of the defining sup
-    closed = dual1d.G_star_K_density(d, m, cfg)
+    closed = g_star_k_density_1d(d, m, cfg)
     worst = 0.0
     for e in (0, 21, 42, 63):
         sup = g_star_k_sup_oracle(d.v1[e], d.v2[e], d.z[e], m.EA, cfg.K)

@@ -152,6 +152,17 @@ class TestCertify1D:
         assert doc["saddle"]["z_deficit"] == doc["local_min"]["energy_deficit"] == big
         assert [e.split(":")[0] for e in doc["errors"]] == ["saddle_z", "saddle_z", "local_min"]
 
+    def test_overflowing_eigenvalue_floor(self, capsys):
+        # at L = 1e-155 the unit chain's eigenvalue (2 sin(pi/2n)/h)^2 leaves
+        # the double range: the floor is reported as the largest double, a
+        # positive floor still proven, and nothing raises or warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["certify1d", "--L", "1e-155", "--amp", "0"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_PASS and doc["passed"]
+        assert doc["primal"]["min_eig_floor"] == primal1d.BIG
+
     def test_mesh_cap(self):
         with pytest.raises(SystemExit):
             run_cli(["certify1d", "--n", "5000"])
@@ -453,6 +464,22 @@ class TestKTensor:
                 else:
                     assert s["min_eig_sym"] <= 0
 
+    def test_overflowing_eigenvalue_is_the_largest_double(self, capsys):
+        # at mu = 1e-308, K = K_max/4 has 1/K = inf: the sample's eigenvalue
+        # is reported as the largest double, so the report stays strict JSON
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["ktensor", "--mu=1e-308", "--lam=0"])
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert code == cli.EXIT_PASS
+        for mode in doc["modes"].values():
+            assert mode["samples"][0]["min_eig_sym"] == primal1d.BIG
+            for s in mode["samples"]:
+                assert (s["min_eig_sym"] > 0) == (s["K"] < mode["K_max"])
+
     def test_stable_across_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli(["ktensor", "--out", str(a)])
@@ -461,6 +488,24 @@ class TestKTensor:
 
 
 class TestDeterminism:
+    def test_certify1d_independent_of_the_blas_kernel(self):
+        # the bar's report calls no BLAS routine: OpenBLAS's Haswell, Nehalem
+        # and Sandybridge kernels print the bytes that the host's kernel does
+        def report(kernel):
+            env = dict(os.environ, PYTHONPATH=str(SRC))
+            env.pop("OPENBLAS_CORETYPE", None)
+            if kernel:
+                env["OPENBLAS_CORETYPE"] = kernel
+            return subprocess.run(
+                [sys.executable, "-m", "elastodual.cli", "certify1d", "--n", "4096",
+                 "--amp", "0.3"], env=env, capture_output=True, timeout=120, check=True,
+            ).stdout
+
+        host = report(None)
+        assert json.loads(host)["passed"] is True
+        for kernel in ("Haswell", "Nehalem", "Sandybridge"):
+            assert report(kernel) == host
+
     def test_certify1d_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["certify1d", "--amp", "0.1", "--n", "64", "--seed", "3"]
@@ -751,8 +796,8 @@ def test_unwritable_out_exits_before_the_solve(tmp_path, monkeypatch, capsys):
     [(None, 0), ("quiet", 0), ("1", 0), ("INFO", 0), ("info", 1), ("debug", 1)],
 )
 def test_logging_switch(level, lines):
-    # a fresh interpreter: in-process, pytest's handler on the root logger
-    # makes logging.basicConfig a no-op
+    # a fresh interpreter, whose environment holds no DUALITY_LOG but the one
+    # set here
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("DUALITY_LOG", None)
     if level is not None:
@@ -765,6 +810,54 @@ def test_logging_switch(level, lines):
     err = run.stderr.splitlines()
     assert len(err) == lines
     assert all(re.fullmatch(r"INFO elastodual: certify1d gap=\S+ passed=True", e) for e in err)
+
+
+class TestReportWriteErrors:
+    """A report that cannot be written (a closed stdout pipe, a full disk)
+    exits 1 with one error line on stderr: no traceback, and nothing from the
+    interpreter's flush of stdout at exit.  The stdout cases run with a
+    buffered stdout, which keeps the bytes that its flush could not write,
+    and with an unbuffered one (PYTHONUNBUFFERED)."""
+
+    PIPE = "elastodual: error: cannot write the report: [Errno 32] Broken pipe"
+    FULL = "elastodual: error: cannot write the report: [Errno 28] No space left on device"
+
+    @staticmethod
+    def _run(stdout, *args, unbuffered=False):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        run = subprocess.run(
+            [sys.executable, "-m", "elastodual.cli", "certify1d", "--n", "64", *args],
+            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+        return run.returncode, run.stderr.splitlines()
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_pipe(self, unbuffered):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the report is written
+        try:
+            code, err = self._run(write, unbuffered=unbuffered)
+        finally:
+            os.close(write)
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert err == [self.PIPE]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_stdout(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            code, err = self._run(full, unbuffered=unbuffered)
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert err == [self.FULL]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_out_file(self):
+        code, err = self._run(subprocess.DEVNULL, "--out", "/dev/full")
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert err == [self.FULL]
 
 
 class TestColdStart:

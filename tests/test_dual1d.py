@@ -19,11 +19,12 @@ from elastodual.errors import (
     ConditionViolated, NonConvergence, PositivityViolated, SingularSystem,
 )
 from elastodual.mesh1d import Grid1D, derivative, integrate, norm_V
-from elastodual.primal1d import BarModel, PrimalState
+from elastodual.primal1d import BarModel
 
 from conftest import (
-    bar_newton_state, certify_reference, f_star_sup_oracle, g_star_k_sup_oracle,
-    norm_U, stationarity_residuals,
+    PrimalState, bar_newton_state, certify_reference, dual_functional_1d, equilibrium_residual_1d,
+    f_star_density_1d, f_star_sup_oracle, g_star_k_density_1d, g_star_k_sup_oracle,
+    hessian_z_1d, nodal_energy, nodal_residual, norm_U, stationarity_residuals,
 )
 
 
@@ -44,12 +45,12 @@ def test_dual_config_needs_positive_k(K):
 class TestFStar:
     def test_zero(self):
         g = Grid1D(1.0, 8)
-        assert integrate(dual1d.F_star_density(np.zeros(8), DualConfig(1.0)), g) == 0.0
+        assert integrate(f_star_density_1d(np.zeros(8), DualConfig(1.0)), g) == 0.0
 
     def test_constant(self):
         g = Grid1D(2.0, 8)
         cfg = DualConfig(0.5)
-        assert integrate(dual1d.F_star_density(np.full(8, 3.0), cfg), g) == pytest.approx(
+        assert integrate(f_star_density_1d(np.full(8, 3.0), cfg), g) == pytest.approx(
             9.0 * 2.0 / (2.0 * 0.5)
         )
 
@@ -57,7 +58,7 @@ class TestFStar:
         cfg = DualConfig(0.5)
         rng = np.random.default_rng(0)
         for z in rng.uniform(-1.0, 1.0, 8):
-            closed = float(dual1d.F_star_density(np.array([z]), cfg)[0])
+            closed = float(f_star_density_1d(np.array([z]), cfg)[0])
             assert abs(closed - f_star_sup_oracle(z, cfg.K)) <= 1e-4
 
     def test_fenchel_young(self):
@@ -66,11 +67,11 @@ class TestFStar:
         v = rng.uniform(-2.0, 2.0, 1000)
         z = rng.uniform(-2.0, 2.0, 1000)
         lhs = v * z
-        rhs = 0.5 * cfg.K * v**2 + dual1d.F_star_density(z, cfg)
+        rhs = 0.5 * cfg.K * v**2 + f_star_density_1d(z, cfg)
         assert np.all(lhs <= rhs + 1e-12)
         # equality exactly on the graph z = K v
         zeq = cfg.K * v
-        req = 0.5 * cfg.K * v**2 + dual1d.F_star_density(zeq, cfg)
+        req = 0.5 * cfg.K * v**2 + f_star_density_1d(zeq, cfg)
         assert np.allclose(v * zeq, req, atol=1e-12)
         off = np.abs(lhs - rhs) > 1e-12
         assert np.all(np.abs(z[off] - cfg.K * v[off]) > 0)
@@ -80,23 +81,23 @@ class TestGStarK:
     def test_zero(self):
         m = _model(n=4)
         d = DualState1D(np.zeros(4), np.zeros(4), np.zeros(4))
-        assert integrate(dual1d.G_star_K_density(d, m, DualConfig(1.0)), m.grid) == 0.0
+        assert integrate(g_star_k_density_1d(d, m, DualConfig(1.0)), m.grid) == 0.0
 
     def test_constant_closed_form(self):
         m = _model(n=4, E=2.0, A=1.0)
         d = DualState1D(np.ones(4), np.zeros(4), np.zeros(4))
-        assert integrate(dual1d.G_star_K_density(d, m, DualConfig(1.0)), m.grid) == pytest.approx(0.5)
+        assert integrate(g_star_k_density_1d(d, m, DualConfig(1.0)), m.grid) == pytest.approx(0.5)
 
     def test_positivity_violation(self):
         m = _model(n=4)
         d = DualState1D(np.zeros(4), np.full(4, -2.0), np.zeros(4))
         message = r"^v2 \+ z \+ K = -1\.000000e\+00 <= 0 at element 0$"
         with pytest.raises(PositivityViolated, match=message):
-            integrate(dual1d.G_star_K_density(d, m, DualConfig(1.0)), m.grid)
+            integrate(g_star_k_density_1d(d, m, DualConfig(1.0)), m.grid)
 
     def test_brute_force_sup_oracle(self, bar_model, bar_duals):
         d, cfg = bar_duals
-        closed = dual1d.G_star_K_density(d, bar_model, cfg)
+        closed = g_star_k_density_1d(d, bar_model, cfg)
         for e in (0, 10, 31, 63):
             sup = g_star_k_sup_oracle(
                 d.v1[e], d.v2[e], d.z[e], bar_model.EA, cfg.K
@@ -107,16 +108,14 @@ class TestGStarK:
 class TestConstructDuals:
     def test_zero_state(self):
         m = _model()
-        d = dual1d.construct_duals(
-            m, PrimalState(np.zeros(17)), DualConfig(0.5)
-        )
+        d = dual1d.construct_duals(m, bar_newton_state(m, np.zeros(17)), DualConfig(0.5))
         assert np.all(d.v1 == 0.0) and np.all(d.v2 == 0.0) and np.all(d.z == 0.0)
 
     def test_hand_values(self):
         g = Grid1D(1.0, 2)
         m = BarModel(1.0, 1.0, g, np.zeros(2))
         u = np.array([0.0, 0.05, 0.0])  # slopes +0.1 and -0.1
-        d = dual1d.construct_duals(m, PrimalState(u), DualConfig(0.5))
+        d = dual1d.construct_duals(m, bar_newton_state(m, u), DualConfig(0.5))
         assert d.z[0] == pytest.approx(0.05)
         assert d.v2[0] == pytest.approx(0.055)
         assert d.v1[0] == pytest.approx(0.0605)
@@ -126,7 +125,7 @@ class TestConstructDuals:
         m = BarModel(1.0, 1.0, g, np.zeros(2))
         u = np.array([0.0, 0.2, 0.0])  # slope 0.4
         with pytest.raises(ConditionViolated):
-            dual1d.construct_duals(m, PrimalState(u), DualConfig(0.5))
+            dual1d.construct_duals(m, bar_newton_state(m, u), DualConfig(0.5))
 
     def test_positivity_bound_random_states(self):
         rng = np.random.default_rng(2)
@@ -137,11 +136,10 @@ class TestConstructDuals:
             ux = rng.uniform(-0.24, 0.24, n)
             u = np.concatenate([[0.0], np.cumsum(ux) * m.grid.h])
             u -= m.grid.nodes * u[-1]  # re-clamp; slopes stay within bounds
-            s = PrimalState(u)
-            value, ok = primal1d.condition_check(s, m.grid)
+            value, ok = primal1d.condition_check(derivative(u, m.grid))
             if not ok:
                 continue
-            d = dual1d.construct_duals(m, s, cfg)
+            d = dual1d.construct_duals(m, bar_newton_state(m, u), cfg)
             assert np.min(d.v2 + d.z + cfg.K) > (7.0 / 32.0) * m.EA - 1e-12
 
     def test_total_stress_identity(self, bar_model, bar_solution, bar_duals):
@@ -155,12 +153,12 @@ class TestDualFunctional:
     def test_zero(self):
         m = _model(n=4)
         d = DualState1D(np.zeros(4), np.zeros(4), np.zeros(4))
-        assert dual1d.dual_functional(d, m, DualConfig(1.0)) == 0.0
+        assert dual_functional_1d(d, m, DualConfig(1.0)) == 0.0
 
     def test_constants_example(self):
         m = _model(n=4, E=2.0, A=1.0)
         d = DualState1D(np.ones(4), np.zeros(4), np.zeros(4))
-        assert dual1d.dual_functional(d, m, DualConfig(1.0)) == pytest.approx(
+        assert dual_functional_1d(d, m, DualConfig(1.0)) == pytest.approx(
             -0.5
         )
 
@@ -169,7 +167,7 @@ class TestDualFunctional:
     ):
         d, cfg = bar_duals
         J = primal1d.energy(bar_model, bar_solution)
-        J_star = dual1d.dual_functional(d, bar_model, cfg)
+        J_star = dual_functional_1d(d, bar_model, cfg)
         assert abs(J - J_star) <= 1e-10 * (1.0 + abs(J))
 
 
@@ -177,7 +175,7 @@ class TestEquilibriumResidual:
     def test_constant_total_stress(self):
         m = _model(n=8)
         d = DualState1D(np.full(8, 0.3), np.full(8, -0.1), np.zeros(8))
-        assert np.all(dual1d.equilibrium_residual(d, m) == 0.0)
+        assert np.all(equilibrium_residual_1d(d, m) == 0.0)
 
     def test_linear_stress_balances_constant_load(self):
         n = 8
@@ -186,12 +184,12 @@ class TestEquilibriumResidual:
         m = BarModel(1.0, 1.0, g, np.full(n, -slope))
         t = slope * g.midpoints
         d = DualState1D(t, np.zeros(n), np.zeros(n))
-        assert np.allclose(dual1d.equilibrium_residual(d, m), 0.0, atol=1e-14)
+        assert np.allclose(equilibrium_residual_1d(d, m), 0.0, atol=1e-14)
 
     def test_matches_primal_residual(self, bar_model, bar_solution, bar_duals):
         d, _ = bar_duals
-        r_dual = dual1d.equilibrium_residual(d, bar_model)
-        r_primal = primal1d.residual(bar_model, bar_solution)
+        r_dual = equilibrium_residual_1d(d, bar_model)
+        r_primal = nodal_residual(bar_model, bar_solution)
         assert np.allclose(r_dual, r_primal, atol=1e-15)
 
 
@@ -199,26 +197,26 @@ class TestDstarHessianZ:
     def test_zero_state_value(self):
         m = _model(n=4)
         d = DualState1D(np.zeros(4), np.zeros(4), np.zeros(4))
-        hz = dual1d.dstar_hessian_z(d, m, DualConfig(0.5))
+        hz = hessian_z_1d(d, m, DualConfig(0.5))
         assert np.allclose(hz, 1.0)
 
     def test_lower_bound_at_constructed(self, bar_model, bar_duals):
         d, cfg = bar_duals
-        hz = dual1d.dstar_hessian_z(d, bar_model, cfg)
+        hz = hessian_z_1d(d, bar_model, cfg)
         assert np.min(hz) > 5.0 / (7.0 * bar_model.EA) - 1e-12
 
     def test_finite_difference_oracle(self, bar_model, bar_duals):
         d, cfg = bar_duals
         h = bar_model.grid.h
         eps = 1e-5
-        hz = dual1d.dstar_hessian_z(d, bar_model, cfg)
+        hz = hessian_z_1d(d, bar_model, cfg)
         for e in (0, 17, 40):
             zp = d.z.copy()
             zp[e] += eps
             zm = d.z.copy()
             zm[e] -= eps
             vals = [
-                dual1d.dual_functional(
+                dual_functional_1d(
                     DualState1D(d.v1, d.v2, zz), bar_model, cfg
                 )
                 for zz in (zp, d.z, zm)
@@ -255,9 +253,9 @@ class TestZKernel:
         a, b, c = np.abs(d.z / K), 0.5 * d.v1**2 / den_t**2, np.abs(d.v2 + d.z) / EA
         grad_bound = u * (6.0 * a + 9.0 * b + 5.0 * c)
         curv_bound = u * (6.0 / K + 11.0 * d.v1**2 / den_t**3 + 5.0 / EA)
-        grad = dual1d._stationarity(d, np.zeros(6), m, cfg)[0][0]  # r_z
-        _, den, _ = dual1d._den_a(d, cfg)
-        curv = dual1d.dstar_hessian_z(d, m, cfg)
+        parts, (_, den, _) = dual1d._stationarity(d, np.zeros(6), m, cfg)
+        grad = parts[0]  # r_z
+        curv = hessian_z_1d(d, m, cfg)
         assert np.array_equal(den, den_t)
         assert np.all(np.abs(grad - grad_t) <= grad_bound)
         assert np.all(np.abs(curv - curv_t) <= curv_bound)
@@ -278,9 +276,9 @@ def _in_hypothesis_bars(draw):
     top = draw(st.one_of(st.floats(1e-3, 0.249), st.floats(0.249, 0.2499)))
     u = np.zeros(n + 1)
     u[1:-1] = np.cumsum(raw * (top / np.max(np.abs(raw))))[:-1] * m.grid.h
-    assume(primal1d.condition_check(PrimalState(u), m.grid)[1])
+    assume(primal1d.condition_check(derivative(u, m.grid))[1])
     cfg = DualConfig(m.EA / 2.0)
-    d = dual1d.construct_duals(m, PrimalState(u), cfg)
+    d = dual1d.construct_duals(m, bar_newton_state(m, u), cfg)
     scale = draw(st.sampled_from([0.0, 1e-6, 1e-2])) * m.EA
     dv = scale * 1e-3 * draw(hnp.arrays(np.int64, (3, n), elements=st.integers(-1000, 1000)))
     return m, cfg, DualState1D(d.v1 + dv[0], d.v2 + dv[1], d.z + dv[2]), u
@@ -377,7 +375,7 @@ class TestBoundsExact:
         m = dual1d.sine_load_model(E, 1.0, L, load * E / L, n)
         u = primal1d.solve_newton(m).u.copy()
         u[1:-1] += bump * L * np.random.default_rng(seed).uniform(-1.0, 1.0, n - 1)
-        assume(primal1d.condition_check(PrimalState(u), m.grid)[1])
+        assume(primal1d.condition_check(derivative(u, m.grid))[1])
         state = bar_newton_state(m, u)
         deficit = dual1d._energy_deficit(m, state.e.ux, state.r, state.shift)
         assert deficit >= self._exact_energy_deficit(m, u)
@@ -515,7 +513,7 @@ class TestSaddleVerify:
 def _saddle_counts_per_sample(m, d_hat, cfg, r1, r2, seed, n_samples=100, tol=1e-10):
     """Oracle of the saddle check, the sampler it replaced: (passed_z,
     passed_v, lost) from one sample at a time, each z-sample through the
-    single-state dual_functional and each v-sample through a projected
+    single-state dual_functional_1d and each v-sample through a projected
     Newton in z, with the z-derivatives of the dual density written out
     here.  ``lost`` counts the v-samples whose Newton met a z-curvature
     <= 0 inside the ball; they do not pass."""
@@ -524,11 +522,11 @@ def _saddle_counts_per_sample(m, d_hat, cfg, r1, r2, seed, n_samples=100, tol=1e
     z_deltas = rng.uniform(-1.0, 1.0, size=(n_samples, n))
     v_deltas = rng.uniform(-1.0, 1.0, size=(n_samples, n))
     v_consts = rng.uniform(-1.0, 1.0, size=n_samples)
-    J_center = dual1d.dual_functional(d_hat, m, cfg)
+    J_center = dual_functional_1d(d_hat, m, cfg)
     passed_z = passed_v = lost = 0
     for delta in z_deltas:
         z = d_hat.z + delta * (r1 / np.max(np.abs(delta)))
-        J = dual1d.dual_functional(DualState1D(d_hat.v1, d_hat.v2, z), m, cfg)
+        J = dual_functional_1d(DualState1D(d_hat.v1, d_hat.v2, z), m, cfg)
         passed_z += int(J >= J_center - tol)
     lo, hi = d_hat.z - r1, d_hat.z + r1
     for d1, c in zip(v_deltas, v_consts):
@@ -551,7 +549,7 @@ def _saddle_counts_per_sample(m, d_hat, cfg, r1, r2, seed, n_samples=100, tol=1e
         else:
             raise AssertionError("projected z-Newton did not converge")
         if np.all(curv > 0.0):
-            J = dual1d.dual_functional(DualState1D(v1, v2, z), m, cfg)
+            J = dual_functional_1d(DualState1D(v1, v2, z), m, cfg)
             passed_v += int(J <= J_center + tol)
     return passed_z, passed_v, lost
 
@@ -562,13 +560,13 @@ def _local_min_per_sample(m, u0, seed, n_samples=200, radius=1e-3, tol=1e-12):
     keep J(u0 + delta) >= J(u0) - tol."""
     rng = np.random.default_rng(seed)
     n = m.grid.n_elem
-    J0 = primal1d.energy(m, PrimalState(u0))
+    J0 = nodal_energy(m, PrimalState(u0))
     passed = 0
     for _ in range(n_samples):
         delta = np.zeros(n + 1)
         delta[1:-1] = rng.uniform(-1.0, 1.0, n - 1)
         delta *= radius / norm_U(delta, m.grid)
-        passed += int(primal1d.energy(m, PrimalState(u0 + delta)) >= J0 - tol)
+        passed += int(nodal_energy(m, PrimalState(u0 + delta)) >= J0 - tol)
     return passed
 
 
@@ -637,7 +635,7 @@ class TestSampleOracles:
         report = _certify_at(m, u0, shift, split)
         assume(report.condition_ok)
         cfg = DualConfig(m.EA / 2.0)
-        d = dual1d.construct_duals(m, PrimalState(u0), cfg)
+        d = dual1d.construct_duals(m, bar_newton_state(m, u0), cfg)
         centre = DualState1D(d.v1 + split, d.v2 - split, d.z + shift)
         pz, pv, lost = _saddle_counts_per_sample(
             m, centre, cfg, report.r1, report.r2, seed
@@ -666,7 +664,7 @@ class TestSampleOracles:
         m = dual1d.sine_load_model(1.0, 1.0, 1.0, 0.3, 512)
         u0 = primal1d.solve_newton(m).u
         cfg = DualConfig(m.EA / 2.0)
-        d = dual1d.construct_duals(m, PrimalState(u0), cfg)
+        d = dual1d.construct_duals(m, bar_newton_state(m, u0), cfg)
         for shift in (0.0, 3e-3):
             report = _certify_at(m, u0, shift)
             centre = DualState1D(d.v1, d.v2, d.z + shift)
@@ -677,8 +675,8 @@ class TestSampleOracles:
             assert pz == pv == 100
             assert (report.z_deficit <= dual1d.SADDLE_TOL) == (shift == 0.0)
             assert (report.v_excess <= dual1d.SADDLE_TOL) == (shift == 0.0)
-        J_c = dual1d.dual_functional(centre, m, cfg)
-        drop = J_c - dual1d.dual_functional(d, m, cfg)
+        J_c = dual_functional_1d(centre, m, cfg)
+        drop = J_c - dual_functional_1d(d, m, cfg)
         assert dual1d.SADDLE_TOL < 0.9 * report.z_deficit < drop <= report.z_deficit
 
     @pytest.mark.parametrize("E, load", [(1.0, 0.3), (4.0, -0.6), (0.1, 0.3), (0.05, 0.6)])
@@ -689,7 +687,7 @@ class TestSampleOracles:
         K, EA, r = cfg.K, m.EA, report.r1
         d = dual1d.construct_duals(m, primal1d.solve_newton(m), cfg)
         corner = DualState1D(d.v1 + np.copysign(r, d.v1), d.v2 - r, d.z - r)
-        curv = dual1d.dstar_hessian_z(corner, m, cfg)
+        curv = hessian_z_1d(corner, m, cfg)
         # both roundings, in units u of each term: the floor's (its
         # docstring) and the kernel's at the corner, whose den also carries
         # the shifts: 1/K, 1/EA, k and t = v1^2/den^3 carry 4, 4, 3 and
@@ -713,7 +711,7 @@ def _kkt_residual(d, u, m, cfg):
     r_z = d.z / cfg.K + 0.5 * d.v1**2 / den**2 - s / m.EA
     r_v1 = -d.v1 / den + w
     r_v2 = 0.5 * d.v1**2 / den**2 - s / m.EA + w
-    r_u = dual1d.equilibrium_residual(d, m)[1:-1]
+    r_u = equilibrium_residual_1d(d, m)[1:-1]
     return np.concatenate([r_z, r_v1, r_v2, r_u])
 
 
@@ -975,7 +973,7 @@ class TestCertify:
     def test_upper_bound_chain(self, bar_model, bar_solution, bar_duals):
         d, cfg = bar_duals
         report = dual1d.certify(bar_model)
-        J_star = dual1d.dual_functional(d, bar_model, cfg)
+        J_star = dual_functional_1d(d, bar_model, cfg)
         rng = np.random.default_rng(7)
         n = bar_model.grid.n_elem
         for _ in range(100):
@@ -984,9 +982,7 @@ class TestCertify:
             scale = norm_U(delta, bar_model.grid)
             delta *= report.r / scale
             u = bar_solution.u + delta
-            assert J_star <= primal1d.energy(
-                bar_model, PrimalState(u)
-            ) + 1e-12
+            assert J_star <= nodal_energy(bar_model, PrimalState(u)) + 1e-12
 
 
 class TestFormedOnce:
@@ -994,7 +990,7 @@ class TestFormedOnce:
     Newton's converged state serves the residual norm, J, the slope check,
     the duals and the local-minimality bound, and one set of stationarity
     parts serves J*, the z-Hessian, the constraint and the saddle bounds.
-    The report is the one the public helpers give when each forms its own
+    The report is the one the conftest oracles give when each forms its own
     inputs."""
 
     @pytest.mark.parametrize(
@@ -1012,9 +1008,8 @@ class TestFormedOnce:
     def test_calls_and_report(self, E, A, L, amp, n, monkeypatch):
         m = dual1d.sine_load_model(E, A, L, amp, n)
         want = certify_reference(m)
-        calls = {"solve_newton": 0, "residual": 0, "_stationarity": 0}
-        for module, name in ((primal1d, "solve_newton"), (primal1d, "residual"),
-                             (dual1d, "_stationarity")):
+        calls = {"solve_newton": 0, "_stationarity": 0}
+        for module, name in ((primal1d, "solve_newton"), (dual1d, "_stationarity")):
             def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _f(*args, **kwargs)
@@ -1022,7 +1017,7 @@ class TestFormedOnce:
         report = dual1d.certify(m)
         assert dataclasses.asdict(report) == dataclasses.asdict(want)
         reached = report.condition_ok  # the certificate ran past the hypothesis
-        assert calls == {"solve_newton": 1, "residual": 0, "_stationarity": reached}
+        assert calls == {"solve_newton": 1, "_stationarity": reached}
         if reached:
             # the certificate's duals are stationary at its slopes, and the
             # KKT Newton from them and the nodal u0 converges

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from elastodual import banded, cli, fem3d, tensor3d
+from elastodual import banded, cli, fem3d, primal1d, tensor3d
 from elastodual.errors import NonConvergence, SingularSystem
 from elastodual.fem3d import BoxMesh, SolidModel
 from elastodual.tensor3d import I3, LameParams
@@ -1000,8 +1000,9 @@ class TestFormedOnce:
 
 
 class TestFiniteEpilogue:
-    """The report's epilogue maps NaN to the given fill and +-inf to +-the
-    largest double, as np.nan_to_num did, and returns Python floats."""
+    """The reports' epilogue (``primal1d.reported``, shared by both
+    certificates and ``ktensor``) maps NaN to the given fill and +-inf to
+    +-the largest double, as np.nan_to_num did, and returns Python floats."""
 
     BIG = float(np.finfo(float).max)
 
@@ -1010,12 +1011,13 @@ class TestFiniteEpilogue:
     @pytest.mark.parametrize("fill", ["big", "-big"])
     def test_maps_as_nan_to_num(self, x, fill):
         fill = self.BIG if fill == "big" else -self.BIG
-        got, want = fem3d._finite(x, nan=fill), float(np.nan_to_num(x, nan=fill))
+        got, want = primal1d.reported(x, nan=fill), float(np.nan_to_num(x, nan=fill))
         assert type(got) is float
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     def test_fill_defaults_to_the_largest_double(self):
-        assert fem3d._finite(math.nan) == self.BIG and type(fem3d._finite(math.nan)) is float
+        got = primal1d.reported(math.nan)
+        assert got == self.BIG and type(got) is float
 
 
 def _certify_at(monkeypatch, m, mesh, u0, shift=None):

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from elastodual.errors import SizeMismatch
-from elastodual.mesh1d import (
-    Grid1D,
-    average_to_midpoints,
-    derivative,
-    integrate,
-    norm_V,
-)
+from elastodual.mesh1d import Grid1D, derivative, integrate, norm_V
 
-from conftest import norm_U
+from conftest import average_to_midpoints, interp_linear, norm_U
 
 
 class TestGrid1D:
@@ -150,6 +144,9 @@ class TestNormV:
 
 
 def test_average_to_midpoints():
+    # the nodal energy oracle's load quadrature: the P1 field at the midpoints
     g = Grid1D(1.0, 4)
     u = g.nodes**2
-    assert np.allclose(average_to_midpoints(u, g), 0.5 * (u[:-1] + u[1:]))
+    assert np.allclose(average_to_midpoints(u, g), interp_linear(u, g, g.midpoints)[0])
+    with pytest.raises(SizeMismatch):
+        average_to_midpoints(u[:-1], g)

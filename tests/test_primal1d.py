@@ -3,6 +3,7 @@ second-order condition, each checked against an independent oracle."""
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from hypothesis.extra import numpy as hnp
 from elastodual import dual1d, primal1d
 from elastodual.errors import ConditionViolated, NonConvergence, SingularSystem
 from elastodual.mesh1d import Grid1D, derivative, norm_V
-from elastodual.primal1d import BarModel, PrimalState
+from elastodual.primal1d import BarModel
 
 import conftest
 from conftest import (
+    PrimalState,
+    bar_newton_state,
     bb_minimize_1d,
     bisection_min_eig,
     chain_is_positive_definite,
@@ -26,6 +29,8 @@ from conftest import (
     energy_change,
     energy_oracle_1d,
     hessian,
+    nodal_energy,
+    nodal_residual,
     norm_U,
     reference_newton,
 )
@@ -47,12 +52,12 @@ def _model(n=16, P=None, E=1.0, A=1.0, L=1.0):
 class TestEnergy:
     def test_zero_state(self):
         m = _model(P=np.ones(16))
-        assert primal1d.energy(m, PrimalState(np.zeros(17))) == 0.0
+        assert primal1d.energy(m, bar_newton_state(m, np.zeros(17))) == 0.0
 
     def test_high_resolution_quadrature_oracle(self):
         m = _model(n=256)
         u = m.grid.nodes * (1.0 - m.grid.nodes)
-        val = primal1d.energy(m, PrimalState(u))
+        val = primal1d.energy(m, bar_newton_state(m, u))
         oracle = energy_oracle_1d(m, u)
         assert abs(val - oracle) <= 1e-6 * abs(oracle)
 
@@ -61,7 +66,7 @@ class TestEnergy:
         m = BarModel(1.0, 1.0, g, 0.3 * np.sin(np.pi * g.midpoints))
         u = 0.1 * np.sin(np.pi * g.nodes)
         u[0] = u[-1] = 0.0
-        val = primal1d.energy(m, PrimalState(u))
+        val = primal1d.energy(m, bar_newton_state(m, u))
         oracle = energy_oracle_1d(m, u)
         assert abs(val - oracle) <= 1e-6 * (1.0 + abs(oracle))
 
@@ -69,8 +74,9 @@ class TestEnergy:
         g = Grid1D(1.0, 32)
         u = 0.05 * np.sin(2 * np.pi * g.nodes)
         u[0] = u[-1] = 0.0
-        e1 = primal1d.energy(BarModel(1.0, 1.0, g, np.zeros(32)), PrimalState(u))
-        e2 = primal1d.energy(BarModel(2.0, 1.0, g, np.zeros(32)), PrimalState(u))
+        m1, m2 = (BarModel(E, 1.0, g, np.zeros(32)) for E in (1.0, 2.0))
+        e1 = primal1d.energy(m1, bar_newton_state(m1, u))
+        e2 = primal1d.energy(m2, bar_newton_state(m2, u))
         assert e2 == pytest.approx(2.0 * e1)
 
     def test_invalid_model(self):
@@ -82,32 +88,97 @@ class TestEnergy:
             with pytest.raises(ValueError):
                 PrimalState(u)
 
+    @settings(max_examples=150, deadline=None)
+    @given(E=st.floats(-3.0, 4.0).map(lambda x: 10.0**x),
+           L=st.floats(-1.0, 1.0).map(lambda x: 10.0**x),
+           load=st.floats(-0.55, 0.55), n=st.integers(2, 4096))
+    @example(E=9821.718891880379, L=10.0, load=-0.5, n=14)  # CHANGES.md FOUND 97
+    @example(E=1.0, L=1.0, load=0.5, n=4096)
+    def test_slope_form_matches_the_nodal_energy(self, E, L, load, n):
+        # J by summation by parts from the slopes and C, against the textbook
+        # nodal energy of the solved u0.u, within their derived rounding
+        m = dual1d.sine_load_model(E, 1.0, L, load * E / L, n)
+        try:
+            s = primal1d.solve_newton(m)
+        except ConditionViolated:
+            assume(False)
+        except NonConvergence:
+            # FOUND 97: the solve stops at its residual floor, 1.3e-12; the
+            # identity holds at any slopes, so take them at a coarser stop
+            with mock.patch.object(primal1d, "NEWTON_TOL", 1e-11):
+                s = primal1d.solve_newton(m)
+        slope_form, nodal = primal1d.energy(m, s), nodal_energy(m, PrimalState(s.u))
+        assert abs(slope_form - nodal) <= _by_parts_bound(m, s)
+
     @pytest.mark.parametrize("shape", [(1025,)])
     def test_bit_identical_to_plain_expression(self, shape):
-        # energy works on in-place temporaries; every rounding must stay that
-        # of the plain expression below
+        # J by summation by parts, from the slopes and the prefix loads: every
+        # rounding must stay that of the plain expression below, and the
+        # nodal oracle's plain expression is the textbook one
         g = Grid1D(1.3, 1024)
         m = BarModel(1.7, 0.6, g, 0.4 * np.sin(np.pi * g.midpoints / g.length))
         u = np.zeros(shape)
         u[1:-1] = np.random.default_rng(6).uniform(-1e-2, 1e-2, 1023)
         ux = np.diff(u) / g.h
         strain = ux + 0.5 * ux**2
+        clamped = ux - float(np.sum(ux)) / 1024
+        plain = np.sum(0.5 * m.EA * strain**2 + clamped * m.prefix_loads) * g.h
+        assert primal1d.energy(m, bar_newton_state(m, u)) == plain
         f = 0.5 * m.EA * strain**2 - m.P * (0.5 * (u[:-1] + u[1:]))
-        plain = np.sum(f) * g.h
-        assert primal1d.energy(m, PrimalState(u)) == plain
+        assert nodal_energy(m, PrimalState(u)) == np.sum(f) * g.h
+
+
+def _by_parts_bound(m, s):
+    """First-order bound on |energy(m, s) - nodal_energy(m, PrimalState(s.u))|
+    for the force solve's state s: x its float slopes, xh = x - mean x as
+    formed (|xh - x| <= shift (1 + U)), c the cumsum of xh and u = h c, u_n = 0.
+
+    - Slopes: the nodal oracle's exact slopes w = (u_{e+1} - u_e)/h differ
+      from xh by U (2 |c_{e+1}| + |c_e|) <= 3 U sum|xh|, the last one also by
+      the exact sum sigma of the float xh, |sigma| <= (n + 1) U sum|x| +
+      U sum|xh|, and the cumsum's (n - 2) U sum|xh|; the float w by 2 U |w|
+      more.  The stored energy moves by EA |e| (1 + |x|) |dx| for a slope
+      move dx, e the Green strain.
+    - Load work: u_i H_i summed over the interior nodes, H_i = h (P_{i-1} +
+      P_i)/2, is h T sigma - h sum xh_e Cx_e exactly for the cumsum c, T =
+      sum H and Cx the exact prefix sums; c and u carry (n - 1) U sum|xh|,
+      and C = ``prefix_loads`` is off Cx by 2 U per half load and (n - 2) U
+      for its cumsum: together at most h sum|H| (|sigma| + 2 n U sum|xh|),
+      with |H| <= h (|P_{i-1}| + |P_i|)/2.
+    - Evaluation: either form sums n terms of at most five roundings each,
+      (n + 4) U of sum(|stored| + |load|) h, and each rounds its strain by
+      U (|e| + x^2/2), which moves the stored energy by EA |e| that much.
+    The factor 1 + 1e-6 covers the second-order terms."""
+    U, EA, h, n = primal1d.U, m.EA, m.grid.h, m.grid.n_elem
+    e, x = s.e, s.e.ux
+    xh = x - float(np.sum(x)) / n
+    sum_x, sum_xh = float(np.sum(np.abs(x))), float(np.sum(np.abs(xh)))
+    sigma = (n + 1) * U * sum_x + U * sum_xh
+    dx = s.shift * (1.0 + U) + 3.0 * U * sum_xh + 2.0 * U * np.abs(x)
+    dx[-1] += sigma + (n - 2) * U * sum_xh
+    strain = np.abs(e.strain)
+    slopes = EA * float(np.sum(strain * (1.0 + np.abs(x)) * dx + 2.0 * U * strain
+                               * (strain + e.half_sq)))
+    stored = 0.5 * EA * e.strain**2
+    u = s.u
+    terms = float(np.sum(2.0 * stored + np.abs(xh * m.prefix_loads)
+                         + np.abs(m.P) * 0.5 * (np.abs(u[:-1]) + np.abs(u[1:]))))
+    loads = 0.5 * h * float(np.sum(np.abs(m.P[:-1]) + np.abs(m.P[1:])))
+    work = loads * (sigma + 2.0 * n * U * sum_xh)
+    return (h * (slopes + (n + 4) * U * terms) + work) * (1.0 + 1e-6)
 
 
 class TestResidual:
     def test_rest_state(self):
         m = _model()
-        assert np.all(primal1d.residual(m, PrimalState(np.zeros(17))) == 0.0)
+        assert np.all(nodal_residual(m, PrimalState(np.zeros(17))) == 0.0)
 
     def test_load_only(self):
         n = 8
         rng = np.random.default_rng(0)
         P = rng.standard_normal(n)
         m = _model(n=n, P=P)
-        r = primal1d.residual(m, PrimalState(np.zeros(n + 1)))
+        r = nodal_residual(m, PrimalState(np.zeros(n + 1)))
         h = m.grid.h
         expected = -0.5 * (P[:-1] + P[1:]) * h
         assert np.allclose(r[1:-1], expected)
@@ -122,10 +193,10 @@ class TestResidual:
             s = _random_state(rng, n)
             phi = np.zeros(n + 1)
             phi[1:-1] = rng.uniform(-1.0, 1.0, n - 1)
-            dj = float(primal1d.residual(m, s) @ phi)
+            dj = float(nodal_residual(m, s) @ phi)
             fd = (
-                primal1d.energy(m, PrimalState(s.u + eps * phi))
-                - primal1d.energy(m, PrimalState(s.u - eps * phi))
+                nodal_energy(m, PrimalState(s.u + eps * phi))
+                - nodal_energy(m, PrimalState(s.u - eps * phi))
             ) / (2.0 * eps)
             assert abs(dj - fd) <= 1e-6 * (1.0 + abs(dj))
 
@@ -164,8 +235,8 @@ class TestHessian:
             diag, off = hessian(m, s)
             hv = (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)) @ psi[1:-1]
             fd = (
-                primal1d.residual(m, PrimalState(s.u + eps * psi))
-                - primal1d.residual(m, PrimalState(s.u - eps * psi))
+                nodal_residual(m, PrimalState(s.u + eps * psi))
+                - nodal_residual(m, PrimalState(s.u - eps * psi))
             )[1:-1] / (2.0 * eps)
             denom = 1.0 + np.max(np.abs(hv))
             assert np.max(np.abs(hv - fd)) <= 1e-6 * denom
@@ -275,7 +346,7 @@ class TestSolveNewton:
         assert sum(log) == 0
 
     def test_residual_tolerance_and_bb_oracle(self, bar_model, bar_solution):
-        r = primal1d.residual(bar_model, bar_solution)
+        r = nodal_residual(bar_model, bar_solution)
         assert norm_V(r[1:-1]) <= 1e-12
         oracle = bb_minimize_1d(bar_model)
         assert norm_U(bar_solution.u - oracle.u, bar_model.grid) <= 1e-8
@@ -329,7 +400,7 @@ class TestSolveNewton:
         # one at the slopes it returns; u sums them, its end node set to 0
         m = _sine_model(0.5, n)
         s = primal1d.solve_newton(m)
-        r = primal1d.residual(m, s)[1:-1]
+        r = nodal_residual(m, s)[1:-1]
         assert np.array_equal(r, s.r)
         total = float(np.sum(s.e.ux))
         assert s.res == norm_V(r) + 4.0 * m.EA * abs(total) / n <= primal1d.NEWTON_TOL
@@ -353,7 +424,7 @@ def _undamped_newton(m, tol=1e-12, max_iter=50):
     densely; returns the state and the iteration count."""
     u = np.zeros(m.grid.n_elem + 1)
     for it in range(max_iter + 1):
-        r = primal1d.residual(m, PrimalState(u))[1:-1]
+        r = nodal_residual(m, PrimalState(u))[1:-1]
         if norm_V(r) <= tol:
             return PrimalState(u), it
         u = u.copy()
@@ -374,11 +445,11 @@ class TestLineSearchNewton:
         ref = reference_newton(m, iteration_log=log)
         oracle, oracle_iters = _undamped_newton(m)
         s = primal1d.solve_newton(m)
-        assert primal1d.condition_check(s, m.grid)[1]
+        assert primal1d.condition_check(s.e.ux)[1]
         assert log == [oracle_iters]
         assert np.max(np.abs(ref.u - oracle.u)) <= 1e-13
-        r1 = primal1d.residual(m, PrimalState(s.u))[1:-1]
-        r2 = primal1d.residual(m, oracle)[1:-1]
+        r1 = nodal_residual(m, PrimalState(s.u))[1:-1]
+        r2 = nodal_residual(m, oracle)[1:-1]
         bound = _clamped_distance_bound(m, r1, r2, 64.0 * primal1d.U * m.EA)
         assert np.max(np.abs(s.u - oracle.u)) <= bound
 
@@ -396,8 +467,8 @@ class TestLineSearchNewton:
     def test_past_limit_point_is_local_minimum(self, amp, n):
         m = _sine_model(amp, n)
         s = reference_newton(m)
-        assert norm_V(primal1d.residual(m, s)[1:-1]) <= 1e-12
-        assert not primal1d.condition_check(s, m.grid)[1]
+        assert norm_V(nodal_residual(m, s)[1:-1]) <= 1e-12
+        assert not primal1d.condition_check(s.terms(m.grid).ux)[1]
         c = curvature(m, s.terms(m.grid))
         assert bisection_min_eig(c, m.grid.h) > 0.0
 
@@ -452,8 +523,8 @@ class TestForceSolve:
         # recomputed from each u, so the bound holds for the floats themselves
         m = dual1d.sine_load_model(E, A, L, load * E * A / L, n)
         s, ref = primal1d.solve_newton(m), reference_newton(m)
-        r1 = primal1d.residual(m, PrimalState(s.u))[1:-1]
-        r2 = primal1d.residual(m, ref)[1:-1]
+        r1 = nodal_residual(m, PrimalState(s.u))[1:-1]
+        r2 = nodal_residual(m, ref)[1:-1]
         assert max(norm_V(derivative(s.u, m.grid)), norm_V(derivative(ref.u, m.grid))) < 0.25
         scale = 64.0 * primal1d.U * (m.EA + m.grid.h * np.max(np.abs(m.P)))
         bound = _clamped_distance_bound(m, r1, r2, scale)
@@ -471,13 +542,13 @@ class TestForceSolve:
             s = primal1d.solve_newton(m)
         except ConditionViolated:
             assume(False)
-        assume(primal1d.condition_check(s, m.grid)[1])
+        assume(primal1d.condition_check(s.e.ux)[1])
         try:
             ref = reference_newton(m)
         except NonConvergence:  # the oracle's own residual floor, ulp(u)/h
             assume(False)
-        r1 = primal1d.residual(m, PrimalState(s.u))[1:-1]
-        r2 = primal1d.residual(m, ref)[1:-1]
+        r1 = nodal_residual(m, PrimalState(s.u))[1:-1]
+        r2 = nodal_residual(m, ref)[1:-1]
         assume(norm_V(derivative(ref.u, m.grid)) < 0.25)
         scale = 64.0 * primal1d.U * (m.EA + m.grid.h * np.max(np.abs(m.P)))
         assert np.max(np.abs(s.u - ref.u)) <= _clamped_distance_bound(m, r1, r2, scale)
@@ -503,7 +574,7 @@ class TestForceSolve:
             ref = reference_newton(m)
         except NonConvergence:
             return
-        assert primal1d.condition_check(ref, m.grid)[0] >= primal1d.FAR_SLOPE
+        assert primal1d.condition_check(ref.terms(m.grid).ux)[0] >= primal1d.FAR_SLOPE
 
     @settings(max_examples=20, deadline=None)
     @given(E=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0), n=st.integers(2, 24))
@@ -636,7 +707,7 @@ class TestEnergyChange:
         for _ in range(20):
             s = _random_state(rng, n)
             du = _random_state(rng, n, scale=1e-2).u
-            plain = primal1d.energy(m, PrimalState(s.u + du)) - primal1d.energy(m, s)
+            plain = nodal_energy(m, PrimalState(s.u + du)) - nodal_energy(m, s)
             change = energy_change(m, s, du)
             assert abs(change - plain) <= 1e-12 * abs(plain)
 
@@ -647,7 +718,7 @@ class TestEnergyChange:
         u = reference_newton(m).u.copy()
         u[1:-1] += 1e-10 * np.random.default_rng(8).uniform(-1.0, 1.0, 15)
         s = PrimalState(u)
-        r = primal1d.residual(m, s)[1:-1]
+        r = nodal_residual(m, s)[1:-1]
         assert 1e-9 <= norm_V(r) <= 1e-7
         du = np.zeros(17)
         du[1:-1] = np.linalg.solve(_dense_hessian(m, s), -r)
@@ -657,22 +728,20 @@ class TestEnergyChange:
 
 class TestConditionCheck:
     def test_zero(self):
-        value, ok = primal1d.condition_check(
-            PrimalState(np.zeros(9)), Grid1D(1.0, 8)
-        )
+        value, ok = primal1d.condition_check(derivative(np.zeros(9), Grid1D(1.0, 8)))
         assert value == 0.0 and ok
 
     def test_above_threshold(self):
         g = Grid1D(1.0, 8)
         u = np.minimum(g.nodes, 1.0 - g.nodes) * 0.3
-        value, ok = primal1d.condition_check(PrimalState(u), g)
+        value, ok = primal1d.condition_check(derivative(u, g))
         assert value == pytest.approx(0.3)
         assert not ok
 
     def test_threshold_is_strict(self):
         g = Grid1D(1.0, 8)
         u = np.minimum(g.nodes, 1.0 - g.nodes) * 0.25
-        value, ok = primal1d.condition_check(PrimalState(u), g)
+        value, ok = primal1d.condition_check(derivative(u, g))
         assert value == pytest.approx(0.25)
         assert not ok
 
@@ -745,7 +814,7 @@ class TestSecondVariationMinEig:
             report = dual1d.certify(m)
             assert report.passed
             s = primal1d.solve_newton(m)
-            want = bisection_min_eig(curvature(m, s.terms(m.grid)), m.grid.h)
+            want = bisection_min_eig(curvature(m, s.e), m.grid.h)
             assert 0.0 < report.min_eig_floor <= want <= 6.0 * report.min_eig_floor
 
     @pytest.mark.parametrize("n", [2, 3, 64, 4096])
