@@ -43,11 +43,13 @@ def _emit(text: str, out_path: str | None) -> None:
             with open(out_path, "w") as fh:
                 fh.write(text)
         else:  # flushed here, so that a failure is raised here, not at exit
+            if sys.stdout is None:  # started with fd 1 closed
+                raise OSError("stdout is closed")
             sys.stdout.write(text if text.endswith("\n") else text + "\n")
             sys.stdout.flush()
     except OSError as exc:
-        if not out_path:  # send what a buffered stdout kept to devnull, or the
-            # flush at exit retries it, prints "Exception ignored", exits 120
+        if not out_path and sys.stdout:  # send what a buffered stdout kept to
+            # devnull, or the flush at exit retries it: "Exception ignored", exit 120
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ReportNotWritten(f"cannot write the report: {exc}") from None
 

@@ -18,6 +18,14 @@ EA g(x*) on.  So the bar has at most one equilibrium with every slope on the
 stable branch, and one iff S(N_lo) <= 0.  If S(N_lo) > 0, no N0 gives stable
 slopes that sum to 0, so every equilibrium has a slope <= x* and
 ||u_x||_inf >= 1 - 1/sqrt(3) > 1/4 (``_no_stable_root``).
+``solve_newton`` is a joint Newton on (x, N0).  With w = 1/(EA g'(x)), g' held
+>= 1e-6, and f = N0 - C - EA g(x), EA g formed as the residual forms it, the
+Schur complement of [diag(1/w), -1; 1^T, 0] is dN = -(sum x + sum f w)/sum w,
+and x gains (f + dN) w less g's second-order term (its sum over sum w joins
+dN); an elementwise Newton step then takes f to rounding, as the stopping test
+bounds only f's differences and a smooth f moves the gap h sum f x.  The start
+and a rejected step (N0 off its bracket, a slope <= -1/4) take the closed form,
+the only iterates where sum x is S(N0) to rounding; only they move the bracket.
 The slopes are the data: the certificate proves the clamped field of slopes
 x - mean x, within ``NewtonState.shift`` of x, and J is formed from them and
 C alone (``energy``); the nodal values serve only the nodal multiplier that
@@ -193,46 +201,51 @@ def _no_stable_root(m: BarModel, n_lo: float) -> bool:
 
 
 def solve_newton(m: BarModel, iteration_log: list | None = None) -> NewtonState:
-    """The equilibrium on the stable branch: Newton's method on N0 from
-    mean C + 3 var(C)/(2 EA) (x = y - 3y^2/2 + O(y^3) and sum x = 0), bisecting
-    [max(min C, N_lo), max C] where a step leaves it, until ``NewtonState.res``
-    <= NEWTON_TOL.  ``ConditionViolated`` where no stable root exists;
-    ``NonConvergence`` at a non-finite residual or after ``NEWTON_MAX_ITER``
-    steps.  ``iteration_log`` receives the number of steps, also on failure."""
+    """The equilibrium on the stable branch, by the joint Newton of the module
+    docstring from N0 = mean C + 3 var(C)/(2 EA) (x = y - 3y^2/2 + O(y^3), sum
+    x = 0) to ``NewtonState.res`` <= NEWTON_TOL.  ``ConditionViolated`` where
+    no stable root exists; ``NonConvergence`` at a non-finite residual or after
+    ``NEWTON_MAX_ITER`` steps; ``iteration_log`` gets the step count, always."""
     C, EA, n = m.prefix_loads, m.EA, m.grid.n_elem
-    top, mean = float(np.max(C)), float(np.mean(C))
-    n_lo = top + EA * G_STAR
-    it = 0
+    top, mean = float(C.max()), float(C.sum()) / n
+    n_lo, it = top + EA * G_STAR, 0
     try:
         # x(y) <= y, the concave inverse's tangent at 0: S(N_lo) <= n (N_lo - mean C)/EA
         if mean < n_lo and _no_stable_root(m, n_lo):
             raise ConditionViolated(
                 f"no equilibrium on the stable branch: ||u_x||_inf >= 1 - 1/sqrt(3) "
                 f"= {FAR_SLOPE:.6f} at every equilibrium")
-        lo, hi = max(float(np.min(C)), n_lo), top
-        n0 = min(max(mean + 1.5 * EA * float(np.var(C / EA)), lo), hi)
+        lo, hi = max(float(C.min()), n_lo), top
+        n0 = min(max(mean + 1.5 * EA * float(np.sum(((C - mean) / EA) ** 2)) / n, lo), hi)
+        x, closed = _stable_slopes((n0 - C) / EA), True
         for it in range(NEWTON_MAX_ITER + 1):
-            # the stable slopes under n0 - C, polished by one elementwise Newton
-            # step; g' > 0.34 on |x| < 1/4 is held at 1e-6 where it vanishes
-            force = n0 - C
-            e = slope_terms(_stable_slopes(force / EA))
-            k = EA * np.maximum(e.opx**2 + e.ux + e.half_sq, 1e-6)
-            force -= EA * e.strain * e.opx
-            e = slope_terms(e.ux + force / k)
-            r = weak_residual(m, EA * e.strain * e.opx)
-            total = float(np.sum(e.ux))
+            e = slope_terms(x)
+            flux = EA * e.strain * e.opx
+            r = weak_residual(m, flux)
+            total = float(x.sum())
             res = norm_V(r) + 4.0 * EA * abs(total) / n
             if res <= NEWTON_TOL:
                 u = np.zeros(n + 1)  # the clamped field, its end node 0 to rounding
-                u[1:-1] = np.cumsum(e.ux[:-1] - total / n) * m.grid.h
-                shift = abs(total) / n + U * float(np.sum(np.abs(e.ux)))
+                u[1:-1] = np.cumsum(x[:-1] - total / n) * m.grid.h
+                shift = abs(total) / n + U * float(np.abs(x).sum())
                 return NewtonState(u, e, r, res, shift)
-            if it == NEWTON_MAX_ITER or not np.isfinite(res):
+            if it == NEWTON_MAX_ITER or not math.isfinite(res):
                 raise NonConvergence(f"residual {res:.3e} after {it} iterations")
-            lo, hi = (n0, hi) if total < 0.0 else (lo, n0)
-            n0 -= total / float(np.sum(1.0 / k))
-            if not lo < n0 < hi:
-                n0 = 0.5 * (lo + hi)
+            if closed:  # the bracket moves only here
+                lo, hi = (n0, hi) if total < 0.0 else (lo, n0)
+            w, f = 1.0 / (EA * np.maximum(e.opx**2 + e.ux + e.half_sq, 1e-6)), n0 - C - flux
+            sw = float(w.sum())
+            dn = -(total + float((f * w).sum())) / sw
+            q = (f + dn) * w
+            cq2 = (1.5 * EA) * e.opx * w * q * q
+            d2 = float(cq2.sum()) / sw
+            step = x + q + (d2 * w - cq2)
+            if lo < n0 + dn + d2 < hi and float(step.min()) > -SLOPE_LIMIT:
+                n0, closed, e = n0 + dn + d2, False, slope_terms(step)
+                x = step + (n0 - C - EA * e.strain * e.opx) / (EA * (e.opx**2 + e.ux + e.half_sq))
+            else:  # rejected: the first-order step on N0, or bisection
+                n0 = n0 + dn if lo < n0 + dn < hi else 0.5 * (lo + hi)
+                x, closed = _stable_slopes((n0 - C) / EA), True
     finally:
         if iteration_log is not None:
             iteration_log.append(it)

@@ -210,14 +210,14 @@ class TestSweep1D:
         assert lines[1].endswith("OK") and lines[3].endswith("OK")
 
     def test_past_limit_statuses(self, tmp_path):
-        # the CI sweep: one pass in two force-solve steps, and three bars
+        # the CI sweep: one pass in one joint force-solve step, and three bars
         # past the limit point, proven to have no stable root before any step
         out = tmp_path / "sweep.csv"
         code = run_cli(["sweep1d", "--amps=0.3,1,1.5,3", "--n=4096", "--out", str(out)])
         assert code == cli.EXIT_HYPOTHESIS_VIOLATED
         rows = [row.split(",") for row in out.read_text().strip().split("\n")[1:]]
         assert [row[-1] for row in rows] == ["OK", "HYPOTHESIS", "HYPOTHESIS", "HYPOTHESIS"]
-        assert [row[-2] for row in rows] == ["2", "0", "0", "0"]
+        assert [row[-2] for row in rows] == ["1", "0", "0", "0"]
 
     def test_solver_failure_row(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -823,7 +823,7 @@ class TestReportWriteErrors:
     FULL = "elastodual: error: cannot write the report: [Errno 28] No space left on device"
 
     @staticmethod
-    def _run(stdout, *args, unbuffered=False):
+    def _run(stdout, *args, unbuffered=False, **popen):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
@@ -831,8 +831,17 @@ class TestReportWriteErrors:
         run = subprocess.run(
             [sys.executable, "-m", "elastodual.cli", "certify1d", "--n", "64", *args],
             env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+            **popen,
         )
         return run.returncode, run.stderr.splitlines()
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout(self, unbuffered):
+        # started with fd 1 closed (`certify1d >&-`), the interpreter sets
+        # sys.stdout to None: there is no fd 1 to point at devnull
+        code, err = self._run(None, unbuffered=unbuffered, preexec_fn=lambda: os.close(1))
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert err == ["elastodual: error: cannot write the report: stdout is closed"]
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_stdout_pipe(self, unbuffered):

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from elastodual import dual1d, primal1d
+from elastodual import cli, dual1d, primal1d
 from elastodual.errors import ConditionViolated, NonConvergence, SingularSystem
 from elastodual.mesh1d import Grid1D, derivative, norm_V
 from elastodual.primal1d import BarModel
@@ -103,8 +103,10 @@ class TestEnergy:
         except ConditionViolated:
             assume(False)
         except NonConvergence:
-            # FOUND 97: the solve stops at its residual floor, 1.3e-12; the
-            # identity holds at any slopes, so take them at a coarser stop
+            # the absolute NEWTON_TOL is near the residual's rounding floor at
+            # EA ~ 1e4 (ROADMAP item 17), where some draws stop at 1.0-1.8e-12;
+            # the identity holds at any slopes, so take them at a coarser stop.
+            # FOUND 97's bar, the first example, converges at the default
             with mock.patch.object(primal1d, "NEWTON_TOL", 1e-11):
                 s = primal1d.solve_newton(m)
         slope_form, nodal = primal1d.energy(m, s), nodal_energy(m, PrimalState(s.u))
@@ -378,13 +380,19 @@ class TestSolveNewton:
             primal1d.solve_newton(_sine_model(0.3, 2048), iteration_log=log)
         assert log == [50]
 
-    @pytest.mark.xfail(strict=True, raises=NonConvergence,
-                       reason="NEWTON_TOL is absolute, below the rounding floor U EA n")
-    def test_in_hypothesis_bar_at_large_ea(self):
-        # slopes up to 0.19, but at EA ~ 1e4 the residual stalls at 1.326e-12
-        # and the solve stops after 50 iterations
+    def test_in_hypothesis_bar_at_large_ea(self, tmp_path):
+        # CHANGES.md FOUND 97: slopes up to 0.19 at EA ~ 1e4, where the
+        # residual's rounding floor is near NEWTON_TOL (the closed form of
+        # every iterate stalled at 1.326e-12); the joint solve stops at
+        # 9.85e-13, a margin of rounding only (ROADMAP item 17)
         m = dual1d.sine_load_model(9821.718891880379, 1.0, 10.0, -491.08594459401894, 14)
-        primal1d.solve_newton(m)
+        log = []
+        assert primal1d.solve_newton(m, iteration_log=log).res <= primal1d.NEWTON_TOL
+        assert log == [3]
+        out = str(tmp_path / "report.json")
+        args = ["certify1d", "--E", "9821.718891880379", "--L", "10", "--n", "14",
+                "--amp=-491.08594459401894", "--out", out]
+        assert cli.main(args) == cli.EXIT_PASS
 
     @pytest.mark.parametrize("amp,n", [(10.0, 2048), (1.0, 4096), (0.8, 64)])
     def test_no_stable_root(self, amp, n):
@@ -396,17 +404,105 @@ class TestSolveNewton:
 
     @pytest.mark.parametrize("n", [2, 3, 64, 4096])
     def test_residual_at_the_slopes(self, n):
-        # the solve stops at its residual, and the residual it reports is the
-        # one at the slopes it returns; u sums them, its end node set to 0
         m = _sine_model(0.5, n)
-        s = primal1d.solve_newton(m)
-        r = nodal_residual(m, s)[1:-1]
-        assert np.array_equal(r, s.r)
-        total = float(np.sum(s.e.ux))
-        assert s.res == norm_V(r) + 4.0 * m.EA * abs(total) / n <= primal1d.NEWTON_TOL
-        assert s.shift == abs(total) / n + primal1d.U * float(np.sum(np.abs(s.e.ux)))
-        assert np.array_equal(s.u[1:-1], np.cumsum(s.e.ux[:-1] - total / n) * m.grid.h)
-        assert s.u[0] == s.u[-1] == 0.0
+        _assert_state_at_its_slopes(m, primal1d.solve_newton(m))
+
+
+def _assert_state_at_its_slopes(m, s):
+    """The solve stops at its residual, and the residual it reports is the
+    one at the slopes it returns; u sums them, its end node set to 0."""
+    n = m.grid.n_elem
+    r = nodal_residual(m, s)[1:-1]
+    assert np.array_equal(r, s.r)
+    total = float(np.sum(s.e.ux))
+    assert s.res == norm_V(r) + 4.0 * m.EA * abs(total) / n <= primal1d.NEWTON_TOL
+    assert s.shift == abs(total) / n + primal1d.U * float(np.sum(np.abs(s.e.ux)))
+    assert np.array_equal(s.u[1:-1], np.cumsum(s.e.ux[:-1] - total / n) * m.grid.h)
+    assert s.u[0] == s.u[-1] == 0.0
+
+
+def _counting_closed_form():
+    """Patches primal1d._stable_slopes, the closed form, with a counting wrapper."""
+    return mock.patch.object(primal1d, "_stable_slopes", wraps=primal1d._stable_slopes)
+
+
+class TestJointNewton:
+    """The force solve's joint Newton on (slopes, N0): inside the hypothesis
+    the closed form runs once, at the start; near the limit point the steps
+    that take a slope to -1/4 or below are rejected, and each iterate takes
+    the closed form and the first-order step on N0."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(E=st.floats(0.5, 2.0), A=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
+           load=st.floats(0.05, 0.5),
+           n=st.sampled_from([64, 128, 256, 512, 1024, 2048, 3072, 4096]))
+    @example(E=1.0, A=1.0, L=1.0, load=0.5, n=4096)
+    def test_closed_form_once_at_the_benchmark_loads(self, E, A, L, load, n):
+        # perfbench's bar1d_certify draws E, A and L in [0.5, 2], the load
+        # amp L/(E A) in [0.05, 0.5] and these n
+        m = dual1d.sine_load_model(E, A, L, load * E * A / L, n)
+        with _counting_closed_form() as closed:
+            s = primal1d.solve_newton(m)
+        assert closed.call_count == 1
+        assert s.res <= primal1d.NEWTON_TOL and primal1d.condition_check(s.e.ux)[1]
+
+    @pytest.mark.parametrize(
+        "E,amp,n,iters,code",
+        [
+            (1.0, 0.8, 8, 7, cli.EXIT_HYPOTHESIS_VIOLATED),
+            (2.0, 1.5, 4096, 5, cli.EXIT_HYPOTHESIS_VIOLATED),
+            (2.0, 5.0, 2, 12, cli.EXIT_HYPOTHESIS_VIOLATED),
+            (1.0, 0.8, 3, 2, cli.EXIT_PASS),
+        ],
+    )
+    def test_near_limit_point(self, E, amp, n, iters, code, tmp_path):
+        # slopes near x* = -0.42: every step is rejected and every iterate is
+        # in closed form (one more call decides that a stable root exists), in
+        # the iterations of a Newton on N0 whose every iterate is in closed
+        # form; or no step is rejected and the bar certifies
+        m = dual1d.sine_load_model(E, 1.0, 1.0, amp, n)
+        log = []
+        with _counting_closed_form() as closed:
+            s = primal1d.solve_newton(m, iteration_log=log)
+        assert log == [iters]
+        assert closed.call_count == (iters + 2 if code else 2)
+        _assert_state_at_its_slopes(m, s)
+        assert np.min(s.e.ux) > 1.0 / math.sqrt(3.0) - 1.0  # the stable branch
+        args = ["certify1d", f"--E={E}", f"--amp={amp}", f"--n={n}",
+                "--out", str(tmp_path / "report.json")]
+        assert cli.main(args) == code
+
+    @pytest.mark.parametrize("E,L,load", [
+        (3.525968352480601, 9.128622396109927, 0.37746191360267367),
+        (0.3925807552761138, 9.439670695866617, 0.2586972125268182),
+    ])
+    def test_stop_leaves_no_smooth_force_error(self, E, L, load):
+        # the stopping test bounds the force error f = N0 - C - EA g(x) only
+        # by its differences, and the gap is h sum f x.  A joint step without
+        # the elementwise Newton step after it stops these bars at residuals
+        # of 7e-13 (with the second-order term) or 9e-13 (without) and a gap
+        # of 1.7e-10 or 3.8e-10, past GAP_TOL (1 + |J|)
+        report = dual1d.certify(dual1d.sine_load_model(E, 1.0, L, load * E / L, 4096))
+        assert report.passed and abs(report.gap) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(E=st.floats(-2.0, 2.0).map(lambda x: 10.0**x),
+           L=st.floats(-1.0, 1.0).map(lambda x: 10.0**x),
+           load=st.floats(-0.55, 0.55), n=st.integers(2, 4096))
+    @example(E=1.0, L=1.0, load=0.5, n=4096)
+    @example(E=1.0, L=1.0, load=-0.55, n=2)
+    def test_in_hypothesis_state(self, E, L, load, n):
+        # at EA <= 100 the residual's rounding floor is far below NEWTON_TOL
+        # (ROADMAP item 17 is about EA ~ 1e4); two steps suffice
+        m = dual1d.sine_load_model(E, 1.0, L, load * E / L, n)
+        log = []
+        try:
+            s = primal1d.solve_newton(m, iteration_log=log)
+        except ConditionViolated:
+            assume(False)
+        assume(primal1d.condition_check(s.e.ux)[1])
+        _assert_state_at_its_slopes(m, s)
+        assert log[0] <= 2
 
 
 def _sine_model(amp, n):
