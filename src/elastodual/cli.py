@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import dual1d, fem3d, tensor3d
 from .errors import MissingRoutine, ReportNotWritten
@@ -99,22 +99,60 @@ def _values(kind: type, count: int | None = None):
     return parse
 
 
-@functools.cache
-def _placements(cls: type) -> tuple:
-    """(name, section, key) of each field of a report class: the [section][key]
-    its declaration names, else (None, name), the top level."""
-    return tuple((f.name, *f.metadata.get("json", (None, f.name)))
-                 for f in dataclasses.fields(cls))
+_SLOT = object()  # a template's leaf: ``_json`` writes NUL, which no escaped string holds
+
+
+def _json(value, indent: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    writes it at the line break and indentation ``indent``: floats (subclasses
+    too) by float.__repr__, a bool before an int, strings ASCII-escaped."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _json(v, inner) for v in value]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    if value is _SLOT:
+        return "\0"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+@functools.lru_cache(maxsize=8)  # one per (report class, echo keys): per subcommand
+def _template(cls: type, echo_keys: tuple) -> tuple[str, tuple]:
+    """The report of ``cls`` with the config echo keys ``echo_keys``, a %s
+    slot at each leaf (a % in a key doubled), and each slot's (source, name,
+    indent): source 0 the report, 1 the echo, in path order, as ``_json``
+    sorts keys.  A field's path is the (section, key) its declaration
+    names, else (name,), the top level."""
+    leaves = {("config_echo", k): (1, k) for k in echo_keys}
+    leaves.update({f.metadata.get("json", (f.name,)): (0, f.name)
+                   for f in dataclasses.fields(cls)})
+    doc = {"version": cls.VERSION, "config_echo": {}}
+    for path in leaves:
+        (doc.setdefault(path[0], {}) if len(path) == 2 else doc)[path[-1]] = _SLOT
+    text = _json(doc).replace("%", "%%").replace("\0", "%s")
+    return text, tuple((*leaves[path], "\n" + "  " * len(path)) for path in sorted(leaves))
 
 
 def report_json(report: dual1d.GapReport | fem3d.Gap3DReport, echo: dict) -> str:
     """The certify report as JSON of its schema ``VERSION``, with the config
-    echo, each field at its class's ``_placements``."""
-    doc = {"version": report.VERSION, "config_echo": echo}
-    for name, section, key in _placements(type(report)):
-        place = doc.setdefault(section, {}) if section else doc
-        place[key] = getattr(report, name)
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    echo, each field at the place its class declares: its ``_template``
+    with each leaf written by ``_json``."""
+    text, slots = _template(type(report), tuple(echo))
+    sources = (vars(report), echo)
+    return text % tuple([_json(sources[s][name], indent) for s, name, indent in slots])
 
 
 def _report_exit_code(report: dual1d.GapReport | fem3d.Gap3DReport) -> int:
@@ -181,7 +219,7 @@ def cmd_ktensor(args: argparse.Namespace, lame: LameParams) -> int:
             eig = min(tensor3d.m_tensor_eigs(lame, K, mode))
             samples.append({"K": reported(K), "min_eig_sym": reported(eig)})
         doc["modes"][mode] = {"K_max": reported(k_max), "samples": samples}
-    _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), args.out)
+    _emit(_json(doc), args.out)
     return EXIT_PASS
 
 

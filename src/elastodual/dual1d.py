@@ -340,30 +340,31 @@ def certify(m: BarModel) -> GapReport:
     report.z_deficit, report.v_excess, report.energy_deficit = map(
         reported, (z_deficit, v_excess, _energy_deficit(m, ux, u0.r, shift)))
 
-    # the slope condition and every solver failure were recorded above
+    # the slope condition and every solver failure were recorded above; a
+    # check's message is formatted only if it fails
     gap_bound = GAP_TOL * (1.0 + abs(report.J_primal))
     hess_z = report.min_hessian_z
     checks = (
         (abs(report.gap) <= gap_bound,
-         f"gap: |gap| {abs(report.gap):.3e} > {gap_bound:.3e}"),
+         "gap: |gap| {:.3e} > {:.3e}", abs(report.gap), gap_bound),
         (report.constraint_residual_norm <= CONSTRAINT_TOL,
-         f"constraint: residual {report.constraint_residual_norm:.3e}"
-         f" > {CONSTRAINT_TOL:.3e}"),
+         "constraint: residual {:.3e} > {:.3e}",
+         report.constraint_residual_norm, CONSTRAINT_TOL),
         (margin > (7.0 / 32.0) * m.EA - 1e-12,
-         f"positivity: min v2 + z + K {margin:.3e} <= 7 EA/32 = {7 * m.EA / 32:.3e}"),
+         "positivity: min v2 + z + K {:.3e} <= 7 EA/32 = {:.3e}", margin, 7 * m.EA / 32),
         (hess_z > 5.0 / (7.0 * m.EA) - 1e-12,
-         f"hessian: min z-Hessian {hess_z:.3e} <= 5/(7 EA) = {5 / (7 * m.EA):.3e}"),
+         "hessian: min z-Hessian {:.3e} <= 5/(7 EA) = {:.3e}", hess_z, 5 / (7 * m.EA)),
         (report.min_eig_floor > 0.0,
-         f"min_eig: second variation floor {report.min_eig_floor:.3e} <= 0"),
+         "min_eig: second variation floor {:.3e} <= 0", report.min_eig_floor),
         (report.z_curvature_floor > 0.0,
-         f"saddle_z: z-curvature floor {report.z_curvature_floor:.3e} <= 0 at r {r:.3e}"),
+         "saddle_z: z-curvature floor {:.3e} <= 0 at r {:.3e}", report.z_curvature_floor, r),
         (report.z_deficit <= SADDLE_TOL,
-         f"saddle_z: z deficit {report.z_deficit:.3e} > {SADDLE_TOL:.3e}"),
+         "saddle_z: z deficit {:.3e} > {:.3e}", report.z_deficit, SADDLE_TOL),
         (report.v_excess <= SADDLE_TOL,
-         f"saddle_v: v excess {report.v_excess:.3e} > {SADDLE_TOL:.3e}"),
+         "saddle_v: v excess {:.3e} > {:.3e}", report.v_excess, SADDLE_TOL),
         (report.energy_deficit <= LOCAL_MIN_TOL,
-         f"local_min: energy deficit {report.energy_deficit:.3e} > {LOCAL_MIN_TOL:.3e}"),
+         "local_min: energy deficit {:.3e} > {:.3e}", report.energy_deficit, LOCAL_MIN_TOL),
     )
-    report.errors += [msg for ok, msg in checks if not ok]
+    report.errors += [msg.format(*args) for ok, msg, *args in checks if not ok]
     report.passed = not report.errors
     return report

@@ -10,14 +10,14 @@ the converged residual.
 Gradients and weak divergences are one matmul with the (8, 24) element
 gradient matrix.  A line-search Newton minimises the energy from u = 0 at
 the full load: a step solves the tangent's free block by banded Cholesky, or
-where it is indefinite the tangent of each point's tensile stress.  The band
-layout comes from the reference element's DOF offsets, the same in every
-element of the structured mesh.  The first iterate is closed-form: at u = 0,
-g = sigma = 0, so the residual is -L and every element's tangent is the linear
-stiffness K0, formed from one element and scattered into the band.  Each mesh
-shape's topology (connectivity, DOF maps, band layout) is built once and
-shared read-only by every mesh of that shape; each op forms its compliance
-and the per-point terms that J*, bound 1 and bound 3 share once.
+where it is indefinite the tangent of each point's tensile stress; the free
+DOFs are numbered in the order that narrows the band (``_topology``).  The
+first iterate is closed-form: at u = 0, g = sigma = 0, so the residual is -L
+and every element's tangent is the linear stiffness K0, formed from one
+element and scattered into the band.  Each mesh shape's topology
+(connectivity, DOF maps, band layout) is built once and shared read-only by
+every mesh of that shape; each op forms its compliance and the per-point
+terms that J*, bound 1 and bound 3 share once.
 
 ``certify_3d`` proves three checks; each bound adds the first-order rounding
 of its evaluation, in U = eps/2 of the magnitudes of its terms:
@@ -178,26 +178,31 @@ def _topology(nx: int, ny: int, nz: int) -> tuple:
     shape shares them."""
     # elements and nodes are numbered x-major, z fastest; corner c of
     # element (i, j, k) is node (i, j, k) + (_CORNERS[c] + 1) / 2
+    nodes = np.arange((nx + 1) * (ny + 1) * (nz + 1)).reshape(nx + 1, ny + 1, nz + 1)
     i, j, k = np.indices((nx, ny, nz)).reshape(3, -1, 1)
     ci, cj, ck = (_CORNERS > 0).astype(int).T
-    conn = ((i + ci) * (ny + 1) + j + cj) * (nz + 1) + k + ck
+    conn = nodes[i + ci, j + cj, k + ck]
     # element DOF map, DOF 3 n + i of each corner node n
     dofs = (3 * conn[:, :, None] + np.arange(3)).reshape(-1, 24)
     # the same DOFs with row (e, I) over the corners n: the row order of the
     # gradient matmul, so gathers and scatters need no transposed copy
     component_dofs = dofs.reshape(-1, 8, 3).transpose(0, 2, 1).reshape(-1, 8)
 
-    # clamped x = 0 nodes first: the free DOFs are a trailing slice; free
-    # entry (r, c), r <= c, goes to upper band storage row band + r - c,
-    # column c.  Element e's DOFs are dofs[e, 0] + off, off = dofs[0]: c - r
-    # = off[b] - off[a] in every element, and band = max(off)
-    clamped_nodes = np.arange((ny + 1) * (nz + 1))
-    free_dofs = np.arange(3 * clamped_nodes.size, 3 * (nx + 1) * (ny + 1) * (nz + 1))
-    off, c, n_free = dofs[0], dofs - free_dofs[0], free_dofs.size
-    band = int(off.max())
-    upper = (c[:, :, None] >= 0) & (off[:, None] <= off)
-    index = (band + off[:, None] - off) * n_free + c[:, None, :]
-    # int32 (below 2^31 far past the 8^3 cap: 536544 there) halves what the
+    # free DOFs node by node, slowest the axis of most free node layers (x
+    # has nx without its clamped layer; ties in x, y, z order), fastest that
+    # of fewest: an element spans the fewest positions, a band of 29 on 2^3
+    # and 245 on 8^3 (41, 275 in node order).  Free entry (r, c), r <= c in
+    # positions, goes to upper band storage row band + r - c, column c
+    clamped_nodes, free_nodes = nodes[0].ravel(), nodes[1:]
+    slowest_first = sorted(range(3), key=lambda a: -free_nodes.shape[a])
+    free_dofs = (3 * free_nodes.transpose(slowest_first).reshape(-1, 1) + np.arange(3)).ravel()
+    position, n_free = np.full(3 * nodes.size, -1), free_dofs.size
+    position[free_dofs] = np.arange(n_free)
+    r, c = position[dofs][:, :, None], position[dofs][:, None, :]
+    upper = (r >= 0) & (r <= c)
+    band = int(np.max(c - r, where=upper, initial=0))
+    index = (band + r - c) * n_free + c
+    # int32 (below 2^31 far past the 8^3 cap: 478224 there) halves what the
     # cache holds, 4.6 KB per element; bincount widens it per call (~3 us at
     # 32 elements)
     band_index = np.where(upper, index, (band + 1) * n_free).ravel().astype(np.int32)
@@ -503,8 +508,10 @@ def certify_3d(
     report.K_max = tensor3d.admissible_k_max(lame, mode)
     if K is None:
         K = report.K_max * (1.0 - 1e-3)
-    if not K > 0:
-        report.errors.append("K hypotheses infeasible: K must be positive")
+    why = ("K must be positive" if not K > 0 else  # --K's rule holds the default too
+           f"4/K is not finite at K = {K:.3e}" if not 4.0 / float(K) < np.inf else "")
+    if why:
+        report.errors.append(f"K hypotheses infeasible: {why}")
         return report
     report.K_used = K
     report.m_min_eig = min(tensor3d.m_tensor_eigs(lame, K, mode))
@@ -557,23 +564,24 @@ def certify_3d(
         reported, _local_min_bound(m, mesh, u0, g0, sigma0, R0))
 
     # every earlier failure returned with its own message, so the report
-    # passes exactly when all of these hold
+    # passes exactly when all of these hold; a message is formatted only if
+    # its check fails
     gap_bound = GAP_TOL * (1.0 + abs(report.J_primal))
     checks = (
         (abs(report.gap) <= gap_bound,
-         f"gap: |gap| {abs(report.gap):.3e} > {gap_bound:.3e}"),
+         "gap: |gap| {:.3e} > {:.3e}", abs(report.gap), gap_bound),
         (report.constraint_residual_norm <= CONSTRAINT_TOL,
-         f"constraint: residual {report.constraint_residual_norm:.3e}"
-         f" > {CONSTRAINT_TOL:.3e}"),
+         "constraint: residual {:.3e} > {:.3e}",
+         report.constraint_residual_norm, CONSTRAINT_TOL),
         (hess_min >= report.m_min_eig - 1e-10,
-         f"hessian: min z-Hessian eig {hess_min:.3e} < M min eig {report.m_min_eig:.3e}"),
+         "hessian: min z-Hessian eig {:.3e} < M min eig {:.3e}", hess_min, report.m_min_eig),
         (report.energy_deficit <= LOCAL_MIN_TOL,
-         f"local_min: energy deficit {report.energy_deficit:.3e} > {LOCAL_MIN_TOL:.3e}"),
+         "local_min: energy deficit {:.3e} > {:.3e}", report.energy_deficit, LOCAL_MIN_TOL),
         (report.z_curvature_floor > 0.0,
-         f"z_convex: z-curvature floor {report.z_curvature_floor:.3e} <= 0 at r {r:.3e}"),
+         "z_convex: z-curvature floor {:.3e} <= 0 at r {:.3e}", report.z_curvature_floor, r),
         (report.z_deficit <= SADDLE_TOL,
-         f"z_convex: z deficit {report.z_deficit:.3e} > {SADDLE_TOL:.3e}"),
+         "z_convex: z deficit {:.3e} > {:.3e}", report.z_deficit, SADDLE_TOL),
     )
-    report.errors = [msg for ok, msg in checks if not ok]
+    report.errors = [msg.format(*args) for ok, msg, *args in checks if not ok]
     report.passed = not report.errors
     return report

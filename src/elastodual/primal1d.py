@@ -50,6 +50,7 @@ SLOPE_LIMIT = 0.25
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 U = 0.5 * float(np.finfo(float).eps)
+FORCE_LIMIT = 1e306  #: bound on the prefix loads over EA, max |C|/EA (``BarModel``)
 #: g(x*) = -1/(3 sqrt(3)), the least force of a stable slope per unit EA
 G_STAR = -1.0 / (3.0 * math.sqrt(3.0))
 #: 1 - 1/sqrt(3) rounded down: a proven lower bound of ||u_x||_inf at every
@@ -74,6 +75,12 @@ class BarModel:
     """Material/geometry/load data of the bar.
 
     ``P`` is the axial load per unit length sampled at element midpoints.
+    Its prefix loads C must keep max |C| <= FORCE_LIMIT EA: the force solve
+    takes the closed form at y = (N - C)/EA, |y| <= 3 max |C|/EA + 2 for N in
+    [max C + EA g(x*) less ``_no_stable_root``'s margin (n < 4e7), max C],
+    and forms t = 3 sqrt(3) y, which y = 3.4e307 overflows (slopes NaN).  Its
+    squares and steps run only where a stable root may exist, with every slope
+    in [x*, -(n - 1) x*], so max |C|/EA < 2 g(0.43 n) + 1 there.
     """
 
     E: float
@@ -94,7 +101,10 @@ class BarModel:
         half = 0.5 * (load[:-1] + load[1:])
         object.__setattr__(self, "half_loads", half)
         # C: element e carries the force N0 - C_e in equilibrium
-        object.__setattr__(self, "prefix_loads", np.concatenate(([0.0], np.cumsum(half))))
+        C = np.concatenate(([0.0], np.cumsum(half)))
+        if float(np.max(np.abs(C))) / float(self.EA) > FORCE_LIMIT:  # NaN: the solve reports it
+            raise ValueError("the load's axial force over E*A must be at most 1e306")
+        object.__setattr__(self, "prefix_loads", C)
 
     @property
     def EA(self) -> float:
